@@ -118,6 +118,16 @@ class Poly3:
     # ---- constructors -------------------------------------------------
 
     @classmethod
+    def _make(cls, terms: dict[ExponentTriple, Fraction], variables: tuple[str, str, str]) -> "Poly3":
+        """Trusted constructor: terms already hold valid exponent triples and
+        nonzero Fraction coefficients, and variables is a chart tuple."""
+        out = object.__new__(cls)
+        out.variables = variables
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def zero(cls, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
         return cls({}, variables)
 
@@ -212,12 +222,12 @@ class Poly3:
                 terms.pop(exps, None)
             else:
                 terms[exps] = acc
-        return Poly3(terms, self.variables)
+        return Poly3._make(terms, self.variables)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        return Poly3({e: -c for e, c in self._terms.items()}, self.variables)
+        return Poly3._make({e: -c for e, c in self._terms.items()}, self.variables)
 
     def __sub__(self, other) -> "Poly3":
         return self + (-self._coerce(other))
@@ -230,7 +240,7 @@ class Poly3:
             c = _as_fraction(other)
             if c == 0:
                 return Poly3.zero(self.variables)
-            return Poly3({e: k * c for e, k in self._terms.items()}, self.variables)
+            return Poly3._make({e: k * c for e, k in self._terms.items()}, self.variables)
         other = self._coerce(other)
         out: dict[ExponentTriple, Fraction] = {}
         for e1, c1 in self._terms.items():
@@ -244,7 +254,7 @@ class Poly3:
                     out.pop(exps, None)
                 else:
                     out[exps] = acc
-        return Poly3(out, self.variables)
+        return Poly3._make(out, self.variables)
 
     __rmul__ = __mul__
 
@@ -310,7 +320,7 @@ class Poly3:
             new = list(exps)
             new[index] = e - 1
             out[tuple(new)] = coeff * e
-        return Poly3(out, self.variables)
+        return Poly3._make(out, self.variables)
 
     def eval(self, point: "Point3"):
         """Value at a point; exact for Fraction coordinates, float otherwise."""
@@ -358,8 +368,8 @@ class Poly3:
                 return None
             q_coeff = coeff / lead_coeff
             quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
-            rest = rest - divisor * Poly3.monomial(q_coeff, q_exps, self.variables)
-        return Poly3(quotient, self.variables)
+            rest = rest - divisor * Poly3._make({q_exps: q_coeff}, self.variables)
+        return Poly3._make(quotient, self.variables)
 
     def div_exact(self, divisor: "Poly3") -> "Poly3":
         quotient = self.try_div(divisor)
@@ -376,13 +386,20 @@ class Poly3:
 
 # ---------------------------------------------------------------------------
 # gcd: content/primitive-part recursion with a subresultant PRS in a chosen
-# main variable.  The recursion runs on plain integer-coefficient term maps
-# (denominators are cleared once up front); only the monic result is lifted
-# back to Fraction coefficients.  Exact and dependency-free; adequate at the
-# degrees that occur here (single digits).
+# main variable, on integer-coefficient term maps (denominators are cleared
+# once up front; only the monic result is lifted back to Fractions).
+# Most calls are coprime; _coprime_certified proves that without the PRS.  The
+# primitive gcd g divides a in Z[x,y,z] (Gauss), so if lc_axis(a) is nonzero at
+# the image point mod p, deg_axis(g) <= deg gcd(images); 0 on every axis: g = 1.
 # ---------------------------------------------------------------------------
 
 IntTerms = dict[ExponentTriple, int]
+
+_IMAGE_PRIME = 2**61 - 1
+# Fixed pseudo-random evaluation point (x, y, z) for the modular images.  An
+# unlucky point only sends a coprime pair on to the PRS; small points such as
+# (3, 5) are unlucky for many of the conjugated inputs.
+_IMAGE_POINT = (1316287884955314770, 1536285305286904227, 1760585016385251163)
 
 
 def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
@@ -513,9 +530,62 @@ def _int_pow(p: IntTerms, n: int) -> IntTerms:
     return result
 
 
+def _image(p: IntTerms, axis: int) -> list[int]:
+    """p mod _IMAGE_PRIME as a polynomial in the axis variable (coefficients
+    from degree 0 up), the other two variables set to _IMAGE_POINT."""
+    prime = _IMAGE_PRIME
+    i, j = [k for k in range(3) if k != axis]
+    ri, rj = _IMAGE_POINT[i], _IMAGE_POINT[j]
+    powers_i, powers_j = [1], [1]
+    coeffs = [0] * (_int_degree(p, axis) + 1)
+    for exps, coeff in p.items():
+        ei, ej = exps[i], exps[j]
+        while len(powers_i) <= ei:
+            powers_i.append(powers_i[-1] * ri % prime)
+        while len(powers_j) <= ej:
+            powers_j.append(powers_j[-1] * rj % prime)
+        coeffs[exps[axis]] += coeff * powers_i[ei] * powers_j[ej]
+    return [c % prime for c in coeffs]
+
+
+def _mod_gcd_degree(f: list[int], g: list[int]) -> int:
+    """Degree of gcd(f, g) in GF(_IMAGE_PRIME)[t]; both leading coefficients
+    must be nonzero."""
+    prime = _IMAGE_PRIME
+    while g:
+        f = list(f)
+        inverse = pow(g[-1], -1, prime)
+        dg = len(g) - 1
+        while len(f) > dg:
+            q = f[-1] * inverse % prime
+            shift = len(f) - 1 - dg
+            for k in range(dg):
+                f[shift + k] = (f[shift + k] - q * g[k]) % prime
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_certified(a: IntTerms, b: IntTerms) -> bool:
+    """True only if a and b (integer-primitive) have a constant gcd; False
+    means undecided."""
+    for axis in range(3):
+        if _int_degree(a, axis) <= 0 or _int_degree(b, axis) <= 0:
+            continue
+        image_a, image_b = _image(a, axis), _image(b, axis)
+        if not image_a[-1] or not image_b[-1]:
+            return False
+        if _mod_gcd_degree(image_a, image_b) > 0:
+            return False
+    return True
+
+
 def _choose_main(a: IntTerms, b: IntTerms) -> int:
-    """Axis giving the shortest remainder sequence."""
-    best, best_cost = None, None
+    """Axis, of those where both have positive degree, giving the shortest
+    remainder sequence."""
+    best, best_cost = -1, None
     for axis in range(3):
         da, db = _int_degree(a, axis), _int_degree(b, axis)
         if da <= 0 or db <= 0:
@@ -523,12 +593,7 @@ def _choose_main(a: IntTerms, b: IntTerms) -> int:
         cost = (min(da, db), max(da, db))
         if best_cost is None or cost < best_cost:
             best, best_cost = axis, cost
-    if best is not None:
-        return best
-    for axis in range(3):
-        if _int_degree(a, axis) > 0 or _int_degree(b, axis) > 0:
-            return axis
-    return -1
+    return best
 
 
 def _int_strip(p: IntTerms) -> IntTerms:
@@ -551,9 +616,9 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
             for e in p:
                 exps = [min(x, y) for x, y in zip(exps, e)]
         return {tuple(exps): 1}
-    main = _choose_main(a, b)
-    if main < 0:
+    if _coprime_certified(a, b):
         return {(0, 0, 0): 1}
+    main = _choose_main(a, b)
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -85,6 +86,19 @@ class _Resolved:
         self.heisenberg = heisenberg
         self.is_builtin = is_builtin
         self.bracket_report: VerificationReport | None = None
+        self._potential = None
+
+    def potential(self):
+        """potential_from_gamma(frame), computed once; a failure is kept and
+        raised again on every call."""
+        if self._potential is None:
+            try:
+                self._potential = potential_from_gamma(self.frame)
+            except FrameError as exc:
+                self._potential = exc
+        if isinstance(self._potential, FrameError):
+            raise self._potential
+        return self._potential
 
 
 def _resolve(target: str) -> _Resolved:
@@ -161,7 +175,7 @@ def _frame_suite(resolved: _Resolved, args) -> VerificationReport:
         )
     report = report.merged(VerificationReport(resolved.name, tuple(frobenius_checks)))
 
-    potential = potential_from_gamma(frame)
+    potential = resolved.potential()
     report = report.merged(
         VerificationReport(
             resolved.name,
@@ -315,7 +329,7 @@ def _forms_section(resolved: _Resolved):
         "gamma": [str(c) for c in frame.gamma.coeffs],
     }
     try:
-        potential = potential_from_gamma(frame)
+        potential = resolved.potential()
         section["potential"] = {
             "A": [str(c) for c in potential.A.components],
             "scale": str(potential.scale),
@@ -571,6 +585,26 @@ def _parse_box(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcflow",
@@ -584,9 +618,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                         help="select the +1 or -1 branch of paired integrals")
     parser.add_argument("--rho", help="conformal factor candidate (expression)")
     parser.add_argument("--f", help="perturbation candidate for the potential (expression)")
-    parser.add_argument("--points", type=int, default=25, help="oracle sample points per check")
-    parser.add_argument("--h", type=float, default=1e-3, help="integration step size")
-    parser.add_argument("--t", type=float, default=0.2, help="integration horizon")
+    parser.add_argument("--points", type=_positive_int, default=25,
+                        help="oracle sample points per check")
+    parser.add_argument("--h", type=_positive_real, default=1e-3, help="integration step size")
+    parser.add_argument("--t", type=_positive_real, default=0.2, help="integration horizon")
     parser.add_argument("--from", dest="start", type=_parse_triple, default=(1.0, 1.0, 1.0),
                         help="initial point x,y,z")
     parser.add_argument("--seed", type=int, default=0, help="oracle sampling seed")
@@ -632,14 +667,16 @@ def run(argv) -> tuple[dict | None, int, str | None]:
 
 
 def main(argv=None) -> int:
-    document, status, diagnostic = run(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    document, status, diagnostic = run(argv)
     if diagnostic is not None:
         print(diagnostic, file=sys.stderr)
         return status
     if document is None:
         return status
-    args_json = "--json" in (sys.argv[1:] if argv is None else argv)
-    if args_json:
+    # run() accepted argv, so parsing it again cannot fail; argparse also
+    # accepts abbreviations such as --jso, which a string test would miss
+    if _build_arg_parser().parse_args(argv).json:
         print(json.dumps(document, indent=2))
     else:
         print(_render_text(document))

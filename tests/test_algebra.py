@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcflow import algebra
 from mcflow.algebra import (
     ChartMismatchError,
     NegativeExponentError,
@@ -173,6 +175,44 @@ class TestGcd:
         g = poly_gcd(a, b)
         assert a.div_exact(g) * g == a
         assert b.div_exact(g) * g == b
+
+
+def _certified(a: Poly3, b: Poly3) -> bool:
+    return algebra._coprime_certified(algebra._int_primitive(a), algebra._int_primitive(b))
+
+
+def _prs_gcd(a: Poly3, b: Poly3) -> Poly3:
+    """poly_gcd with the coprimality certificate switched off."""
+    with mock.patch.object(algebra, "_coprime_certified", lambda a, b: False):
+        return poly_gcd(a, b)
+
+
+class TestCoprimeCertificate:
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    def test_certified_pairs_have_constant_prs_gcd(self, a, b, common):
+        for left, right in ((a, b), (a * common, b * common)):
+            if _certified(left, right):
+                assert _prs_gcd(left, right).is_constant()
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_polys.filter(lambda p: not p.is_constant()), nonzero_polys, nonzero_polys)
+    def test_common_factor_is_never_certified(self, common, h1, h2):
+        assert not _certified(common * h1, common * h2)
+
+    def test_falls_back_when_a_leading_coefficient_vanishes(self):
+        # Every modular image of `common` at the evaluation point is 1, so
+        # only the degree guard keeps the certificate from claiming coprime.
+        rx, ry, _ = algebra._IMAGE_POINT
+        common = (X - rx) * (Y - ry) + 1
+        a, b = common * (X + Z), common * (Y - Z)
+        assert not _certified(a, b)
+        assert poly_gcd(a, b) == common
+
+    def test_agrees_with_prs_on_a_coprime_pair(self):
+        a, b = X**2 * Y + Z**3 - 1, Y**2 * Z - X + 2
+        assert _certified(a, b)
+        assert poly_gcd(a, b) == _prs_gcd(a, b) == ONE
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,26 @@ class TestSample:
         assert json.dumps(first) == json.dumps(second)
 
 
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "guillot", "--points", "0"],
+            ["sample", "guillot", "--points", "-2"],
+            ["integrate", "guillot", "--t", "nan"],
+            ["integrate", "guillot", "--t", "-1"],
+            ["integrate", "guillot", "--t", "0"],
+            ["integrate", "guillot", "--h", "inf"],
+            ["integrate", "guillot", "--h", "nan"],
+            ["integrate", "guillot", "--h", "-0.001"],
+        ],
+    )
+    def test_bad_numeric_argument_is_a_usage_error(self, argv, capsys):
+        document, status, _ = run(argv)
+        assert (document, status) == (None, 2)
+        assert "expected a" in capsys.readouterr().err
+
+
 class TestCheckFile:
     def test_valid_file(self, tmp_path):
         path = tmp_path / "guillot_copy.sys"
@@ -225,6 +245,13 @@ class TestEntryPoint:
         status = main(["derive", "guillot", "--json"])
         captured = capsys.readouterr()
         document = json.loads(captured.out)
+        assert status == 0
+        assert document["command"] == "derive"
+
+    def test_main_json_flag_abbreviation(self, capsys):
+        # argparse accepts unambiguous prefixes; the output must follow the flag
+        status = main(["derive", "guillot", "--jso"])
+        document = json.loads(capsys.readouterr().out)
         assert status == 0
         assert document["command"] == "derive"
 
