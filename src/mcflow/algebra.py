@@ -415,9 +415,12 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
         return Poly3.const(1, a.variables)
     if a.term_count() == 1 or b.term_count() == 1:
         return _monomial_gcd(a, b)
-    if a.monic() == b.monic():
-        return a.monic()
-    g = _int_gcd(_int_primitive(a), _int_primitive(b))
+    int_a, int_b = _int_primitive(a), _int_primitive(b)
+    if int_a == int_b or (
+        len(int_a) == len(int_b) and all(int_b.get(e) == -c for e, c in int_a.items())
+    ):
+        return a.monic()  # a and b are proportional
+    g = _int_gcd(int_a, int_b)
     poly = Poly3(g, a.variables)
     return poly.monic()
 
@@ -925,15 +928,6 @@ def _normalize(num: Poly3, den: Poly3) -> tuple[Poly3, Poly3]:
     return num, den
 
 
-def ratfunc_normalize(num: Poly3, den: Poly3) -> RationalFunction:
-    """Canonical rational function num/den."""
-    return RationalFunction(num, den)
-
-
-def partial_derivative(f: RationalFunction, name: str) -> RationalFunction:
-    return f.diff(name)
-
-
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
@@ -966,10 +960,6 @@ class Point3:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
     __repr__ = __str__
-
-
-def evaluate(f: RationalFunction | Poly3, point: Point3):
-    return f.eval(point)
 
 
 # ---------------------------------------------------------------------------

@@ -314,18 +314,6 @@ def format_form(form: KForm) -> str:
     return out
 
 
-def wedge(a: KForm, b: KForm) -> KForm:
-    return a.wedge(b)
-
-
-def exterior_derivative(omega: KForm) -> KForm:
-    return omega.d()
-
-
-def interior_product(field: VectorField3, omega: KForm) -> KForm:
-    return omega.interior(field)
-
-
 # ---------------------------------------------------------------------------
 # vector calculus
 # ---------------------------------------------------------------------------
@@ -472,7 +460,3 @@ class LogIntegral:
         return out
 
     __repr__ = __str__
-
-
-def integral_differential(h: LogIntegral) -> KForm:
-    return h.differential()

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -28,7 +29,7 @@ from .algebra import (
     SingularPointError,
     ZeroDenominatorError,
 )
-from .calculus import VectorField3, ZeroLogArgumentError
+from .calculus import VectorField3, ZeroLogArgumentError, div
 from .mcframe import (
     Check,
     DegenerateFrameError,
@@ -36,8 +37,10 @@ from .mcframe import (
     HOLDS,
     InconsistencyError,
     InvalidFrameError,
+    NONZERO,
     NOT_APPLICABLE,
     VerificationReport,
+    ZERO,
     bihamiltonian_verify,
     build_frame,
     conformal_transform,
@@ -49,7 +52,6 @@ from .mcframe import (
     sigma_residual_factored,
     verify_duality,
     verify_maurer_cartan,
-    verify_sl2,
 )
 from .numeric import (
     NumericError,
@@ -85,7 +87,10 @@ class _Resolved:
         self.frame = frame
         self.heisenberg = heisenberg
         self.is_builtin = is_builtin
-        self.bracket_report: VerificationReport | None = None
+        # the frame's bracket report, or the failing one that prevented a frame
+        self.bracket_report: VerificationReport | None = (
+            frame.bracket_report if frame is not None else None
+        )
         self._potential = None
 
     def potential(self):
@@ -111,12 +116,11 @@ def _resolve(target: str) -> _Resolved:
         spec = parse_system(handle.read())
     resolved = _Resolved(spec.name, spec)
     if spec.u is not None and spec.w is not None:
-        v = VectorField3(*spec.v, spec.variables)
-        u = VectorField3(*spec.u, spec.variables)
-        w = VectorField3(*spec.w, spec.variables)
-        resolved.bracket_report = verify_sl2(v, u, w, spec.name)
-        if resolved.bracket_report.ok:
-            resolved.frame = build_frame(v, u, w, spec.name, check_brackets=False)
+        fields = (VectorField3(*c, spec.variables) for c in (spec.v, spec.u, spec.w))
+        try:
+            resolved = _Resolved(spec.name, spec, build_frame(*fields, spec.name))
+        except InvalidFrameError as exc:
+            resolved.bracket_report = exc.report
     return resolved
 
 
@@ -131,152 +135,105 @@ def _eps_integrals(spec: SystemSpec, eps: int):
 
 
 # ---------------------------------------------------------------------------
-# report pipelines
+# the check table
 # ---------------------------------------------------------------------------
 
 
-def _frame_suite(resolved: _Resolved, args) -> VerificationReport:
-    frame = resolved.frame
-    report = resolved.bracket_report or verify_sl2(frame.v, frame.u, frame.w, resolved.name)
+def _framed(r: _Resolved, args) -> bool:
+    return r.frame is not None
 
-    hint = resolved.spec.multiplier_hint
-    multiplier_checks = []
-    if hint is not None:
-        multiplier_checks.append(
-            Check.from_residual(
-                "multiplier.matches_hint", "M = declared multiplier", frame.M - hint
-            )
+
+def _frameless(r: _Resolved, args) -> bool:
+    return r.frame is None and r.heisenberg is None
+
+
+def _frobenius_checks(r: _Resolved, args):
+    for form, expect in (("gamma", ZERO), ("beta", ZERO), ("alpha", NONZERO)):
+        relation = "=" if expect == ZERO else "!="
+        yield Check.from_residual(
+            f"frobenius.{form}", f"{form} ^ d({form}) {relation} 0",
+            frobenius_residual(getattr(r.frame, form)), expect,
         )
-    report = report.merged(VerificationReport(resolved.name, tuple(multiplier_checks)))
 
-    report = report.merged(
-        verify_duality(frame),
-        verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma, resolved.name),
-        curl_identities(frame),
-    )
 
-    frobenius_checks = [
+def _bihamiltonian_checks(r: _Resolved, args):
+    (_, h1), *pairs = _eps_integrals(r.spec, args.eps)
+    for label, h2 in pairs:
+        yield from bihamiltonian_verify(r.frame.v, r.frame.M, h1, h2, r.name, label).checks
+
+
+def _sigma_checks(r: _Resolved, args):
+    frame = r.frame
+    chart = frame.M.chart
+    rho = parse_rational(args.rho, chart) if args.rho else RationalFunction.const(1, chart)
+    f = parse_rational(args.f, chart) if args.f else RationalFunction.const(0, chart)
+    sigma = sigma_residual(frame.alpha, frame.gamma, frame.beta, rho, f)
+    factored = sigma_residual_factored(frame.alpha, frame.gamma, frame.beta, rho, f)
+    t_alpha, t_beta, t_gamma = conformal_transform(frame, rho)
+    transformed = verify_maurer_cartan(t_alpha, t_beta, t_gamma, r.name)
+    return (
         Check.from_residual(
-            "frobenius.gamma", "gamma ^ d(gamma) = 0", frobenius_residual(frame.gamma)
+            "sigma.integrability", "sigma ^ d(sigma) = 0 for candidate (rho, f)", sigma
         ),
         Check.from_residual(
-            "frobenius.beta", "beta ^ d(beta) = 0", frobenius_residual(frame.beta)
+            "sigma.factored_agreement",
+            "sigma ^ d(sigma) matches its factored shape",
+            sigma - factored,
         ),
-    ]
-    alpha_residual = frobenius_residual(frame.alpha)
-    if alpha_residual.is_zero():
-        frobenius_checks.append(
-            Check("frobenius.alpha", "alpha ^ d(alpha) != 0", "fails",
-                  alpha_residual, "alpha ^ d(alpha) == 0")
-        )
-    else:
-        frobenius_checks.append(
-            Check("frobenius.alpha", "alpha ^ d(alpha) != 0", HOLDS, alpha_residual)
-        )
-    report = report.merged(VerificationReport(resolved.name, tuple(frobenius_checks)))
-
-    potential = resolved.potential()
-    report = report.merged(
-        VerificationReport(
-            resolved.name,
-            (
-                Check(
-                    "potential.curl_scale",
-                    f"curl(A) = s M v, s = {potential.scale}",
-                    HOLDS,
-                    VectorField3.zero(frame.M.chart),
-                ),
-            ),
-        )
+        *(replace(c, name=f"conformal.{c.name}") for c in transformed.checks),
     )
 
-    integrals = _eps_integrals(resolved.spec, args.eps)
-    if len(integrals) >= 2:
-        h1 = integrals[0][1]
-        for label, h2 in integrals[1:]:
-            report = report.merged(
-                bihamiltonian_verify(frame.v, frame.M, h1, h2, resolved.name, label)
-            )
-    elif len(integrals) == 1:
-        label, h = integrals[0]
-        report = report.merged(
-            VerificationReport(
-                resolved.name,
-                (
-                    Check.from_residual(
-                        f"integral.{label}",
-                        f"iota_v d{label} = 0",
-                        h.differential().interior(frame.v).coeffs[0],
-                    ),
-                ),
-            )
-        )
 
-    if args.rho is not None or args.f is not None:
-        chart = frame.M.chart
-        rho = parse_rational(args.rho, chart) if args.rho else RationalFunction.const(1, chart)
-        f = parse_rational(args.f, chart) if args.f else RationalFunction.const(0, chart)
-        sigma = sigma_residual(frame.alpha, frame.gamma, frame.beta, rho, f)
-        factored = sigma_residual_factored(frame.alpha, frame.gamma, frame.beta, rho, f)
-        t_alpha, t_beta, t_gamma = conformal_transform(frame, rho)
-        transformed = verify_maurer_cartan(t_alpha, t_beta, t_gamma, resolved.name)
-        sigma_checks = (
-            Check.from_residual(
-                "sigma.integrability", "sigma ^ d(sigma) = 0 for candidate (rho, f)", sigma
-            ),
-            Check.from_residual(
-                "sigma.factored_agreement",
-                "sigma ^ d(sigma) matches its factored shape",
-                sigma - factored,
-            ),
-            *(
-                Check(f"conformal.{c.name}", c.anchor, c.status, c.residual_obj, c.residual)
-                for c in transformed.checks
-            ),
-        )
-        report = report.merged(VerificationReport(resolved.name, sigma_checks))
-
-    if resolved.is_builtin:
-        if resolved.name in ("dh_classic", "dh_symmetric"):
-            report = report.merged(dh_reduction_check())
-        if resolved.name == "dh_symmetric":
-            report = report.merged(grading_check(builtin("dh_symmetric")))
-    return report
+# Every check of a report, in report order: rows of (applies, checks), both
+# called with the resolved system and the parsed arguments.  Rows call the
+# mcframe and systems functions through this module's global names, so a
+# wrapper installed in this namespace (a tracing span) sees each call.
+_CHECKS = (
+    (lambda r, args: r.heisenberg is not None,
+     lambda r, args: heisenberg_verify(r.heisenberg).checks),
+    (lambda r, args: r.bracket_report is not None,
+     lambda r, args: r.bracket_report.checks),
+    (lambda r, args: _framed(r, args) and r.spec.multiplier_hint is not None,
+     lambda r, args: (Check.from_residual(
+         "multiplier.matches_hint", "M = declared multiplier",
+         r.frame.M - r.spec.multiplier_hint),)),
+    (_framed, lambda r, args: verify_duality(r.frame).checks),
+    (_framed, lambda r, args: verify_maurer_cartan(
+        r.frame.alpha, r.frame.beta, r.frame.gamma, r.name).checks),
+    (_framed, lambda r, args: curl_identities(r.frame).checks),
+    (_framed, _frobenius_checks),
+    (_framed, lambda r, args: (Check.from_residual(
+        "potential.curl_scale", f"curl(A) = s M v, s = {r.potential().scale}",
+        VectorField3.zero(r.frame.M.chart)),)),
+    (lambda r, args: _framed(r, args) and len(_eps_integrals(r.spec, args.eps)) >= 2,
+     _bihamiltonian_checks),
+    # with a frame, a single integral has no partner for the decomposition
+    (lambda r, args: _frameless(r, args)
+     or (_framed(r, args) and len(_eps_integrals(r.spec, args.eps)) == 1),
+     lambda r, args: (
+         Check.from_residual(
+             f"integral.{label}", f"iota_v d{label} = 0",
+             h.differential().interior(_velocity(r)).coeffs[0])
+         for label, h in _eps_integrals(r.spec, args.eps))),
+    (lambda r, args: _frameless(r, args) and r.spec.multiplier_hint is not None,
+     lambda r, args: (Check.from_residual(
+         "multiplier.invariance", "div(M v) = 0 for declared M",
+         div(_velocity(r).scale(r.spec.multiplier_hint))),)),
+    (lambda r, args: _framed(r, args) and (args.rho is not None or args.f is not None),
+     _sigma_checks),
+    (lambda r, args: r.is_builtin and r.name in ("dh_classic", "dh_symmetric"),
+     lambda r, args: dh_reduction_check().checks),
+    (lambda r, args: r.is_builtin and r.name == "dh_symmetric",
+     lambda r, args: grading_check(builtin("dh_symmetric")).checks),
+)
 
 
-def _frameless_suite(resolved: _Resolved, args) -> VerificationReport:
+def _run_checks(resolved: _Resolved, args) -> VerificationReport:
     checks = []
-    v = _velocity(resolved)
-    if resolved.bracket_report is not None and not resolved.bracket_report.ok:
-        checks.extend(resolved.bracket_report.checks)
-    for label, h in _eps_integrals(resolved.spec, args.eps):
-        checks.append(
-            Check.from_residual(
-                f"integral.{label}",
-                f"iota_v d{label} = 0",
-                h.differential().interior(v).coeffs[0],
-            )
-        )
-    hint = resolved.spec.multiplier_hint
-    if hint is not None:
-        from .calculus import div as div_op
-
-        checks.append(
-            Check.from_residual(
-                "multiplier.invariance", "div(M v) = 0 for declared M", div_op(v.scale(hint))
-            )
-        )
-    if resolved.is_builtin and resolved.name == "dh_classic":
-        checks.extend(dh_reduction_check().checks)
+    for applies, row in _CHECKS:
+        if applies(resolved, args):
+            checks.extend(row(resolved, args))
     return VerificationReport(resolved.name, tuple(checks))
-
-
-def _verification_report(resolved: _Resolved, args) -> VerificationReport:
-    if resolved.heisenberg is not None:
-        return heisenberg_verify(resolved.heisenberg)
-    if resolved.frame is not None:
-        return _frame_suite(resolved, args)
-    return _frameless_suite(resolved, args)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +329,7 @@ def _sample_checks(report: VerificationReport, args, names=None):
             continue
         if check.residual_obj is None:
             continue
-        expect_zero = check.status != NOT_APPLICABLE and not check.anchor.endswith("!= 0")
-        if not expect_zero:
+        if check.status == NOT_APPLICABLE or check.expect != ZERO:
             continue
         try:
             verdict = sample_identity(
@@ -438,7 +394,7 @@ def _document(resolved, command, sections, exit_status):
 
 
 def _cmd_verify(resolved: _Resolved, args):
-    report = _verification_report(resolved, args)
+    report = _run_checks(resolved, args)
     samples, oracle_ok = _sample_checks(report, args)
     status = EXIT_OK if report.ok and oracle_ok else EXIT_CHECK_FAILED
     sections = {
@@ -480,7 +436,7 @@ def _cmd_integrate(resolved: _Resolved, args):
 
 
 def _cmd_sample(resolved: _Resolved, args):
-    report = _verification_report(resolved, args)
+    report = _run_checks(resolved, args)
     names = {args.check} if args.check else None
     if names is not None:
         known = {c.name for c in report.checks}

@@ -18,7 +18,7 @@ numeric oracle can re-evaluate it independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -48,6 +48,10 @@ class DegenerateFrameError(FrameError):
 class InvalidFrameError(FrameError):
     """The companion fields do not close the required bracket relations."""
 
+    def __init__(self, message: str, report: Optional[VerificationReport] = None):
+        self.report = report
+        super().__init__(message)
+
 
 class InconsistencyError(FrameError):
     """curl of the potential is not a constant multiple of M v."""
@@ -66,6 +70,10 @@ HOLDS = "holds"
 FAILS = "fails"
 NOT_APPLICABLE = "not_applicable"
 
+# what a check's residual must be for the check to hold
+ZERO = "zero"
+NONZERO = "nonzero"
+
 
 @dataclass(frozen=True)
 class Check:
@@ -76,17 +84,16 @@ class Check:
     status: str
     residual_obj: object = None
     residual: Optional[str] = None
+    expect: str = ZERO
 
     @classmethod
-    def from_residual(cls, name: str, anchor: str, residual_obj) -> "Check":
-        ok = residual_obj.is_zero()
-        return cls(
-            name,
-            anchor,
-            HOLDS if ok else FAILS,
-            residual_obj,
-            None if ok else str(residual_obj),
-        )
+    def from_residual(cls, name: str, anchor: str, residual_obj, expect: str = ZERO) -> "Check":
+        """A failing zero check shows its residual; a failing nonzero check,
+        whose residual is the zero object, shows its anchor negated."""
+        if residual_obj.is_zero() == (expect == ZERO):
+            return cls(name, anchor, HOLDS, residual_obj, None, expect)
+        shown = str(residual_obj) if expect == ZERO else anchor.replace("!=", "==")
+        return cls(name, anchor, FAILS, residual_obj, shown, expect)
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,10 @@ class Sl2Frame:
     alpha: KForm
     beta: KForm
     gamma: KForm
+    # verify_sl2(v, u, w) as build_frame found it; None for a frame built by hand
+    bracket_report: Optional[VerificationReport] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -207,16 +218,16 @@ def build_frame(
     u: VectorField3,
     w: VectorField3,
     name: str = "",
-    check_brackets: bool = True,
 ) -> Sl2Frame:
-    if check_brackets:
-        report = verify_sl2(v, u, w, name)
-        if not report.ok:
-            failed = ", ".join(c.name for c in report.checks if c.status == FAILS)
-            raise InvalidFrameError(f"bracket relations fail: {failed}")
+    """The frame of (v, u, w), carrying its bracket report; raises
+    InvalidFrameError, with that report, when a bracket relation fails."""
+    report = verify_sl2(v, u, w, name)
+    if not report.ok:
+        failed = ", ".join(c.name for c in report.checks if c.status == FAILS)
+        raise InvalidFrameError(f"bracket relations fail: {failed}", report)
     multiplier = last_multiplier(v, u, w)
     alpha, beta, gamma = dual_forms(v, u, w, multiplier)
-    return Sl2Frame(name, v, u, w, multiplier, alpha, beta, gamma)
+    return Sl2Frame(name, v, u, w, multiplier, alpha, beta, gamma, report)
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +278,13 @@ def verify_maurer_cartan(
     alpha: KForm, beta: KForm, gamma: KForm, system: str = ""
 ) -> VerificationReport:
     r_beta, r_alpha, r_gamma = maurer_cartan_residuals(alpha, beta, gamma)
-    d_alpha = alpha.d()
-    checks = [
+    checks = (
         Check.from_residual("structure.dbeta", "d(beta) + 2 alpha^beta = 0", r_beta),
         Check.from_residual("structure.dalpha", "d(alpha) - gamma^beta = 0", r_alpha),
         Check.from_residual("structure.dgamma", "d(gamma) - 2 alpha^gamma = 0", r_gamma),
-    ]
-    if d_alpha.is_zero():
-        checks.append(
-            Check(
-                "structure.dalpha_nonzero",
-                "d(alpha) != 0",
-                FAILS,
-                d_alpha,
-                "d(alpha) == 0",
-            )
-        )
-    else:
-        checks.append(Check("structure.dalpha_nonzero", "d(alpha) != 0", HOLDS, d_alpha))
-    return VerificationReport(system, tuple(checks))
+        Check.from_residual("structure.dalpha_nonzero", "d(alpha) != 0", alpha.d(), NONZERO),
+    )
+    return VerificationReport(system, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +421,9 @@ def _constant_ratio(
 
 def potential_from_gamma(frame: Sl2Frame) -> PotentialVector:
     """Covector A of gamma with the exact constant s in curl(A) = s M v."""
-    bracket_report = verify_sl2(frame.v, frame.u, frame.w, frame.name)
+    bracket_report = frame.bracket_report
+    if bracket_report is None:
+        bracket_report = verify_sl2(frame.v, frame.u, frame.w, frame.name)
     if not bracket_report.ok:
         raise InvalidFrameError(
             "potential extraction requires the bracket relations to hold"

@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Optional
 
 from .algebra import Poly3, RationalFunction
-from .calculus import KForm, LogIntegral, VectorField3
+from .calculus import KForm, VectorField3
 from .mcframe import (
     Check,
     FrameError,
@@ -49,7 +49,6 @@ class WeightsError(Exception):
 class Expected:
     """Golden values: printed one-form coefficients and potential scale."""
 
-    multiplier: Optional[str] = None
     printed_forms: dict | None = None
     potential_scale: Optional[Fraction] = None
 
@@ -61,9 +60,6 @@ class BuiltinSystem:
     frame: Optional[Sl2Frame]
     heisenberg: Optional[HeisenbergFrame]
     expected: Expected
-
-    def integrals(self) -> tuple[tuple[str, LogIntegral], ...]:
-        return self.spec.integrals
 
 
 _DH_DELTA = "72*x*y*z - 16*y^3 + 4*x^2*y^2 - 16*x^3*z - 108*z^2"
@@ -130,7 +126,6 @@ def builtin(name: str) -> BuiltinSystem:
             name=name,
         )
     expected = Expected(
-        multiplier=str(frame.M) if frame is not None else None,
         printed_forms=_PRINTED.get(name),
         potential_scale=Fraction(2) if frame is not None else None,
     )

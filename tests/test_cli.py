@@ -173,12 +173,7 @@ class TestCheckFile:
 
     def test_broken_brackets_exit_1(self, tmp_path):
         path = tmp_path / "broken.sys"
-        path.write_text(
-            "name: broken\nvariables: x, y, z\n"
-            "v: x^2 + y^4; x*y; 2*y^2*z - x*z\n"
-            "u: 2*x; y; z\n"  # wrong sign on the z component
-            "w: -1; 0; 0\n"
-        )
+        path.write_text(BROKEN_SYS)
         document, status, diagnostic = run(["check-file", str(path)])
         assert status == 1
         rows = {c["check"]: c for c in document["sections"]["checks"]}
@@ -203,16 +198,123 @@ class TestCheckFile:
 
     def test_partial_file_checks_integrals(self, tmp_path):
         path = tmp_path / "partial.sys"
-        path.write_text(
-            "name: partial\nvariables: x, y, z\n"
-            "v: x^2 + y^4; x*y; 2*y^2*z - x*z\n"
-            "integral H1: x^2/y^2 - y^2\n"
-            "multiplier: 1/(2*y^3*z)\n"
-        )
+        path.write_text(PARTIAL_SYS)
         document, status = run_json(["check-file", str(path)])
         assert status == 0
         names = {c["check"] for c in document["sections"]["checks"]}
         assert names == {"integral.H1", "multiplier.invariance"}
+
+
+FRAME_CHECKS = [
+    "sl2.uv", "sl2.uw", "sl2.vw",
+    "multiplier.matches_hint",
+    "duality.v_alpha", "duality.v_beta", "duality.v_gamma",
+    "duality.u_alpha", "duality.u_beta", "duality.u_gamma",
+    "duality.w_alpha", "duality.w_beta", "duality.w_gamma",
+    "structure.dbeta", "structure.dalpha", "structure.dgamma", "structure.dalpha_nonzero",
+    "curl.v_cross_u", "curl.u_cross_w", "curl.v_cross_w",
+    "divergence.mv", "divergence.mu", "divergence.mw",
+    "frobenius.gamma", "frobenius.beta", "frobenius.alpha",
+    "potential.curl_scale",
+]
+GUILLOT_CHECKS = FRAME_CHECKS + [
+    "bihamiltonian.integral_h1[H2_plus]", "bihamiltonian.integral_h2[H2_plus]",
+    "bihamiltonian.divergence[H2_plus]", "bihamiltonian.decomposition[H2_plus]",
+]
+BROKEN_SYS = (
+    "name: broken\nvariables: x, y, z\n"
+    "v: x^2 + y^4; x*y; 2*y^2*z - x*z\n"
+    "u: 2*x; y; z\n"  # wrong sign on the z component
+    "w: -1; 0; 0\n"
+)
+PARTIAL_SYS = (
+    "name: partial\nvariables: x, y, z\n"
+    "v: x^2 + y^4; x*y; 2*y^2*z - x*z\n"
+    "integral H1: x^2/y^2 - y^2\n"
+    "multiplier: 1/(2*y^3*z)\n"
+)
+
+
+def check_names(argv):
+    document, _, diagnostic = run(argv + ["--points", "1"])
+    assert diagnostic is None, diagnostic
+    return [c["check"] for c in document["sections"]["checks"]]
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["verify", "guillot"], GUILLOT_CHECKS),
+            (
+                ["verify", "guillot", "--rho", "1", "--f", "0"],
+                GUILLOT_CHECKS + [
+                    "sigma.integrability", "sigma.factored_agreement",
+                    "conformal.structure.dbeta", "conformal.structure.dalpha",
+                    "conformal.structure.dgamma", "conformal.structure.dalpha_nonzero",
+                ],
+            ),
+            (
+                ["verify", "dh_symmetric"],
+                FRAME_CHECKS + [
+                    "reduction.xdot", "reduction.ydot", "reduction.zdot",
+                    "grading.multiplier", "grading.alpha", "grading.beta", "grading.gamma",
+                ],
+            ),
+            (["verify", "dh_classic"], ["reduction.xdot", "reduction.ydot", "reduction.zdot"]),
+            (
+                ["verify", "heisenberg_example"],
+                [
+                    "heisenberg.domega1", "heisenberg.domega3", "heisenberg.domega2",
+                    "heisenberg.vw", "heisenberg.vu", "heisenberg.wu",
+                    "heisenberg.w_omega1", "heisenberg.v_omega2", "heisenberg.u_omega3",
+                    "heisenberg.volume",
+                ],
+            ),
+        ],
+    )
+    def test_builtin_check_order(self, argv, names):
+        assert check_names(argv) == names
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            (BROKEN_SYS, ["sl2.uv", "sl2.uw", "sl2.vw"]),
+            (PARTIAL_SYS, ["integral.H1", "multiplier.invariance"]),
+        ],
+    )
+    def test_file_check_order(self, tmp_path, text, names):
+        path = tmp_path / "system.sys"
+        path.write_text(text)
+        assert check_names(["verify", str(path)]) == names
+
+    def test_brackets_verified_once_per_request(self, tmp_path, monkeypatch):
+        import mcflow.cli
+        import mcflow.mcframe
+        import mcflow.systems
+
+        original = mcflow.mcframe.verify_sl2
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (mcflow.mcframe, mcflow.systems, mcflow.cli):
+            if vars(module).get("verify_sl2") is original:
+                monkeypatch.setattr(module, "verify_sl2", counting)
+        path = tmp_path / "guillot_copy.sys"
+        path.write_text(system_source("guillot"))
+        _, status = run_json(["verify", str(path), "--points", "1"])
+        assert status == 0
+        assert len(calls) == 1
+
+    def test_nonzero_checks_are_never_sampled(self, capsys):
+        status = main(["sample", "guillot", "--check", "frobenius.alpha"])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert "PASS frobenius.alpha" in out
+        assert not [line for line in out.splitlines() if line.startswith("oracle")]
 
 
 class TestDocumentStability:

@@ -214,6 +214,15 @@ class TestMaurerCartan:
         assert bad.status == "fails"
         assert bad.residual_obj == KForm.two_form(0, 0, 2)
 
+    def test_closed_alpha_fails_the_nonzero_check(self):
+        dx = KForm.one_form(1, 0, 0)
+        dy = KForm.one_form(0, 1, 0)
+        dz = KForm.one_form(0, 0, 1)
+        check = verify_maurer_cartan(dx, dy, dz).find("structure.dalpha_nonzero")
+        assert check.status == "fails"
+        assert check.residual == "d(alpha) == 0"
+        assert check.residual_obj.is_zero()
+
     def test_wedge_route_matches_derivative_route(self, guillot):
         assert guillot.alpha.wedge(guillot.gamma).scale(2) == guillot.gamma.d()
 

@@ -48,7 +48,7 @@ class TestBuiltins:
         )
         assert system.frame is not None
         assert system.frame.M == rf(Poly3.const(1), 2 * Z * Y**3)
-        assert {name for name, _ in system.integrals()} == {"H1", "H2_plus", "H2_minus"}
+        assert {name for name, _ in system.spec.integrals} == {"H1", "H2_plus", "H2_minus"}
 
     def test_guillot_multiplier_hint_consistent(self):
         system = builtin("guillot")
@@ -57,7 +57,7 @@ class TestBuiltins:
     def test_dh_symmetric_flow(self):
         system = builtin("dh_symmetric")
         assert system.spec.v == (rf(Y, 2), rf(3 * Z), rf(4 * X * Z - Y**2, 2))
-        assert system.integrals() == ()
+        assert system.spec.integrals == ()
         delta = (
             72 * X * Y * Z - 16 * Y**3 + 4 * X**2 * Y**2 - 16 * X**3 * Z - 108 * Z**2
         )
