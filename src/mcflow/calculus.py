@@ -118,7 +118,7 @@ _BASIS_SIZE = {0: 1, 1: 3, 2: 3, 3: 1}
 class KForm:
     """Differential form of grade 0..3 in the fixed bases above."""
 
-    __slots__ = ("grade", "coeffs")
+    __slots__ = ("grade", "coeffs", "_d")
 
     def __init__(self, grade: int, coeffs: Sequence, chart: Sequence[str] = DEFAULT_CHART):
         if grade not in _BASIS_SIZE:
@@ -131,6 +131,7 @@ class KForm:
             )
         self.grade = grade
         self.coeffs = coeffs
+        self._d = None
 
     # ---- constructors ---------------------------------------------------
 
@@ -229,7 +230,13 @@ class KForm:
         return KForm.volume(a[0] * b[0] + a[1] * b[1] + a[2] * b[2], self.chart)
 
     def d(self) -> "KForm":
-        """Exterior derivative; gradient / curl / divergence in coefficients."""
+        """Exterior derivative, computed on the first call and kept."""
+        if self._d is None:
+            self._d = self._derivative()
+        return self._d
+
+    def _derivative(self) -> "KForm":
+        """Gradient / curl / divergence in coefficients."""
         if self.grade == 3:
             raise GradeError("exterior derivative of a 3-form on a 3D chart")
         names = self.chart

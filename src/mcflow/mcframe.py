@@ -303,8 +303,6 @@ def conformal_transform(
     frame: Sl2Frame, rho: RationalFunction
 ) -> tuple[KForm, KForm, KForm]:
     """beta -> rho beta, alpha -> alpha - (1/2) dlog(rho), gamma -> gamma/rho."""
-    if rho.is_zero():
-        raise DegenerateFrameError("conformal factor rho vanishes identically")
     half = Fraction(1, 2)
     alpha = frame.alpha - dlog(rho).scale(RationalFunction.const(half, rho.chart))
     beta = frame.beta.scale(rho)
@@ -324,8 +322,6 @@ def sigma_residual(
     Vanishing of the 3-form is the exact integrability condition on the
     perturbed potential for the candidate pair (rho, f).
     """
-    if rho.is_zero():
-        raise DegenerateFrameError("conformal factor rho vanishes identically")
     half = Fraction(1, 2)
     sigma = (
         alpha
@@ -351,11 +347,10 @@ def sigma_residual_factored(
     the middle factor reduces to the familiar (df - beta) when rho is
     constant or f vanishes.
     """
-    if rho.is_zero():
-        raise DegenerateFrameError("conformal factor rho vanishes identically")
+    log_rho = dlog(rho)
     half = Fraction(1, 2)
-    alpha_bar = alpha - dlog(rho).scale(RationalFunction.const(half, rho.chart))
-    middle = KForm.scalar(f, f.chart).d() + dlog(rho).scale(f) - beta
+    alpha_bar = alpha - log_rho.scale(RationalFunction.const(half, rho.chart))
+    middle = KForm.scalar(f, f.chart).d() + log_rho.scale(f) - beta
     return alpha_bar.wedge(middle).wedge(gamma)
 
 
@@ -371,7 +366,12 @@ def frobenius_residual(omega: KForm) -> KForm:
 
 def curl_identities(frame: Sl2Frame) -> VerificationReport:
     """curl(M v x u) = 2Mv, curl(M u x w) = 2Mw, curl(M v x w) = -Mu,
-    plus vanishing divergence of Mv, Mu, Mw."""
+    plus vanishing divergence of Mv, Mu, Mw.
+
+    The curls are read off d(gamma), d(beta) and -d(alpha), so the frame's
+    forms must be M (v x u).dx, M (u x w).dx and M (w x v).dx, as
+    build_frame makes them.
+    """
     m = frame.M
     mv = frame.v.scale(m)
     mu = frame.u.scale(m)
@@ -380,17 +380,17 @@ def curl_identities(frame: Sl2Frame) -> VerificationReport:
         Check.from_residual(
             "curl.v_cross_u",
             "curl(M v x u) - 2 M v = 0",
-            curl(cross(frame.v, frame.u).scale(m)) - mv.scale(2),
+            frame.gamma.d().covector() - mv.scale(2),
         ),
         Check.from_residual(
             "curl.u_cross_w",
             "curl(M u x w) - 2 M w = 0",
-            curl(cross(frame.u, frame.w).scale(m)) - mw.scale(2),
+            frame.beta.d().covector() - mw.scale(2),
         ),
         Check.from_residual(
             "curl.v_cross_w",
             "curl(M v x w) + M u = 0",
-            curl(cross(frame.v, frame.w).scale(m)) + mu,
+            mu - frame.alpha.d().covector(),
         ),
         Check.from_residual("divergence.mv", "div(M v) = 0", div(mv)),
         Check.from_residual("divergence.mu", "div(M u) = 0", div(mu)),
@@ -429,7 +429,7 @@ def potential_from_gamma(frame: Sl2Frame) -> PotentialVector:
             "potential extraction requires the bracket relations to hold"
         )
     a = frame.gamma.covector()
-    curl_a = curl(a)
+    curl_a = frame.gamma.d().covector()
     target = frame.v.scale(frame.M)
     scale = _constant_ratio(curl_a.components, target.components)
     if scale is None or scale == 0:

@@ -309,6 +309,47 @@ class TestCheckTable:
         assert status == 0
         assert len(calls) == 1
 
+    def test_each_one_form_differentiated_once_per_request(self, tmp_path, monkeypatch):
+        from mcflow.calculus import KForm
+
+        original = KForm._derivative
+        grades = []
+
+        def counting(self):
+            grades.append(self.grade)
+            return original(self)
+
+        monkeypatch.setattr(KForm, "_derivative", counting)
+        path = tmp_path / "guillot_copy.sys"
+        path.write_text(system_source("guillot"))
+        _, status = run_json(["verify", str(path), "--points", "1"])
+        assert status == 0
+        # d(alpha), d(beta), d(gamma), shared by every check family
+        assert grades.count(1) == 3
+
+    def test_frameless_builtin_builds_no_frame(self, monkeypatch):
+        import mcflow.cli
+        import mcflow.mcframe
+        import mcflow.systems
+
+        original = mcflow.mcframe.build_frame
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (mcflow.mcframe, mcflow.systems, mcflow.cli):
+            if vars(module).get("build_frame") is original:
+                monkeypatch.setattr(module, "build_frame", counting)
+        mcflow.systems.builtin.cache_clear()
+        try:
+            _, status = run_json(["verify", "dh_classic", "--points", "1"])
+        finally:
+            mcflow.systems.builtin.cache_clear()
+        assert status == 0
+        assert calls == []
+
     def test_nonzero_checks_are_never_sampled(self, capsys):
         status = main(["sample", "guillot", "--check", "frobenius.alpha"])
         out = capsys.readouterr().out
