@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -242,19 +243,17 @@ class Poly3:
                 return Poly3.zero(self.variables)
             return Poly3._make({e: k * c for e, k in self._terms.items()}, self.variables)
         other = self._coerce(other)
-        out: dict[ExponentTriple, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                if exps[0] > MAX_EXPONENT or exps[1] > MAX_EXPONENT or exps[2] > MAX_EXPONENT:
-                    raise ExponentOverflowError(f"product exponent {exps} too large")
-                acc = out.get(exps)
-                acc = c1 * c2 if acc is None else acc + c1 * c2
-                if acc == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return Poly3._make(out, self.variables)
+        if not self._terms or not other._terms:
+            return Poly3.zero(self.variables)
+        # Exponents add per axis, so the sum of the factors' largest exponents
+        # bounds every product exponent; past that bound, check axis by axis.
+        if max(map(max, self._terms)) + max(map(max, other._terms)) > MAX_EXPONENT:
+            top = [max(a) + max(b) for a, b in zip(zip(*self._terms), zip(*other._terms))]
+            if max(top) > MAX_EXPONENT:
+                raise ExponentOverflowError(f"product exponents up to {tuple(top)} too large")
+        terms_a, den_a = _int_terms(self)
+        terms_b, den_b = _int_terms(other)
+        return _lift(_int_mul(terms_a, terms_b), self.variables, 1, den_a * den_b)
 
     __rmul__ = __mul__
 
@@ -358,18 +357,17 @@ class Poly3:
             return self
         if divisor.is_constant():
             return self * (1 / divisor.constant_value())
-        lead_exps, lead_coeff = divisor.leading()
-        rest = self
-        quotient: dict[ExponentTriple, Fraction] = {}
-        while not rest.is_zero():
-            exps, coeff = rest.leading()
-            q_exps = tuple(a - b for a, b in zip(exps, lead_exps))
-            if any(e < 0 for e in q_exps):
-                return None
-            q_coeff = coeff / lead_coeff
-            quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
-            rest = rest - divisor * Poly3._make({q_exps: q_coeff}, self.variables)
-        return Poly3._make(quotient, self.variables)
+        # self = terms / den and divisor = content * primitive / divisor_den.
+        # A primitive integer divisor divides over Q iff it divides over Z
+        # (Gauss), so the integer kernel decides divisibility exactly.
+        terms, den = _int_terms(self)
+        divisor_terms, divisor_den = _int_terms(divisor)
+        content = _int_content(divisor_terms)
+        try:
+            quotient = _int_div_exact(terms, _int_scale_down(divisor_terms, content))
+        except NotDivisibleError:
+            return None
+        return _lift(quotient, self.variables, divisor_den, den * content)
 
     def div_exact(self, divisor: "Poly3") -> "Poly3":
         quotient = self.try_div(divisor)
@@ -421,8 +419,7 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
     ):
         return a.monic()  # a and b are proportional
     g = _int_gcd(int_a, int_b)
-    poly = Poly3(g, a.variables)
-    return poly.monic()
+    return _lift(g, a.variables, 1, g[max(g, key=_grlex_key)])
 
 
 def _monomial_gcd(a: Poly3, b: Poly3) -> Poly3:
@@ -433,22 +430,29 @@ def _monomial_gcd(a: Poly3, b: Poly3) -> Poly3:
     return Poly3.monomial(1, tuple(exps), a.variables)
 
 
+def _int_terms(p: Poly3) -> tuple[IntTerms, int]:
+    """(terms, den): an integer term map and the least positive integer den
+    with p = terms / den."""
+    den = 1
+    for coeff in p._terms.values():
+        d = coeff.denominator
+        if den % d:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return {e: c.numerator for e, c in p._terms.items()}, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in p._terms.items()}, den
+
+
+def _lift(p: IntTerms, variables: tuple[str, str, str], num: int, den: int) -> Poly3:
+    """The Poly3 p * num / den, one Fraction per term (num and den nonzero)."""
+    if den == 1:
+        return Poly3._make({e: Fraction(c * num) for e, c in p.items()}, variables)
+    return Poly3._make({e: Fraction(c * num, den) for e, c in p.items()}, variables)
+
+
 def _int_primitive(p: Poly3) -> IntTerms:
     """Integer-primitive term map proportional to p."""
-    denominator_lcm = 1
-    for coeff in p._terms.values():
-        denominator_lcm = denominator_lcm * coeff.denominator // math.gcd(
-            denominator_lcm, coeff.denominator
-        )
-    content = 0
-    scaled = {}
-    for exps, coeff in p._terms.items():
-        value = coeff.numerator * (denominator_lcm // coeff.denominator)
-        scaled[exps] = value
-        content = math.gcd(content, value)
-    if content > 1:
-        scaled = {e: v // content for e, v in scaled.items()}
-    return scaled
+    return _int_strip(_int_terms(p)[0])
 
 
 def _int_degree(p: IntTerms, axis: int) -> int:
@@ -490,39 +494,51 @@ def _int_content(p: IntTerms) -> int:
 
 
 def _int_scale_down(p: IntTerms, k: int) -> IntTerms:
-    if k == 1:
+    """p / k for a k >= 0 that divides every coefficient."""
+    if k <= 1:
         return p
-    out = {}
-    for exps, coeff in p.items():
-        q, r = divmod(coeff, k)
-        if r:
-            raise NotDivisibleError("inexact integer scaling in gcd kernel")
-        out[exps] = q
-    return out
+    return {e: v // k for e, v in p.items()}
+
+
+def _heap_key(e: ExponentTriple) -> tuple:
+    """Min-heap key of e: the graded-lex largest triple pops first."""
+    return (-e[0] - e[1] - e[2], -e[0], -e[1], e)
 
 
 def _int_div_exact(a: IntTerms, b: IntTerms) -> IntTerms:
-    """Exact quotient in Z[x,y,z]; raises NotDivisibleError otherwise."""
+    """Exact quotient in Z[x,y,z]; raises NotDivisibleError otherwise.
+
+    The remainder's leading term comes off a heap of graded-lex keys (after
+    Monagan & Pearce).  A term that cancels keeps its key in the heap, and
+    the key is skipped when it comes off (lazy deletion)."""
     if not b:
         raise ZeroDenominatorError("division by zero in gcd kernel")
-    lead = max(b, key=_grlex_key)
+    l0, l1, l2 = lead = max(b, key=_grlex_key)
     lead_coeff = b[lead]
     rest = dict(a)
+    heap = [_heap_key(e) for e in rest]
+    heapify(heap)
     quotient: IntTerms = {}
     while rest:
-        exps = max(rest, key=_grlex_key)
-        q_exps = (exps[0] - lead[0], exps[1] - lead[1], exps[2] - lead[2])
-        q, r = divmod(rest[exps], lead_coeff)
-        if r or any(e < 0 for e in q_exps):
+        exps = heappop(heap)[3]
+        coeff = rest.get(exps)
+        if coeff is None:
+            continue
+        q_exps = (exps[0] - l0, exps[1] - l1, exps[2] - l2)
+        q, r = divmod(coeff, lead_coeff)
+        if r or q_exps[0] < 0 or q_exps[1] < 0 or q_exps[2] < 0:
             raise NotDivisibleError("inexact polynomial division in gcd kernel")
         quotient[q_exps] = q
         for b_exps, b_coeff in b.items():
             t = (b_exps[0] + q_exps[0], b_exps[1] + q_exps[1], b_exps[2] + q_exps[2])
-            acc = rest.get(t, 0) - b_coeff * q
-            if acc:
-                rest[t] = acc
+            acc = rest.get(t)
+            if acc is None:
+                rest[t] = -b_coeff * q
+                heappush(heap, _heap_key(t))
+            elif acc == b_coeff * q:
+                del rest[t]
             else:
-                rest.pop(t, None)
+                rest[t] = acc - b_coeff * q
     return quotient
 
 
@@ -601,10 +617,7 @@ def _choose_main(a: IntTerms, b: IntTerms) -> int:
 
 def _int_strip(p: IntTerms) -> IntTerms:
     """Divide out the integer content (the gcd is only needed up to scalars)."""
-    c = _int_content(p)
-    if c <= 1:
-        return p
-    return {e: v // c for e, v in p.items()}
+    return _int_scale_down(p, _int_content(p))
 
 
 def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:

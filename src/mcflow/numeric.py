@@ -47,7 +47,8 @@ class SingularEvaluation(NumericError):
 
 
 class InconclusiveSample(NumericError):
-    """Every drawn point was singular for the residual."""
+    """Every drawn point was singular for the residual, or its value
+    overflowed or was not finite."""
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,24 @@ class SampleVerdict:
 
 
 def _field_evaluator(field: VectorField3) -> Callable:
+    """The field as a float function of the state; None where a denominator
+    vanishes or the value overflows or is not finite (a finite-time blow-up
+    is treated like a singularity)."""
     components = field.components
 
     def evaluate(state: tuple[float, float, float]):
         point = Point3.real(*state)
         out = []
-        for comp in components:
-            den = comp.den.eval(point)
-            if abs(den) < DENOMINATOR_FLOOR:
-                return None
-            out.append(comp.num.eval(point) / den)
+        try:
+            for comp in components:
+                den = comp.den.eval(point)
+                if abs(den) < DENOMINATOR_FLOOR or not math.isfinite(den):
+                    return None
+                out.append(comp.num.eval(point) / den)
+        except OverflowError:
+            return None
+        if not all(map(math.isfinite, state + tuple(out))):
+            return None
         return tuple(out)
 
     return evaluate
@@ -208,8 +217,9 @@ def sample_identity(
     """Evaluate residual coefficients at n random non-singular grid points.
 
     Points are exact rationals drawn uniformly from the (1/8)-grid in the
-    box; draws where any denominator is smaller than 1e-9 are skipped.
-    The verdict passes iff every |value| stays below the tolerance.
+    box; draws where any denominator is smaller than 1e-9, or where the
+    float evaluation overflows or is not finite, are skipped.  The verdict
+    passes iff every |value| stays below the tolerance.
     """
     if n < 1:
         raise NumericError(f"need at least one sample point, got {n}")
@@ -224,22 +234,26 @@ def sample_identity(
         attempts += 1
         point = next(stream)
         float_point = Point3.real(*(float(c) for c in point.coords))
-        singular = False
+        skip = False
         values = []
-        for coeff in coefficients:
-            den = coeff.den.eval(float_point)
-            if abs(den) < SINGULAR_SKIP:
-                singular = True
-                break
-            values.append(coeff.num.eval(float_point) / den)
-        if singular:
+        try:
+            for coeff in coefficients:
+                den = coeff.den.eval(float_point)
+                if abs(den) < SINGULAR_SKIP or not math.isfinite(den):
+                    skip = True
+                    break
+                values.append(coeff.num.eval(float_point) / den)
+        except OverflowError:
+            continue
+        if skip or not all(map(math.isfinite, values)):
             continue
         evaluated += 1
         for value in values:
             worst = max(worst, abs(value))
     if evaluated == 0:
         raise InconclusiveSample(
-            f"all {attempts} draws were singular for identity {name or '<unnamed>'}"
+            f"all {attempts} draws were singular or not finite for identity "
+            f"{name or '<unnamed>'}"
         )
     return SampleVerdict(name, evaluated, worst, tolerance)
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from mcflow import algebra
 from mcflow.algebra import (
+    MAX_EXPONENT,
     ChartMismatchError,
+    ExponentOverflowError,
     NegativeExponentError,
     Point3,
     Poly3,
@@ -126,6 +128,126 @@ class TestPolyArithmetic:
         for _ in range(n):
             expected = expected * a
         assert a**n == expected
+
+
+# ---------------------------------------------------------------------------
+# integer kernels of multiply and exact division, against a schoolbook
+# Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _grlex(exps):
+    return (sum(exps), exps)
+
+
+def _reference_mul(a: Poly3, b: Poly3) -> dict:
+    out = {}
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_divmod(a: Poly3, b: Poly3) -> tuple[dict, dict]:
+    """Division by one polynomial in graded-lex order: (quotient, remainder).
+    The remainder is zero exactly when b divides a."""
+    lead = max((e for e, _ in b.terms()), key=_grlex)
+    lead_coeff = dict(b.terms())[lead]
+    rest = dict(a.terms())
+    quotient, remainder = {}, {}
+    while rest:
+        exps = max(rest, key=_grlex)
+        coeff = rest.pop(exps)
+        shift = tuple(x - y for x, y in zip(exps, lead))
+        if min(shift) < 0:
+            remainder[exps] = coeff
+            continue
+        q = coeff / lead_coeff
+        quotient[shift] = q
+        for e, c in b.terms():
+            t = tuple(x + y for x, y in zip(e, shift))
+            if t == exps:
+                continue
+            value = rest.get(t, Fraction(0)) - c * q
+            if value:
+                rest[t] = value
+            else:
+                rest.pop(t, None)
+    return quotient, remainder
+
+
+# mixed denominators, so that clearing them matters
+mixed_coefficients = st.fractions(
+    min_value=-20, max_value=20, max_denominator=12
+).filter(lambda c: c != 0)
+
+
+@st.composite
+def mixed_polys(draw, max_terms=5):
+    n = draw(st.integers(0, max_terms))
+    return Poly3({draw(exponents): draw(mixed_coefficients) for _ in range(n)})
+
+
+# divisors: non-unit content, negative leading coefficients and constants
+divisors = st.one_of(
+    st.builds(
+        lambda p, content: p * content,
+        mixed_polys().filter(lambda p: not p.is_zero()),
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(6), Fraction(-3, 2),
+                         Fraction(10, 7), Fraction(-12)]),
+    ),
+    st.builds(Poly3.const, mixed_coefficients),
+)
+
+
+class TestIntegerKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_polys(), divisors)
+    def test_product_and_quotient_match_the_reference(self, a, b):
+        product = a * b
+        assert product == Poly3(_reference_mul(a, b))
+        assert product.try_div(b) == a
+        quotient, remainder = _reference_divmod(product, b)
+        assert remainder == {}
+        assert product.try_div(b) == Poly3(quotient)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_polys(), divisors, st.one_of(st.just(Poly3.zero()), mixed_polys(max_terms=2)))
+    def test_try_div_is_none_exactly_when_a_remainder_is_left(self, q, b, r):
+        a = q * b + r
+        quotient, remainder = _reference_divmod(a, b)
+        result = a.try_div(b)
+        if remainder:
+            assert result is None
+        else:
+            assert result == Poly3(quotient)
+
+    def test_zero_dividend(self):
+        assert Poly3.zero().try_div(Fraction(-3, 2) * X + 1).is_zero()
+        assert (Poly3.zero() * (X + Fraction(1, 3))).is_zero()
+
+    def test_rational_quotient_without_poly_multiply(self):
+        a = Fraction(2, 3) * X**2 - Fraction(5, 4) * Y * Z + Fraction(1, 6)
+        b = Fraction(-3, 2) * X + Fraction(7, 10) * Y**2 - 4
+        product = a * b
+        with mock.patch.object(Poly3, "__mul__", side_effect=AssertionError("Poly3 multiply")):
+            assert product.try_div(b) == a
+            assert product.try_div(Fraction(7, 5) * a) == Fraction(5, 7) * b
+
+    def test_product_exponent_bound(self):
+        top = Poly3.monomial(1, (MAX_EXPONENT, 0, 0))
+        assert (top * Y).degree_in(0) == MAX_EXPONENT
+        assert (Poly3.monomial(Fraction(1, 2), (MAX_EXPONENT - 1, 0, 0)) * (X + 1)).degree_in(0) \
+            == MAX_EXPONENT
+        with pytest.raises(ExponentOverflowError):
+            top * X
+        with pytest.raises(ExponentOverflowError):
+            (Y + Fraction(1, 2)) * Poly3.monomial(3, (0, MAX_EXPONENT, 1))
+        # only one pair of terms overflows, on the last axis
+        with pytest.raises(ExponentOverflowError):
+            (X + Z) * Poly3.monomial(1, (0, 0, MAX_EXPONENT))
+        assert (Poly3.zero() * top).is_zero()
 
 
 # ---------------------------------------------------------------------------

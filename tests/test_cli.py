@@ -78,6 +78,14 @@ class TestVerify:
         )
         assert agreement["status"] == "holds"
 
+    def test_overflowing_sample_box_is_inconclusive(self):
+        document, status, diagnostic = run(
+            ["verify", "guillot", "--rho=x + 1", "--f=y", "--box", "1e300,1e301"]
+        )
+        assert (status, diagnostic) == (1, None)
+        oracle = {row["check"]: row for row in document["sections"]["numeric"]["samples"]}
+        assert oracle["sigma.integrability"]["verdict"] == "inconclusive"
+
     def test_eps_branch_selection(self):
         plus, _ = run_json(["verify", "guillot", "--eps", "+1", "--points", "2"])
         names = {c["check"] for c in plus["sections"]["checks"]}
@@ -119,6 +127,16 @@ class TestIntegrate:
         )
         assert status == 0
         assert document["sections"]["numeric"]["integration"]["drift"]["H2_minus"] < 1e-7
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "guillot", "--t", "1"],
+        ["integrate", "dh_symmetric", "--t", "5"],
+    ])
+    def test_finite_time_blow_up_is_singular(self, argv):
+        document, status, diagnostic = run(argv)
+        assert status == 3
+        assert document is None
+        assert "last safe time" in diagnostic
 
 
 class TestSample:

@@ -26,6 +26,11 @@ CASES = [
      ["verify", "dh_symmetric", "--rho=x + 1", "--f=y"], 1),
     # guillot under X = A x, A = [[1, -2, -1], [1, -1, -2], [1, 2, -1]]
     ("verify_guillot_conj0", ["verify", str(GOLDEN / "guillot_conj0.sys")], 0),
+    ("derive_json_guillot_conj0",
+     ["derive", "--json", str(GOLDEN / "guillot_conj0.sys")], 0),
+    # dh_symmetric under X = A x, A = [[1, 0, 0], [0, 1, 0], [0, 2, 1]]; the
+    # field has the coefficient 1/2
+    ("verify_dh_symmetric_conj0", ["verify", str(GOLDEN / "dh_symmetric_conj0.sys")], 0),
 ]
 
 

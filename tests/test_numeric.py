@@ -77,6 +77,13 @@ class TestRk4:
             rk4_integrate(field, Point3.real(0, 1, 0), 2.0, 1e-3)
         assert 0.9 < info.value.last_safe_time <= 1.01
 
+    def test_finite_time_blow_up_aborts(self):
+        # x' = x^2 from x = 1 reaches infinity at t = 1; the float
+        # evaluation overflows instead of meeting a vanishing denominator
+        with pytest.raises(SingularityAbort) as info:
+            rk4_integrate(VectorField3(X**2, 0, 0), Point3.real(1, 0, 0), 2.0, 1e-3)
+        assert 0.9 < info.value.last_safe_time <= 1.01
+
 
 class TestConservationDrift:
     def test_guillot_invariants(self):
@@ -130,6 +137,25 @@ class TestSampleIdentity:
     def test_all_singular_is_inconclusive(self):
         with pytest.raises(InconclusiveSample):
             sample_identity(rf(Poly3.const(1), Y), n=5, box=(0.0, 0.0), name="stuck")
+
+    def test_overflowing_draws_are_skipped(self):
+        # x^2 overflows a float on this box, so no draw can be evaluated
+        with pytest.raises(InconclusiveSample):
+            sample_identity(rf(X**2), n=5, box=(1e300, 1e301), name="huge")
+
+    @pytest.mark.parametrize("residual, box", [
+        # 10^300 x^2 and 10^300 y^2 are inf on this box, so the float value
+        # is inf - inf = nan although the residual is far from zero
+        (rf(10**300 * X**2 - 10**300 * Y**2 + 1), (1e5, 2e5)),
+        # x*y*z is inf on this box, so 1/(x*y*z) would read 0
+        (rf(Poly3.const(1), X * Y * Z), (1e150, 1e151)),
+    ])
+    def test_non_finite_residual_never_passes(self, residual, box):
+        try:
+            verdict = sample_identity(residual, n=25, box=box, name="non-finite")
+        except InconclusiveSample:
+            return
+        assert not verdict.passed
 
     def test_failed_identity_has_visible_witness(self):
         v = VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z)
