@@ -1,12 +1,18 @@
 """Exact arithmetic over a fixed three-variable chart.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``),
-polynomials are sparse maps from exponent triples to nonzero coefficients,
-and rational functions are kept canonical: numerator and denominator
-coprime, denominator monic in graded-lexicographic order.  Syntactic
-equality of canonical forms therefore coincides with mathematical
-equality, which is what lets the rest of the package claim that a residual
-vanishes *identically* rather than merely at sample points.
+A polynomial is a signed ``Fraction`` content times a primitive integer term
+map (see ``Poly3``).  That split is unique, so equality and hashing compare
+the stored pair, and by Gauss's lemma products and exact quotients of
+primitive maps are primitive: multiply, exact division and gcd run on the
+integer maps and only multiply or divide the contents.  ``Fraction``
+coefficients are built only at the boundary (``terms()``, ``leading()``,
+``constant_value()``, exact evaluation and printing).
+
+Rational functions are kept canonical: numerator and denominator coprime,
+denominator monic in graded-lexicographic order.  Syntactic equality of
+canonical forms therefore coincides with mathematical equality, which is
+what lets the rest of the package claim that a residual vanishes
+*identically* rather than merely at sample points.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -17,8 +23,6 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Mapping, Sequence, Union
-
-Rational = Fraction
 
 DEFAULT_CHART = ("x", "y", "z")
 
@@ -70,6 +74,9 @@ class SingularPointError(AlgebraError):
 
 Coefficient = Union[int, Fraction]
 ExponentTriple = tuple[int, int, int]
+IntTerms = dict[ExponentTriple, int]
+
+_ZERO = Fraction(0)
 
 
 def _as_fraction(value: Coefficient) -> Fraction:
@@ -80,28 +87,51 @@ def _as_fraction(value: Coefficient) -> Fraction:
     raise TypeError(f"not an exact coefficient: {value!r}")
 
 
+def _chart(variables: Sequence[str]) -> tuple[str, str, str]:
+    variables = tuple(variables)
+    if len(variables) != 3:
+        raise ChartMismatchError(f"chart must have 3 variables, got {variables}")
+    return variables
+
+
 def _grlex_key(exponents: ExponentTriple) -> tuple:
     return (sum(exponents), exponents)
+
+
+def _canonical(p: IntTerms, num: int, den: int) -> tuple[IntTerms, Fraction, ExponentTriple | None]:
+    """(primitive map, content, leading triple) of the polynomial num * p / den,
+    for an integer term map p without zero coefficients, num != 0 and den > 0."""
+    if not p:
+        return p, _ZERO, None
+    lead = max(p, key=_grlex_key)
+    k = _int_content(p)
+    if p[lead] < 0:
+        k = -k
+    if k != 1:
+        p = {e: c // k for e, c in p.items()}
+    return p, Fraction(num * k, den), lead
 
 
 class Poly3:
     """Sparse polynomial in three named variables over the rationals.
 
-    Terms map exponent triples to nonzero ``Fraction`` coefficients; zero
-    coefficients are never stored.  Term iteration (``terms()``) is in
-    descending graded-lexicographic order of the chart variables.
+    The value is ``content * prim``.  ``prim`` maps exponent triples to
+    nonzero integers with gcd 1 and a positive graded-lex leading
+    coefficient, ``content`` is a signed ``Fraction`` and ``lead`` is the
+    graded-lex leading triple; zero is the empty map with content 0 and no
+    lead.  Values that differ by a scalar share one map, which is never
+    mutated.  Term iteration (``terms()``) is in descending
+    graded-lexicographic order of the chart variables.
     """
 
-    __slots__ = ("variables", "_terms", "_hash")
+    __slots__ = ("variables", "_prim", "_content", "_lead", "_hash")
 
     def __init__(
         self,
         terms: Mapping[ExponentTriple, Coefficient] | None = None,
         variables: Sequence[str] = DEFAULT_CHART,
     ):
-        variables = tuple(variables)
-        if len(variables) != 3:
-            raise ChartMismatchError(f"chart must have 3 variables, got {variables}")
+        variables = _chart(variables)
         cleaned: dict[ExponentTriple, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -110,40 +140,49 @@ class Poly3:
             if any(e > MAX_EXPONENT for e in exps):
                 raise ExponentOverflowError(f"exponent triple {exps} too large")
             coeff = _as_fraction(coeff)
-            if coeff != 0:
+            if coeff:
                 cleaned[exps] = coeff
+        den = math.lcm(*(c.denominator for c in cleaned.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
         self.variables = variables
-        self._terms = cleaned
+        self._prim, self._content, self._lead = _canonical(ints, 1, den)
         self._hash = None
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, terms: dict[ExponentTriple, Fraction], variables: tuple[str, str, str]) -> "Poly3":
-        """Trusted constructor: terms already hold valid exponent triples and
-        nonzero Fraction coefficients, and variables is a chart tuple."""
+    def _make(cls, prim: IntTerms, content: Fraction, lead: ExponentTriple | None,
+              variables: tuple[str, str, str]) -> "Poly3":
+        """Trusted constructor: the fields already satisfy the class invariant
+        and variables is a chart tuple."""
         out = object.__new__(cls)
         out.variables = variables
-        out._terms = terms
+        out._prim = prim
+        out._content = content
+        out._lead = lead
         out._hash = None
         return out
 
     @classmethod
     def zero(cls, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
-        return cls({}, variables)
+        return cls._make({}, _ZERO, None, _chart(variables))
 
     @classmethod
     def const(cls, value: Coefficient, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
-        return cls({(0, 0, 0): _as_fraction(value)}, variables)
+        value = _as_fraction(value)
+        if not value:
+            return cls.zero(variables)
+        return cls._make({(0, 0, 0): 1}, value, (0, 0, 0), _chart(variables))
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
-        variables = tuple(variables)
+        variables = _chart(variables)
         if name not in variables:
             raise UnknownVariableError(f"{name!r} not in chart {variables}")
         exps = [0, 0, 0]
         exps[variables.index(name)] = 1
-        return cls({tuple(exps): Fraction(1)}, variables)
+        lead = tuple(exps)
+        return cls._make({lead: 1}, Fraction(1), lead, variables)
 
     @classmethod
     def monomial(
@@ -157,45 +196,40 @@ class Poly3:
     # ---- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._prim
 
     def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {(0, 0, 0)}
+        return self._lead in (None, (0, 0, 0))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise AlgebraError(f"{self} is not constant")
-        return self._terms.get((0, 0, 0), Fraction(0))
+        return self._content  # a nonzero constant's map is {(0, 0, 0): 1}
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._prim)
 
     def terms(self) -> Iterator[tuple[ExponentTriple, Fraction]]:
-        for exps in sorted(self._terms, key=_grlex_key, reverse=True):
-            yield exps, self._terms[exps]
+        for exps in sorted(self._prim, key=_grlex_key, reverse=True):
+            yield exps, self._content * self._prim[exps]
 
     def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return -1 if self._lead is None else sum(self._lead)
 
     def degree_in(self, index: int) -> int:
-        if not self._terms:
-            return -1
-        return max(e[index] for e in self._terms)
+        return _int_degree(self._prim, index)
 
     def leading(self) -> tuple[ExponentTriple, Fraction]:
-        if not self._terms:
+        if self._lead is None:
             raise AlgebraError("zero polynomial has no leading term")
-        exps = max(self._terms, key=_grlex_key)
-        return exps, self._terms[exps]
+        return self._lead, self._content * self._prim[self._lead]
 
     def leading_coefficient(self) -> Fraction:
         return self.leading()[1]
 
     def uniform_weight(self, weights: tuple[int, int, int]) -> int | None:
         """Common weighted degree of all terms, or None if mixed/zero."""
-        seen = {sum(e * w for e, w in zip(exps, weights)) for exps in self._terms}
+        seen = {sum(e * w for e, w in zip(exps, weights)) for exps in self._prim}
         if len(seen) != 1:
             return None
         return seen.pop()
@@ -216,19 +250,30 @@ class Poly3:
 
     def __add__(self, other) -> "Poly3":
         other = self._coerce(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(exps, None)
-            else:
+        if not other._prim:
+            return self
+        if not self._prim:
+            return other
+        # self + other = (k1 * prim1 + k2 * prim2) * g / den with k1, k2 coprime
+        c1, c2 = self._content, other._content
+        den = math.lcm(c1.denominator, c2.denominator)
+        k1 = c1.numerator * (den // c1.denominator)
+        k2 = c2.numerator * (den // c2.denominator)
+        g = math.gcd(k1, k2)
+        k1, k2 = k1 // g, k2 // g
+        terms = {e: k1 * c for e, c in self._prim.items()}
+        for exps, coeff in other._prim.items():
+            acc = terms.get(exps, 0) + k2 * coeff
+            if acc:
                 terms[exps] = acc
-        return Poly3._make(terms, self.variables)
+            else:
+                del terms[exps]
+        return Poly3._make(*_canonical(terms, g, den), self.variables)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        return Poly3._make({e: -c for e, c in self._terms.items()}, self.variables)
+        return Poly3._make(self._prim, -self._content, self._lead, self.variables)
 
     def __sub__(self, other) -> "Poly3":
         return self + (-self._coerce(other))
@@ -238,22 +283,21 @@ class Poly3:
 
     def __mul__(self, other) -> "Poly3":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
+            if not other:
                 return Poly3.zero(self.variables)
-            return Poly3._make({e: k * c for e, k in self._terms.items()}, self.variables)
+            return Poly3._make(self._prim, self._content * other, self._lead, self.variables)
         other = self._coerce(other)
-        if not self._terms or not other._terms:
+        if not self._prim or not other._prim:
             return Poly3.zero(self.variables)
         # Exponents add per axis, so the sum of the factors' largest exponents
         # bounds every product exponent; past that bound, check axis by axis.
-        if max(map(max, self._terms)) + max(map(max, other._terms)) > MAX_EXPONENT:
-            top = [max(a) + max(b) for a, b in zip(zip(*self._terms), zip(*other._terms))]
+        if max(map(max, self._prim)) + max(map(max, other._prim)) > MAX_EXPONENT:
+            top = [max(a) + max(b) for a, b in zip(zip(*self._prim), zip(*other._prim))]
             if max(top) > MAX_EXPONENT:
                 raise ExponentOverflowError(f"product exponents up to {tuple(top)} too large")
-        terms_a, den_a = _int_terms(self)
-        terms_b, den_b = _int_terms(other)
-        return _lift(_int_mul(terms_a, terms_b), self.variables, 1, den_a * den_b)
+        (a0, a1, a2), (b0, b1, b2) = self._lead, other._lead
+        return Poly3._make(_int_mul(self._prim, other._prim), self._content * other._content,
+                           (a0 + b0, a1 + b1, a2 + b2), self.variables)
 
     __rmul__ = __mul__
 
@@ -278,60 +322,55 @@ class Poly3:
             other = Poly3.const(other, self.variables)
         if not isinstance(other, Poly3):
             return NotImplemented
-        return self.variables == other.variables and self._terms == other._terms
+        return (self.variables == other.variables and self._content == other._content
+                and self._prim == other._prim)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.variables, frozenset(self._terms.items())))
+            self._hash = hash((self.variables, self._content, frozenset(self._prim.items())))
         return self._hash
 
     # ---- structure -----------------------------------------------------
 
     def monic(self) -> "Poly3":
         """Scale so the graded-lex leading coefficient is 1."""
-        if self.is_zero():
+        if self._lead is None:
             return self
-        lc = self.leading_coefficient()
-        if lc == 1:
+        content = Fraction(1, self._prim[self._lead])
+        if content == self._content:
             return self
-        return self * (1 / lc)
-
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients."""
-        if self.is_zero():
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for coeff in self._terms.values():
-            num_gcd = math.gcd(num_gcd, abs(coeff.numerator))
-            den_lcm = den_lcm * coeff.denominator // math.gcd(den_lcm, coeff.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Poly3._make(self._prim, content, self._lead, self.variables)
 
     def diff(self, name: str) -> "Poly3":
         if name not in self.variables:
             raise UnknownVariableError(f"{name!r} not in chart {self.variables}")
         index = self.variables.index(name)
-        out: dict[ExponentTriple, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        out: IntTerms = {}
+        for exps, coeff in self._prim.items():
             e = exps[index]
             if e == 0:
                 continue
             new = list(exps)
             new[index] = e - 1
             out[tuple(new)] = coeff * e
-        return Poly3._make(out, self.variables)
+        content = self._content
+        return Poly3._make(*_canonical(out, content.numerator, content.denominator),
+                           self.variables)
 
     def eval(self, point: "Point3"):
         """Value at a point; exact for Fraction coordinates, float otherwise."""
         coords = point.coords
         if point.is_exact:
-            total = Fraction(0)
-            for exps, coeff in self._terms.items():
+            total = _ZERO
+            for exps, coeff in self._prim.items():
                 total += coeff * coords[0] ** exps[0] * coords[1] ** exps[1] * coords[2] ** exps[2]
-            return total
+            return total * self._content
+        # coeff * num / den is an int true division, correctly rounded exactly
+        # like float() of the term's Fraction coefficient.
+        num, den = self._content.numerator, self._content.denominator
         total = 0.0
-        for exps, coeff in self._terms.items():
-            total += float(coeff) * coords[0] ** exps[0] * coords[1] ** exps[1] * coords[2] ** exps[2]
+        for exps, coeff in self._prim.items():
+            total += coeff * num / den * coords[0] ** exps[0] * coords[1] ** exps[1] * coords[2] ** exps[2]
         return total
 
     def compose(self, images: Sequence["RationalFunction"]) -> "RationalFunction":
@@ -340,8 +379,8 @@ class Poly3:
             raise ChartMismatchError("compose needs one image per chart variable")
         chart = images[0].chart
         total = RationalFunction.const(0, chart)
-        for exps, coeff in self._terms.items():
-            term = RationalFunction.const(coeff, chart)
+        for exps, coeff in self._prim.items():
+            term = RationalFunction.const(self._content * coeff, chart)
             for image, e in zip(images, exps):
                 if e:
                     term = term * image**e
@@ -356,18 +395,17 @@ class Poly3:
         if self.is_zero():
             return self
         if divisor.is_constant():
-            return self * (1 / divisor.constant_value())
-        # self = terms / den and divisor = content * primitive / divisor_den.
-        # A primitive integer divisor divides over Q iff it divides over Z
-        # (Gauss), so the integer kernel decides divisibility exactly.
-        terms, den = _int_terms(self)
-        divisor_terms, divisor_den = _int_terms(divisor)
-        content = _int_content(divisor_terms)
+            return self * (1 / divisor._content)
+        # A primitive divisor divides over Q iff it divides over Z, and then
+        # the quotient of the two primitive maps is primitive with a positive
+        # lead (Gauss), so the integer kernel decides divisibility exactly.
         try:
-            quotient = _int_div_exact(terms, _int_scale_down(divisor_terms, content))
+            quotient = _int_div_exact(self._prim, divisor._prim)
         except NotDivisibleError:
             return None
-        return _lift(quotient, self.variables, divisor_den, den * content)
+        (a0, a1, a2), (b0, b1, b2) = self._lead, divisor._lead
+        return Poly3._make(quotient, self._content / divisor._content,
+                           (a0 - b0, a1 - b1, a2 - b2), self.variables)
 
     def div_exact(self, divisor: "Poly3") -> "Poly3":
         quotient = self.try_div(divisor)
@@ -384,14 +422,12 @@ class Poly3:
 
 # ---------------------------------------------------------------------------
 # gcd: content/primitive-part recursion with a subresultant PRS in a chosen
-# main variable, on integer-coefficient term maps (denominators are cleared
-# once up front; only the monic result is lifted back to Fractions).
+# main variable, on the primitive integer term maps; only the monic result
+# gets a rational content.
 # Most calls are coprime; _coprime_certified proves that without the PRS.  The
 # primitive gcd g divides a in Z[x,y,z] (Gauss), so if lc_axis(a) is nonzero at
 # the image point mod p, deg_axis(g) <= deg gcd(images); 0 on every axis: g = 1.
 # ---------------------------------------------------------------------------
-
-IntTerms = dict[ExponentTriple, int]
 
 _IMAGE_PRIME = 2**61 - 1
 # Fixed pseudo-random evaluation point (x, y, z) for the modular images.  An
@@ -411,52 +447,18 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return Poly3.const(1, a.variables)
-    if a.term_count() == 1 or b.term_count() == 1:
-        return _monomial_gcd(a, b)
-    int_a, int_b = _int_primitive(a), _int_primitive(b)
-    if int_a == int_b or (
-        len(int_a) == len(int_b) and all(int_b.get(e) == -c for e, c in int_a.items())
-    ):
+    if a._prim == b._prim:
         return a.monic()  # a and b are proportional
-    g = _int_gcd(int_a, int_b)
-    return _lift(g, a.variables, 1, g[max(g, key=_grlex_key)])
-
-
-def _monomial_gcd(a: Poly3, b: Poly3) -> Poly3:
-    exps = [MAX_EXPONENT] * 3
-    for poly in (a, b):
-        for term_exps in poly._terms:
-            exps = [min(x, e) for x, e in zip(exps, term_exps)]
-    return Poly3.monomial(1, tuple(exps), a.variables)
-
-
-def _int_terms(p: Poly3) -> tuple[IntTerms, int]:
-    """(terms, den): an integer term map and the least positive integer den
-    with p = terms / den."""
-    den = 1
-    for coeff in p._terms.values():
-        d = coeff.denominator
-        if den % d:
-            den = den * d // math.gcd(den, d)
-    if den == 1:
-        return {e: c.numerator for e, c in p._terms.items()}, 1
-    return {e: c.numerator * (den // c.denominator) for e, c in p._terms.items()}, den
-
-
-def _lift(p: IntTerms, variables: tuple[str, str, str], num: int, den: int) -> Poly3:
-    """The Poly3 p * num / den, one Fraction per term (num and den nonzero)."""
-    if den == 1:
-        return Poly3._make({e: Fraction(c * num) for e, c in p.items()}, variables)
-    return Poly3._make({e: Fraction(c * num, den) for e, c in p.items()}, variables)
-
-
-def _int_primitive(p: Poly3) -> IntTerms:
-    """Integer-primitive term map proportional to p."""
-    return _int_strip(_int_terms(p)[0])
+    return Poly3._make(*_canonical(_int_gcd(a._prim, b._prim), 1, 1), a.variables).monic()
 
 
 def _int_degree(p: IntTerms, axis: int) -> int:
     return max(e[axis] for e in p) if p else -1
+
+
+def _degrees(p: IntTerms) -> tuple[int, ...]:
+    """Per-axis degrees of a nonzero p."""
+    return tuple(map(max, zip(*p)))
 
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
@@ -491,13 +493,6 @@ def _int_content(p: IntTerms) -> int:
         if g == 1:
             break
     return g
-
-
-def _int_scale_down(p: IntTerms, k: int) -> IntTerms:
-    """p / k for a k >= 0 that divides every coefficient."""
-    if k <= 1:
-        return p
-    return {e: v // k for e, v in p.items()}
 
 
 def _heap_key(e: ExponentTriple) -> tuple:
@@ -549,14 +544,15 @@ def _int_pow(p: IntTerms, n: int) -> IntTerms:
     return result
 
 
-def _image(p: IntTerms, axis: int) -> list[int]:
+def _image(p: IntTerms, axis: int, degree: int) -> list[int]:
     """p mod _IMAGE_PRIME as a polynomial in the axis variable (coefficients
-    from degree 0 up), the other two variables set to _IMAGE_POINT."""
+    from degree 0 up to p's degree there), the other two variables set to
+    _IMAGE_POINT."""
     prime = _IMAGE_PRIME
     i, j = [k for k in range(3) if k != axis]
     ri, rj = _IMAGE_POINT[i], _IMAGE_POINT[j]
     powers_i, powers_j = [1], [1]
-    coeffs = [0] * (_int_degree(p, axis) + 1)
+    coeffs = [0] * (degree + 1)
     for exps, coeff in p.items():
         ei, ej = exps[i], exps[j]
         while len(powers_i) <= ei:
@@ -587,13 +583,14 @@ def _mod_gcd_degree(f: list[int], g: list[int]) -> int:
     return len(f) - 1
 
 
-def _coprime_certified(a: IntTerms, b: IntTerms) -> bool:
-    """True only if a and b (integer-primitive) have a constant gcd; False
-    means undecided."""
+def _coprime_certified(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...],
+                       deg_b: tuple[int, ...]) -> bool:
+    """True only if a and b (integer-primitive, with per-axis degrees deg_a
+    and deg_b) have a constant gcd; False means undecided."""
     for axis in range(3):
-        if _int_degree(a, axis) <= 0 or _int_degree(b, axis) <= 0:
+        if deg_a[axis] <= 0 or deg_b[axis] <= 0:
             continue
-        image_a, image_b = _image(a, axis), _image(b, axis)
+        image_a, image_b = _image(a, axis, deg_a[axis]), _image(b, axis, deg_b[axis])
         if not image_a[-1] or not image_b[-1]:
             return False
         if _mod_gcd_degree(image_a, image_b) > 0:
@@ -601,12 +598,12 @@ def _coprime_certified(a: IntTerms, b: IntTerms) -> bool:
     return True
 
 
-def _choose_main(a: IntTerms, b: IntTerms) -> int:
+def _choose_main(deg_a: tuple[int, ...], deg_b: tuple[int, ...]) -> int:
     """Axis, of those where both have positive degree, giving the shortest
     remainder sequence."""
     best, best_cost = -1, None
     for axis in range(3):
-        da, db = _int_degree(a, axis), _int_degree(b, axis)
+        da, db = deg_a[axis], deg_b[axis]
         if da <= 0 or db <= 0:
             continue
         cost = (min(da, db), max(da, db))
@@ -617,7 +614,8 @@ def _choose_main(a: IntTerms, b: IntTerms) -> int:
 
 def _int_strip(p: IntTerms) -> IntTerms:
     """Divide out the integer content (the gcd is only needed up to scalars)."""
-    return _int_scale_down(p, _int_content(p))
+    k = _int_content(p)
+    return p if k <= 1 else {e: v // k for e, v in p.items()}
 
 
 def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
@@ -632,9 +630,10 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
             for e in p:
                 exps = [min(x, y) for x, y in zip(exps, e)]
         return {tuple(exps): 1}
-    if _coprime_certified(a, b):
+    deg_a, deg_b = _degrees(a), _degrees(b)
+    if _coprime_certified(a, b, deg_a, deg_b):
         return {(0, 0, 0): 1}
-    main = _choose_main(a, b)
+    main = _choose_main(deg_a, deg_b)
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)
@@ -671,29 +670,31 @@ def _int_normalize_sign(p: IntTerms) -> IntTerms:
     return p
 
 
-def _int_lc(p: IntTerms, main: int) -> IntTerms:
+def _int_lead_in(p: IntTerms, main: int) -> tuple[int, IntTerms]:
+    """Degree of a nonzero p in the main variable, and the coefficient there."""
     view = _int_coeffs_in(p, main)
-    return view[max(view)]
+    degree = max(view)
+    return degree, view[degree]
 
 
-def _int_prem(f: IntTerms, g: IntTerms, main: int) -> IntTerms:
-    lc_g = _int_lc(g, main)
-    deg_g = _int_degree(g, main)
-    steps = _int_degree(f, main) - deg_g + 1
+def _int_prem(f: IntTerms, g: IntTerms, main: int, steps: int) -> IntTerms:
+    """Pseudo-remainder of f by g in the main variable, scaled by lc(g)^steps
+    where steps = deg f - deg g + 1."""
+    deg_g, lc_g = _int_lead_in(g, main)
     rest = f
-    used = 0
-    while rest and _int_degree(rest, main) >= deg_g:
-        shift = _int_degree(rest, main) - deg_g
+    while rest:
+        degree, lc_rest = _int_lead_in(rest, main)
+        if degree < deg_g:
+            break
         shifted: IntTerms = {}
-        lc_rest = _int_lc(rest, main)
         for exps, coeff in _int_mul(g, lc_rest).items():
             e = list(exps)
-            e[main] += shift
+            e[main] += degree - deg_g
             shifted[tuple(e)] = coeff
         rest = _int_sub(_int_mul(rest, lc_g), shifted)
-        used += 1
-    if used < steps:
-        rest = _int_mul(rest, _int_pow(lc_g, steps - used))
+        steps -= 1
+    if steps > 0:
+        rest = _int_mul(rest, _int_pow(lc_g, steps))
     return rest
 
 
@@ -705,14 +706,14 @@ def _int_prs_gcd(f: IntTerms, g: IntTerms, main: int) -> IntTerms:
     scale_g, scale_h = one, one
     while True:
         delta = _int_degree(f, main) - _int_degree(g, main)
-        remainder = _int_prem(f, g, main)
+        remainder = _int_prem(f, g, main, delta + 1)
         if not remainder:
             return _int_normalize_sign(_int_split_content(g, main)[1])
         if _int_degree(remainder, main) == 0:
             return one
         remainder = _int_div_exact(remainder, _int_mul(scale_g, _int_pow(scale_h, delta)))
         f, g = g, remainder
-        scale_g = _int_lc(f, main)
+        scale_g = _int_lead_in(f, main)[1]
         if delta:
             scale_h = _int_div_exact(_int_pow(scale_g, delta), _int_pow(scale_h, delta - 1))
 
@@ -1020,18 +1021,11 @@ def format_poly(p: Poly3) -> str:
 
 def _integer_scaled(f: RationalFunction) -> tuple[Poly3, Poly3]:
     """Rescale (num, den) by a positive rational so both have coprime
-    integer coefficients; the canonical denominator stays positive-led."""
-    num_content = f.num.content()
-    den_content = f.den.content()
-    den_lcm = (num_content.denominator * den_content.denominator
-               // math.gcd(num_content.denominator, den_content.denominator))
-    scaled_num = f.num * den_lcm
-    scaled_den = f.den * den_lcm
-    g = math.gcd(int(scaled_num.content()), int(scaled_den.content()))
-    if g > 1:
-        scaled_num = scaled_num * Fraction(1, g)
-        scaled_den = scaled_den * Fraction(1, g)
-    return scaled_num, scaled_den
+    integer coefficients: p * prim(num) and q * prim(den) with p/q the
+    reduced ratio of the contents (q > 0, so den stays positive-led)."""
+    ratio = f.num._content / f.den._content
+    return (Poly3._make(f.num._prim, Fraction(ratio.numerator), f.num._lead, f.chart),
+            Poly3._make(f.den._prim, Fraction(ratio.denominator), f.den._lead, f.chart))
 
 
 def _den_needs_parens(den: Poly3) -> bool:

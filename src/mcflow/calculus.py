@@ -24,7 +24,6 @@ from .algebra import (
     ChartMismatchError,
     Point3,
     Poly3,
-    Rational,
     RationalFunction,
 )
 
@@ -401,7 +400,7 @@ class LogIntegral:
     def __init__(
         self,
         rational_part: RationalFunction,
-        log_terms: Iterable[tuple[Rational, RationalFunction]] = (),
+        log_terms: Iterable[tuple[Fraction, RationalFunction]] = (),
     ):
         terms = []
         for coeff, argument in log_terms:

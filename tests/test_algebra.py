@@ -251,6 +251,40 @@ class TestIntegerKernels:
 
 
 # ---------------------------------------------------------------------------
+# canonical form: equal values compare and hash equal however they were built
+# ---------------------------------------------------------------------------
+
+
+class TestCanonicalForm:
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_polys(), mixed_polys().filter(lambda q: not q.is_zero()), mixed_coefficients)
+    def test_equal_polynomials_hash_equal(self, p, q, k):
+        rebuilt = (Poly3(dict(p.terms())), (p * q).try_div(q), (p + q) - q, -(-p),
+                   (p * k) * (1 / k))
+        for same in rebuilt:
+            assert same == p
+            assert hash(same) == hash(p)
+        assert (p * k).monic() == p.monic()
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_polys(max_terms=3), denominators(),
+           mixed_polys(max_terms=3).filter(lambda r: not r.is_zero()))
+    def test_equal_rational_functions_hash_equal(self, p, q, r):
+        reduced = RationalFunction(p, q)
+        unreduced = RationalFunction(p * r, q * r)
+        assert unreduced == reduced
+        assert hash(unreduced) == hash(reduced)
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Poly3({(1, 0, 0): 0.5})
+        with pytest.raises(TypeError):
+            Poly3.const(0.5)
+        with pytest.raises(TypeError):
+            RationalFunction(0.5)
+
+
+# ---------------------------------------------------------------------------
 # gcd
 # ---------------------------------------------------------------------------
 
@@ -304,12 +338,13 @@ class TestGcd:
 
 
 def _certified(a: Poly3, b: Poly3) -> bool:
-    return algebra._coprime_certified(algebra._int_primitive(a), algebra._int_primitive(b))
+    return algebra._coprime_certified(a._prim, b._prim,
+                                      algebra._degrees(a._prim), algebra._degrees(b._prim))
 
 
 def _prs_gcd(a: Poly3, b: Poly3) -> Poly3:
     """poly_gcd with the coprimality certificate switched off."""
-    with mock.patch.object(algebra, "_coprime_certified", lambda a, b: False):
+    with mock.patch.object(algebra, "_coprime_certified", lambda *args: False):
         return poly_gcd(a, b)
 
 

@@ -1,0 +1,39 @@
+"""The runtime package imports nothing outside the standard library.
+
+Test and benchmark dependencies (sympy among them) are importable wherever
+the tests run, so a stray third-party import in src/mcflow would otherwise
+pass unnoticed.  Every import statement must be relative (the package
+itself) or name a top-level module in ``sys.stdlib_module_names``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_package_sources_found():
+    assert PACKAGE / "algebra.py" in SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_are_relative_or_stdlib(path):
+    foreign = [
+        f"{path.name}:{line}: {name}"
+        for line, name in _absolute_imports(path)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert foreign == []
