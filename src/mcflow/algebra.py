@@ -637,7 +637,7 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)
-    prim = _int_strip(_int_prs_gcd(prim_a, prim_b, main))
+    prim = _int_strip(_int_prs_gcd(prim_a, prim_b, main, deg_a[main], deg_b[main]))
     return _int_mul(cont, prim)
 
 
@@ -677,9 +677,10 @@ def _int_lead_in(p: IntTerms, main: int) -> tuple[int, IntTerms]:
     return degree, view[degree]
 
 
-def _int_prem(f: IntTerms, g: IntTerms, main: int, steps: int) -> IntTerms:
+def _int_prem(f: IntTerms, g: IntTerms, main: int, steps: int) -> tuple[IntTerms, int]:
     """Pseudo-remainder of f by g in the main variable, scaled by lc(g)^steps
-    where steps = deg f - deg g + 1."""
+    where steps = deg f - deg g + 1, and its degree in the main variable
+    (-1 for zero)."""
     deg_g, lc_g = _int_lead_in(g, main)
     rest = f
     while rest:
@@ -693,26 +694,30 @@ def _int_prem(f: IntTerms, g: IntTerms, main: int, steps: int) -> IntTerms:
             shifted[tuple(e)] = coeff
         rest = _int_sub(_int_mul(rest, lc_g), shifted)
         steps -= 1
+    else:
+        degree = -1
     if steps > 0:
         rest = _int_mul(rest, _int_pow(lc_g, steps))
-    return rest
+    return rest, degree
 
 
-def _int_prs_gcd(f: IntTerms, g: IntTerms, main: int) -> IntTerms:
-    """Subresultant PRS gcd of polynomials primitive in the main variable."""
-    if _int_degree(f, main) < _int_degree(g, main):
-        f, g = g, f
+def _int_prs_gcd(f: IntTerms, g: IntTerms, main: int, deg_f: int, deg_g: int) -> IntTerms:
+    """Subresultant PRS gcd of polynomials primitive in the main variable,
+    of degrees deg_f and deg_g there."""
+    if deg_f < deg_g:
+        f, g, deg_f, deg_g = g, f, deg_g, deg_f
     one: IntTerms = {(0, 0, 0): 1}
     scale_g, scale_h = one, one
     while True:
-        delta = _int_degree(f, main) - _int_degree(g, main)
-        remainder = _int_prem(f, g, main, delta + 1)
+        delta = deg_f - deg_g
+        remainder, deg_r = _int_prem(f, g, main, delta + 1)
         if not remainder:
             return _int_normalize_sign(_int_split_content(g, main)[1])
-        if _int_degree(remainder, main) == 0:
+        if deg_r == 0:
             return one
+        # the divisor is free of the main variable, so deg_r still holds
         remainder = _int_div_exact(remainder, _int_mul(scale_g, _int_pow(scale_h, delta)))
-        f, g = g, remainder
+        f, g, deg_f, deg_g = g, remainder, deg_g, deg_r
         scale_g = _int_lead_in(f, main)[1]
         if delta:
             scale_h = _int_div_exact(_int_pow(scale_g, delta), _int_pow(scale_h, delta - 1))

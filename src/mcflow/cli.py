@@ -14,11 +14,9 @@ text by default; --json emits a single deterministic JSON document.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -92,6 +90,14 @@ class _Resolved:
             frame.bracket_report if frame is not None else None
         )
         self._potential = None
+        self._curl_report = None
+
+    def curl_report(self) -> VerificationReport:
+        """curl_identities(frame), computed once: its divergence.mv residual is
+        also every bi-Hamiltonian pair's divergence."""
+        if self._curl_report is None:
+            self._curl_report = curl_identities(self.frame)
+        return self._curl_report
 
     def potential(self):
         """potential_from_gamma(frame), computed once; a failure is kept and
@@ -158,8 +164,10 @@ def _frobenius_checks(r: _Resolved, args):
 
 def _bihamiltonian_checks(r: _Resolved, args):
     (_, h1), *pairs = _eps_integrals(r.spec, args.eps)
+    div_mv = r.curl_report().find("divergence.mv").residual_obj
     for label, h2 in pairs:
-        yield from bihamiltonian_verify(r.frame.v, r.frame.M, h1, h2, r.name, label).checks
+        yield from bihamiltonian_verify(
+            r.frame.v, r.frame.M, h1, h2, r.name, label, div_mv).checks
 
 
 def _sigma_checks(r: _Resolved, args):
@@ -180,7 +188,8 @@ def _sigma_checks(r: _Resolved, args):
             "sigma ^ d(sigma) matches its factored shape",
             sigma - factored,
         ),
-        *(replace(c, name=f"conformal.{c.name}") for c in transformed.checks),
+        *(Check(f"conformal.{c.name}", c.anchor, c.status, c.residual_obj, c.residual, c.expect)
+          for c in transformed.checks),
     )
 
 
@@ -200,7 +209,7 @@ _CHECKS = (
     (_framed, lambda r, args: verify_duality(r.frame).checks),
     (_framed, lambda r, args: verify_maurer_cartan(
         r.frame.alpha, r.frame.beta, r.frame.gamma, r.name).checks),
-    (_framed, lambda r, args: curl_identities(r.frame).checks),
+    (_framed, lambda r, args: r.curl_report().checks),
     (_framed, _frobenius_checks),
     (_framed, lambda r, args: (Check.from_residual(
         "potential.curl_scale", f"curl(A) = s M v, s = {r.potential().scale}",
@@ -633,6 +642,8 @@ def main(argv=None) -> int:
     # run() accepted argv, so parsing it again cannot fail; argparse also
     # accepts abbreviations such as --jso, which a string test would miss
     if _build_arg_parser().parse_args(argv).json:
+        import json
+
         print(json.dumps(document, indent=2))
     else:
         print(_render_text(document))

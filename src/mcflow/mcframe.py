@@ -18,10 +18,10 @@ numeric oracle can re-evaluate it independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import Record
 from .algebra import RationalFunction
 from .calculus import (
     KForm,
@@ -75,16 +75,17 @@ ZERO = "zero"
 NONZERO = "nonzero"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One verified identity: exact residual plus a display anchor."""
 
+    __slots__ = ("name", "anchor", "status", "residual_obj", "residual", "expect")
+    _defaults = (None, None, ZERO)
     name: str
     anchor: str
     status: str
-    residual_obj: object = None
-    residual: Optional[str] = None
-    expect: str = ZERO
+    residual_obj: object
+    residual: Optional[str]
+    expect: str
 
     @classmethod
     def from_residual(cls, name: str, anchor: str, residual_obj, expect: str = ZERO) -> "Check":
@@ -96,8 +97,8 @@ class Check:
         return cls(name, anchor, FAILS, residual_obj, shown, expect)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = ("system", "checks")
     system: str
     checks: tuple[Check, ...]
 
@@ -118,10 +119,12 @@ class VerificationReport:
         return VerificationReport(self.system, tuple(checks))
 
 
-@dataclass(frozen=True)
-class Sl2Frame:
+class Sl2Frame(Record):
     """Companion fields with their multiplier and dual one-forms."""
 
+    __slots__ = ("name", "v", "u", "w", "M", "alpha", "beta", "gamma", "bracket_report")
+    _defaults = (None,)
+    _hidden = ("bracket_report",)
     name: str
     v: VectorField3
     u: VectorField3
@@ -131,15 +134,13 @@ class Sl2Frame:
     beta: KForm
     gamma: KForm
     # verify_sl2(v, u, w) as build_frame found it; None for a frame built by hand
-    bracket_report: Optional[VerificationReport] = field(
-        default=None, compare=False, repr=False
-    )
+    bracket_report: Optional[VerificationReport]
 
 
-@dataclass(frozen=True)
-class HeisenbergFrame:
+class HeisenbergFrame(Record):
     """One-form triple with two commuting symmetries of the flow."""
 
+    __slots__ = ("name", "omega1", "omega2", "omega3", "u", "v", "w")
     name: str
     omega1: KForm
     omega2: KForm
@@ -149,16 +150,16 @@ class HeisenbergFrame:
     w: VectorField3
 
 
-@dataclass(frozen=True)
-class PotentialVector:
+class PotentialVector(Record):
     """Covector of gamma together with the exact constant in curl(A) = s M v."""
 
+    __slots__ = ("A", "scale")
     A: VectorField3
     scale: Fraction
 
 
-@dataclass(frozen=True)
-class PoissonVector:
+class PoissonVector(Record):
+    __slots__ = ("J",)
     J: VectorField3
 
 
@@ -470,12 +471,15 @@ def bihamiltonian_verify(
     h2: LogIntegral,
     system: str = "",
     label: str = "",
+    divergence: Optional[RationalFunction] = None,
 ) -> VerificationReport:
     """First-integral, invariance and decomposition checks.
 
     The decomposition check finds the exact rational constant c with
     dH2 ^ dH1 = c M iota_v(dx^dy^dz) and reports it; the structural
     normalisation fixes |c| = 2 when H1, H2 are normalised as here.
+    ``divergence`` is div(M v) when the caller has it already (curl_identities
+    reports it as divergence.mv); otherwise it is computed here.
     """
     suffix = f"[{label}]" if label else ""
     d_h1 = h1.differential()
@@ -494,7 +498,7 @@ def bihamiltonian_verify(
         Check.from_residual(
             f"bihamiltonian.divergence{suffix}",
             "div(M v) = 0",
-            div(v.scale(multiplier)),
+            div(v.scale(multiplier)) if divergence is None else divergence,
         ),
     ]
     wedge = d_h2.wedge(d_h1)

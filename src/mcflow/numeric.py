@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import Record
 from .algebra import Point3, RationalFunction
 from .calculus import KForm, LogIntegral, VectorField3
 
@@ -51,15 +51,15 @@ class InconclusiveSample(NumericError):
     overflowed or was not finite."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
+    __slots__ = ("times", "states", "step")
     times: tuple[float, ...]
     states: tuple[tuple[float, float, float], ...]
     step: float
 
 
-@dataclass(frozen=True)
-class SampleVerdict:
+class SampleVerdict(Record):
+    __slots__ = ("identity", "points_tried", "max_abs_residual", "tolerance")
     identity: str
     points_tried: int
     max_abs_residual: float
@@ -196,14 +196,12 @@ def derived_seed(base_seed: int, identity: str) -> int:
 
 
 def _grid_stream(rng: random.Random, box: tuple[float, float]):
+    """Numerator triples of uniform draws from the (1/GRID_DENOMINATOR)-grid
+    in the box."""
     lo = math.ceil(box[0] * GRID_DENOMINATOR)
     hi = math.floor(box[1] * GRID_DENOMINATOR)
     while True:
-        yield Point3.exact(
-            Fraction(rng.randint(lo, hi), GRID_DENOMINATOR),
-            Fraction(rng.randint(lo, hi), GRID_DENOMINATOR),
-            Fraction(rng.randint(lo, hi), GRID_DENOMINATOR),
-        )
+        yield rng.randint(lo, hi), rng.randint(lo, hi), rng.randint(lo, hi)
 
 
 def sample_identity(
@@ -216,8 +214,8 @@ def sample_identity(
 ) -> SampleVerdict:
     """Evaluate residual coefficients at n random non-singular grid points.
 
-    Points are exact rationals drawn uniformly from the (1/8)-grid in the
-    box; draws where any denominator is smaller than 1e-9, or where the
+    Points are drawn uniformly from the (1/8)-grid in the box, whose
+    coordinates are exact as floats; draws where any denominator is smaller than 1e-9, or where the
     float evaluation overflows or is not finite, are skipped.  The verdict
     passes iff every |value| stays below the tolerance.
     """
@@ -232,8 +230,7 @@ def sample_identity(
     max_attempts = 40 * n
     while evaluated < n and attempts < max_attempts:
         attempts += 1
-        point = next(stream)
-        float_point = Point3.real(*(float(c) for c in point.coords))
+        float_point = Point3.real(*(k / GRID_DENOMINATOR for k in next(stream)))
         skip = False
         values = []
         try:
@@ -285,7 +282,7 @@ def sample_agreement(
     max_attempts = 40 * n
     while evaluated < n and attempts < max_attempts:
         attempts += 1
-        point = next(stream)
+        point = Point3.exact(*(Fraction(k, GRID_DENOMINATOR) for k in next(stream)))
         try:
             diffs = [
                 float(a.eval(point) - b.eval(point)) for a, b in zip(left, right)

@@ -24,10 +24,10 @@ line-oriented: one ``key: value`` pair per line, ``#`` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import Record
 from .algebra import DEFAULT_CHART, RationalFunction
 from .calculus import LogIntegral
 
@@ -46,36 +46,36 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
+    __slots__ = ("operand",)
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
+    __slots__ = ("base", "exponent")
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Log:
+class Log(Record):
+    __slots__ = ("argument",)
     argument: "Expr"
 
 
@@ -89,12 +89,20 @@ Expr = Num | Var | Neg | BinOp | Pow | Log
 _OPERATORS = set("+-*/^();,:")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
     kind: str  # "int" | "ident" | "op" | "end"
     text: str
     line: int
     column: int
+
+    # the most numerous record: spelled out, this is faster than Record's
+    # generic __init__
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
@@ -413,17 +421,18 @@ def format_expr(node: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Record):
     """Fully resolved content of a system file."""
 
+    __slots__ = ("name", "variables", "v", "u", "w", "integrals", "multiplier_hint")
+    _defaults = (None, None, (), None)
     name: str
     variables: tuple[str, str, str]
     v: tuple[RationalFunction, RationalFunction, RationalFunction]
-    u: Optional[tuple[RationalFunction, RationalFunction, RationalFunction]] = None
-    w: Optional[tuple[RationalFunction, RationalFunction, RationalFunction]] = None
-    integrals: tuple[tuple[str, LogIntegral], ...] = ()
-    multiplier_hint: Optional[RationalFunction] = None
+    u: Optional[tuple[RationalFunction, RationalFunction, RationalFunction]]
+    w: Optional[tuple[RationalFunction, RationalFunction, RationalFunction]]
+    integrals: tuple[tuple[str, LogIntegral], ...]
+    multiplier_hint: Optional[RationalFunction]
 
     def integral(self, name: str) -> LogIntegral:
         for key, value in self.integrals:

@@ -11,11 +11,11 @@ is authoritative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
+from . import Record
 from .algebra import Poly3, RationalFunction
 from .calculus import KForm, VectorField3
 from .mcframe import (
@@ -40,8 +40,8 @@ class UnknownSystemError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BuiltinSystem:
+class BuiltinSystem(Record):
+    __slots__ = ("name", "spec", "frame", "heisenberg", "printed_forms")
     name: str
     spec: SystemSpec
     frame: Optional[Sl2Frame]
@@ -121,8 +121,8 @@ def builtin(name: str) -> BuiltinSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcordanceEntry:
+class ConcordanceEntry(Record):
+    __slots__ = ("form", "component", "status", "computed", "printed", "difference")
     form: str
     component: str
     status: str  # "match" | "mismatch"

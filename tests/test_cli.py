@@ -345,6 +345,27 @@ class TestCheckTable:
         # d(alpha), d(beta), d(gamma), shared by every check family
         assert grades.count(1) == 3
 
+    def test_divergence_of_mv_computed_once_per_request(self, monkeypatch):
+        import mcflow.mcframe
+        from mcflow.systems import builtin
+
+        frame = builtin("guillot").frame
+        mv = frame.v.scale(frame.M)
+        original = mcflow.mcframe.div
+        fields = []
+
+        def counting(field):
+            fields.append(field)
+            return original(field)
+
+        monkeypatch.setattr(mcflow.mcframe, "div", counting)
+        document, status = run_json(["verify", "guillot", "--points", "1"])
+        assert status == 0
+        # divergence.mv and bihamiltonian.divergence[H2_plus] share one div(M v)
+        assert sum(field == mv for field in fields) == 1
+        names = [c["check"] for c in document["sections"]["checks"]]
+        assert "divergence.mv" in names and "bihamiltonian.divergence[H2_plus]" in names
+
     def test_frameless_builtin_builds_no_frame(self, monkeypatch):
         import mcflow.cli
         import mcflow.mcframe

@@ -1,0 +1,148 @@
+"""The immutable records (AST nodes, system specs, checks, frames) compare,
+hash and print by their fields, and refuse assignment."""
+
+import copy
+import pickle
+from types import SimpleNamespace
+
+import pytest
+
+from mcflow import cli
+from mcflow.mcframe import (
+    Check,
+    FAILS,
+    HOLDS,
+    NONZERO,
+    Sl2Frame,
+    VerificationReport,
+    conformal_transform,
+    verify_maurer_cartan,
+)
+from mcflow.numeric import SampleVerdict
+from mcflow.parser import BinOp, Log, Neg, Num, Pow, Var, parse_expr, parse_system
+from mcflow.systems import ConcordanceEntry, builtin, system_source
+
+
+@pytest.mark.parametrize("record, shown", [
+    (Num(3), "Num(value=3)"),
+    (BinOp("+", Num(1), Var("x")), "BinOp(op='+', left=Num(value=1), right=Var(name='x'))"),
+    (Pow(Var("y"), -2), "Pow(base=Var(name='y'), exponent=-2)"),
+    (Check("a", "b = 0", HOLDS),
+     "Check(name='a', anchor='b = 0', status='holds', residual_obj=None, "
+     "residual=None, expect='zero')"),
+    (Check(name="a", anchor="b != 0", status=FAILS, expect=NONZERO),
+     "Check(name='a', anchor='b != 0', status='fails', residual_obj=None, "
+     "residual=None, expect='nonzero')"),
+    (VerificationReport("s", ()), "VerificationReport(system='s', checks=())"),
+    (SampleVerdict("i", 5, 0.5, 1e-12),
+     "SampleVerdict(identity='i', points_tried=5, max_abs_residual=0.5, tolerance=1e-12)"),
+    (ConcordanceEntry("alpha", "dx", "match", "0", "0", "0"),
+     "ConcordanceEntry(form='alpha', component='dx', status='match', computed='0', "
+     "printed='0', difference='0')"),
+])
+def test_repr_lists_fields_in_order(record, shown):
+    assert repr(record) == shown
+
+
+def test_parsed_system_spec_equality_and_hash():
+    first = parse_system(system_source("guillot"))
+    second = parse_system(system_source("guillot"))
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != parse_system(system_source("dh_classic"))
+
+
+def test_ast_nodes_equality_and_hash():
+    left = parse_expr("x^2 - 3*y")
+    right = parse_expr("x ^ 2 - 3 * y")
+    assert left == right and hash(left) == hash(right)
+    assert left == BinOp("-", Pow(Var("x"), 2), BinOp("*", Num(3), Var("y")))
+    assert Num(1) == Num(value=1) and hash(Num(1)) == hash(Num(value=1))
+    assert Num(1) != Num(2)
+    # same field values, different class
+    assert Neg(Num(1)) != Log(Num(1))
+    assert len({Neg(Num(1)), Log(Num(1)), Neg(Num(1))}) == 2
+
+
+def test_check_equality_and_hash():
+    a = Check("n", "x = 0", HOLDS)
+    b = Check(name="n", anchor="x = 0", status=HOLDS, residual_obj=None,
+              residual=None)
+    assert a == b and hash(a) == hash(b)
+    assert a != Check("n", "x = 0", FAILS)
+    assert a != Check("n", "x = 0", HOLDS, expect=NONZERO)
+    assert a != ("n", "x = 0", HOLDS, None, None, "zero")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (("a", "b"), {}),
+    (("a", "b", HOLDS), {"name": "again"}),
+    (("a", "b", HOLDS), {"unknown": 1}),
+    (("a", "b", HOLDS, None, None, "zero", "extra"), {}),
+])
+def test_bad_construction_raises_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        Check(*args, **kwargs)
+
+
+def test_sl2_frame_equality_ignores_bracket_report():
+    frame = builtin("guillot").frame
+    assert frame.bracket_report is not None
+    bare = Sl2Frame(frame.name, frame.v, frame.u, frame.w, frame.M,
+                    frame.alpha, frame.beta, frame.gamma)
+    assert bare.bracket_report is None
+    assert bare == frame and hash(bare) == hash(frame)
+    assert repr(bare) == repr(frame)
+    assert "bracket_report" not in repr(frame)
+    assert bare != Sl2Frame("other", frame.v, frame.u, frame.w, frame.M,
+                            frame.alpha, frame.beta, frame.gamma)
+
+
+@pytest.mark.parametrize("record, field", [
+    (Num(1), "value"),
+    (BinOp("+", Num(1), Num(2)), "op"),
+    (Check("a", "b", HOLDS), "status"),
+    (VerificationReport("s", ()), "checks"),
+    (SampleVerdict("i", 1, 0.0, 1.0), "tolerance"),
+])
+def test_assigning_a_field_raises(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_frame_and_spec_are_frozen():
+    system = builtin("guillot")
+    with pytest.raises(AttributeError):
+        system.frame.M = None
+    with pytest.raises(AttributeError):
+        system.frame.bracket_report = None
+    with pytest.raises(AttributeError):
+        system.spec.name = "renamed"
+
+
+def test_copy_and_pickle_keep_every_field():
+    frame = builtin("guillot").frame
+    for clone in (copy.copy(frame), pickle.loads(pickle.dumps(frame))):
+        assert clone == frame
+        assert clone.bracket_report == frame.bracket_report
+    check = Check("n", "x = 0", HOLDS)
+    assert pickle.loads(pickle.dumps(check)) == check
+
+
+@pytest.mark.parametrize("rho, f", [("x + 1", "y"), ("y", None)])
+def test_conformal_rows_keep_the_row_they_rename(rho, f):
+    resolved = cli._resolve("guillot")
+    frame = resolved.frame
+    rows = [c for c in cli._sigma_checks(resolved, SimpleNamespace(rho=rho, f=f))
+            if c.name.startswith("conformal.")]
+    t_rho = cli.parse_rational(rho, frame.M.chart)
+    source = verify_maurer_cartan(*conformal_transform(frame, t_rho), resolved.name).checks
+    assert [c.name for c in rows] == [f"conformal.{c.name}" for c in source]
+    for renamed, original in zip(rows, source):
+        assert type(renamed) is Check
+        assert renamed.anchor == original.anchor
+        assert renamed.status == original.status
+        assert renamed.residual_obj == original.residual_obj
+        assert renamed.residual == original.residual
+        assert renamed.expect == original.expect

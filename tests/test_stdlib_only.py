@@ -4,9 +4,15 @@ Test and benchmark dependencies (sympy among them) are importable wherever
 the tests run, so a stray third-party import in src/mcflow would otherwise
 pass unnoticed.  Every import statement must be relative (the package
 itself) or name a top-level module in ``sys.stdlib_module_names``.
+
+Every request is a fresh process, so import weight is start-up time:
+``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``) is not imported at all, and ``json`` only by ``--json``.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +20,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
 
 
 def _absolute_imports(path: Path):
@@ -37,3 +44,24 @@ def test_imports_are_relative_or_stdlib(path):
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_dataclasses_import(path):
+    assert [
+        f"{path.name}:{line}"
+        for line, name in _absolute_imports(path)
+        if name.partition(".")[0] == "dataclasses"
+    ] == []
+
+
+def test_cli_import_loads_no_heavy_module():
+    # modules that site already loaded do not count, only what the import adds
+    probe = (
+        "import sys; before = set(sys.modules); import mcflow.cli; "
+        f"print(sorted((set(sys.modules) - before) & set({HEAVY!r})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
