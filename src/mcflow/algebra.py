@@ -184,15 +184,6 @@ class Poly3:
         lead = tuple(exps)
         return cls._make({lead: 1}, Fraction(1), lead, variables)
 
-    @classmethod
-    def monomial(
-        cls,
-        coeff: Coefficient,
-        exponents: ExponentTriple,
-        variables: Sequence[str] = DEFAULT_CHART,
-    ) -> "Poly3":
-        return cls({tuple(exponents): coeff}, variables)
-
     # ---- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -212,12 +203,6 @@ class Poly3:
     def terms(self) -> Iterator[tuple[ExponentTriple, Fraction]]:
         for exps in sorted(self._prim, key=_grlex_key, reverse=True):
             yield exps, self._content * self._prim[exps]
-
-    def total_degree(self) -> int:
-        return -1 if self._lead is None else sum(self._lead)
-
-    def degree_in(self, index: int) -> int:
-        return _int_degree(self._prim, index)
 
     def leading(self) -> tuple[ExponentTriple, Fraction]:
         if self._lead is None:
@@ -450,10 +435,6 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
     if a._prim == b._prim:
         return a.monic()  # a and b are proportional
     return Poly3._make(*_canonical(_int_gcd(a._prim, b._prim), 1, 1), a.variables).monic()
-
-
-def _int_degree(p: IntTerms, axis: int) -> int:
-    return max(e[axis] for e in p) if p else -1
 
 
 def _degrees(p: IntTerms) -> tuple[int, ...]:

@@ -102,9 +102,6 @@ class VectorField3:
     def __hash__(self):
         return hash(self.components)
 
-    def eval(self, point: Point3):
-        return tuple(c.eval(point) for c in self.components)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
@@ -149,10 +146,6 @@ class KForm:
     @classmethod
     def volume(cls, f=1, chart: Sequence[str] = DEFAULT_CHART) -> "KForm":
         return cls(3, (f,), chart)
-
-    @classmethod
-    def zero(cls, grade: int, chart: Sequence[str] = DEFAULT_CHART) -> "KForm":
-        return cls(grade, (0,) * _BASIS_SIZE[grade], chart)
 
     @classmethod
     def from_covector(cls, field: VectorField3) -> "KForm":
@@ -273,9 +266,6 @@ class KForm:
         rho = a[0]
         return KForm.two_form(rho * x[0], rho * x[1], rho * x[2], self.chart)
 
-    def eval(self, point: Point3):
-        return tuple(c.eval(point) for c in self.coeffs)
-
     def __str__(self) -> str:
         return format_form(self)
 
@@ -325,15 +315,6 @@ def format_form(form: KForm) -> str:
 # ---------------------------------------------------------------------------
 
 
-def grad(f: RationalFunction) -> VectorField3:
-    names = f.chart
-    return VectorField3(f.diff(names[0]), f.diff(names[1]), f.diff(names[2]), names)
-
-
-def curl(field: VectorField3) -> VectorField3:
-    return VectorField3.from_components(KForm.from_covector(field).d().coeffs)
-
-
 def div(field: VectorField3) -> RationalFunction:
     total = RationalFunction.const(0, field.chart)
     for comp, name in zip(field.components, field.chart):
@@ -365,16 +346,6 @@ def lie_bracket(x: VectorField3, y: VectorField3) -> VectorField3:
     return VectorField3.from_components(
         tuple(x.apply(c) for c in y.components)
     ) - VectorField3.from_components(tuple(y.apply(c) for c in x.components))
-
-
-def lie_derivative(x: VectorField3, form: KForm) -> KForm:
-    """Cartan's identity L_X = d iota_X + iota_X d."""
-    if form.grade == 0:
-        return KForm.scalar(x.apply(form.coeffs[0]), form.chart)
-    out = form.interior(x).d()
-    if form.grade < 3:
-        out = out + form.d().interior(x)
-    return out
 
 
 def flux_form(field: VectorField3) -> KForm:

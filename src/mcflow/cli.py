@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .algebra import (
@@ -570,7 +571,10 @@ def _positive_real(text: str) -> float:
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: run() and main() both
+    parse argv with it."""
     parser = argparse.ArgumentParser(
         prog="mcflow",
         description="exact structural verification of 3D flows with companion frames",

@@ -1,10 +1,11 @@
 """Floating-point oracle: trajectories, drift and residual sampling.
 
-Everything here deliberately avoids the exact engine's simplification
-machinery: values are evaluated pointwise, so agreement with the symbolic
-layer is evidence rather than tautology.  Sampling draws exact rational
-grid points from a seeded stream, split per identity name, so verdicts
-are reproducible byte for byte.
+`verify` samples the residual object of each check that expects zero: its
+coefficients are evaluated in floating point at points of the 1/8-grid in
+the box, drawn from a seeded stream split per identity name, so verdicts
+are reproducible byte for byte.  A holding check keeps the canonical zero
+as its residual, so for those the sample re-reads the exact verdict
+rather than testing it independently.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import Record
 from .algebra import Point3, RationalFunction
@@ -75,6 +75,22 @@ class SampleVerdict(Record):
 # ---------------------------------------------------------------------------
 
 
+def _finite_values(coefficients, point: Point3, floor: float):
+    """Float values of the coefficients at the point; None where a
+    denominator is below the floor in magnitude or is not finite, or where
+    a value overflows or is not finite."""
+    values = []
+    try:
+        for coeff in coefficients:
+            den = coeff.den.eval(point)
+            if abs(den) < floor or not math.isfinite(den):
+                return None
+            values.append(coeff.num.eval(point) / den)
+    except OverflowError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
 def _field_evaluator(field: VectorField3) -> Callable:
     """The field as a float function of the state; None where a denominator
     vanishes or the value overflows or is not finite (a finite-time blow-up
@@ -82,17 +98,8 @@ def _field_evaluator(field: VectorField3) -> Callable:
     components = field.components
 
     def evaluate(state: tuple[float, float, float]):
-        point = Point3.real(*state)
-        out = []
-        try:
-            for comp in components:
-                den = comp.den.eval(point)
-                if abs(den) < DENOMINATOR_FLOOR or not math.isfinite(den):
-                    return None
-                out.append(comp.num.eval(point) / den)
-        except OverflowError:
-            return None
-        if not all(map(math.isfinite, state + tuple(out))):
+        out = _finite_values(components, Point3.real(*state), DENOMINATOR_FLOOR)
+        if out is None or not all(map(math.isfinite, state)):
             return None
         return tuple(out)
 
@@ -231,18 +238,8 @@ def sample_identity(
     while evaluated < n and attempts < max_attempts:
         attempts += 1
         float_point = Point3.real(*(k / GRID_DENOMINATOR for k in next(stream)))
-        skip = False
-        values = []
-        try:
-            for coeff in coefficients:
-                den = coeff.den.eval(float_point)
-                if abs(den) < SINGULAR_SKIP or not math.isfinite(den):
-                    skip = True
-                    break
-                values.append(coeff.num.eval(float_point) / den)
-        except OverflowError:
-            continue
-        if skip or not all(map(math.isfinite, values)):
+        values = _finite_values(coefficients, float_point, SINGULAR_SKIP)
+        if values is None:
             continue
         evaluated += 1
         for value in values:
@@ -253,126 +250,3 @@ def sample_identity(
             f"{name or '<unnamed>'}"
         )
     return SampleVerdict(name, evaluated, worst, tolerance)
-
-
-def sample_agreement(
-    lhs,
-    rhs,
-    n: int = 25,
-    box: tuple[float, float] = DEFAULT_BOX,
-    seed: int = 0,
-    name: str = "",
-    tolerance: float = ZERO_TOLERANCE,
-) -> SampleVerdict:
-    """Pointwise exact evaluation of both sides; magnitudes of differences.
-
-    Both objects are evaluated with Fraction arithmetic at exact grid
-    points and subtracted as values, which checks agreement of the two
-    data structures without going through symbolic cancellation.
-    """
-    left = _residual_coefficients(lhs)
-    right = _residual_coefficients(rhs)
-    if len(left) != len(right):
-        raise TypeError("cannot compare objects with different component counts")
-    rng = random.Random(derived_seed(seed, name))
-    stream = _grid_stream(rng, box)
-    evaluated = 0
-    worst = 0.0
-    attempts = 0
-    max_attempts = 40 * n
-    while evaluated < n and attempts < max_attempts:
-        attempts += 1
-        point = Point3.exact(*(Fraction(k, GRID_DENOMINATOR) for k in next(stream)))
-        try:
-            diffs = [
-                float(a.eval(point) - b.eval(point)) for a, b in zip(left, right)
-            ]
-        except Exception:
-            continue
-        evaluated += 1
-        for value in diffs:
-            worst = max(worst, abs(value))
-    if evaluated == 0:
-        raise InconclusiveSample(f"all {attempts} draws were singular for {name!r}")
-    return SampleVerdict(name, evaluated, worst, tolerance)
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-
-def _eval_rf(f: RationalFunction, coords: Sequence[float]) -> float:
-    point = Point3.real(*coords)
-    den = f.den.eval(point)
-    if abs(den) < DENOMINATOR_FLOOR:
-        raise SingularEvaluation(0.0, f"denominator {f.den} vanishes at {point}")
-    return f.num.eval(point) / den
-
-
-def _central_difference(f: RationalFunction, coords, axis: int, h: float) -> float:
-    forward = list(coords)
-    backward = list(coords)
-    forward[axis] += h
-    backward[axis] -= h
-    return (_eval_rf(f, forward) - _eval_rf(f, backward)) / (2 * h)
-
-
-def finite_difference_check(kind: str, obj, point: Point3, h: float) -> float:
-    """Max |symbolic - central difference| for grad/curl/div/d at a point."""
-    coords = tuple(float(c) for c in point.coords)
-    if kind == "grad":
-        from .calculus import grad as grad_op
-
-        symbolic = [
-            _eval_rf(c, coords) for c in grad_op(obj).components
-        ]
-        numeric = [_central_difference(obj, coords, axis, h) for axis in range(3)]
-    elif kind == "curl":
-        from .calculus import curl as curl_op
-
-        fx, fy, fz = obj.components
-        symbolic = [_eval_rf(c, coords) for c in curl_op(obj).components]
-        numeric = [
-            _central_difference(fz, coords, 1, h) - _central_difference(fy, coords, 2, h),
-            _central_difference(fx, coords, 2, h) - _central_difference(fz, coords, 0, h),
-            _central_difference(fy, coords, 0, h) - _central_difference(fx, coords, 1, h),
-        ]
-    elif kind == "div":
-        from .calculus import div as div_op
-
-        symbolic = [_eval_rf(div_op(obj), coords)]
-        numeric = [
-            sum(_central_difference(c, coords, axis, h)
-                for axis, c in enumerate(obj.components))
-        ]
-    elif kind == "d":
-        return _finite_difference_form(obj, coords, h)
-    else:
-        raise NumericError(f"unknown finite-difference kind {kind!r}")
-    return max(abs(s - n) for s, n in zip(symbolic, numeric))
-
-
-def _finite_difference_form(form: KForm, coords, h: float) -> float:
-    from .calculus import curl as curl_op, div as div_op, grad as grad_op
-
-    if form.grade == 0:
-        symbolic = [_eval_rf(c, coords) for c in form.d().coeffs]
-        numeric = [_central_difference(form.coeffs[0], coords, axis, h) for axis in range(3)]
-    elif form.grade == 1:
-        fx, fy, fz = form.coeffs
-        symbolic = [_eval_rf(c, coords) for c in form.d().coeffs]
-        numeric = [
-            _central_difference(fz, coords, 1, h) - _central_difference(fy, coords, 2, h),
-            _central_difference(fx, coords, 2, h) - _central_difference(fz, coords, 0, h),
-            _central_difference(fy, coords, 0, h) - _central_difference(fx, coords, 1, h),
-        ]
-    elif form.grade == 2:
-        symbolic = [_eval_rf(form.d().coeffs[0], coords)]
-        numeric = [
-            sum(_central_difference(c, coords, axis, h)
-                for axis, c in enumerate(form.coeffs))
-        ]
-    else:
-        raise NumericError("no exterior derivative of a 3-form")
-    return max(abs(s - n) for s, n in zip(symbolic, numeric))

@@ -371,51 +371,6 @@ def to_log_integral(node: Expr, variables: Sequence[str] = DEFAULT_CHART) -> Log
     return LogIntegral(rational, [(merged[a], a) for a in order if merged[a] != 0])
 
 
-def parse_integral(text: str, variables: Sequence[str] = DEFAULT_CHART) -> LogIntegral:
-    return to_log_integral(parse_expr(text, variables, allow_log=True), variables)
-
-
-# ---------------------------------------------------------------------------
-# formatting
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2, "pow": 4, "atom": 5}
-
-
-def _format(node: Expr) -> tuple[str, int]:
-    if isinstance(node, Num):
-        return str(node.value), _PREC["atom"]
-    if isinstance(node, Var):
-        return node.name, _PREC["atom"]
-    if isinstance(node, Neg):
-        body, prec = _format(node.operand)
-        if prec < _PREC["neg"]:
-            body = f"({body})"
-        return f"-{body}", _PREC["neg"]
-    if isinstance(node, Pow):
-        base, prec = _format(node.base)
-        if prec < _PREC["atom"]:
-            base = f"({base})"
-        exponent = node.exponent if node.exponent >= 0 else f"(-{-node.exponent})"
-        return f"{base}^{exponent}", _PREC["pow"]
-    if isinstance(node, Log):
-        body, _ = _format(node.argument)
-        return f"log({body})", _PREC["atom"]
-    left, lp = _format(node.left)
-    right, rp = _format(node.right)
-    prec = _PREC[node.op]
-    if lp < prec:
-        left = f"({left})"
-    # '-' and '/' are left-associative: parenthesise an equal-precedence rhs
-    if rp < prec or (rp == prec and node.op in "-/"):
-        right = f"({right})"
-    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}", prec
-
-
-def format_expr(node: Expr) -> str:
-    return _format(node)[0]
-
-
 # ---------------------------------------------------------------------------
 # system files
 # ---------------------------------------------------------------------------
@@ -517,25 +472,3 @@ def parse_system(source: str) -> SystemSpec:
         for integral_name, line_no, value in integrals
     )
     return SystemSpec(name, names, v, u, w, resolved, multiplier)
-
-
-def _format_log_integral(h: LogIntegral) -> str:
-    return str(h)
-
-
-def serialize_system(spec: SystemSpec) -> str:
-    """Canonical text that parse_system maps back to an equal SystemSpec."""
-    lines = [
-        f"name: {spec.name}",
-        f"variables: {', '.join(spec.variables)}",
-        "v: " + "; ".join(str(c) for c in spec.v),
-    ]
-    if spec.u is not None:
-        lines.append("u: " + "; ".join(str(c) for c in spec.u))
-    if spec.w is not None:
-        lines.append("w: " + "; ".join(str(c) for c in spec.w))
-    for name, integral in spec.integrals:
-        lines.append(f"integral {name}: {_format_log_integral(integral)}")
-    if spec.multiplier_hint is not None:
-        lines.append(f"multiplier: {spec.multiplier_hint}")
-    return "\n".join(lines) + "\n"

@@ -236,17 +236,17 @@ class TestIntegerKernels:
             assert product.try_div(Fraction(7, 5) * a) == Fraction(5, 7) * b
 
     def test_product_exponent_bound(self):
-        top = Poly3.monomial(1, (MAX_EXPONENT, 0, 0))
-        assert (top * Y).degree_in(0) == MAX_EXPONENT
-        assert (Poly3.monomial(Fraction(1, 2), (MAX_EXPONENT - 1, 0, 0)) * (X + 1)).degree_in(0) \
+        top = Poly3({(MAX_EXPONENT, 0, 0): 1})
+        assert (top * Y).leading()[0][0] == MAX_EXPONENT
+        assert (Poly3({(MAX_EXPONENT - 1, 0, 0): Fraction(1, 2)}) * (X + 1)).leading()[0][0] \
             == MAX_EXPONENT
         with pytest.raises(ExponentOverflowError):
             top * X
         with pytest.raises(ExponentOverflowError):
-            (Y + Fraction(1, 2)) * Poly3.monomial(3, (0, MAX_EXPONENT, 1))
+            (Y + Fraction(1, 2)) * Poly3({(0, MAX_EXPONENT, 1): 3})
         # only one pair of terms overflows, on the last axis
         with pytest.raises(ExponentOverflowError):
-            (X + Z) * Poly3.monomial(1, (0, 0, MAX_EXPONENT))
+            (X + Z) * Poly3({(0, 0, MAX_EXPONENT): 1})
         assert (Poly3.zero() * top).is_zero()
 
 

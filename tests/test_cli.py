@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import mcflow
 from mcflow.cli import main, run
 from mcflow.systems import system_source
 
@@ -436,6 +439,27 @@ class TestEntryPoint:
         document = json.loads(capsys.readouterr().out)
         assert status == 0
         assert document["command"] == "derive"
+
+    def test_main_builds_the_argument_parser_once(self):
+        # a fresh process, so no earlier request has built the parser yet
+        probe = (
+            "import argparse, contextlib, io\n"
+            "from mcflow.cli import main\n"
+            "builds = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    builds.append(None)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    status = main(['derive', 'guillot', '--jso'])\n"
+            "assert status == 0 and out.getvalue().startswith('{')\n"
+            "print(len(builds))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mcflow.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "1"
 
     def test_module_invocation(self):
         result = subprocess.run(

@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 
 from mcflow.algebra import Poly3, RationalFunction
-from mcflow.calculus import KForm, LogIntegral, VectorField3, curl, grad
+from mcflow.calculus import KForm, LogIntegral, VectorField3
 from mcflow.mcframe import (
     DegenerateFrameError,
     InconsistencyError,
     InvalidFrameError,
-    NonPoissonError,
-    PoissonVector,
     Sl2Frame,
     HeisenbergFrame,
     bihamiltonian_verify,
@@ -18,9 +16,7 @@ from mcflow.mcframe import (
     conformal_transform,
     curl_identities,
     frobenius_residual,
-    hamiltonian_field,
     heisenberg_verify,
-    jacobi_residual,
     last_multiplier,
     potential_from_gamma,
     sigma_residual,
@@ -355,7 +351,7 @@ class TestPotential:
             rf(Y**4 + 4 * X * Y**2 - X**2, 2 * Y**3),
             rf(Y**4 - X**2, 2 * Z * Y**2),
         )
-        assert curl(potential.A) == guillot.v.scale(guillot.M * 2)
+        assert KForm.from_covector(potential.A).d().covector() == guillot.v.scale(guillot.M * 2)
 
     def test_dh_potential(self, dh):
         potential = potential_from_gamma(dh)
@@ -394,17 +390,18 @@ class TestPotential:
 
 
 class TestJacobiResidual:
+    # J is a Poisson vector iff J.(curl J) = 0, the Frobenius condition on J.dx
     def test_gradient_over_multiplier_is_poisson(self):
         f = rf(X**2 + Y**2)
         m = rf(Z)
-        j = grad(f).scale(m.reciprocal())
-        assert jacobi_residual(j).is_zero()
+        j = KForm.scalar(f).d().scale(m.reciprocal())
+        assert frobenius_residual(j).is_zero()
 
     def test_rotation_field(self):
-        assert jacobi_residual(VectorField3(Y, -X, 0)).is_zero()
+        assert frobenius_residual(KForm.one_form(Y, -X, 0)).is_zero()
 
     def test_cyclic_shift_residual(self):
-        assert jacobi_residual(VectorField3(Z, X, Y)) == rf(X + Y + Z)
+        assert frobenius_residual(KForm.one_form(Z, X, Y)) == KForm.volume(rf(X + Y + Z))
 
     def test_random_gradient_family(self):
         rng = random.Random(5)
@@ -422,30 +419,7 @@ class TestJacobiResidual:
             m = rf(Poly3(m_terms))
             if m.is_zero():
                 continue
-            assert jacobi_residual(grad(f).scale(m.reciprocal())).is_zero()
-
-
-class TestHamiltonianField:
-    def test_simple_cross_product(self):
-        j = PoissonVector(VectorField3(0, 0, 1))
-        h = LogIntegral(rf(X), [])
-        assert hamiltonian_field(j, h) == VectorField3(0, 1, 0)
-
-    def test_constant_hamiltonian(self):
-        j = PoissonVector(VectorField3(0, 0, 1))
-        h = LogIntegral(rf(Poly3.const(5)), [])
-        assert hamiltonian_field(j, h).is_zero()
-
-    def test_non_poisson_rejected(self):
-        j = PoissonVector(VectorField3(Z, X, Y))
-        with pytest.raises(NonPoissonError):
-            hamiltonian_field(j, LogIntegral(rf(X), []))
-
-    def test_guillot_gradient_pair_reproduces_flow(self, guillot):
-        # grad(H1) x grad(H2) = 2 M v exactly
-        j = PoissonVector(guillot_h1().differential().covector())
-        field = hamiltonian_field(j, guillot_h2(+1))
-        assert field == guillot.v.scale(guillot.M * 2)
+            assert frobenius_residual(KForm.scalar(f).d().scale(m.reciprocal())).is_zero()
 
 
 class TestBihamiltonian:
@@ -465,6 +439,16 @@ class TestBihamiltonian:
         bad = report.find("bihamiltonian.integral_h1")
         assert bad.status == "fails"
         assert bad.residual_obj == rf(X**2 + Y**4)
+
+    def test_decomposition_without_a_constant_fails(self, guillot):
+        # dH1 ^ dH1 = 0 is no nonzero multiple of M iota_v(dx^dy^dz)
+        report = bihamiltonian_verify(guillot.v, guillot.M, guillot_h1(), guillot_h1())
+        check = report.find("bihamiltonian.decomposition")
+        assert check.status == "fails"
+        assert check.anchor == "dH2 ^ dH1 = c M iota_v(dx^dy^dz)"
+        assert check.residual_obj == KForm.volume(1).interior(guillot.v).scale(guillot.M * -2)
+        assert check.residual == str(check.residual_obj)
+        assert not report.ok
 
 
 # ---------------------------------------------------------------------------
