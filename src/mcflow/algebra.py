@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import le, sub
 from typing import Iterator, Mapping, Sequence, Union
 
 DEFAULT_CHART = ("x", "y", "z")
@@ -614,12 +615,88 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     deg_a, deg_b = _degrees(a), _degrees(b)
     if _coprime_certified(a, b, deg_a, deg_b):
         return {(0, 0, 0): 1}
+    peeled, a, b = _peel(a, b, deg_a, deg_b)
+    if peeled is not None:
+        return _int_mul(peeled, _int_gcd(a, b))
     main = _choose_main(deg_a, deg_b)
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)
     prim = _int_strip(_int_prs_gcd(prim_a, prim_b, main, deg_a[main], deg_b[main]))
+    _learn(prim)
     return _int_mul(cont, prim)
+
+
+# ---------------------------------------------------------------------------
+# Factor base.  Nearly every gcd that is not coprime divides a power of one
+# denominator (the multiplier's, times a candidate rho), so its answer is a
+# factor that an earlier gcd already found.  The base keeps the primitive,
+# positive-led maps the PRS has returned, and _int_gcd divides them out of
+# both inputs before it runs the PRS.  If f divides a and b, then
+# gcd(a, b) = f * gcd(a/f, b/f), and a primitive f divides over Q iff it
+# divides over Z (Gauss): whatever the base holds, every gcd is unchanged,
+# and a miss costs only trial divisions.
+# ---------------------------------------------------------------------------
+
+_FACTOR_BASE_SIZE = 32
+# entries (map, per-axis degrees, graded-lex leading triple), the most
+# recently hit first; no entry divides another
+_factor_base: list[tuple[IntTerms, tuple[int, ...], ExponentTriple]] = []
+
+
+def _divide_out(entries: list, factor) -> tuple[list, int]:
+    """The entries with the factor divided out as often as it divides all of
+    them, and how often.  Degrees and graded-lex leading monomials of a
+    product are the sums of its factors', which rules most misses out before
+    any division."""
+    f, deg_f, lead_f = factor
+    count = 0
+    while all(all(map(le, deg_f, deg)) and all(map(le, lead_f, lead)) for _, deg, lead in entries):
+        quotients = {}
+        # the smallest first: a miss there is the cheapest
+        for i in sorted(range(len(entries)), key=lambda i: len(entries[i][0])):
+            try:
+                quotients[i] = _int_div_exact(entries[i][0], f)
+            except NotDivisibleError:
+                return entries, count
+        entries = [(quotients[i], tuple(map(sub, deg, deg_f)), tuple(map(sub, lead, lead_f)))
+                   for i, (_, deg, lead) in enumerate(entries)]
+        count += 1
+    return entries, count
+
+
+def _peel(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...], deg_b: tuple[int, ...]):
+    """(product of the base factors divided out or None, a', b'): each base
+    factor is divided out of both a and b as often as it divides both."""
+    pair = [(a, deg_a, max(a, key=_grlex_key)), (b, deg_b, max(b, key=_grlex_key))]
+    peeled, hits = None, []
+    for entry in _factor_base:
+        pair, count = _divide_out(pair, entry)
+        if count:
+            hits.append(entry)
+            power = _int_pow(entry[0], count)
+            peeled = power if peeled is None else _int_mul(peeled, power)
+    if hits:
+        _factor_base[:] = hits + [e for e in _factor_base if not any(e is h for h in hits)]
+    return peeled, pair[0][0], pair[1][0]
+
+
+def _learn(g: IntTerms) -> None:
+    """Put the primitive, positive-led gcd g, with the base factors divided
+    out, at the front of the base unless that leaves a constant.  g is
+    divided out of the entries in turn, so no entry divides another; the
+    least recently hit entry beyond _FACTOR_BASE_SIZE is dropped."""
+    new = (g, _degrees(g), max(g, key=_grlex_key))
+    for entry in _factor_base:
+        (new,), _ = _divide_out([new], entry)
+    if not any(new[1]):
+        return
+    kept = []
+    for entry in _factor_base:
+        (entry,), _ = _divide_out([entry], new)
+        if any(entry[1]):
+            kept.append(entry)
+    _factor_base[:] = [new] + kept[:_FACTOR_BASE_SIZE - 1]
 
 
 def _int_coeffs_in(p: IntTerms, main: int) -> dict[int, IntTerms]:

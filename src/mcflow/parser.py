@@ -24,6 +24,8 @@ line-oriented: one ``key: value`` pair per line, ``#`` starts a comment.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -200,10 +202,13 @@ class _Parser:
         return self.power()
 
     def power(self) -> Expr:
+        start = self.peek()
         base = self.atom()
         if self.at_op("^"):
             self.advance()
-            return Pow(base, self.exponent())
+            node = Pow(base, self.exponent())
+            _check_constant_power(node, start)
+            return node
         return base
 
     def exponent(self) -> int:
@@ -223,13 +228,13 @@ class _Parser:
                 f"exponent must be an integer, found {token.text or 'end of input'}",
                 token.line, token.column)
         self.advance()
-        return sign * int(token.text)
+        return sign * _int_literal(token)
 
     def atom(self) -> Expr:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Num(int(token.text))
+            return Num(_int_literal(token))
         if token.kind == "ident":
             self.advance()
             if token.text == "log":
@@ -260,6 +265,33 @@ class _Parser:
             return node
         raise ParseError(f"expected an expression, found {token.text or 'end of input'}",
                          token.line, token.column)
+
+
+# Integers print in decimal, and Python converts between int and str only up to
+# sys.get_int_max_str_digits() digits (0 means no limit): a literal or a
+# constant power past that limit is refused here, before it is computed.
+
+
+def _int_literal(token: _Token) -> int:
+    limit = sys.get_int_max_str_digits()
+    if limit and len(token.text) > limit:
+        raise ParseError(f"integer literal of {len(token.text)} digits exceeds the "
+                         f"limit of {limit} digits", token.line, token.column)
+    return int(token.text)
+
+
+def _check_constant_power(node: Pow, start: _Token) -> None:
+    """Refuse a constant power whose numerator or denominator would have
+    more digits than the limit; start is the base's first token."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or _contains(node.base, (Var, Log)):
+        return
+    base = to_rational(node.base).constant_value()
+    largest = max(abs(base.numerator), base.denominator)
+    # a positive integer n has floor(log10 n) + 1 digits
+    if abs(node.exponent) * math.log10(largest) >= limit:
+        raise ParseError(f"constant power exceeds the limit of {limit} digits",
+                         start.line, start.column)
 
 
 def _parse_tokens(tokens: list[_Token], variables: Sequence[str], allow_log: bool) -> Expr:
@@ -311,15 +343,16 @@ def parse_rational(text: str, variables: Sequence[str] = DEFAULT_CHART) -> Ratio
     return to_rational(parse_expr(text, variables), variables)
 
 
-def _contains_log(node: Expr) -> bool:
-    if isinstance(node, Log):
+def _contains(node: Expr, kinds) -> bool:
+    """Whether the tree has a node of one of the given classes."""
+    if isinstance(node, kinds):
         return True
     if isinstance(node, Neg):
-        return _contains_log(node.operand)
+        return _contains(node.operand, kinds)
     if isinstance(node, Pow):
-        return _contains_log(node.base)
+        return _contains(node.base, kinds)
     if isinstance(node, BinOp):
-        return _contains_log(node.left) or _contains_log(node.right)
+        return _contains(node.left, kinds) or _contains(node.right, kinds)
     return False
 
 
@@ -331,7 +364,7 @@ def to_log_integral(node: Expr, variables: Sequence[str] = DEFAULT_CHART) -> Log
 
     def collect(n: Expr, scale: Fraction) -> None:
         nonlocal rational
-        if not _contains_log(n):
+        if not _contains(n, Log):
             rational = rational + to_rational(n, variables) * scale
             return
         if isinstance(n, Log):
@@ -346,13 +379,13 @@ def to_log_integral(node: Expr, variables: Sequence[str] = DEFAULT_CHART) -> Log
             return
         if isinstance(n, BinOp) and n.op == "*":
             for constant, logish in ((n.left, n.right), (n.right, n.left)):
-                if not _contains_log(constant):
+                if not _contains(constant, Log):
                     value = to_rational(constant, variables)
                     if value.is_constant():
                         collect(logish, scale * value.constant_value())
                         return
             raise ParseError("log may only be scaled by rational constants")
-        if isinstance(n, BinOp) and n.op == "/" and not _contains_log(n.right):
+        if isinstance(n, BinOp) and n.op == "/" and not _contains(n.right, Log):
             value = to_rational(n.right, variables)
             if value.is_constant() and value.constant_value() != 0:
                 collect(n.left, scale / value.constant_value())

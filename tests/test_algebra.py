@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -335,6 +336,74 @@ class TestGcd:
         g = poly_gcd(a, b)
         assert a.div_exact(g) * g == a
         assert b.div_exact(g) * g == b
+
+
+@contextmanager
+def factor_base(*factors: Poly3):
+    """The gcd kernel with a factor base holding exactly the given nonconstant
+    factors, in order, whether or not they divide one another."""
+    saved = list(algebra._factor_base)
+    algebra._factor_base[:] = [
+        (f._prim, algebra._degrees(f._prim), f._lead) for f in factors if not f.is_constant()
+    ]
+    try:
+        yield algebra._factor_base
+    finally:
+        algebra._factor_base[:] = saved
+
+
+small_polys = polys(max_terms=3).filter(lambda p: not p.is_zero())
+nonconstant_polys = small_polys.filter(lambda p: not p.is_constant())
+
+
+class TestFactorBase:
+    @settings(max_examples=50, deadline=None)
+    @given(small_polys, small_polys, nonconstant_polys, small_polys, nonconstant_polys,
+           nonconstant_polys)
+    def test_gcd_does_not_depend_on_the_base(self, a, b, f, g, h, unrelated):
+        left, right = a * f, b * f * g
+        with factor_base():
+            expected = poly_gcd(left, right)
+        assert left.try_div(expected) is not None and right.try_div(expected) is not None
+        seeds = ([f], [f**2], [f * h], [unrelated, X**3 + 5 * Y - 7, Z - 11],
+                 [f * h, f**2, unrelated, f])
+        for seed in seeds:
+            with factor_base(*seed) as base:
+                assert poly_gcd(left, right) == expected
+                assert poly_gcd(right, left) == expected
+                assert len(base) <= algebra._FACTOR_BASE_SIZE
+
+    def test_a_known_factor_is_peeled_without_the_prs(self):
+        common = X**2 + Y * Z + 1
+        left, right = (X + 2) * common**2, (Y - 3) * common**3
+        with factor_base(common), mock.patch.object(
+                algebra, "_int_prs_gcd", side_effect=AssertionError("PRS entered")):
+            assert poly_gcd(left, right) == common**2
+
+    def test_learned_entries_do_not_nest(self):
+        f, h = X**2 + Y * Z + 1, Y - Z + 3
+        with factor_base() as base:
+            algebra._learn((f**2)._prim)
+            algebra._learn(f._prim)
+            assert [entry[0] for entry in base] == [f._prim]
+            algebra._learn((f * h)._prim)
+            assert [entry[0] for entry in base] == [h._prim, f._prim]
+
+    def test_capacity_evicts_the_least_recently_hit(self):
+        size = algebra._FACTOR_BASE_SIZE
+        factors = [X + k for k in range(1, size + 2)]
+        with factor_base() as base:
+            for f in factors[:size]:
+                algebra._learn(f._prim)
+            assert len(base) == size
+            # a hit on the oldest entry moves it to the front
+            oldest = factors[0]
+            assert poly_gcd(oldest * (Y + 2), oldest * (Z + 3)) == oldest
+            algebra._learn(factors[size]._prim)
+            held = [entry[0] for entry in base]
+            assert len(held) == size
+            assert held[:2] == [factors[size]._prim, oldest._prim]
+            assert factors[1]._prim not in held
 
 
 def _certified(a: Poly3, b: Poly3) -> bool:

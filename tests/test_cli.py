@@ -209,6 +209,24 @@ class TestCheckFile:
         assert status == 2
         assert "line 3" in diagnostic
 
+    @pytest.mark.parametrize(
+        "v_line, message",
+        [
+            # the power has 30103 digits, more than Python converts to str
+            ("v: 2^100000*x; y; z", "constant power exceeds"),
+            # int() refuses a literal this long
+            ("v: " + "7" * 5000 + "*x; y; z", "integer literal of 5000 digits"),
+        ],
+        ids=["constant_power", "literal"],
+    )
+    def test_oversized_integer_is_a_parse_error(self, tmp_path, v_line, message):
+        path = tmp_path / "big.sys"
+        path.write_text(f"name: big\nvariables: x, y, z\n{v_line}\n")
+        for command in ("verify", "check-file"):
+            document, status, diagnostic = run([command, str(path)])
+            assert (document, status) == (None, 2)
+            assert message in diagnostic and "line 3" in diagnostic
+
     def test_missing_file_exit_2(self):
         _, status, diagnostic = run(["check-file", "/nonexistent/f.sys"])
         assert status == 2
@@ -391,6 +409,29 @@ class TestCheckTable:
             mcflow.systems.builtin.cache_clear()
         assert status == 0
         assert calls == []
+
+    def test_candidate_request_rarely_reaches_the_prs(self, monkeypatch, capsys):
+        # the gcds of a sigma candidate are mostly factors of one denominator,
+        # which the factor base peels off by trial division
+        from mcflow import algebra
+
+        original = algebra._int_prs_gcd
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, "_int_prs_gcd", counting)
+        monkeypatch.setattr(algebra, "_factor_base", [], raising=False)
+        mcflow.systems.builtin.cache_clear()
+        try:
+            status = main(["verify", "dh_symmetric", "--rho=x - 2", "--f=y"])
+        finally:
+            mcflow.systems.builtin.cache_clear()
+        capsys.readouterr()
+        assert status == 1
+        assert len(calls) <= 10
 
     def test_nonzero_checks_are_never_sampled(self, capsys):
         status = main(["sample", "guillot", "--check", "frobenius.alpha"])

@@ -31,6 +31,9 @@ CASES = [
     # dh_symmetric under X = A x, A = [[1, 0, 0], [0, 1, 0], [0, 2, 1]]; the
     # field has the coefficient 1/2
     ("verify_dh_symmetric_conj0", ["verify", str(GOLDEN / "dh_symmetric_conj0.sys")], 0),
+    # guillot_conj0 pushed forward by the unit-Jacobian map
+    # (x, y, z) -> (x, y + x^2, z + x*y); its multiplier has a 55-term denominator
+    ("verify_guillot_conj0_tri2", ["verify", str(GOLDEN / "guillot_conj0_tri2.sys")], 0),
 ]
 
 

@@ -92,6 +92,19 @@ class TestParseExpr:
         with pytest.raises(ZeroDenominatorError):
             parse_rational("x/0")
 
+    @pytest.mark.parametrize("text", ["x + (10^3000)^2", "x*(2/3)^-9100", "(-(7 - 2))^7000",
+                                      "x^" + "1" * 5000])
+    def test_integer_past_the_digit_limit(self, text):
+        with pytest.raises(ParseError, match=r"limit of \d+ digits"):
+            parse_expr(text)
+
+    @pytest.mark.parametrize("text, value", [("(10^2000)^2", Fraction(10) ** 4000),
+                                             ("(1/2)^-13000", Fraction(2) ** 13000),
+                                             ("1^99999999999999999999", Fraction(1)),
+                                             ("0^99999999999999999999", Fraction(0))])
+    def test_constant_power_within_the_digit_limit(self, text, value):
+        assert parse_rational(text) == rf(Poly3.const(value))
+
 
 class TestFormatExpr:
     def test_round_trip_simple(self):
