@@ -858,12 +858,9 @@ class RationalFunction:
             if g.is_constant():
                 return RationalFunction._raw(top, d1)
             return RationalFunction._raw(top.div_exact(g), d1.div_exact(g))
+        # coprime denominators too: with g0 = 1 the divisions only rescale
+        # and gcd(top, g0) returns at its constant test
         g0 = poly_gcd(d1, d2)
-        if g0.is_constant():
-            top = n1 * d2 + n2 * d1
-            if top.is_zero():
-                return RationalFunction.const(0, self.chart)
-            return RationalFunction._raw(top, d1 * d2)
         d1r = d1.div_exact(g0)
         d2r = d2.div_exact(g0)
         top = n1 * d2r + n2 * d1r
@@ -1089,6 +1086,12 @@ def _integer_scaled(f: RationalFunction) -> tuple[Poly3, Poly3]:
     ratio = f.num._content / f.den._content
     return (Poly3._make(f.num._prim, Fraction(ratio.numerator), f.num._lead, f.chart),
             Poly3._make(f.den._prim, Fraction(ratio.denominator), f.den._lead, f.chart))
+
+
+def widest_printed_integer(f: RationalFunction) -> int:
+    """The largest magnitude among the integers that str(f) prints."""
+    return max(abs(p._content.numerator) * max(map(abs, p._prim.values()), default=0)
+               for p in _integer_scaled(f))
 
 
 def _den_needs_parens(den: Poly3) -> bool:

@@ -46,6 +46,22 @@ def _rf(value, chart) -> RationalFunction:
     return RationalFunction.const(value, chart)
 
 
+# the products and the divergence on coefficient triples, shared by the
+# vector and the form operators
+
+
+def _cross(p, q) -> tuple:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _dot(p, q) -> RationalFunction:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _div(p, names) -> RationalFunction:
+    return p[0].diff(names[0]) + p[1].diff(names[1]) + p[2].diff(names[2])
+
+
 class VectorField3:
     """Vector field with rational-function components on the fixed chart."""
 
@@ -210,16 +226,10 @@ class KForm:
             return other.scale(self.coeffs[0])
         if other.grade == 0:
             return self.scale(other.coeffs[0])
-        a, b = self.coeffs, other.coeffs
         if self.grade == 1 and other.grade == 1:
-            return KForm.two_form(
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-                self.chart,
-            )
+            return KForm.two_form(*_cross(self.coeffs, other.coeffs), self.chart)
         # (1,2) and (2,1) both produce (A . B) volume: the grades commute.
-        return KForm.volume(a[0] * b[0] + a[1] * b[1] + a[2] * b[2], self.chart)
+        return KForm.volume(_dot(self.coeffs, other.coeffs), self.chart)
 
     def d(self) -> "KForm":
         """Exterior derivative, computed on the first call and kept."""
@@ -243,9 +253,7 @@ class KForm:
                 a[1].diff(names[0]) - a[0].diff(names[1]),
                 names,
             )
-        return KForm.volume(
-            a[0].diff(names[0]) + a[1].diff(names[1]) + a[2].diff(names[2]), names
-        )
+        return KForm.volume(_div(a, names), names)
 
     def interior(self, field: VectorField3) -> "KForm":
         """Contraction of the first slot with a vector field."""
@@ -254,15 +262,10 @@ class KForm:
         x = field.components
         a = self.coeffs
         if self.grade == 1:
-            return KForm.scalar(a[0] * x[0] + a[1] * x[1] + a[2] * x[2], self.chart)
+            return KForm.scalar(_dot(a, x), self.chart)
         if self.grade == 2:
             # iota_X (N . dx^dx) = (N x X) . dx
-            return KForm.one_form(
-                a[1] * x[2] - a[2] * x[1],
-                a[2] * x[0] - a[0] * x[2],
-                a[0] * x[1] - a[1] * x[0],
-                self.chart,
-            )
+            return KForm.one_form(*_cross(a, x), self.chart)
         rho = a[0]
         return KForm.two_form(rho * x[0], rho * x[1], rho * x[2], self.chart)
 
@@ -316,25 +319,15 @@ def format_form(form: KForm) -> str:
 
 
 def div(field: VectorField3) -> RationalFunction:
-    total = RationalFunction.const(0, field.chart)
-    for comp, name in zip(field.components, field.chart):
-        total = total + comp.diff(name)
-    return total
+    return _div(field.components, field.chart)
 
 
 def cross(a: VectorField3, b: VectorField3) -> VectorField3:
-    p, q = a.components, b.components
-    return VectorField3(
-        p[1] * q[2] - p[2] * q[1],
-        p[2] * q[0] - p[0] * q[2],
-        p[0] * q[1] - p[1] * q[0],
-        a.chart,
-    )
+    return VectorField3(*_cross(a.components, b.components), a.chart)
 
 
 def dot(a: VectorField3, b: VectorField3) -> RationalFunction:
-    p, q = a.components, b.components
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+    return _dot(a.components, b.components)
 
 
 def triple(a: VectorField3, b: VectorField3, c: VectorField3) -> RationalFunction:

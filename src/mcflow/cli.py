@@ -35,18 +35,14 @@ from .mcframe import (
     FrameError,
     HOLDS,
     InconsistencyError,
-    InvalidFrameError,
     NONZERO,
     NOT_APPLICABLE,
     VerificationReport,
     ZERO,
     bihamiltonian_verify,
-    build_frame,
     conformal_transform,
-    curl_identities,
     frobenius_residual,
     heisenberg_verify,
-    potential_from_gamma,
     sigma_residual,
     sigma_residual_factored,
     verify_duality,
@@ -64,6 +60,7 @@ from .numeric import (
 from .parser import ParseError, SystemSpec, parse_rational, parse_system
 from .systems import (
     BUILTIN_NAMES,
+    System,
     UnknownSystemError,
     builtin,
     concordance,
@@ -77,62 +74,13 @@ EXIT_PARSE_ERROR = 2
 EXIT_SINGULAR = 3
 
 
-class _Resolved:
-    """A system plus whatever structure could be derived for it."""
-
-    def __init__(self, name, spec, frame=None, heisenberg=None, is_builtin=False):
-        self.name = name
-        self.spec = spec
-        self.frame = frame
-        self.heisenberg = heisenberg
-        self.is_builtin = is_builtin
-        # the frame's bracket report, or the failing one that prevented a frame
-        self.bracket_report: VerificationReport | None = (
-            frame.bracket_report if frame is not None else None
-        )
-        self._potential = None
-        self._curl_report = None
-
-    def curl_report(self) -> VerificationReport:
-        """curl_identities(frame), computed once: its divergence.mv residual is
-        also every bi-Hamiltonian pair's divergence."""
-        if self._curl_report is None:
-            self._curl_report = curl_identities(self.frame)
-        return self._curl_report
-
-    def potential(self):
-        """potential_from_gamma(frame), computed once; a failure is kept and
-        raised again on every call."""
-        if self._potential is None:
-            try:
-                self._potential = potential_from_gamma(self.frame)
-            except FrameError as exc:
-                self._potential = exc
-        if isinstance(self._potential, FrameError):
-            raise self._potential
-        return self._potential
-
-
-def _resolve(target: str) -> _Resolved:
+def _resolve(target: str) -> System:
     if target in BUILTIN_NAMES:
-        system = builtin(target)
-        return _Resolved(system.name, system.spec, system.frame, system.heisenberg, True)
+        return builtin(target)
     if not os.path.exists(target):
         raise ParseError(f"{target!r} is not a built-in system or an existing file")
     with open(target, encoding="utf-8") as handle:
-        spec = parse_system(handle.read())
-    resolved = _Resolved(spec.name, spec)
-    if spec.u is not None and spec.w is not None:
-        fields = (VectorField3(*c, spec.variables) for c in (spec.v, spec.u, spec.w))
-        try:
-            resolved = _Resolved(spec.name, spec, build_frame(*fields, spec.name))
-        except InvalidFrameError as exc:
-            resolved.bracket_report = exc.report
-    return resolved
-
-
-def _velocity(resolved: _Resolved) -> VectorField3:
-    return VectorField3(*resolved.spec.v, resolved.spec.variables)
+        return System(parse_system(handle.read()))
 
 
 def _eps_integrals(spec: SystemSpec, eps: int):
@@ -146,15 +94,15 @@ def _eps_integrals(spec: SystemSpec, eps: int):
 # ---------------------------------------------------------------------------
 
 
-def _framed(r: _Resolved, args) -> bool:
+def _framed(r: System, args) -> bool:
     return r.frame is not None
 
 
-def _frameless(r: _Resolved, args) -> bool:
+def _frameless(r: System, args) -> bool:
     return r.frame is None and r.heisenberg is None
 
 
-def _frobenius_checks(r: _Resolved, args):
+def _frobenius_checks(r: System, args):
     for form, expect in (("gamma", ZERO), ("beta", ZERO), ("alpha", NONZERO)):
         relation = "=" if expect == ZERO else "!="
         yield Check.from_residual(
@@ -163,7 +111,7 @@ def _frobenius_checks(r: _Resolved, args):
         )
 
 
-def _bihamiltonian_checks(r: _Resolved, args):
+def _bihamiltonian_checks(r: System, args):
     (_, h1), *pairs = _eps_integrals(r.spec, args.eps)
     div_mv = r.curl_report().find("divergence.mv").residual_obj
     for label, h2 in pairs:
@@ -171,7 +119,7 @@ def _bihamiltonian_checks(r: _Resolved, args):
             r.frame.v, r.frame.M, h1, h2, r.name, label, div_mv).checks
 
 
-def _sigma_checks(r: _Resolved, args):
+def _sigma_checks(r: System, args):
     frame = r.frame
     chart = frame.M.chart
     rho = parse_rational(args.rho, chart) if args.rho else RationalFunction.const(1, chart)
@@ -195,9 +143,11 @@ def _sigma_checks(r: _Resolved, args):
 
 
 # Every check of a report, in report order: rows of (applies, checks), both
-# called with the resolved system and the parsed arguments.  Rows call the
-# mcframe and systems functions through this module's global names, so a
-# wrapper installed in this namespace (a tracing span) sees each call.
+# called with the resolved System and the parsed arguments.  Rows call the
+# mcframe and systems functions through module global names (the System's
+# curl report and potential through those of systems), so a wrapper
+# installed in every namespace that holds a function (a tracing span) sees
+# each call.
 _CHECKS = (
     (lambda r, args: r.heisenberg is not None,
      lambda r, args: heisenberg_verify(r.heisenberg).checks),
@@ -223,22 +173,22 @@ _CHECKS = (
      lambda r, args: (
          Check.from_residual(
              f"integral.{label}", f"iota_v d{label} = 0",
-             h.differential().interior(_velocity(r)).coeffs[0])
+             h.differential().interior(r.v).coeffs[0])
          for label, h in _eps_integrals(r.spec, args.eps))),
     (lambda r, args: _frameless(r, args) and r.spec.multiplier_hint is not None,
      lambda r, args: (Check.from_residual(
          "multiplier.invariance", "div(M v) = 0 for declared M",
-         div(_velocity(r).scale(r.spec.multiplier_hint))),)),
+         div(r.v.scale(r.spec.multiplier_hint))),)),
     (lambda r, args: _framed(r, args) and (args.rho is not None or args.f is not None),
      _sigma_checks),
     (lambda r, args: r.is_builtin and r.name in ("dh_classic", "dh_symmetric"),
      lambda r, args: dh_reduction_check().checks),
     (lambda r, args: r.is_builtin and r.name == "dh_symmetric",
-     lambda r, args: grading_check(builtin("dh_symmetric")).checks),
+     lambda r, args: grading_check(r).checks),
 )
 
 
-def _run_checks(resolved: _Resolved, args) -> VerificationReport:
+def _run_checks(resolved: System, args) -> VerificationReport:
     checks = []
     for applies, row in _CHECKS:
         if applies(resolved, args):
@@ -264,7 +214,7 @@ def _check_rows(report: VerificationReport):
     ]
 
 
-def _frame_section(resolved: _Resolved):
+def _frame_section(resolved: System):
     spec = resolved.spec
     section = {
         "variables": list(spec.variables),
@@ -279,7 +229,7 @@ def _frame_section(resolved: _Resolved):
     return section
 
 
-def _forms_section(resolved: _Resolved):
+def _forms_section(resolved: System):
     if resolved.heisenberg is not None:
         hf = resolved.heisenberg
         return {
@@ -306,7 +256,7 @@ def _forms_section(resolved: _Resolved):
     return section
 
 
-def _multiplier_section(resolved: _Resolved):
+def _multiplier_section(resolved: System):
     if resolved.frame is None:
         hint = resolved.spec.multiplier_hint
         return {"M": str(hint)} if hint is not None else None
@@ -314,10 +264,7 @@ def _multiplier_section(resolved: _Resolved):
     return {"M": str(m), "inverse": str(m.reciprocal())}
 
 
-def _concordance_section(resolved: _Resolved):
-    if not resolved.is_builtin:
-        return []
-    entries = concordance(builtin(resolved.name))
+def _concordance_section(resolved: System):
     return [
         {
             "form": e.form,
@@ -327,7 +274,7 @@ def _concordance_section(resolved: _Resolved):
             "printed": e.printed,
             "difference": e.difference,
         }
-        for e in entries
+        for e in concordance(resolved)
     ]
 
 
@@ -371,10 +318,9 @@ def _sample_checks(report: VerificationReport, args, names=None):
     return rows, all_pass
 
 
-def _integration_section(resolved: _Resolved, args):
-    v = _velocity(resolved)
+def _integration_section(resolved: System, args):
     start = Point3.real(*args.start)
-    trajectory = rk4_integrate(v, start, args.t, args.h)
+    trajectory = rk4_integrate(resolved.v, start, args.t, args.h)
     drifts = {}
     for label, h in _eps_integrals(resolved.spec, args.eps):
         drifts[label] = conservation_drift(h, trajectory)
@@ -403,7 +349,7 @@ def _document(resolved, command, sections, exit_status):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(resolved: _Resolved, args):
+def _cmd_verify(resolved: System, args):
     report = _run_checks(resolved, args)
     samples, oracle_ok = _sample_checks(report, args)
     status = EXIT_OK if report.ok and oracle_ok else EXIT_CHECK_FAILED
@@ -418,7 +364,7 @@ def _cmd_verify(resolved: _Resolved, args):
     return _document(resolved, "verify", sections, status), status
 
 
-def _cmd_derive(resolved: _Resolved, args):
+def _cmd_derive(resolved: System, args):
     sections = {
         "frame": _frame_section(resolved),
         "multiplier": _multiplier_section(resolved),
@@ -433,7 +379,7 @@ def _cmd_derive(resolved: _Resolved, args):
     return _document(resolved, "derive", sections, EXIT_OK), EXIT_OK
 
 
-def _cmd_integrate(resolved: _Resolved, args):
+def _cmd_integrate(resolved: System, args):
     sections = {
         "frame": _frame_section(resolved),
         "multiplier": _multiplier_section(resolved),
@@ -445,7 +391,7 @@ def _cmd_integrate(resolved: _Resolved, args):
     return _document(resolved, "integrate", sections, EXIT_OK), EXIT_OK
 
 
-def _cmd_sample(resolved: _Resolved, args):
+def _cmd_sample(resolved: System, args):
     report = _run_checks(resolved, args)
     names = {args.check} if args.check else None
     if names is not None:
@@ -631,7 +577,7 @@ def run(argv) -> tuple[dict | None, int, str | None]:
         UnknownSystemError,
     ) as exc:
         return None, EXIT_SINGULAR, f"degenerate or singular input: {exc}"
-    except (InvalidFrameError, FrameError, AlgebraError) as exc:
+    except (FrameError, AlgebraError) as exc:
         return None, EXIT_CHECK_FAILED, f"check failed: {exc}"
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import Record
-from .algebra import DEFAULT_CHART, RationalFunction
+from .algebra import DEFAULT_CHART, RationalFunction, widest_printed_integer
 from .calculus import LogIntegral
 
 
@@ -107,9 +107,8 @@ class _Token(Record):
         object.__setattr__(self, "column", column)
 
 
-def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
+def _tokenize(text: str, line: int = 1, column: int = 1) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = line_offset, 1
     i = 0
     while i < len(text):
         ch = text[i]
@@ -269,7 +268,8 @@ class _Parser:
 
 # Integers print in decimal, and Python converts between int and str only up to
 # sys.get_int_max_str_digits() digits (0 means no limit): a literal or a
-# constant power past that limit is refused here, before it is computed.
+# constant power past that limit is refused here, before it is computed, and a
+# system file's value that would print a longer integer in parse_system.
 
 
 def _int_literal(token: _Token) -> int:
@@ -305,10 +305,11 @@ def _parse_tokens(tokens: list[_Token], variables: Sequence[str], allow_log: boo
 
 
 def parse_expr(text: str, variables: Sequence[str] = DEFAULT_CHART,
-               allow_log: bool = False, line_offset: int = 1) -> Expr:
+               allow_log: bool = False, line_offset: int = 1, column_offset: int = 1) -> Expr:
+    """Parse text whose first character sits at (line_offset, column_offset)."""
     if not text.strip():
-        raise ParseError("empty expression", line_offset, 1)
-    return _parse_tokens(_tokenize(text, line_offset), variables, allow_log)
+        raise ParseError("empty expression", line_offset, column_offset)
+    return _parse_tokens(_tokenize(text, line_offset, column_offset), variables, allow_log)
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +435,43 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _parse_components(value: str, variables, line_no: int) -> tuple:
+def _parse_value(text: str, variables, line_no: int, column: int, allow_log: bool = False):
+    """The value of one expression of a system file, whose first character
+    sits at (line_no, column)."""
+    node = parse_expr(text, variables, allow_log, line_no, column)
+    if not allow_log:
+        value = to_rational(node, variables)
+        rationals, constants = (value,), ()
+    else:
+        value = to_log_integral(node, variables)
+        rationals = (value.rational_part, *(a for _, a in value.log_terms))
+        constants = (x for c, _ in value.log_terms for x in (c.numerator, c.denominator))
+    limit = sys.get_int_max_str_digits()
+    widest = max(*map(widest_printed_integer, rationals), *map(abs, constants), 0)
+    # an integer below 2^(3 limit) < 10^limit has at most limit digits
+    if limit and widest.bit_length() > 3 * limit and widest >= 10 ** limit:
+        raise ParseError(f"a coefficient exceeds the limit of {limit} digits",
+                         line_no, column + len(text) - len(text.lstrip()))
+    return value
+
+
+def _parse_components(value: str, variables, line_no: int, column: int) -> tuple:
     parts = value.split(";")
     if len(parts) != 3:
         raise ParseError(f"expected 3 ';'-separated components, got {len(parts)}", line_no)
-    return tuple(
-        to_rational(parse_expr(part, variables, line_offset=line_no), variables)
-        for part in parts
-    )
+    components = []
+    for part in parts:
+        components.append(_parse_value(part, variables, line_no, column))
+        column += len(part) + 1
+    return tuple(components)
 
 
 def parse_system(source: str) -> SystemSpec:
     """Parse a system document; the first error aborts with its line."""
     seen: dict[str, int] = {}
-    raw: dict[str, tuple[int, str]] = {}
-    integrals: list[tuple[str, int, str]] = []
+    # (line, value, column of the value's first character)
+    raw: dict[str, tuple[int, str, int]] = {}
+    integrals: list[tuple[str, int, str, int]] = []
     for line_no, line in enumerate(source.splitlines(), start=1):
         body = _strip_comment(line).strip()
         if not body:
@@ -457,21 +480,22 @@ def parse_system(source: str) -> SystemSpec:
         if not sep:
             raise ParseError("expected 'key: value'", line_no)
         key = key.strip()
+        column = line.index(":") + 2 + len(value) - len(value.lstrip())
         value = value.strip()
         if key.startswith("integral"):
             integral_name = key[len("integral"):].strip()
             if not integral_name:
                 raise ParseError("integral lines read 'integral <name>: <expr>'", line_no)
-            if any(existing == integral_name for existing, _, _ in integrals):
+            if any(existing == integral_name for existing, *_ in integrals):
                 raise ParseError(f"duplicate integral {integral_name!r}", line_no)
-            integrals.append((integral_name, line_no, value))
+            integrals.append((integral_name, line_no, value, column))
             continue
         if key not in ("name", "variables", "v", "u", "w", "multiplier"):
             raise ParseError(f"unknown key {key!r}", line_no)
         if key in seen:
             raise ParseError(f"duplicate key {key!r} (first on line {seen[key]})", line_no)
         seen[key] = line_no
-        raw[key] = (line_no, value)
+        raw[key] = (line_no, value, column)
 
     for required in ("name", "variables", "v"):
         if required not in raw:
@@ -481,27 +505,22 @@ def parse_system(source: str) -> SystemSpec:
     if not name:
         raise ParseError("empty system name", raw["name"][0])
 
-    vars_line, vars_value = raw["variables"]
+    vars_line, vars_value, _ = raw["variables"]
     names = tuple(part.strip() for part in vars_value.split(","))
     if len(names) != 3 or len(set(names)) != 3 or not all(
         n and (n[0].isalpha() or n[0] == "_") and n.isidentifier() for n in names
     ):
         raise ParseError("variables must be 3 distinct identifiers", vars_line)
 
-    v = _parse_components(raw["v"][1], names, raw["v"][0])
-    u = _parse_components(raw["u"][1], names, raw["u"][0]) if "u" in raw else None
-    w = _parse_components(raw["w"][1], names, raw["w"][0]) if "w" in raw else None
+    v = _parse_components(raw["v"][1], names, raw["v"][0], raw["v"][2])
+    u = _parse_components(raw["u"][1], names, raw["u"][0], raw["u"][2]) if "u" in raw else None
+    w = _parse_components(raw["w"][1], names, raw["w"][0], raw["w"][2]) if "w" in raw else None
     multiplier = None
     if "multiplier" in raw:
-        m_line, m_value = raw["multiplier"]
-        multiplier = to_rational(parse_expr(m_value, names, line_offset=m_line), names)
+        m_line, m_value, m_column = raw["multiplier"]
+        multiplier = _parse_value(m_value, names, m_line, m_column)
     resolved = tuple(
-        (
-            integral_name,
-            to_log_integral(
-                parse_expr(value, names, allow_log=True, line_offset=line_no), names
-            ),
-        )
-        for integral_name, line_no, value in integrals
+        (integral_name, _parse_value(value, names, line_no, column, allow_log=True))
+        for integral_name, line_no, value, column in integrals
     )
     return SystemSpec(name, names, v, u, w, resolved, multiplier)

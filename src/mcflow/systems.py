@@ -1,12 +1,13 @@
-"""Built-in system catalog, printed-form concordance, reduction and grading.
+"""Systems and their derived structure; the built-in catalog, printed-form
+concordance, reduction and grading.
 
-The built-ins are parsed from the .sys files shipped with the package, so
-the catalog and the file format cannot drift apart.  Each built-in also
-carries the coefficient strings of its one-forms as printed in the worked
-examples this engine reproduces; the concordance report compares those
-against the computed forms and documents every mismatching component
-instead of failing, since recomputation from the defining cross products
-is authoritative.
+A built-in and a user's .sys file are both a `System`.  The built-ins are
+parsed from the .sys files shipped with the package, so the catalog and the
+file format cannot drift apart.  The concordance report compares two
+built-ins' one-forms against the coefficient strings printed in the worked
+examples this engine reproduces, and documents every mismatching component
+instead of failing, since recomputation from the defining cross products is
+authoritative.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from .mcframe import (
     Check,
     FrameError,
     HeisenbergFrame,
-    Sl2Frame,
+    InvalidFrameError,
     VerificationReport,
     HOLDS,
     FAILS,
     NOT_APPLICABLE,
     build_frame,
+    curl_identities,
+    potential_from_gamma,
 )
 from .parser import SystemSpec, parse_rational, parse_system
 
@@ -40,18 +43,9 @@ class UnknownSystemError(Exception):
     pass
 
 
-class BuiltinSystem(Record):
-    __slots__ = ("name", "spec", "frame", "heisenberg", "printed_forms")
-    name: str
-    spec: SystemSpec
-    frame: Optional[Sl2Frame]
-    heisenberg: Optional[HeisenbergFrame]
-    # one-form coefficients as printed in the worked examples, if any
-    printed_forms: Optional[dict]
-
-
 _DH_DELTA = "72*x*y*z - 16*y^3 + 4*x^2*y^2 - 16*x^3*z - 108*z^2"
 
+# one-form coefficients as printed in the worked examples
 _PRINTED = {
     "guillot": {
         "alpha": ("0", "(2*y^2 - x)/(2*y^3)", "-x/(2*y^2*z)"),
@@ -86,34 +80,63 @@ def system_source(name: str) -> str:
     return resources.files("mcflow.data").joinpath(f"{name}.sys").read_text()
 
 
-def _heisenberg_frame(spec: SystemSpec) -> HeisenbergFrame:
-    x = RationalFunction.var("x", spec.variables)
-    return HeisenbergFrame(
-        spec.name,
-        KForm.one_form(1, 0, 0, spec.variables),
-        KForm.one_form(0, 1, -x, spec.variables),
-        KForm.one_form(0, 0, 1, spec.variables),
-        VectorField3(*spec.u, spec.variables),
-        VectorField3(*spec.v, spec.variables),
-        VectorField3(*spec.w, spec.variables),
-    )
+class System:
+    """A parsed system and the structure derived from it.
+
+    With both companion fields, the constructor builds the sl(2) frame, or
+    keeps the failing bracket report that prevents one; the shipped
+    Heisenberg example gets its Heisenberg frame instead.  The curl report
+    and the potential are computed on first use and kept.
+    """
+
+    __slots__ = ("spec", "name", "is_builtin", "v", "frame", "heisenberg",
+                 "bracket_report", "_curl_report", "_potential")
+
+    def __init__(self, spec: SystemSpec, is_builtin: bool = False):
+        self.spec = spec
+        self.name = spec.name
+        self.is_builtin = is_builtin
+        chart = spec.variables
+        self.v = VectorField3(*spec.v, chart)
+        # bracket_report: the frame's, or the failing one that prevented a frame
+        self.frame = self.heisenberg = self.bracket_report = None
+        self._curl_report = self._potential = None
+        if spec.u is None or spec.w is None:
+            return
+        u, w = VectorField3(*spec.u, chart), VectorField3(*spec.w, chart)
+        if is_builtin and spec.name == "heisenberg_example":
+            x = RationalFunction.var("x", chart)
+            omegas = (KForm.one_form(*c, chart) for c in ((1, 0, 0), (0, 1, -x), (0, 0, 1)))
+            self.heisenberg = HeisenbergFrame(spec.name, *omegas, u, self.v, w)
+            return
+        try:
+            self.frame = build_frame(self.v, u, w, spec.name)
+            self.bracket_report = self.frame.bracket_report
+        except InvalidFrameError as exc:
+            self.bracket_report = exc.report
+
+    def curl_report(self) -> VerificationReport:
+        """curl_identities(frame): its divergence.mv residual is also every
+        bi-Hamiltonian pair's divergence."""
+        if self._curl_report is None:
+            self._curl_report = curl_identities(self.frame)
+        return self._curl_report
+
+    def potential(self):
+        """potential_from_gamma(frame); a failure is raised, not kept."""
+        if self._potential is None:
+            self._potential = potential_from_gamma(self.frame)
+        return self._potential
 
 
 @lru_cache(maxsize=None)
-def builtin(name: str) -> BuiltinSystem:
-    spec = parse_system(system_source(name))
-    frame = None
-    heisenberg = None
-    if name == "heisenberg_example":
-        heisenberg = _heisenberg_frame(spec)
-    elif spec.u is not None and spec.w is not None:
-        frame = build_frame(
-            VectorField3(*spec.v, spec.variables),
-            VectorField3(*spec.u, spec.variables),
-            VectorField3(*spec.w, spec.variables),
-            name=name,
-        )
-    return BuiltinSystem(name, spec, frame, heisenberg, _PRINTED.get(name))
+def _shipped_spec(name: str) -> SystemSpec:
+    return parse_system(system_source(name))
+
+
+@lru_cache(maxsize=None)
+def builtin(name: str) -> System:
+    return System(_shipped_spec(name), is_builtin=True)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +154,11 @@ class ConcordanceEntry(Record):
     difference: str
 
 
-def concordance(system: BuiltinSystem) -> tuple[ConcordanceEntry, ...]:
-    """Componentwise comparison of computed forms against printed ones."""
-    if system.frame is None or not system.printed_forms:
+def concordance(system: System) -> tuple[ConcordanceEntry, ...]:
+    """Componentwise comparison of a built-in's computed forms against
+    printed ones."""
+    printed_forms = _PRINTED.get(system.name) if system.is_builtin else None
+    if system.frame is None or printed_forms is None:
         return ()
     frame = system.frame
     computed_forms = {
@@ -144,7 +169,7 @@ def concordance(system: BuiltinSystem) -> tuple[ConcordanceEntry, ...]:
     }
     labels = tuple(f"d{v}" for v in frame.M.chart)
     entries = []
-    for form_name, printed in system.printed_forms.items():
+    for form_name, printed in printed_forms.items():
         computed = computed_forms[form_name]
         for label, computed_coeff, printed_text in zip(labels, computed, printed):
             printed_value = parse_rational(printed_text, frame.M.chart)
@@ -174,10 +199,10 @@ def dh_reduction_check() -> VerificationReport:
     reproduce the symmetric right-hand side as a polynomial identity in
     t1, t2, t3.
     """
-    classic = builtin("dh_classic")
-    symmetric_v = parse_system(system_source("dh_symmetric")).v
-    t_chart = classic.spec.variables
-    flow = VectorField3(*classic.spec.v, t_chart)
+    classic = _shipped_spec("dh_classic")
+    symmetric_v = _shipped_spec("dh_symmetric").v
+    t_chart = classic.variables
+    flow = VectorField3(*classic.v, t_chart)
 
     t1 = Poly3.variable("t1", t_chart)
     t2 = Poly3.variable("t2", t_chart)
@@ -208,7 +233,7 @@ def dh_reduction_check() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _system_shift(system: BuiltinSystem) -> Optional[int]:
+def _system_shift(system: System) -> Optional[int]:
     """Common s with weight(v_i) = w_i + s, or None if not quasi-homogeneous."""
     shift = None
     for weight, component in zip(GRADING_WEIGHTS, system.frame.v.components):
@@ -237,7 +262,7 @@ def _form_weight(form: KForm) -> Optional[int]:
     return total
 
 
-def grading_check(system: BuiltinSystem) -> VerificationReport:
+def grading_check(system: System) -> VerificationReport:
     """Weight bookkeeping: M carries -6 and (alpha, beta, gamma) carry (0, -1, 1)."""
     if system.frame is None:
         raise FrameError(f"{system.name} carries no companion frame to grade")

@@ -227,6 +227,19 @@ class TestCheckFile:
             assert (document, status) == (None, 2)
             assert message in diagnostic and "line 3" in diagnostic
 
+    @pytest.mark.parametrize("command", [["derive"], ["verify"], ["derive", "--json"]],
+                             ids=["derive", "verify", "derive_json"])
+    def test_oversized_product_is_a_parse_error(self, tmp_path, command, capsys):
+        # each factor has 3001 digits, their product 6001
+        path = tmp_path / "big.sys"
+        path.write_text("name: big\nvariables: x, y, z\nv: 10^3000*10^3000*x + y; y; z\n")
+        status = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert status == 2 and captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (f"parse error: a coefficient exceeds the limit of {limit} "
+                                "digits (line 3, column 4)\n")
+
     def test_missing_file_exit_2(self):
         _, status, diagnostic = run(["check-file", "/nonexistent/f.sys"])
         assert status == 2
@@ -380,7 +393,12 @@ class TestCheckTable:
             return original(field)
 
         monkeypatch.setattr(mcflow.mcframe, "div", counting)
-        document, status = run_json(["verify", "guillot", "--points", "1"])
+        # a cached built-in keeps its curl report across requests
+        mcflow.systems.builtin.cache_clear()
+        try:
+            document, status = run_json(["verify", "guillot", "--points", "1"])
+        finally:
+            mcflow.systems.builtin.cache_clear()
         assert status == 0
         # divergence.mv and bihamiltonian.divergence[H2_plus] share one div(M v)
         assert sum(field == mv for field in fields) == 1
@@ -409,6 +427,35 @@ class TestCheckTable:
             mcflow.systems.builtin.cache_clear()
         assert status == 0
         assert calls == []
+
+    def test_shipped_spec_parsed_once_per_request(self, monkeypatch, capsys):
+        import mcflow.cli
+        import mcflow.parser
+        import mcflow.systems
+
+        original = mcflow.parser.parse_system
+        text = system_source("dh_symmetric")
+        parses = []
+
+        def counting(source, *args, **kwargs):
+            parses.append(source == text)
+            return original(source, *args, **kwargs)
+
+        for module in (mcflow.parser, mcflow.systems, mcflow.cli):
+            if vars(module).get("parse_system") is original:
+                monkeypatch.setattr(module, "parse_system", counting)
+        caches = [f for f in vars(mcflow.systems).values() if hasattr(f, "cache_clear")]
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            status = main(["verify", "dh_symmetric", "--points", "1"])
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        capsys.readouterr()
+        assert status == 0
+        # the frame, the reduction check and the grading row share one parse
+        assert parses.count(True) == 1
 
     def test_candidate_request_rarely_reaches_the_prs(self, monkeypatch, capsys):
         # the gcds of a sigma candidate are mostly factors of one denominator,

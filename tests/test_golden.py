@@ -34,6 +34,11 @@ CASES = [
     # guillot_conj0 pushed forward by the unit-Jacobian map
     # (x, y, z) -> (x, y + x^2, z + x*y); its multiplier has a 55-term denominator
     ("verify_guillot_conj0_tri2", ["verify", str(GOLDEN / "guillot_conj0_tri2.sys")], 0),
+    # guillot's v with the sign of u's z component flipped: [v,w] - u fails
+    ("verify_broken", ["verify", str(GOLDEN / "broken.sys")], 1),
+    ("derive_broken", ["derive", str(GOLDEN / "broken.sys")], 1),
+    # no companion fields: one declared integral and a declared multiplier
+    ("verify_partial", ["verify", str(GOLDEN / "partial.sys")], 0),
 ]
 
 

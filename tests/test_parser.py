@@ -223,6 +223,24 @@ class TestParseSystem:
             parse_system(source)
         assert info.value.line == 3
 
+    @pytest.mark.parametrize(
+        "lines, column",
+        [
+            # the 2 of a constant power past the digit limit
+            ("v: 2^100000*x; y; z", 4),
+            # the * in the second component
+            ("v: x; y +* 2; z", 10),
+            # the * of a multiplier value after two spaces
+            ("v: x; y; z\nmultiplier:  1/(x +* y)", 20),
+        ],
+        ids=["first_component", "second_component", "multiplier"],
+    )
+    def test_error_column_counts_from_the_start_of_the_line(self, lines, column):
+        source = f"name: a\nvariables: x, y, z\n{lines}\n"
+        with pytest.raises(ParseError) as info:
+            parse_system(source)
+        assert (info.value.line, info.value.column) == (source.count("\n"), column)
+
     def test_unknown_key(self):
         with pytest.raises(ParseError):
             parse_system("name: a\nvariables: x, y, z\nv: 1; 0; 0\ncolour: blue\n")
