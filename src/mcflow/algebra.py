@@ -20,6 +20,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, sub
@@ -421,6 +422,14 @@ _IMAGE_PRIME = 2**61 - 1
 # (3, 5) are unlucky for many of the conjugated inputs.
 _IMAGE_POINT = (1316287884955314770, 1536285305286904227, 1760585016385251163)
 
+# The kernel's answers, keyed by the unordered pair of primitive maps (as
+# frozensets of their terms): (primitive positive-led gcd, its leading triple).
+# Rational arithmetic pairs equal maps held by different objects again and
+# again, such as one numerator with one shared denominator.  The monic gcd is
+# unique and maps are never mutated, so a hit is the answer the kernel would
+# give; a request holds a few hundred distinct pairs.
+_gcd_memo: dict[frozenset, tuple[IntTerms, ExponentTriple]] = {}
+
 
 def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
     """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
@@ -435,7 +444,13 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
         return Poly3.const(1, a.variables)
     if a._prim == b._prim:
         return a.monic()  # a and b are proportional
-    return Poly3._make(*_canonical(_int_gcd(a._prim, b._prim), 1, 1), a.variables).monic()
+    key = frozenset((frozenset(a._prim.items()), frozenset(b._prim.items())))
+    known = _gcd_memo.get(key)
+    if known is None:
+        prim, _, lead = _canonical(_int_gcd(a._prim, b._prim), 1, 1)
+        known = _gcd_memo[key] = prim, lead
+    prim, lead = known
+    return Poly3._make(prim, Fraction(1, prim[lead]), lead, a.variables)
 
 
 def _degrees(p: IntTerms) -> tuple[int, ...]:
@@ -606,12 +621,17 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
         return a or b
     a = _int_strip(a)
     b = _int_strip(b)
+    # the common monomial factor: per axis, the least exponent in a and b
+    low = tuple(map(min, zip(*a, *b)))
     if len(a) == 1 or len(b) == 1:
-        exps = [MAX_EXPONENT] * 3
-        for p in (a, b):
-            for e in p:
-                exps = [min(x, y) for x, y in zip(exps, e)]
-        return {tuple(exps): 1}
+        return {low: 1}
+    if any(low):
+        # A shared monomial would fail the image test, and the PRS would find
+        # only content, which the factor base never learns: divide it out.
+        l0, l1, l2 = low
+        g = _int_gcd({(e0 - l0, e1 - l1, e2 - l2): c for (e0, e1, e2), c in a.items()},
+                     {(e0 - l0, e1 - l1, e2 - l2): c for (e0, e1, e2), c in b.items()})
+        return {(e0 + l0, e1 + l1, e2 + l2): c for (e0, e1, e2), c in g.items()}
     deg_a, deg_b = _degrees(a), _degrees(b)
     if _coprime_certified(a, b, deg_a, deg_b):
         return {(0, 0, 0): 1}
@@ -1053,10 +1073,27 @@ def _format_monomial(exps: ExponentTriple, variables: Sequence[str]) -> str:
     return "*".join(parts)
 
 
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0.  Python converts an int to str only up to
+    sys.get_int_max_str_digits() digits, and a derived quantity can exceed
+    that from inputs within it: a longer n is converted in chunks of fewer
+    digits than the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    width = sys.get_int_max_str_digits() - 1
+    chunks = []
+    while n:
+        n, low = divmod(n, 10**width)
+        chunks.append(low)
+    return str(chunks.pop()) + "".join(f"{c:0{width}d}" for c in reversed(chunks))
+
+
 def _format_coefficient(coeff: Fraction) -> str:
     if coeff.denominator == 1:
-        return str(coeff.numerator)
-    return f"{coeff.numerator}/{coeff.denominator}"
+        return _decimal(coeff.numerator)
+    return f"{_decimal(coeff.numerator)}/{_decimal(coeff.denominator)}"
 
 
 def format_poly(p: Poly3) -> str:

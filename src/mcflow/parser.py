@@ -30,14 +30,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import Record
-from .algebra import DEFAULT_CHART, RationalFunction, widest_printed_integer
-from .calculus import LogIntegral
+from .algebra import DEFAULT_CHART, RationalFunction, ZeroDenominatorError, widest_printed_integer
+from .calculus import LogIntegral, ZeroLogArgumentError
 
 
 class ParseError(Exception):
     """Lexical or syntactic failure, carrying a 1-based position."""
 
     def __init__(self, message: str, line: int = 1, column: int = 1):
+        self.message = message
         self.line = line
         self.column = column
         super().__init__(f"{message} (line {line}, column {column})")
@@ -437,21 +438,28 @@ def _strip_comment(line: str) -> str:
 
 def _parse_value(text: str, variables, line_no: int, column: int, allow_log: bool = False):
     """The value of one expression of a system file, whose first character
-    sits at (line_no, column)."""
-    node = parse_expr(text, variables, allow_log, line_no, column)
+    sits at (line_no, column).  Errors found while evaluating the parsed
+    expression, such as a zero divisor, carry no position of their own: they
+    report the value's first character."""
+    start = column + len(text) - len(text.lstrip())
+    try:
+        node = parse_expr(text, variables, allow_log, line_no, column)
+        try:
+            value = (to_log_integral if allow_log else to_rational)(node, variables)
+        except ParseError as exc:  # raised without a position
+            raise ParseError(exc.message, line_no, start) from None
+    except (ZeroDenominatorError, ZeroLogArgumentError) as exc:
+        raise ParseError(str(exc), line_no, start) from None
     if not allow_log:
-        value = to_rational(node, variables)
         rationals, constants = (value,), ()
     else:
-        value = to_log_integral(node, variables)
         rationals = (value.rational_part, *(a for _, a in value.log_terms))
         constants = (x for c, _ in value.log_terms for x in (c.numerator, c.denominator))
     limit = sys.get_int_max_str_digits()
     widest = max(*map(widest_printed_integer, rationals), *map(abs, constants), 0)
     # an integer below 2^(3 limit) < 10^limit has at most limit digits
     if limit and widest.bit_length() > 3 * limit and widest >= 10 ** limit:
-        raise ParseError(f"a coefficient exceeds the limit of {limit} digits",
-                         line_no, column + len(text) - len(text.lstrip()))
+        raise ParseError(f"a coefficient exceeds the limit of {limit} digits", line_no, start)
     return value
 
 

@@ -43,9 +43,11 @@ class UnknownSystemError(Exception):
     pass
 
 
-_DH_DELTA = "72*x*y*z - 16*y^3 + 4*x^2*y^2 - 16*x^3*z - 108*z^2"
-
-# one-form coefficients as printed in the worked examples
+# one-form coefficients as printed in the worked examples; a system listed in
+# _PRINTED_DENOMINATOR prints every coefficient as numerator/(denominator)
+_PRINTED_DENOMINATOR = {
+    "dh_symmetric": "72*x*y*z - 16*y^3 + 4*x^2*y^2 - 16*x^3*z - 108*z^2",
+}
 _PRINTED = {
     "guillot": {
         "alpha": ("0", "(2*y^2 - x)/(2*y^3)", "-x/(2*y^2*z)"),
@@ -55,19 +57,19 @@ _PRINTED = {
     },
     "dh_symmetric": {
         "alpha": (
-            f"(2*x*y^2 + 6*y*z - 8*x^2*z)/({_DH_DELTA})",
-            f"(12*x*z - 4*y^2)/({_DH_DELTA})",
-            f"(2*x*y - 18*z)/({_DH_DELTA})",
+            "(2*x*y^2 + 6*y*z - 8*x^2*z)",
+            "(12*x*z - 4*y^2)",
+            "(2*x*y - 18*z)",
         ),
         "beta": (
-            f"4*(6*x*z - 2*y^2)/({_DH_DELTA})",
-            f"4*(x*y - 9*z)/({_DH_DELTA})",
-            f"4*(6*y - 2*x^2)/({_DH_DELTA})",
+            "4*(6*x*z - 2*y^2)",
+            "4*(x*y - 9*z)",
+            "4*(6*y - 2*x^2)",
         ),
         "gamma": (
-            f"(18*z^2 - 8*x*y + 2*y^3)/({_DH_DELTA})",
-            f"(4*x^2*z - x*y^2 - 3*y*z)/({_DH_DELTA})",
-            f"(2*y^2 - 6*x*z)/({_DH_DELTA})",
+            "(18*z^2 - 8*x*y + 2*y^3)",
+            "(4*x^2*z - x*y^2 - 3*y*z)",
+            "(2*y^2 - 6*x*z)",
         ),
     },
 }
@@ -167,12 +169,19 @@ def concordance(system: System) -> tuple[ConcordanceEntry, ...]:
         "gamma": frame.gamma.coeffs,
         "potential": frame.gamma.coeffs,
     }
-    labels = tuple(f"d{v}" for v in frame.M.chart)
+    chart = frame.M.chart
+    labels = tuple(f"d{v}" for v in chart)
+    # the shared denominator is parsed once, not once per coefficient
+    den_text = _PRINTED_DENOMINATOR.get(system.name)
+    den = parse_rational(den_text, chart) if den_text else None
     entries = []
     for form_name, printed in printed_forms.items():
         computed = computed_forms[form_name]
         for label, computed_coeff, printed_text in zip(labels, computed, printed):
-            printed_value = parse_rational(printed_text, frame.M.chart)
+            printed_value = parse_rational(printed_text, chart)
+            if den is not None:
+                printed_value = printed_value / den
+                printed_text = f"{printed_text}/({den_text})"
             delta = computed_coeff - printed_value
             entries.append(
                 ConcordanceEntry(

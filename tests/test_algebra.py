@@ -1,3 +1,4 @@
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -337,19 +338,31 @@ class TestGcd:
         assert a.div_exact(g) * g == a
         assert b.div_exact(g) * g == b
 
+    @settings(max_examples=50, deadline=None)
+    @given(nonzero_polys, nonzero_polys, exponents)
+    def test_common_monomial_factors_out(self, a, b, exps):
+        m = Poly3({exps: 1})
+        with factor_base():
+            assert poly_gcd(m * a, m * b) == m * poly_gcd(a, b)
+
 
 @contextmanager
 def factor_base(*factors: Poly3):
     """The gcd kernel with a factor base holding exactly the given nonconstant
-    factors, in order, whether or not they divide one another."""
+    factors, in order, whether or not they divide one another, and an empty
+    gcd memo, so that every gcd reaches the kernel."""
     saved = list(algebra._factor_base)
+    saved_memo = dict(algebra._gcd_memo)
     algebra._factor_base[:] = [
         (f._prim, algebra._degrees(f._prim), f._lead) for f in factors if not f.is_constant()
     ]
+    algebra._gcd_memo.clear()
     try:
         yield algebra._factor_base
     finally:
         algebra._factor_base[:] = saved
+        algebra._gcd_memo.clear()
+        algebra._gcd_memo.update(saved_memo)
 
 
 small_polys = polys(max_terms=3).filter(lambda p: not p.is_zero())
@@ -370,6 +383,7 @@ class TestFactorBase:
         for seed in seeds:
             with factor_base(*seed) as base:
                 assert poly_gcd(left, right) == expected
+                algebra._gcd_memo.clear()
                 assert poly_gcd(right, left) == expected
                 assert len(base) <= algebra._FACTOR_BASE_SIZE
 
@@ -406,14 +420,43 @@ class TestFactorBase:
             assert factors[1]._prim not in held
 
 
+class TestGcdMemo:
+    @settings(max_examples=50, deadline=None)
+    @given(small_polys, small_polys, nonconstant_polys, nonconstant_polys)
+    def test_a_hit_equals_the_cold_answer(self, a, b, f, unrelated):
+        left, right = a * f, b * f
+        with factor_base():
+            cold = poly_gcd(left, right)
+        with factor_base(unrelated, f * unrelated):
+            poly_gcd(left, right)
+            # every call below is a hit: the kernel is never entered
+            with mock.patch.object(algebra, "_int_gcd", side_effect=AssertionError("kernel")):
+                assert poly_gcd(left, right) == cold
+                assert poly_gcd(right, left) == cold
+                assert poly_gcd(Fraction(-3, 2) * right, 5 * left) == cold
+
+    def test_one_entry_per_unordered_pair_in_any_chart(self):
+        common = X**2 + Y * Z + 1
+        a, b = (X + 2) * common, (Y - 3) * common
+        chart = ("t1", "t2", "t3")
+        with factor_base():
+            assert poly_gcd(a, b) == common
+            assert poly_gcd(2 * b, a) == common
+            moved = poly_gcd(Poly3(dict(b.terms()), chart), Poly3(dict(a.terms()), chart))
+            assert len(algebra._gcd_memo) == 1
+        assert moved == Poly3(dict(common.terms()), chart)
+
+
 def _certified(a: Poly3, b: Poly3) -> bool:
     return algebra._coprime_certified(a._prim, b._prim,
                                       algebra._degrees(a._prim), algebra._degrees(b._prim))
 
 
 def _prs_gcd(a: Poly3, b: Poly3) -> Poly3:
-    """poly_gcd with the coprimality certificate switched off."""
-    with mock.patch.object(algebra, "_coprime_certified", lambda *args: False):
+    """poly_gcd with the coprimality certificate switched off (and an empty
+    gcd memo, which would otherwise answer without the kernel)."""
+    with mock.patch.object(algebra, "_coprime_certified", lambda *args: False), \
+            mock.patch.object(algebra, "_gcd_memo", {}):
         return poly_gcd(a, b)
 
 
@@ -574,6 +617,21 @@ class TestFormatting:
     def test_single_variable_denominator_unparenthesised(self):
         assert format_rational(rf(X, Y)) == "x/y"
         assert format_rational(rf(X, Y**3)) == "x/y^3"
+
+    def test_integers_past_the_digit_limit_print_exactly(self):
+        # decimal strings made while the limit (4300 by default) allows them
+        numbers = [10**k + j for k in (639, 640, 1278, 1279, 2000) for j in (0, 1, 987654321)]
+        numbers += [7**2000, 3**4000 - 1]
+        expected = [str(n) for n in numbers]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            printed = [format_rational(rf(Poly3.const(n))) for n in numbers]
+            fraction = format_rational(rf(Fraction(-(10**1000), 7) * X))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert printed == expected
+        assert fraction == "-" + str(10**1000) + "*x/7"
 
     def test_fraction_coefficients_cleared(self):
         f = rf(X) / 2 + rf(Y) / 2

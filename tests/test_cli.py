@@ -240,6 +240,60 @@ class TestCheckFile:
         assert captured.err == (f"parse error: a coefficient exceeds the limit of {limit} "
                                 "digits (line 3, column 4)\n")
 
+    @pytest.mark.parametrize("command", [["verify"], ["verify", "--json"], ["derive"]],
+                             ids=["verify", "verify_json", "derive"])
+    def test_derived_integer_past_the_digit_limit_prints_exactly(self, tmp_path, command,
+                                                                  capsys):
+        # every value has 2201 digits; iota_v dH = (10^4400 + 10^2200)*x*y
+        path = tmp_path / "big.sys"
+        path.write_text("name: big\nvariables: x, y, z\nv: 10^2200*x; y; z\n"
+                        "integral H: 10^2200*x*y\n")
+        status = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == ["derive"]:
+            assert status == 0  # no frame: derive reports no residual
+            return
+        assert status == 1
+        residual = "1" + "0" * 2199 + "1" + "0" * 2200 + "*x*y"
+        if "--json" in command:
+            rows = json.loads(captured.out)["sections"]["checks"]
+            assert [c["residual"] for c in rows if c["check"] == "integral.H"] == [residual]
+        else:
+            assert f"residual: {residual}\n" in captured.out
+
+    def test_derived_bracket_residual_past_the_digit_limit(self, tmp_path, capsys):
+        # u is 10^2200 times guillot's, so [u,v] - 2v has 4401-digit coefficients
+        path = tmp_path / "big.sys"
+        path.write_text("name: big\nvariables: x, y, z\nv: 10^2200*x^2 + y^4; x*y; 2*y^2*z - x*z\n"
+                        "u: 2*10^2200*x; 10^2200*y; -10^2200*z\nw: -1; 0; 0\n")
+        status = main(["derive", str(path)])
+        captured = capsys.readouterr()
+        assert (status, captured.err) == (1, "")
+        assert "FAIL sl2.uv" in captured.out
+
+    @pytest.mark.parametrize(
+        "lines, diagnostic",
+        [
+            ("v: x; y; z\nintegral H: x*log(y)",
+             "log may only be scaled by rational constants (line 4, column 13)"),
+            ("v: x; y/(x-x); z", "reciprocal of zero (line 3, column 7)"),
+            # found while checking the size of a constant power
+            ("v: x; y; (1/0)^2", "reciprocal of zero (line 3, column 10)"),
+            ("v: x; y; z\nintegral H: log(x - x)",
+             "log argument is identically zero (line 4, column 13)"),
+        ],
+        ids=["log_integral", "zero_divisor", "zero_power_base", "zero_log_argument"],
+    )
+    def test_evaluation_error_reports_the_value_position(self, tmp_path, lines, diagnostic,
+                                                         capsys):
+        path = tmp_path / "bad.sys"
+        path.write_text(f"name: bad\nvariables: x, y, z\n{lines}\n")
+        status = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, "")
+        assert captured.err == f"parse error: {diagnostic}\n"
+
     def test_missing_file_exit_2(self):
         _, status, diagnostic = run(["check-file", "/nonexistent/f.sys"])
         assert status == 2
@@ -471,6 +525,7 @@ class TestCheckTable:
 
         monkeypatch.setattr(algebra, "_int_prs_gcd", counting)
         monkeypatch.setattr(algebra, "_factor_base", [], raising=False)
+        monkeypatch.setattr(algebra, "_gcd_memo", {}, raising=False)
         mcflow.systems.builtin.cache_clear()
         try:
             status = main(["verify", "dh_symmetric", "--rho=x - 2", "--f=y"])
@@ -480,12 +535,58 @@ class TestCheckTable:
         assert status == 1
         assert len(calls) <= 10
 
+    def test_guillot_candidate_rarely_reaches_the_prs(self, monkeypatch, capsys):
+        # a shared monomial used to defeat the image test, and the PRS then
+        # found only content, which the factor base does not learn
+        status, entries = kernel_entries(
+            monkeypatch, capsys, "_int_prs_gcd",
+            ["verify", "guillot", "--rho=x*z - y^2", "--f=y/(x + z)"])
+        assert status == 1
+        assert entries <= 4
+
+    def test_candidate_request_computes_each_gcd_once(self, monkeypatch, capsys):
+        # 356 kernel entries without the memo, for 124 distinct pairs of maps
+        status, entries = kernel_entries(
+            monkeypatch, capsys, "_int_gcd", ["verify", "dh_symmetric", "--rho=x - 2", "--f=y"])
+        assert status == 1
+        assert entries <= 124
+
     def test_nonzero_checks_are_never_sampled(self, capsys):
         status = main(["sample", "guillot", "--check", "frobenius.alpha"])
         out = capsys.readouterr().out
         assert status == 0
         assert "PASS frobenius.alpha" in out
         assert not [line for line in out.splitlines() if line.startswith("oracle")]
+
+
+def kernel_entries(monkeypatch, capsys, name, argv):
+    """(exit status, calls of algebra.<name> made while no call of it is
+    running) for one request that starts with no built-in system, gcd memo
+    or factor base."""
+    from mcflow import algebra
+
+    original = getattr(algebra, name)
+    depth, calls = [0], []
+
+    def counting(*args):
+        if not depth[0]:
+            calls.append(None)
+        depth[0] += 1
+        try:
+            return original(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(algebra, name, counting)
+    monkeypatch.setattr(algebra, "_factor_base", [], raising=False)
+    monkeypatch.setattr(algebra, "_gcd_memo", {}, raising=False)
+    mcflow.systems.builtin.cache_clear()
+    try:
+        status = main(argv)
+    finally:
+        mcflow.systems.builtin.cache_clear()
+    capsys.readouterr()
+    return status, len(calls)
 
 
 class TestDocumentStability:
