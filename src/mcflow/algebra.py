@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, sub
@@ -580,11 +581,29 @@ def _mod_gcd_degree(f: list[int], g: list[int]) -> int:
     return len(f) - 1
 
 
+def _one_term_slice(p: IntTerms, axis: int) -> bool:
+    """Whether some power of the axis variable has exactly one term in p."""
+    return 1 in Counter(e[axis] for e in p).values()
+
+
 def _coprime_certified(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...],
                        deg_b: tuple[int, ...]) -> bool:
     """True only if a and b (integer-primitive, with per-axis degrees deg_a
-    and deg_b) have a constant gcd; False means undecided."""
-    for axis in range(3):
+    and deg_b) have a constant gcd; False means undecided.
+
+    Once the gcd g is free of an axis, it divides each slice of a and of b
+    on that axis (the coefficient of one power of the axis variable).  If a
+    slice is one term, g is then a monomial, and g = 1 when a and b share no
+    monomial factor.  g is free of every axis on which a or b has degree 0,
+    so such an axis with a one-term slice needs no image; any other needs
+    its image only."""
+    if any(map(min, zip(*a, *b))):
+        return False  # a shared monomial factor is a common factor
+    sliced = [axis for axis in range(3) if _one_term_slice(a, axis) or _one_term_slice(b, axis)]
+    if any(not deg_a[axis] or not deg_b[axis] for axis in sliced):
+        return True
+    axes = [min(sliced, key=lambda axis: deg_a[axis] * deg_b[axis])] if sliced else range(3)
+    for axis in axes:
         if deg_a[axis] <= 0 or deg_b[axis] <= 0:
             continue
         image_a, image_b = _image(a, axis, deg_a[axis]), _image(b, axis, deg_b[axis])
@@ -626,7 +645,7 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     if len(a) == 1 or len(b) == 1:
         return {low: 1}
     if any(low):
-        # A shared monomial would fail the image test, and the PRS would find
+        # A shared monomial fails the certificate, and the PRS would find
         # only content, which the factor base never learns: divide it out.
         l0, l1, l2 = low
         g = _int_gcd({(e0 - l0, e1 - l1, e2 - l2): c for (e0, e1, e2), c in a.items()},
@@ -638,6 +657,19 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     peeled, a, b = _peel(a, b, deg_a, deg_b)
     if peeled is not None:
         return _int_mul(peeled, _int_gcd(a, b))
+    # such as a denominator against a multiple of it: when the smaller input
+    # divides the larger, one trial division replaces the PRS
+    if not all(map(le, deg_a, deg_b)):
+        a, b, deg_a, deg_b = b, a, deg_b, deg_a
+    if all(map(le, deg_a, deg_b)):
+        try:
+            _int_div_exact(b, a)
+        except NotDivisibleError:
+            pass
+        else:
+            a = _int_normalize_sign(a)
+            _learn(a)
+            return a
     main = _choose_main(deg_a, deg_b)
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
@@ -702,10 +734,11 @@ def _peel(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...], deg_b: tuple[int, ..
 
 
 def _learn(g: IntTerms) -> None:
-    """Put the primitive, positive-led gcd g, with the base factors divided
-    out, at the front of the base unless that leaves a constant.  g is
-    divided out of the entries in turn, so no entry divides another; the
-    least recently hit entry beyond _FACTOR_BASE_SIZE is dropped."""
+    """Put the gcd g, a primitive map with a positive leading coefficient,
+    with the base factors divided out, at the front of the base unless that
+    leaves a constant.  g is divided out of the entries in turn, so no entry
+    divides another; the least recently hit entry beyond _FACTOR_BASE_SIZE
+    is dropped."""
     new = (g, _degrees(g), max(g, key=_grlex_key))
     for entry in _factor_base:
         (new,), _ = _divide_out([new], entry)
@@ -832,6 +865,11 @@ class RationalFunction:
         out.den = den
         out._hash = None
         return out
+
+    @classmethod
+    def over(cls, num: Poly3, *factors: Poly3) -> "RationalFunction":
+        """num over the product of the factors, in canonical form."""
+        return cls._raw(*_normalize(num, *factors))
 
     @classmethod
     def const(cls, value: Coefficient, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
@@ -1004,17 +1042,24 @@ class RationalFunction:
         return f"RationalFunction({format_rational(self)})"
 
 
-def _normalize(num: Poly3, den: Poly3) -> tuple[Poly3, Poly3]:
-    if den.is_zero():
-        raise ZeroDenominatorError("zero denominator")
+def _normalize(num: Poly3, *factors: Poly3) -> tuple[Poly3, Poly3]:
+    """Canonical (num, den) of num over the product of the factors.  Each
+    factor is reduced against num in turn: once g = gcd(num, f) is divided
+    out of both, num is coprime to f / g, so it is coprime to the product of
+    the reduced factors.  Against factors that share or repeat a factor,
+    these gcds are much smaller than one gcd against the product."""
+    den = None
+    for f in factors:
+        if f.is_zero():
+            raise ZeroDenominatorError("zero denominator")
+        if not (num.is_zero() or f.is_constant()):
+            g = poly_gcd(num, f)
+            if not g.is_constant():
+                num = num.div_exact(g)
+                f = f.div_exact(g)
+        den = f if den is None else den * f
     if num.is_zero():
         return Poly3.zero(num.variables), Poly3.const(1, num.variables)
-    if den.is_constant():
-        return num * (1 / den.constant_value()), Poly3.const(1, num.variables)
-    g = poly_gcd(num, den)
-    if not g.is_constant():
-        num = num.div_exact(g)
-        den = den.div_exact(g)
     lc = den.leading_coefficient()
     if lc != 1:
         num = num * (1 / lc)

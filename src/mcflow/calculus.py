@@ -25,6 +25,7 @@ from .algebra import (
     Point3,
     Poly3,
     RationalFunction,
+    poly_gcd,
 )
 
 
@@ -46,20 +47,77 @@ def _rf(value, chart) -> RationalFunction:
     return RationalFunction.const(value, chart)
 
 
-# the products and the divergence on coefficient triples, shared by the
-# vector and the form operators
+# The products and the derivatives on coefficient triples, shared by the
+# vector and the form operators.  Each brings a triple over one common
+# denominator, computes with the Poly3 numerators, and normalises each output
+# coefficient once, against the factors its denominator is built from.
 
 
-def _cross(p, q) -> tuple:
+def _over_lcm(triple) -> tuple[Poly3, list[Poly3]]:
+    """(L, nums): the monic lcm L of the denominators of a triple of
+    rational functions, and their numerators over it; poly_gcd runs only
+    where two denominators differ."""
+    den = triple[0].den
+    nums = [triple[0].num]
+    for f in triple[1:]:
+        d = f.den
+        if d.is_constant():
+            nums.append(f.num * den)
+        elif den.is_constant():
+            nums = [n * d for n in nums] + [f.num]
+            den = d
+        elif d == den:
+            nums.append(f.num)
+        else:
+            g = poly_gcd(den, d)
+            up = d.div_exact(g)
+            nums = [n * up for n in nums] + [f.num * den.div_exact(g)]
+            den = den * up
+    return den, nums
+
+
+def _cross3(p, q) -> tuple:
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
-def _dot(p, q) -> RationalFunction:
+def _dot3(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
+def _grad(p: Poly3, names) -> tuple[Poly3, Poly3, Poly3]:
+    return (p.diff(names[0]), p.diff(names[1]), p.diff(names[2]))
+
+
+def _cross(p, q) -> tuple:
+    den_p, p = _over_lcm(p)
+    den_q, q = _over_lcm(q)
+    return tuple(RationalFunction.over(top, den_p, den_q) for top in _cross3(p, q))
+
+
+def _dot(p, q) -> RationalFunction:
+    den_p, p = _over_lcm(p)
+    den_q, q = _over_lcm(q)
+    return RationalFunction.over(_dot3(p, q), den_p, den_q)
+
+
+def _curl(p, names) -> tuple:
+    """curl(P/L) = (L curl(P) - grad(L) x P)/L^2."""
+    den, p = _over_lcm(p)
+    (_, py, pz), (qx, _, qz), (rx, ry, _) = (_grad(c, names) for c in p)
+    curl = (ry - qz, pz - rx, qx - py)
+    if den.is_constant():
+        return tuple(RationalFunction.over(top, den) for top in curl)
+    return tuple(RationalFunction.over(den * c - t, den, den)
+                 for c, t in zip(curl, _cross3(_grad(den, names), p)))
+
+
 def _div(p, names) -> RationalFunction:
-    return p[0].diff(names[0]) + p[1].diff(names[1]) + p[2].diff(names[2])
+    """div(P/L) = (L div(P) - grad(L) . P)/L^2."""
+    den, p = _over_lcm(p)
+    top = p[0].diff(names[0]) + p[1].diff(names[1]) + p[2].diff(names[2])
+    if den.is_constant():
+        return RationalFunction.over(top, den)
+    return RationalFunction.over(den * top - _dot3(_grad(den, names), p), den, den)
 
 
 class VectorField3:
@@ -88,12 +146,15 @@ class VectorField3:
         return all(c.is_zero() for c in self.components)
 
     def apply(self, f: RationalFunction) -> RationalFunction:
-        """Directional derivative sum_i X^i df/dx_i."""
-        total = RationalFunction.const(0, self.chart)
-        for comp, name in zip(self.components, self.chart):
-            if not comp.is_zero():
-                total = total + comp * f.diff(name)
-        return total
+        """Directional derivative sum_i X^i df/dx_i: with X = P/L and
+        f = N/E, (E (P . grad N) - N (P . grad E))/(L E^2)."""
+        den, p = _over_lcm(self.components)
+        names = self.chart
+        top = _dot3(p, _grad(f.num, names))
+        if f.den.is_constant():
+            return RationalFunction.over(top, den)
+        top = f.den * top - f.num * _dot3(p, _grad(f.den, names))
+        return RationalFunction.over(top, den, f.den, f.den)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
         return VectorField3.from_components(
@@ -245,15 +306,9 @@ class KForm:
         if self.grade == 0:
             f = self.coeffs[0]
             return KForm.one_form(f.diff(names[0]), f.diff(names[1]), f.diff(names[2]), names)
-        a = self.coeffs
         if self.grade == 1:
-            return KForm.two_form(
-                a[2].diff(names[1]) - a[1].diff(names[2]),
-                a[0].diff(names[2]) - a[2].diff(names[0]),
-                a[1].diff(names[0]) - a[0].diff(names[1]),
-                names,
-            )
-        return KForm.volume(_div(a, names), names)
+            return KForm.two_form(*_curl(self.coeffs, names), names)
+        return KForm.volume(_div(self.coeffs, names), names)
 
     def interior(self, field: VectorField3) -> "KForm":
         """Contraction of the first slot with a vector field."""

@@ -119,11 +119,22 @@ def _bihamiltonian_checks(r: System, args):
             r.frame.v, r.frame.M, h1, h2, r.name, label, div_mv).checks
 
 
+def _candidate(text: str, option: str, default: int, chart) -> RationalFunction:
+    """The value of a --rho or --f option; a zero divisor, found while
+    evaluating the parsed text, reports the option and its first character."""
+    if not text:
+        return RationalFunction.const(default, chart)
+    try:
+        return parse_rational(text, chart)
+    except ZeroDenominatorError as exc:
+        raise ParseError(f"{option}: {exc}", 1, 1 + len(text) - len(text.lstrip())) from None
+
+
 def _sigma_checks(r: System, args):
     frame = r.frame
     chart = frame.M.chart
-    rho = parse_rational(args.rho, chart) if args.rho else RationalFunction.const(1, chart)
-    f = parse_rational(args.f, chart) if args.f else RationalFunction.const(0, chart)
+    rho = _candidate(args.rho, "--rho", 1, chart)
+    f = _candidate(args.f, "--f", 0, chart)
     sigma = sigma_residual(frame.alpha, frame.gamma, frame.beta, rho, f)
     factored = sigma_residual_factored(frame.alpha, frame.gamma, frame.beta, rho, f)
     t_alpha, t_beta, t_gamma = conformal_transform(frame, rho)

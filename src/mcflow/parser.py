@@ -30,7 +30,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import Record
-from .algebra import DEFAULT_CHART, RationalFunction, ZeroDenominatorError, widest_printed_integer
+from .algebra import (
+    DEFAULT_CHART,
+    Poly3,
+    RationalFunction,
+    ZeroDenominatorError,
+    widest_printed_integer,
+)
 from .calculus import LogIntegral, ZeroLogArgumentError
 
 
@@ -319,18 +325,33 @@ def parse_expr(text: str, variables: Sequence[str] = DEFAULT_CHART,
 
 
 def to_rational(node: Expr, variables: Sequence[str] = DEFAULT_CHART) -> RationalFunction:
-    variables = tuple(variables)
+    value = _evaluate(node, tuple(variables))
+    return value if isinstance(value, RationalFunction) else RationalFunction(value)
+
+
+def _evaluate(node: Expr, variables: tuple) -> Poly3 | RationalFunction:
+    """The value of a log-free tree: a Poly3 until a quotient by a nonconstant
+    or a negative power, so that polynomial subtrees take no gcd."""
     if isinstance(node, Num):
-        return RationalFunction.const(node.value, variables)
+        return Poly3.const(node.value, variables)
     if isinstance(node, Var):
-        return RationalFunction.var(node.name, variables)
+        return Poly3.variable(node.name, variables)
     if isinstance(node, Neg):
-        return -to_rational(node.operand, variables)
+        return -_evaluate(node.operand, variables)
     if isinstance(node, Pow):
-        return to_rational(node.base, variables) ** node.exponent
+        base = _evaluate(node.base, variables)
+        if node.exponent < 0 and isinstance(base, Poly3):
+            base = RationalFunction(base)
+        return base ** node.exponent
     if isinstance(node, BinOp):
-        left = to_rational(node.left, variables)
-        right = to_rational(node.right, variables)
+        left = _evaluate(node.left, variables)
+        right = _evaluate(node.right, variables)
+        if node.op == "/" and isinstance(right, Poly3) and right.is_constant() and not right.is_zero():
+            return left * (1 / right.constant_value())
+        # a RationalFunction takes a Poly3 operand, and divides by zero with
+        # the error "reciprocal of zero"
+        if isinstance(left, Poly3) and (node.op == "/" or isinstance(right, RationalFunction)):
+            left = RationalFunction(left)
         if node.op == "+":
             return left + right
         if node.op == "-":

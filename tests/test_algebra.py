@@ -1,6 +1,7 @@
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -486,6 +487,90 @@ class TestCoprimeCertificate:
         a, b = X**2 * Y + Z**3 - 1, Y**2 * Z - X + 2
         assert _certified(a, b)
         assert poly_gcd(a, b) == _prs_gcd(a, b) == ONE
+
+
+def _images_taken(a: Poly3, b: Poly3) -> tuple[bool, int]:
+    """(certified, number of _image calls) for one certificate."""
+    with mock.patch.object(algebra, "_image", wraps=algebra._image) as image:
+        return _certified(a, b), image.call_count
+
+
+class TestOneTermSlices:
+    def test_a_shared_monomial_factor_is_never_certified(self):
+        # The y-slice of a is the one term x, and the images on the y axis,
+        # rx*(t + 1) and rx*(t + 2), are coprime; the gcd is still x.
+        a, b = X * (Y + 1), X * (Y + 2)
+        assert algebra._one_term_slice(a._prim, 1)
+        assert not _certified(a, b)
+        assert poly_gcd(a, b) == X
+
+    def test_a_coprime_pair_needs_one_image_pair(self):
+        a, b = X**2 * Y + Z**3 - 1, Y**2 * Z - X + 2
+        assert _images_taken(a, b) == (True, 2)
+
+    def test_an_input_free_of_a_sliced_axis_needs_no_image(self):
+        # a has no z; b's slice at z^1 is the one term x*y
+        a, b = X**2 - Y + 3, X * Y * Z + X**2 - 1
+        assert _images_taken(a, b) == (True, 0)
+        assert _prs_gcd(a, b) == ONE
+
+    def test_without_one_term_slices_every_axis_is_imaged(self):
+        # each power of each variable has at least two terms
+        a = X * Y + X * Z + Y * Z + X + Y + Z + 1
+        b = X * Y - 2 * X * Z + 3 * Y * Z + X - Y + 2 * Z - 5
+        assert not any(algebra._one_term_slice(p._prim, axis) for p in (a, b) for axis in range(3))
+        assert _images_taken(a, b) == (True, 6)
+        assert _prs_gcd(a, b) == ONE
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_polys, nonzero_polys)
+    def test_certified_pairs_are_coprime(self, a, b):
+        if _certified(a, b):
+            assert _prs_gcd(a, b).is_constant()
+
+
+class TestDivisibleInputs:
+    def test_a_divisor_of_the_other_input_skips_the_prs(self):
+        a, b = 3 * X**2 + Y * Z - 1, X - 2 * Y * Z + 5
+        with factor_base() as base, mock.patch.object(
+                algebra, "_int_prs_gcd", side_effect=AssertionError("PRS entered")):
+            assert poly_gcd(a, a * b) == a.monic()
+            assert poly_gcd(-a * b**2, 2 * a) == a.monic()
+            # learned once, primitive with a positive leading coefficient
+            assert [entry[0] for entry in base] == [a._prim]
+
+    def test_a_negative_led_divisor_is_learned_with_a_positive_lead(self):
+        # poly_gcd passes positive-led maps; the kernel's own recursion may not
+        a, b = 3 * X**2 + Y * Z - 1, X + Z
+        negative = {e: -c for e, c in a._prim.items()}
+        with factor_base() as base:
+            g = algebra._int_gcd(negative, algebra._int_mul(negative, b._prim))
+            assert g in (a._prim, negative)
+            assert [entry[0] for entry in base] == [a._prim]
+
+
+def test_verify_of_a_conjugated_frame_takes_few_gcds(capsys):
+    """One verify of a linearly conjugated guillot normalises each derived
+    coefficient once, not at each product and sum (1088 poly_gcd calls when
+    every operation normalised)."""
+    from mcflow.cli import main
+
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return poly_gcd(a, b)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("mcflow") and vars(m).get("poly_gcd") is poly_gcd]
+    path = Path(__file__).parent / "golden" / "guillot_conj0.sys"
+    with ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "poly_gcd", counting))
+        status = main(["verify", str(path)])
+    capsys.readouterr()
+    assert status == 0
+    assert len(calls) <= 250
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcflow.algebra import Point3, Poly3, RationalFunction
+from mcflow.algebra import ChartMismatchError, Point3, Poly3, RationalFunction
 from mcflow.calculus import (
     GradeError,
     KForm,
@@ -45,11 +45,9 @@ GUILLOT_M = rf(Poly3.const(1), 2 * Z * Y**3)
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(
     lambda c: c != 0
 )
-exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-
-
 @st.composite
-def polys(draw, max_terms=4):
+def polys(draw, max_terms=4, degree=2):
+    exponents = st.tuples(*[st.integers(0, degree)] * 3)
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         terms[draw(exponents)] = draw(coefficients)
@@ -322,6 +320,116 @@ class TestVectorCalc:
     def test_cross_is_antisymmetric(self, a, b):
         assert cross(a, b) == -cross(b, a)
         assert dot(cross(a, b), a).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the operators against per-coefficient rational arithmetic
+# ---------------------------------------------------------------------------
+
+# Each reference chains RationalFunction *, + and diff coefficient by
+# coefficient, normalising every step; the operators build each coefficient
+# over one common denominator and normalise it once.  Canonical forms are
+# unique, so the two must agree exactly.
+
+
+def ref_cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def ref_dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def ref_d(form):
+    x, y, z = form.chart
+    a = form.coeffs
+    if form.grade == 0:
+        return (a[0].diff(x), a[0].diff(y), a[0].diff(z))
+    if form.grade == 1:
+        return (a[2].diff(y) - a[1].diff(z), a[0].diff(z) - a[2].diff(x),
+                a[1].diff(x) - a[0].diff(y))
+    return (a[0].diff(x) + a[1].diff(y) + a[2].diff(z),)
+
+
+def ref_apply(field, f):
+    total = RationalFunction.const(0, field.chart)
+    for comp, name in zip(field.components, field.chart):
+        if not comp.is_zero():
+            total = total + comp * f.diff(name)
+    return total
+
+
+def ref_bracket(a, b):
+    return tuple(ref_apply(a, q) - ref_apply(b, p) for p, q in zip(a.components, b.components))
+
+
+# degree at most 1 per axis keeps the products of denominators small
+small_polys = polys(max_terms=3, degree=1)
+nonzero_small_polys = small_polys.filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def rational_triples(draw):
+    """Coefficients over the denominators the operators meet: one shared D
+    and its square, an unrelated E, their product, constants, and zeros."""
+    shared, unrelated = draw(nonzero_small_polys), draw(nonzero_small_polys)
+    denominators = st.sampled_from([Poly3.const(1), Poly3.const(3), shared, shared**2,
+                                    unrelated, shared * unrelated])
+    return tuple(rf(draw(small_polys), draw(denominators)) for _ in range(3))
+
+
+class TestCommonDenominatorOperators:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triples(), rational_triples())
+    def test_cross_and_dot(self, p, q):
+        a, b = VectorField3(*p), VectorField3(*q)
+        assert cross(a, b).components == ref_cross(p, q)
+        assert dot(a, b) == ref_dot(p, q)
+        assert KForm.one_form(*p).wedge(KForm.one_form(*q)).coeffs == ref_cross(p, q)
+        assert KForm.two_form(*p).interior(b).coeffs == ref_cross(p, q)
+        assert KForm.one_form(*p).wedge(KForm.two_form(*q)).coeffs == (ref_dot(p, q),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triples())
+    def test_exterior_derivative_and_divergence(self, p):
+        for form in (KForm.scalar(p[0]), KForm.one_form(*p), KForm.two_form(*p)):
+            assert form.d().coeffs == ref_d(form)
+        assert div(VectorField3(*p)) == ref_d(KForm.two_form(*p))[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_triples(), rational_triples())
+    def test_directional_derivative_and_bracket(self, p, q):
+        a, b = VectorField3(*p), VectorField3(*q)
+        for f in q:
+            assert a.apply(f) == ref_apply(a, f)
+        assert lie_bracket(a, b).components == ref_bracket(a, b)
+
+    def test_equal_and_power_denominators(self):
+        d = X + Y * Z
+        p = (rf(X, d), rf(Y, d**2), rf(Poly3.zero(), 1))
+        q = (rf(1, d), rf(Z, 1), rf(X - Y, 2))
+        a, b = VectorField3(*p), VectorField3(*q)
+        assert cross(a, b).components == ref_cross(p, q)
+        assert KForm.one_form(*p).d().coeffs == ref_d(KForm.one_form(*p))
+        assert lie_bracket(a, b).components == ref_bracket(a, b)
+
+    def test_charts_must_match(self):
+        other = ("u", "v", "w")
+        a = VectorField3(rf(X, Y + 1), Y, 0)
+        b = VectorField3(rf(Poly3.variable("u", other), Poly3.variable("w", other) + 2), 1, 0,
+                         other)
+        with pytest.raises(ChartMismatchError):
+            cross(a, b)
+        with pytest.raises(ChartMismatchError):
+            dot(a, b)
+        with pytest.raises(ChartMismatchError):
+            KForm.from_covector(a).interior(b)
+        # the same variables in another order are another chart
+        chart = ("y", "x", "z")
+        swapped = VectorField3(rf(Poly3.variable("y", chart), Poly3.variable("x", chart) + 1),
+                               1, Poly3.variable("z", chart), chart)
+        with pytest.raises(ChartMismatchError):
+            lie_bracket(a, swapped)
 
 
 # ---------------------------------------------------------------------------

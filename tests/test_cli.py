@@ -183,6 +183,20 @@ class TestArgumentValidation:
         assert (document, status) == (None, 2)
         assert "expected a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, diagnostic",
+        [
+            ("--rho=1/(x-x)", "--rho: reciprocal of zero (line 1, column 1)"),
+            ("--f=  y*(x-x)^-1", "--f: reciprocal of zero (line 1, column 3)"),
+        ],
+        ids=["rho", "f"],
+    )
+    def test_zero_divisor_in_a_candidate_names_the_option(self, option, diagnostic, capsys):
+        status = main(["verify", "guillot", option])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, "")
+        assert captured.err == f"parse error: {diagnostic}\n"
+
 
 class TestCheckFile:
     def test_valid_file(self, tmp_path):

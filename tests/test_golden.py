@@ -24,6 +24,9 @@ CASES = [
     ("verify_guillot_sigma_fails", ["verify", "guillot", "--rho=x + 1", "--f=y"], 1),
     ("verify_dh_symmetric_sigma_fails",
      ["verify", "dh_symmetric", "--rho=x + 1", "--f=y"], 1),
+    # sigma = rho dx + f dy over the unrelated denominators 1 and x + z
+    ("verify_guillot_sigma_unequal",
+     ["verify", "guillot", "--rho=x*z - y^2", "--f=y/(x + z)"], 1),
     # guillot under X = A x, A = [[1, -2, -1], [1, -1, -2], [1, 2, -1]]
     ("verify_guillot_conj0", ["verify", str(GOLDEN / "guillot_conj0.sys")], 0),
     ("derive_json_guillot_conj0",

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcflow.algebra import Point3, Poly3, RationalFunction
 from mcflow.calculus import LogIntegral
 from mcflow.parser import (
     BinOp,
+    Neg,
+    Num,
     ParseError,
     Pow,
     Var,
@@ -104,6 +107,64 @@ class TestParseExpr:
                                              ("0^99999999999999999999", Fraction(0))])
     def test_constant_power_within_the_digit_limit(self, text, value):
         assert parse_rational(text) == rf(Poly3.const(value))
+
+
+def reference_to_rational(node):
+    """to_rational with RationalFunction arithmetic at every node."""
+    if isinstance(node, Num):
+        return RationalFunction.const(node.value)
+    if isinstance(node, Var):
+        return RationalFunction.var(node.name)
+    if isinstance(node, Neg):
+        return -reference_to_rational(node.operand)
+    if isinstance(node, Pow):
+        return reference_to_rational(node.base) ** node.exponent
+    left, right = reference_to_rational(node.left), reference_to_rational(node.right)
+    return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__,
+            "/": left.__truediv__}[node.op](right)
+
+
+def outcome(convert, node):
+    """The value, or the type and message of the error raised."""
+    try:
+        return convert(node)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+trees = st.recursive(
+    st.one_of(st.builds(Num, st.integers(0, 3)), st.builds(Var, st.sampled_from("xyz"))),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.integers(-2, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+class TestPolynomialFirstEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(trees)
+    def test_matches_rational_arithmetic_at_every_node(self, tree):
+        assert outcome(to_rational, tree) == outcome(reference_to_rational, tree)
+
+    @pytest.mark.parametrize("text", [
+        "x/(x-x)", "(x-x)^-1", "(y - y)^(-2) + x", "x + 1/0", "0/x", "(x-x)^0",
+        "x/2", "(x^2 - 1)/(3/2) - 2^-1*y", "(x^2 - y^2)/(x + y)", "x^-2*y/(2*z)",
+    ])
+    def test_quotients_and_negative_powers(self, text):
+        tree = parse_expr(text)
+        value = outcome(to_rational, tree)
+        assert value == outcome(reference_to_rational, tree)
+        assert isinstance(value, (RationalFunction, tuple))
+
+    def test_a_zero_divisor_raises_the_same_error(self):
+        from mcflow.algebra import ZeroDenominatorError
+
+        for text in ("x/(x-x)", "(x-x)^-1", "x/0"):
+            with pytest.raises(ZeroDenominatorError, match="^reciprocal of zero$"):
+                parse_rational(text)
 
 
 class TestFormatExpr:
