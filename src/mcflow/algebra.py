@@ -17,8 +17,6 @@ what lets the rest of the package claim that a residual vanishes
 All values are immutable after construction and all operations are pure.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import Counter
@@ -997,20 +995,8 @@ class RationalFunction:
         """Exact quotient-rule partial derivative."""
         if name not in self.chart:
             raise UnknownVariableError(f"{name!r} not in chart {self.chart}")
-        num_d = self.num.diff(name)
-        if self.den.is_constant():
-            return RationalFunction._raw(num_d * (1 / self.den.constant_value()),
-                                         Poly3.const(1, self.chart))
-        den_d = self.den.diff(name)
-        # Split off gcd(den, den') first; it absorbs repeated factors and
-        # keeps the final reduction small.
-        shared = poly_gcd(self.den, den_d) if not den_d.is_zero() else Poly3.const(1, self.chart)
-        if shared.is_constant():
-            top = num_d * self.den - self.num * den_d
-            return RationalFunction(top, self.den * self.den)
-        reduced = self.den.div_exact(shared)
-        top = num_d * reduced - self.num * den_d.div_exact(shared)
-        return RationalFunction(top, self.den * reduced)
+        top = self.num.diff(name) * self.den - self.num * self.den.diff(name)
+        return RationalFunction.over(top, self.den, self.den)
 
     def eval(self, point: "Point3"):
         """Exact Fraction at exact points, float at numeric points."""

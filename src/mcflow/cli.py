@@ -11,8 +11,6 @@ Exit codes: 0 all attempted checks hold, 1 a mathematical check failed,
 text by default; --json emits a single deterministic JSON document.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -49,6 +47,7 @@ from .mcframe import (
     verify_maurer_cartan,
 )
 from .numeric import (
+    GRID_DENOMINATOR,
     NumericError,
     InconclusiveSample,
     SingularEvaluation,
@@ -503,6 +502,9 @@ def _parse_box(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected LO,HI")
     lo, hi = (float(part) for part in parts)
+    # the sampler draws grid indices between bound * GRID_DENOMINATOR
+    if not all(math.isfinite(bound * GRID_DENOMINATOR) for bound in (lo, hi)):
+        raise argparse.ArgumentTypeError("box bounds must be finite on the sampling grid")
     if hi < lo:
         raise argparse.ArgumentTypeError("box upper bound below lower bound")
     return lo, hi
@@ -553,7 +555,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="oracle sampling seed")
     parser.add_argument("--box", type=_parse_box, default=(-3.0, 3.0),
                         help="sampling box LO,HI (applied to each axis)")
-    parser.add_argument("--tol", type=float, default=1e-12, help="oracle zero tolerance")
+    parser.add_argument("--tol", type=_positive_real, default=1e-12, help="oracle zero tolerance")
     parser.add_argument("--check", help="restrict `sample` to one named check")
     return parser
 

@@ -16,8 +16,6 @@ Every check is reported with its residual kept as an exact object, so a
 numeric oracle can re-evaluate it independently.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,7 +44,7 @@ class DegenerateFrameError(FrameError):
 class InvalidFrameError(FrameError):
     """The companion fields do not close the required bracket relations."""
 
-    def __init__(self, message: str, report: Optional[VerificationReport] = None):
+    def __init__(self, message: str, report: Optional["VerificationReport"] = None):
         self.report = report
         super().__init__(message)
 

@@ -9,6 +9,8 @@ Expression grammar (recursive descent, first error aborts with position):
     exponent := ['-'] INT | '(' ['-'] INT ')'
     atom     := INT | IDENT | '(' expr ')' | 'log' '(' expr ')'
 
+Each rule returns the value of what it read; there is no syntax tree, so
+of several faults the first one reached from the left is reported.
 Implicit multiplication is rejected; ``log`` is accepted only where a
 log-combination integral is expected.  System files are UTF-8 and
 line-oriented: one ``key: value`` pair per line, ``#`` starts a comment.
@@ -22,9 +24,8 @@ line-oriented: one ``key: value`` pair per line, ``#`` starts a comment.
     multiplier: <expr>                 # optional
 """
 
-from __future__ import annotations
-
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -48,47 +49,6 @@ class ParseError(Exception):
         self.line = line
         self.column = column
         super().__init__(f"{message} (line {line}, column {column})")
-
-
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-
-class Num(Record):
-    __slots__ = ("value",)
-    value: int
-
-
-class Var(Record):
-    __slots__ = ("name",)
-    name: str
-
-
-class Neg(Record):
-    __slots__ = ("operand",)
-    operand: "Expr"
-
-
-class BinOp(Record):
-    __slots__ = ("op", "left", "right")
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
-
-
-class Pow(Record):
-    __slots__ = ("base", "exponent")
-    base: "Expr"
-    exponent: int
-
-
-class Log(Record):
-    __slots__ = ("argument",)
-    argument: "Expr"
-
-
-Expr = Num | Var | Neg | BinOp | Pow | Log
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +88,11 @@ def _tokenize(text: str, line: int = 1, column: int = 1) -> list[_Token]:
             column += 1
             i += 1
             continue
-        if ch.isdigit():
+        # int() reads decimal digits only: '²' is not one, '٣' is
+        if ch.isdecimal():
             start = i
             start_col = column
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
                 column += 1
             tokens.append(_Token("int", text[start:i], line, start_col))
@@ -155,8 +116,49 @@ def _tokenize(text: str, line: int = 1, column: int = 1) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: tokens -> values
 # ---------------------------------------------------------------------------
+
+# A rational value is a Poly3 until it is divided by a nonconstant or raised
+# to a negative power, so that polynomial values take no gcd; then it is a
+# RationalFunction.  With log allowed, a value with log terms is a _Logs.
+
+
+class _Logs:
+    """A rational part plus (coefficient, argument) log terms, in the order
+    they appear."""
+
+    __slots__ = ("rational", "terms")
+
+    def __init__(self, rational, terms: list[tuple[Fraction, RationalFunction]]):
+        self.rational = rational
+        self.terms = terms
+
+    def scaled(self, k: Fraction) -> "_Logs":
+        return _Logs(self.rational * k, [(c * k, a) for c, a in self.terms])
+
+
+def _split(value) -> tuple:
+    """The rational part and log terms of a value."""
+    return (value.rational, value.terms) if isinstance(value, _Logs) else (value, [])
+
+
+def _rational(value) -> RationalFunction:
+    return value if isinstance(value, RationalFunction) else RationalFunction(value)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _arithmetic(op: str, left, right):
+    """left op right for rational values."""
+    if op == "/" and isinstance(right, Poly3) and right.is_constant() and not right.is_zero():
+        return left * (1 / right.constant_value())
+    # a RationalFunction takes a Poly3 operand, and divides by zero with
+    # the error "reciprocal of zero"
+    if isinstance(left, Poly3) and (op == "/" or isinstance(right, RationalFunction)):
+        left = RationalFunction(left)
+    return _ARITHMETIC[op](left, right)
 
 
 class _Parser:
@@ -165,6 +167,9 @@ class _Parser:
         self.pos = 0
         self.variables = tuple(variables)
         self.allow_log = allow_log
+        # the index of the last identifier consumed: a power whose base
+        # starts after it has a constant base
+        self.last_ident = -1
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -185,37 +190,75 @@ class _Parser:
         token = self.peek()
         return token.kind == "op" and token.text in symbols
 
+    def fail(self, message: str):
+        """A misplaced log term, reported at the value's first character."""
+        first = self.tokens[0]
+        raise ParseError(message, first.line, first.column)
+
+    def combine(self, op: str, left, right):
+        if not (isinstance(left, _Logs) or isinstance(right, _Logs)):
+            return _arithmetic(op, left, right)
+        if op in "+-":
+            (left, left_terms), (right, right_terms) = _split(left), _split(right)
+            if op == "-":
+                right_terms = [(-c, a) for c, a in right_terms]
+            return _Logs(_arithmetic(op, left, right), left_terms + right_terms)
+        if op == "*":
+            for constant, logs in ((left, right), (right, left)):
+                if not isinstance(constant, _Logs) and constant.is_constant():
+                    return logs.scaled(constant.constant_value())
+            self.fail("log may only be scaled by rational constants")
+        if isinstance(right, _Logs):
+            self.fail("log terms must enter linearly, as c*log(f)")
+        if right.is_constant() and not right.is_zero():
+            return left.scaled(1 / right.constant_value())
+        self.fail("log may only be divided by nonzero constants")
+
     # grammar rules ----------------------------------------------------
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self):
+        value = self.term()
         while self.at_op("+", "-"):
             op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            value = self.combine(op, value, self.term())
+        return value
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self):
+        value = self.unary()
         while self.at_op("*", "/"):
             op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
+            value = self.combine(op, value, self.unary())
+        return value
 
-    def unary(self) -> Expr:
+    def unary(self):
         if self.at_op("-"):
             self.advance()
-            return Neg(self.unary())
+            value = self.unary()
+            return value.scaled(-1) if isinstance(value, _Logs) else -value
         return self.power()
 
-    def power(self) -> Expr:
-        start = self.peek()
+    def power(self):
+        first = self.pos
         base = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            node = Pow(base, self.exponent())
-            _check_constant_power(node, start)
-            return node
-        return base
+        if not self.at_op("^"):
+            return base
+        self.advance()
+        exponent = self.exponent()
+        if isinstance(base, _Logs):
+            self.fail("log terms must enter linearly, as c*log(f)")
+        limit = sys.get_int_max_str_digits()
+        if limit and self.last_ident < first:
+            # the base is constant: refuse a power whose numerator or
+            # denominator would have more digits than the limit, before it
+            # is computed; a positive integer n has floor(log10 n) + 1 digits
+            value = base.constant_value()
+            if abs(exponent) * math.log10(max(abs(value.numerator), value.denominator)) >= limit:
+                start = self.tokens[first]
+                raise ParseError(f"constant power exceeds the limit of {limit} digits",
+                                 start.line, start.column)
+        if exponent < 0 and isinstance(base, Poly3):
+            base = RationalFunction(base)
+        return base ** exponent
 
     def exponent(self) -> int:
         token = self.peek()
@@ -236,47 +279,53 @@ class _Parser:
         self.advance()
         return sign * _int_literal(token)
 
-    def atom(self) -> Expr:
+    def atom(self):
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Num(_int_literal(token))
+            return Poly3.const(_int_literal(token), self.variables)
         if token.kind == "ident":
+            self.last_ident = self.pos
             self.advance()
             if token.text == "log":
-                if not self.allow_log:
-                    raise ParseError("log is only allowed in integral expressions",
-                                     token.line, token.column)
-                if not self.at_op("("):
-                    raise ParseError("log takes exactly one parenthesised argument",
-                                     token.line, token.column)
-                self.advance()
-                argument = self.expr()
-                if self.at_op(","):
-                    comma = self.peek()
-                    raise ParseError("log takes exactly one argument",
-                                     comma.line, comma.column)
-                self.expect(")")
-                return Log(argument)
+                return self.log(token)
             if token.text not in self.variables:
                 raise ParseError(
                     f"unknown identifier {token.text!r}; variables are "
                     f"{', '.join(self.variables)}",
                     token.line, token.column)
-            return Var(token.text)
+            return Poly3.variable(token.text, self.variables)
         if self.at_op("("):
             self.advance()
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
-            return node
+            return value
         raise ParseError(f"expected an expression, found {token.text or 'end of input'}",
                          token.line, token.column)
 
+    def log(self, token: _Token) -> _Logs:
+        if not self.allow_log:
+            raise ParseError("log is only allowed in integral expressions",
+                             token.line, token.column)
+        if not self.at_op("("):
+            raise ParseError("log takes exactly one parenthesised argument",
+                             token.line, token.column)
+        self.advance()
+        argument = self.expr()
+        if self.at_op(","):
+            comma = self.peek()
+            raise ParseError("log takes exactly one argument", comma.line, comma.column)
+        self.expect(")")
+        if isinstance(argument, _Logs):
+            self.fail("log is only allowed in integral expressions")
+        return _Logs(Poly3.zero(self.variables), [(Fraction(1), _rational(argument))])
+
 
 # Integers print in decimal, and Python converts between int and str only up to
-# sys.get_int_max_str_digits() digits (0 means no limit): a literal or a
-# constant power past that limit is refused here, before it is computed, and a
-# system file's value that would print a longer integer in parse_system.
+# sys.get_int_max_str_digits() digits (0 means no limit): a literal past that
+# limit is refused here and a constant power in _Parser.power, before either is
+# computed, and a system file's value that would print a longer integer in
+# _parse_value.
 
 
 def _int_literal(token: _Token) -> int:
@@ -287,144 +336,31 @@ def _int_literal(token: _Token) -> int:
     return int(token.text)
 
 
-def _check_constant_power(node: Pow, start: _Token) -> None:
-    """Refuse a constant power whose numerator or denominator would have
-    more digits than the limit; start is the base's first token."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or _contains(node.base, (Var, Log)):
-        return
-    base = to_rational(node.base).constant_value()
-    largest = max(abs(base.numerator), base.denominator)
-    # a positive integer n has floor(log10 n) + 1 digits
-    if abs(node.exponent) * math.log10(largest) >= limit:
-        raise ParseError(f"constant power exceeds the limit of {limit} digits",
-                         start.line, start.column)
-
-
-def _parse_tokens(tokens: list[_Token], variables: Sequence[str], allow_log: bool) -> Expr:
-    parser = _Parser(tokens, variables, allow_log)
-    node = parser.expr()
+def _parse(text: str, variables: Sequence[str], allow_log: bool, line: int, column: int):
+    """The value of text whose first character sits at (line, column)."""
+    if not text.strip():
+        raise ParseError("empty expression", line, column)
+    parser = _Parser(_tokenize(text, line, column), variables, allow_log)
+    value = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected trailing input {trailing.text!r}",
                          trailing.line, trailing.column)
-    return node
-
-
-def parse_expr(text: str, variables: Sequence[str] = DEFAULT_CHART,
-               allow_log: bool = False, line_offset: int = 1, column_offset: int = 1) -> Expr:
-    """Parse text whose first character sits at (line_offset, column_offset)."""
-    if not text.strip():
-        raise ParseError("empty expression", line_offset, column_offset)
-    return _parse_tokens(_tokenize(text, line_offset, column_offset), variables, allow_log)
-
-
-# ---------------------------------------------------------------------------
-# AST -> values
-# ---------------------------------------------------------------------------
-
-
-def to_rational(node: Expr, variables: Sequence[str] = DEFAULT_CHART) -> RationalFunction:
-    value = _evaluate(node, tuple(variables))
-    return value if isinstance(value, RationalFunction) else RationalFunction(value)
-
-
-def _evaluate(node: Expr, variables: tuple) -> Poly3 | RationalFunction:
-    """The value of a log-free tree: a Poly3 until a quotient by a nonconstant
-    or a negative power, so that polynomial subtrees take no gcd."""
-    if isinstance(node, Num):
-        return Poly3.const(node.value, variables)
-    if isinstance(node, Var):
-        return Poly3.variable(node.name, variables)
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, variables)
-    if isinstance(node, Pow):
-        base = _evaluate(node.base, variables)
-        if node.exponent < 0 and isinstance(base, Poly3):
-            base = RationalFunction(base)
-        return base ** node.exponent
-    if isinstance(node, BinOp):
-        left = _evaluate(node.left, variables)
-        right = _evaluate(node.right, variables)
-        if node.op == "/" and isinstance(right, Poly3) and right.is_constant() and not right.is_zero():
-            return left * (1 / right.constant_value())
-        # a RationalFunction takes a Poly3 operand, and divides by zero with
-        # the error "reciprocal of zero"
-        if isinstance(left, Poly3) and (node.op == "/" or isinstance(right, RationalFunction)):
-            left = RationalFunction(left)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    raise ParseError("log is only allowed in integral expressions")
+    return value
 
 
 def parse_rational(text: str, variables: Sequence[str] = DEFAULT_CHART) -> RationalFunction:
-    return to_rational(parse_expr(text, variables), variables)
+    return _rational(_parse(text, variables, False, 1, 1))
 
 
-def _contains(node: Expr, kinds) -> bool:
-    """Whether the tree has a node of one of the given classes."""
-    if isinstance(node, kinds):
-        return True
-    if isinstance(node, Neg):
-        return _contains(node.operand, kinds)
-    if isinstance(node, Pow):
-        return _contains(node.base, kinds)
-    if isinstance(node, BinOp):
-        return _contains(node.left, kinds) or _contains(node.right, kinds)
-    return False
-
-
-def to_log_integral(node: Expr, variables: Sequence[str] = DEFAULT_CHART) -> LogIntegral:
-    """Interpret an AST as rational part plus constant multiples of logs."""
-    variables = tuple(variables)
-    rational = RationalFunction.const(0, variables)
-    logs: list[tuple[Fraction, RationalFunction]] = []
-
-    def collect(n: Expr, scale: Fraction) -> None:
-        nonlocal rational
-        if not _contains(n, Log):
-            rational = rational + to_rational(n, variables) * scale
-            return
-        if isinstance(n, Log):
-            logs.append((scale, to_rational(n.argument, variables)))
-            return
-        if isinstance(n, Neg):
-            collect(n.operand, -scale)
-            return
-        if isinstance(n, BinOp) and n.op in "+-":
-            collect(n.left, scale)
-            collect(n.right, scale if n.op == "+" else -scale)
-            return
-        if isinstance(n, BinOp) and n.op == "*":
-            for constant, logish in ((n.left, n.right), (n.right, n.left)):
-                if not _contains(constant, Log):
-                    value = to_rational(constant, variables)
-                    if value.is_constant():
-                        collect(logish, scale * value.constant_value())
-                        return
-            raise ParseError("log may only be scaled by rational constants")
-        if isinstance(n, BinOp) and n.op == "/" and not _contains(n.right, Log):
-            value = to_rational(n.right, variables)
-            if value.is_constant() and value.constant_value() != 0:
-                collect(n.left, scale / value.constant_value())
-                return
-            raise ParseError("log may only be divided by nonzero constants")
-        raise ParseError("log terms must enter linearly, as c*log(f)")
-
-    collect(node, Fraction(1))
+def _log_integral(value) -> LogIntegral:
+    """A value as an integral: log terms merged by argument, in order of
+    first appearance, with zero sums dropped."""
+    rational, terms = _split(value)
     merged: dict[RationalFunction, Fraction] = {}
-    order: list[RationalFunction] = []
-    for coeff, argument in logs:
-        if argument not in merged:
-            merged[argument] = Fraction(0)
-            order.append(argument)
-        merged[argument] += coeff
-    return LogIntegral(rational, [(merged[a], a) for a in order if merged[a] != 0])
+    for coeff, argument in terms:
+        merged[argument] = merged.get(argument, 0) + coeff
+    return LogIntegral(_rational(rational), [(c, a) for a, c in merged.items() if c != 0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +395,12 @@ def _strip_comment(line: str) -> str:
 
 def _parse_value(text: str, variables, line_no: int, column: int, allow_log: bool = False):
     """The value of one expression of a system file, whose first character
-    sits at (line_no, column).  Errors found while evaluating the parsed
-    expression, such as a zero divisor, carry no position of their own: they
-    report the value's first character."""
+    sits at (line_no, column).  A zero divisor or a log of zero carries no
+    position of its own: it reports the value's first character."""
     start = column + len(text) - len(text.lstrip())
     try:
-        node = parse_expr(text, variables, allow_log, line_no, column)
-        try:
-            value = (to_log_integral if allow_log else to_rational)(node, variables)
-        except ParseError as exc:  # raised without a position
-            raise ParseError(exc.message, line_no, start) from None
+        value = _parse(text, variables, allow_log, line_no, column)
+        value = _log_integral(value) if allow_log else _rational(value)
     except (ZeroDenominatorError, ZeroLogArgumentError) as exc:
         raise ParseError(str(exc), line_no, start) from None
     if not allow_log:

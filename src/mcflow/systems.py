@@ -10,8 +10,6 @@ instead of failing, since recomputation from the defining cross products is
 authoritative.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from importlib import resources
 from typing import Optional

@@ -655,6 +655,22 @@ class TestPartialDerivative:
             rhs = fa.diff(var) * fb + fa * fb.diff(var)
             assert lhs == rhs
 
+    def test_repeated_factor_denominator(self):
+        # d/dx of (x + y)/((x - y)^2 z^3) = -(x + 3y)/((x - y)^3 z^3)
+        f = rf(X + Y, (X - Y) ** 2 * Z**3)
+        assert f.diff("x") == rf(-(X + 3 * Y), (X - Y) ** 3 * Z**3)
+        assert f.diff("z") == rf(-3 * (X + Y), (X - Y) ** 2 * Z**4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(polys(max_terms=4), denominators(), denominators(), st.integers(1, 3))
+    def test_quotient_rule_over_repeated_factors(self, a, d, e, k):
+        f = RationalFunction(a, d**k * e)
+        for var in ("x", "y", "z"):
+            # the quotient rule in canonical arithmetic, one operation at a time
+            den = d**k * e
+            expected = rf(a.diff(var)) / rf(den) - rf(a) * rf(den.diff(var)) / rf(den) ** 2
+            assert f.diff(var) == expected
+
 
 # ---------------------------------------------------------------------------
 # evaluation

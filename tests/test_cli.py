@@ -6,6 +6,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mcflow
 from mcflow.cli import main, run
@@ -176,12 +177,28 @@ class TestArgumentValidation:
             ["integrate", "guillot", "--h", "inf"],
             ["integrate", "guillot", "--h", "nan"],
             ["integrate", "guillot", "--h", "-0.001"],
+            ["sample", "guillot", "--tol", "nan"],
+            ["sample", "guillot", "--tol", "0"],
+            ["sample", "guillot", "--tol", "-1"],
         ],
     )
     def test_bad_numeric_argument_is_a_usage_error(self, argv, capsys):
         document, status, _ = run(argv)
         assert (document, status) == (None, 2)
         assert "expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", ["nan,nan", "-inf,inf", "-1e308,1e308", "0,inf"])
+    def test_box_bound_off_the_sampling_grid_is_a_usage_error(self, box, capsys):
+        # the sampler draws integers between bound * 8: these are not finite
+        document, status, _ = run(["sample", "guillot", f"--box={box}", "--points", "2"])
+        assert (document, status) == (None, 2)
+        assert "box bounds must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--rho=\u00b2", "--f=x + 2\u2460"])
+    def test_digit_that_is_not_decimal_in_a_candidate(self, option):
+        document, status, diagnostic = run(["verify", "guillot", option])
+        assert (document, status) == (None, 2)
+        assert diagnostic.startswith("parse error: unexpected character")
 
     @pytest.mark.parametrize(
         "option, diagnostic",
@@ -308,6 +325,15 @@ class TestCheckFile:
         assert (status, captured.out) == (2, "")
         assert captured.err == f"parse error: {diagnostic}\n"
 
+    @pytest.mark.parametrize("v_line, column", [("v: \u00b2; y; z", 4), ("v: x; y; 3\u2460", 11)])
+    def test_digit_that_is_not_decimal_is_a_parse_error(self, tmp_path, v_line, column):
+        path = tmp_path / "digits.sys"
+        path.write_text(f"name: digits\nvariables: x, y, z\n{v_line}\n", encoding="utf-8")
+        document, status, diagnostic = run(["verify", str(path)])
+        assert (document, status) == (None, 2)
+        assert diagnostic.startswith("parse error: unexpected character")
+        assert diagnostic.endswith(f"(line 3, column {column})")
+
     def test_missing_file_exit_2(self):
         _, status, diagnostic = run(["check-file", "/nonexistent/f.sys"])
         assert status == 2
@@ -359,6 +385,42 @@ def check_names(argv):
     document, _, diagnostic = run(argv + ["--points", "1"])
     assert diagnostic is None, diagnostic
     return [c["check"] for c in document["sections"]["checks"]]
+
+
+# pieces of expressions, with digits and letters outside ASCII
+PIECES = ["x", "y", "z", "t", "0", "1", "2", "10", "\u00b2", "\u2460", "\u0663", "\u00e9",
+          "\u00df", "log", "+", "-", "*", "/", "^", "(", ")", ",", ";", ":", "#", " ",
+          "x*y", "1/(x-x)", "log(y)", "^-1"]
+expression_texts = st.one_of(st.lists(st.sampled_from(PIECES), max_size=8).map("".join),
+                             st.text(max_size=10))
+system_lines = st.one_of(
+    st.builds("{}: {}; {}; {}".format, st.sampled_from("vuw"),
+              expression_texts, expression_texts, expression_texts),
+    st.builds("{}: {}".format,
+              st.sampled_from(["name", "variables", "v", "multiplier", "integral H",
+                               "integral", "colour", ""]),
+              expression_texts),
+    st.just("variables: x, y, z"),
+    st.text(max_size=20),
+)
+
+
+class TestExitCodeContract:
+    """Whatever the input, a request ends in one of the four exit codes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(system_lines, max_size=6))
+    def test_any_system_file(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("fuzz") / "any.sys"
+        path.write_text("name: fuzz\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        _, status, _ = run(["verify", str(path), "--points", "2"])
+        assert status in (0, 1, 2, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(expression_texts, expression_texts)
+    def test_any_candidate(self, rho, f):
+        _, status, _ = run(["verify", "guillot", f"--rho={rho}", f"--f={f}", "--points", "2"])
+        assert status in (0, 1, 2, 3)
 
 
 class TestCheckTable:

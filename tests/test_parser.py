@@ -1,4 +1,6 @@
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,19 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcflow.algebra import Point3, Poly3, RationalFunction
 from mcflow.calculus import LogIntegral
-from mcflow.parser import (
-    BinOp,
-    Neg,
-    Num,
-    ParseError,
-    Pow,
-    Var,
-    parse_expr,
-    parse_rational,
-    parse_system,
-    to_log_integral,
-    to_rational,
-)
+from mcflow.parser import ParseError, _parse_value, parse_rational, parse_system
 
 X = Poly3.variable("x")
 Y = Poly3.variable("y")
@@ -29,13 +19,17 @@ def rf(num, den=1):
     return RationalFunction(num, den)
 
 
+def parse_integral(text, chart=("x", "y", "z")):
+    """An integral value as parse_system reads it, at line 1, column 1."""
+    return _parse_value(text, chart, 1, 1, allow_log=True)
+
+
 class TestParseExpr:
     def test_guillot_xdot(self):
-        node = parse_expr("x^2 + y^4")
-        assert node == BinOp("+", Pow(Var("x"), 2), Pow(Var("y"), 4))
+        assert parse_rational("x^2 + y^4") == rf(X**2 + Y**4)
 
     def test_unary_minus_equals_subtraction(self):
-        assert to_rational(parse_expr("-(x)")) == to_rational(parse_expr("0 - x"))
+        assert parse_rational("-(x)") == parse_rational("0 - x") == rf(-X)
 
     def test_precedence_against_reference_form(self):
         lhs = parse_rational("2*x*z - 1/2*y^2")
@@ -55,39 +49,39 @@ class TestParseExpr:
         assert parse_rational("(-x)^2") == rf(X**2)
 
     def test_power_is_right_associative_integer_only(self):
-        node = parse_expr("x^3")
-        assert node == Pow(Var("x"), 3)
+        assert parse_rational("x^3") == rf(X**3)
+        assert parse_rational("x^(3)") == parse_rational("x^3")
         assert parse_rational("x^-2") == rf(Poly3.const(1), X**2)
 
     def test_unknown_identifier_positioned(self):
         with pytest.raises(ParseError) as info:
-            parse_expr("x + foo")
+            parse_rational("x + foo")
         assert info.value.line == 1
         assert info.value.column == 5
 
     def test_non_integer_exponent(self):
         with pytest.raises(ParseError) as info:
-            parse_expr("x^y")
+            parse_rational("x^y")
         assert "exponent" in str(info.value)
 
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError):
-            parse_expr("2 x")
+            parse_rational("2 x")
 
     def test_empty_expression(self):
         with pytest.raises(ParseError):
-            parse_expr("   ")
+            parse_rational("   ")
 
     def test_log_rejected_outside_integrals(self):
         with pytest.raises(ParseError) as info:
-            parse_expr("log(x)")
+            parse_rational("log(x)")
         assert "integral" in str(info.value)
 
     def test_log_arity_error(self):
         with pytest.raises(ParseError):
-            parse_expr("log(x, y)", allow_log=True)
+            parse_integral("log(x, y)")
         with pytest.raises(ParseError):
-            parse_expr("log x", allow_log=True)
+            parse_integral("log x")
 
     def test_division_by_zero_constant(self):
         from mcflow.algebra import ZeroDenominatorError
@@ -99,7 +93,7 @@ class TestParseExpr:
                                       "x^" + "1" * 5000])
     def test_integer_past_the_digit_limit(self, text):
         with pytest.raises(ParseError, match=r"limit of \d+ digits"):
-            parse_expr(text)
+            parse_rational(text)
 
     @pytest.mark.parametrize("text, value", [("(10^2000)^2", Fraction(10) ** 4000),
                                              ("(1/2)^-13000", Fraction(2) ** 13000),
@@ -109,54 +103,73 @@ class TestParseExpr:
         assert parse_rational(text) == rf(Poly3.const(value))
 
 
-def reference_to_rational(node):
-    """to_rational with RationalFunction arithmetic at every node."""
-    if isinstance(node, Num):
-        return RationalFunction.const(node.value)
-    if isinstance(node, Var):
-        return RationalFunction.var(node.name)
-    if isinstance(node, Neg):
-        return -reference_to_rational(node.operand)
-    if isinstance(node, Pow):
-        return reference_to_rational(node.base) ** node.exponent
-    left, right = reference_to_rational(node.left), reference_to_rational(node.right)
-    return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__,
-            "/": left.__truediv__}[node.op](right)
-
-
-def outcome(convert, node):
+def outcome(function, *args):
     """The value, or the type and message of the error raised."""
     try:
-        return convert(node)
+        return function(*args)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
 
 
-trees = st.recursive(
-    st.one_of(st.builds(Num, st.integers(0, 3)), st.builds(Var, st.sampled_from("xyz"))),
+def reference(function, *operands):
+    """function of reference outcomes, with RationalFunction arithmetic at
+    every step: the first operand's error, else the outcome."""
+    for operand in operands:
+        if isinstance(operand, tuple):
+            return operand
+    return outcome(function, *operands)
+
+
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# (text, reference outcome) pairs; every operand is parenthesised
+expressions = st.recursive(
+    st.one_of(
+        st.integers(0, 3).map(lambda n: (str(n), RationalFunction.const(n))),
+        st.sampled_from("xyz").map(lambda v: (v, RationalFunction.var(v))),
+    ),
     lambda children: st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
-        st.builds(Pow, children, st.integers(-2, 3)),
+        children.map(lambda a: (f"-({a[0]})", reference(operator.neg, a[1]))),
+        st.builds(lambda op, a, b: (f"({a[0]}) {op} ({b[0]})", reference(ARITHMETIC[op], a[1], b[1])),
+                  st.sampled_from("+-*/"), children, children),
+        st.builds(lambda a, n: (f"({a[0]})^{n}", reference(operator.pow, a[1], n)),
+                  children, st.integers(-2, 3)),
     ),
     max_leaves=8,
 )
 
+RX, RY, RZ = (RationalFunction.var(v) for v in "xyz")
+
+
+def const(n):
+    return RationalFunction.const(n)
+
+
+QUOTIENTS = {
+    "x/(x-x)": lambda: RX / (RX - RX),
+    "(x-x)^-1": lambda: (RX - RX) ** -1,
+    "(y - y)^(-2) + x": lambda: (RY - RY) ** -2 + RX,
+    "x + 1/0": lambda: RX + const(1) / const(0),
+    "0/x": lambda: const(0) / RX,
+    "(x-x)^0": lambda: (RX - RX) ** 0,
+    "x/2": lambda: RX / const(2),
+    "(x^2 - 1)/(3/2) - 2^-1*y": lambda: (RX**2 - const(1)) / (const(3) / const(2)) - const(2) ** -1 * RY,
+    "(x^2 - y^2)/(x + y)": lambda: (RX**2 - RY**2) / (RX + RY),
+    "x^-2*y/(2*z)": lambda: RX**-2 * RY / (const(2) * RZ),
+}
+
 
 class TestPolynomialFirstEvaluation:
     @settings(max_examples=300, deadline=None)
-    @given(trees)
-    def test_matches_rational_arithmetic_at_every_node(self, tree):
-        assert outcome(to_rational, tree) == outcome(reference_to_rational, tree)
+    @given(expressions)
+    def test_matches_rational_arithmetic_at_every_node(self, pair):
+        text, expected = pair
+        assert outcome(parse_rational, text) == expected
 
-    @pytest.mark.parametrize("text", [
-        "x/(x-x)", "(x-x)^-1", "(y - y)^(-2) + x", "x + 1/0", "0/x", "(x-x)^0",
-        "x/2", "(x^2 - 1)/(3/2) - 2^-1*y", "(x^2 - y^2)/(x + y)", "x^-2*y/(2*z)",
-    ])
+    @pytest.mark.parametrize("text", QUOTIENTS)
     def test_quotients_and_negative_powers(self, text):
-        tree = parse_expr(text)
-        value = outcome(to_rational, tree)
-        assert value == outcome(reference_to_rational, tree)
+        value = outcome(parse_rational, text)
+        assert value == outcome(QUOTIENTS[text])
         assert isinstance(value, (RationalFunction, tuple))
 
     def test_a_zero_divisor_raises_the_same_error(self):
@@ -203,13 +216,11 @@ class TestFormatExpr:
 
 class TestParseIntegral:
     def test_guillot_h1(self):
-        h = to_log_integral(parse_expr("x^2/y^2 - y^2", allow_log=True))
+        h = parse_integral("x^2/y^2 - y^2")
         assert h == LogIntegral(rf(X**2, Y**2) - rf(Y**2), [])
 
     def test_guillot_h2_plus(self):
-        h = to_log_integral(
-            parse_expr("log(x + y^2) - 3/2*log(y) - 1/2*log(z)", allow_log=True)
-        )
+        h = parse_integral("log(x + y^2) - 3/2*log(y) - 1/2*log(z)")
         assert h == LogIntegral(
             rf(Poly3.zero()),
             [
@@ -221,19 +232,34 @@ class TestParseIntegral:
 
     def test_log_scaled_by_non_constant_rejected(self):
         with pytest.raises(ParseError):
-            to_log_integral(parse_expr("x*log(y)", allow_log=True))
+            parse_integral("x*log(y)")
 
     def test_log_over_constant(self):
-        h = to_log_integral(parse_expr("log(y)/2", allow_log=True))
+        h = parse_integral("log(y)/2")
         assert h.log_terms == ((Fraction(1, 2), rf(Y)),)
 
     def test_mixed_rational_and_log(self):
-        h = to_log_integral(parse_expr("x + 2*log(y) - log(z)/3", allow_log=True))
+        h = parse_integral("x + 2*log(y) - log(z)/3")
         assert h.rational_part == rf(X)
         assert h.log_terms == (
             (Fraction(2), rf(Y)),
             (Fraction(-1, 3), rf(Z)),
         )
+
+
+    def test_terms_merge_by_argument_in_order_of_first_appearance(self):
+        h = parse_integral("log(z)*0 + log(y) + log(z)")
+        assert h.log_terms == ((Fraction(1), rf(Z)), (Fraction(1), rf(Y)))
+
+    def test_terms_that_sum_to_zero_are_dropped(self):
+        h = parse_integral("x + log(y) - 2*(log(y)/2)")
+        assert h.rational_part == rf(X) and h.log_terms == ()
+        # a dropped term's zero argument is not an error
+        assert parse_integral("0*log(x - x)").log_terms == ()
+
+    def test_log_free_integral_is_its_rational_part(self):
+        h = parse_integral("(x^2 - 1)/(x - 1)")
+        assert h == LogIntegral(rf(X + 1), [])
 
 
 GUILLOT_SYS = """\
@@ -324,4 +350,66 @@ class TestParseSystem:
         for value in (*spec.v, *spec.u, *spec.w, spec.multiplier_hint):
             assert parse_rational(str(value), chart) == value
         for _, h in spec.integrals:
-            assert to_log_integral(parse_expr(str(h), chart, allow_log=True), chart) == h
+            assert parse_integral(str(h), chart) == h
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+def parse_error(source):
+    with pytest.raises(ParseError) as info:
+        parse_system("name: a\nvariables: x, y, z\n" + source + "\n")
+    return info.value.message, info.value.line, info.value.column
+
+
+class TestSingleFaults:
+    """One fault gives its message at its line and column; these are the
+    reports of the parser that built an expression tree first."""
+
+    @pytest.mark.parametrize("source, message, line, column", [
+        ("v: x; y +* 2; z", "expected an expression, found *", 3, 10),
+        ("v: x; y; foo", "unknown identifier 'foo'; variables are x, y, z", 3, 10),
+        ("v: x; y; 2 z", "unexpected trailing input 'z'", 3, 12),
+        ("v: x; y/(x - x); z", "reciprocal of zero", 3, 7),
+        ("v: x; (1/0)^2*y; z", "reciprocal of zero", 3, 7),
+        ("v: 2^100000*x; y; z", f"constant power exceeds the limit of {LIMIT} digits", 3, 4),
+        ("v: x + 2^100000; y; z", f"constant power exceeds the limit of {LIMIT} digits", 3, 8),
+        ("v: x*(2)^100000; y; z", f"constant power exceeds the limit of {LIMIT} digits", 3, 6),
+        ("v: (x - x + 10)^5000; y; z", f"a coefficient exceeds the limit of {LIMIT} digits", 3, 4),
+        ("v: x; y^x; z", "exponent must be an integer, found x", 3, 9),
+        ("v: x; log(y); z", "log is only allowed in integral expressions", 3, 7),
+        ("v: x; y; (z", "expected ')', found end of input", 3, 12),
+        ("v: x; y; z\nmultiplier: 1/(x - x)", "reciprocal of zero", 4, 13),
+        ("v: x; y; z\nintegral H:  x*log(y)", "log may only be scaled by rational constants", 4, 14),
+        ("v: x; y; z\nintegral H: log(y)*x + z", "log may only be scaled by rational constants", 4, 13),
+        ("v: x; y; z\nintegral H: log(y) * log(z)", "log may only be scaled by rational constants", 4, 13),
+        ("v: x; y; z\nintegral H: x + log(y)/x", "log may only be divided by nonzero constants", 4, 13),
+        ("v: x; y; z\nintegral H: x + log(y)/0", "log may only be divided by nonzero constants", 4, 13),
+        ("v: x; y; z\nintegral H: x + log(y)^2", "log terms must enter linearly, as c*log(f)", 4, 13),
+        ("v: x; y; z\nintegral H: x / log(y)", "log terms must enter linearly, as c*log(f)", 4, 13),
+        ("v: x; y; z\nintegral H:   2 + log(log(y))", "log is only allowed in integral expressions", 4, 15),
+        ("v: x; y; z\nintegral H: log(x - x) + y", "log argument is identically zero", 4, 13),
+        ("v: x; y; z\nintegral H: log(y) - log(y) + log(0)", "log argument is identically zero", 4, 13),
+        ("v: x; y; z\nintegral H: log(y) + 1/(z - z)", "reciprocal of zero", 4, 13),
+        ("v: x; y; z\nintegral H: log(x, y)", "log takes exactly one argument", 4, 18),
+        ("v: x; y; z\nintegral H: log x", "log takes exactly one parenthesised argument", 4, 13),
+    ])
+    def test_report_of_one_fault(self, source, message, line, column):
+        assert parse_error(source) == (message, line, column)
+
+    def test_several_faults_report_the_first_one_reached(self):
+        # the zero divisor stands left of the syntax error
+        assert parse_error("v: x; 1/(y-y) +* z; z") == ("reciprocal of zero", 3, 7)
+
+
+class TestUnicodeDigits:
+    @pytest.mark.parametrize("source, column", [
+        ("v: ²; y; z", 4), ("v: x; 2①; z", 8), ("v: x; y^²; z", 9)])
+    def test_a_digit_that_is_not_decimal_is_an_unexpected_character(self, source, column):
+        message, line, at = parse_error(source)
+        assert message.startswith("unexpected character") and (line, at) == (3, column)
+
+    def test_a_decimal_digit_of_another_script_is_a_number(self):
+        spec = parse_system("name: a\nvariables: x, y, z\nv: \u0663*x; y^\u0662; z\n")
+        assert spec.v == (rf(3 * X), rf(Y**2), rf(Z))
+        assert parse_rational("\u0661\u0660") == rf(Poly3.const(10))

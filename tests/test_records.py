@@ -1,4 +1,4 @@
-"""The immutable records (AST nodes, system specs, checks, frames) compare,
+"""The immutable records (tokens, system specs, checks, frames) compare,
 hash and print by their fields, and refuse assignment."""
 
 import copy
@@ -19,14 +19,18 @@ from mcflow.mcframe import (
     verify_maurer_cartan,
 )
 from mcflow.numeric import SampleVerdict
-from mcflow.parser import BinOp, Log, Neg, Num, Pow, Var, parse_expr, parse_system
+from mcflow.parser import SystemSpec, _Token, parse_rational, parse_system
 from mcflow.systems import ConcordanceEntry, builtin, system_source
 
 
 @pytest.mark.parametrize("record, shown", [
-    (Num(3), "Num(value=3)"),
-    (BinOp("+", Num(1), Var("x")), "BinOp(op='+', left=Num(value=1), right=Var(name='x'))"),
-    (Pow(Var("y"), -2), "Pow(base=Var(name='y'), exponent=-2)"),
+    (_Token("int", "3", 1, 5), "_Token(kind='int', text='3', line=1, column=5)"),
+    (VerificationReport("s", (Check("a", "b = 0", HOLDS),)),
+     "VerificationReport(system='s', checks=(Check(name='a', anchor='b = 0', status='holds', "
+     "residual_obj=None, residual=None, expect='zero'),))"),
+    (SystemSpec("toy", ("x", "y", "z"), ()),
+     "SystemSpec(name='toy', variables=('x', 'y', 'z'), v=(), u=None, w=None, integrals=(), "
+     "multiplier_hint=None)"),
     (Check("a", "b = 0", HOLDS),
      "Check(name='a', anchor='b = 0', status='holds', residual_obj=None, "
      "residual=None, expect='zero')"),
@@ -53,16 +57,18 @@ def test_parsed_system_spec_equality_and_hash():
     assert first != parse_system(system_source("dh_classic"))
 
 
-def test_ast_nodes_equality_and_hash():
-    left = parse_expr("x^2 - 3*y")
-    right = parse_expr("x ^ 2 - 3 * y")
+def test_parsed_values_and_tokens_equality_and_hash():
+    left = parse_rational("x^2 - 3*y")
+    right = parse_rational("x ^ 2 - 3 * y")
     assert left == right and hash(left) == hash(right)
-    assert left == BinOp("-", Pow(Var("x"), 2), BinOp("*", Num(3), Var("y")))
-    assert Num(1) == Num(value=1) and hash(Num(1)) == hash(Num(value=1))
-    assert Num(1) != Num(2)
+    token = _Token("int", "1", 1, 1)
+    same = _Token(kind="int", text="1", line=1, column=1)
+    assert token == same and hash(token) == hash(same)
+    assert token != _Token("int", "2", 1, 1)
     # same field values, different class
-    assert Neg(Num(1)) != Log(Num(1))
-    assert len({Neg(Num(1)), Log(Num(1)), Neg(Num(1))}) == 2
+    fields = ("a", "b", "c", "d", "e", "f")
+    assert Check(*fields) != ConcordanceEntry(*fields)
+    assert len({Check(*fields), ConcordanceEntry(*fields), Check(*fields)}) == 2
 
 
 def test_check_equality_and_hash():
@@ -100,8 +106,8 @@ def test_sl2_frame_equality_ignores_bracket_report():
 
 
 @pytest.mark.parametrize("record, field", [
-    (Num(1), "value"),
-    (BinOp("+", Num(1), Num(2)), "op"),
+    (_Token("int", "1", 1, 1), "kind"),
+    (ConcordanceEntry("alpha", "dx", "match", "0", "0", "0"), "status"),
     (Check("a", "b", HOLDS), "status"),
     (VerificationReport("s", ()), "checks"),
     (SampleVerdict("i", 1, 0.0, 1.0), "tolerance"),
