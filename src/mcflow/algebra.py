@@ -19,7 +19,6 @@ All values are immutable after construction and all operations are pure.
 
 import math
 import sys
-from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, sub
@@ -579,29 +578,11 @@ def _mod_gcd_degree(f: list[int], g: list[int]) -> int:
     return len(f) - 1
 
 
-def _one_term_slice(p: IntTerms, axis: int) -> bool:
-    """Whether some power of the axis variable has exactly one term in p."""
-    return 1 in Counter(e[axis] for e in p).values()
-
-
 def _coprime_certified(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...],
                        deg_b: tuple[int, ...]) -> bool:
     """True only if a and b (integer-primitive, with per-axis degrees deg_a
-    and deg_b) have a constant gcd; False means undecided.
-
-    Once the gcd g is free of an axis, it divides each slice of a and of b
-    on that axis (the coefficient of one power of the axis variable).  If a
-    slice is one term, g is then a monomial, and g = 1 when a and b share no
-    monomial factor.  g is free of every axis on which a or b has degree 0,
-    so such an axis with a one-term slice needs no image; any other needs
-    its image only."""
-    if any(map(min, zip(*a, *b))):
-        return False  # a shared monomial factor is a common factor
-    sliced = [axis for axis in range(3) if _one_term_slice(a, axis) or _one_term_slice(b, axis)]
-    if any(not deg_a[axis] or not deg_b[axis] for axis in sliced):
-        return True
-    axes = [min(sliced, key=lambda axis: deg_a[axis] * deg_b[axis])] if sliced else range(3)
-    for axis in axes:
+    and deg_b) have a constant gcd; False means undecided."""
+    for axis in range(3):
         if deg_a[axis] <= 0 or deg_b[axis] <= 0:
             continue
         image_a, image_b = _image(a, axis, deg_a[axis]), _image(b, axis, deg_b[axis])
@@ -655,20 +636,9 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     peeled, a, b = _peel(a, b, deg_a, deg_b)
     if peeled is not None:
         return _int_mul(peeled, _int_gcd(a, b))
-    # such as a denominator against a multiple of it: when the smaller input
-    # divides the larger, one trial division replaces the PRS
-    if not all(map(le, deg_a, deg_b)):
-        a, b, deg_a, deg_b = b, a, deg_b, deg_a
-    if all(map(le, deg_a, deg_b)):
-        try:
-            _int_div_exact(b, a)
-        except NotDivisibleError:
-            pass
-        else:
-            a = _int_normalize_sign(a)
-            _learn(a)
-            return a
     main = _choose_main(deg_a, deg_b)
+    if main < 0:
+        return {(0, 0, 0): 1}  # no variable in common, whatever the certificate said
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)
@@ -680,71 +650,56 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
 # ---------------------------------------------------------------------------
 # Factor base.  Nearly every gcd that is not coprime divides a power of one
 # denominator (the multiplier's, times a candidate rho), so its answer is a
-# factor that an earlier gcd already found.  The base keeps the primitive,
-# positive-led maps the PRS has returned, and _int_gcd divides them out of
-# both inputs before it runs the PRS.  If f divides a and b, then
-# gcd(a, b) = f * gcd(a/f, b/f), and a primitive f divides over Q iff it
-# divides over Z (Gauss): whatever the base holds, every gcd is unchanged,
-# and a miss costs only trial divisions.
+# factor that an earlier gcd already found.  The base keeps the nonconstant
+# gcds the PRS has returned, and _int_gcd divides them out of both inputs
+# before the PRS.  If f divides a and b, gcd(a, b) = f * gcd(a/f, b/f), and a
+# primitive f divides over Q iff it divides over Z (Gauss): whatever the base
+# holds, every gcd is unchanged, and a miss costs only trial divisions.
 # ---------------------------------------------------------------------------
 
 _FACTOR_BASE_SIZE = 32
-# entries (map, per-axis degrees, graded-lex leading triple), the most
-# recently hit first; no entry divides another
+# entries (map, per-axis degrees, graded-lex leading triple), the newest first
 _factor_base: list[tuple[IntTerms, tuple[int, ...], ExponentTriple]] = []
 
 
-def _divide_out(entries: list, factor) -> tuple[list, int]:
-    """The entries with the factor divided out as often as it divides all of
-    them, and how often.  Degrees and graded-lex leading monomials of a
-    product are the sums of its factors', which rules most misses out before
-    any division."""
-    f, deg_f, lead_f = factor
-    count = 0
-    while all(all(map(le, deg_f, deg)) and all(map(le, lead_f, lead)) for _, deg, lead in entries):
-        quotients = {}
-        # the smallest first: a miss there is the cheapest
-        for i in sorted(range(len(entries)), key=lambda i: len(entries[i][0])):
-            try:
-                quotients[i] = _int_div_exact(entries[i][0], f)
-            except NotDivisibleError:
-                return entries, count
-        entries = [(quotients[i], tuple(map(sub, deg, deg_f)), tuple(map(sub, lead, lead_f)))
-                   for i, (_, deg, lead) in enumerate(entries)]
-        count += 1
-    return entries, count
+def _quotient(entry, factor):
+    """entry / factor for two base entries, or None if factor does not divide
+    entry.  Degrees and graded-lex leading monomials of a product are the
+    sums of its factors', which rules most misses out before any division."""
+    (p, deg, lead), (f, deg_f, lead_f) = entry, factor
+    if not (all(map(le, deg_f, deg)) and all(map(le, lead_f, lead))):
+        return None
+    try:
+        return _int_div_exact(p, f), tuple(map(sub, deg, deg_f)), tuple(map(sub, lead, lead_f))
+    except NotDivisibleError:
+        return None
 
 
 def _peel(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...], deg_b: tuple[int, ...]):
     """(product of the base factors divided out or None, a', b'): each base
-    factor is divided out of both a and b as often as it divides both."""
-    pair = [(a, deg_a, max(a, key=_grlex_key)), (b, deg_b, max(b, key=_grlex_key))]
-    peeled, hits = None, []
-    for entry in _factor_base:
-        pair, count = _divide_out(pair, entry)
-        if count:
-            hits.append(entry)
-            power = _int_pow(entry[0], count)
-            peeled = power if peeled is None else _int_mul(peeled, power)
-    if hits:
-        _factor_base[:] = hits + [e for e in _factor_base if not any(e is h for h in hits)]
-    return peeled, pair[0][0], pair[1][0]
+    factor, newest first, is divided out of both a and b as often as it
+    divides both."""
+    left, right = (a, deg_a, max(a, key=_grlex_key)), (b, deg_b, max(b, key=_grlex_key))
+    peeled = None
+    for factor in _factor_base:
+        while (q_left := _quotient(left, factor)) and (q_right := _quotient(right, factor)):
+            left, right = q_left, q_right
+            peeled = factor[0] if peeled is None else _int_mul(peeled, factor[0])
+    return peeled, left[0], right[0]
 
 
 def _learn(g: IntTerms) -> None:
-    """Put the gcd g, a primitive map with a positive leading coefficient,
-    with the base factors divided out, at the front of the base unless that
-    leaves a constant.  g is divided out of the entries in turn, so no entry
-    divides another; the least recently hit entry beyond _FACTOR_BASE_SIZE
-    is dropped."""
+    """Put a nonconstant gcd g, primitive and positive-led, at the front of
+    the base, divided out of each entry as often as it divides it; entries
+    left constant, and the oldest beyond _FACTOR_BASE_SIZE, are dropped.  No
+    entry divides g: _peel has divided each one out of both inputs."""
     new = (g, _degrees(g), max(g, key=_grlex_key))
-    for entry in _factor_base:
-        (new,), _ = _divide_out([new], entry)
     if not any(new[1]):
         return
     kept = []
     for entry in _factor_base:
-        (entry,), _ = _divide_out([entry], new)
+        while quotient := _quotient(entry, new):
+            entry = quotient
         if any(entry[1]):
             kept.append(entry)
     _factor_base[:] = [new] + kept[:_FACTOR_BASE_SIZE - 1]

@@ -420,10 +420,6 @@ def potential_from_gamma(frame: Sl2Frame) -> PotentialVector:
             curl_a,
             target,
         )
-    if curl_a != target.scale(RationalFunction.const(scale, frame.M.chart)):
-        raise InconsistencyError(
-            "curl of the potential deviates from s M v", curl_a, target
-        )
     return PotentialVector(a, scale)
 
 

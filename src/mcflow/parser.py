@@ -147,6 +147,22 @@ def _rational(value) -> RationalFunction:
     return value if isinstance(value, RationalFunction) else RationalFunction(value)
 
 
+# A product step multiplies each term of one operand by each term of the
+# other.  Past this many term pairs a step is refused before it is computed:
+# (x + y + z)^300 would take about a minute, and no shipped or benchmark
+# input needs more than a few hundred pairs.
+_MAX_TERM_PAIRS = 10**6
+
+
+def _term_count(value) -> int:
+    """Terms of a value's rational part, numerator and denominator."""
+    if isinstance(value, Poly3):
+        return value.term_count()
+    if isinstance(value, RationalFunction):
+        return value.num.term_count() + value.den.term_count()
+    return _term_count(value.rational)
+
+
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
@@ -226,9 +242,18 @@ class _Parser:
     def term(self):
         value = self.unary()
         while self.at_op("*", "/"):
-            op = self.advance().text
-            value = self.combine(op, value, self.unary())
+            token = self.advance()
+            value = self.product(token.text, value, self.unary(), token)
         return value
+
+    def product(self, op: str, left, right, token: _Token):
+        """left op right for op '*' or '/'; past _MAX_TERM_PAIRS term pairs,
+        a ParseError at the operator token."""
+        pairs = _term_count(left) * _term_count(right)
+        if pairs > _MAX_TERM_PAIRS:
+            raise ParseError(f"a product of {pairs} term pairs exceeds the limit of "
+                             f"{_MAX_TERM_PAIRS}", token.line, token.column)
+        return self.combine(op, left, right)
 
     def unary(self):
         if self.at_op("-"):
@@ -242,7 +267,7 @@ class _Parser:
         base = self.atom()
         if not self.at_op("^"):
             return base
-        self.advance()
+        caret = self.advance()
         exponent = self.exponent()
         if isinstance(base, _Logs):
             self.fail("log terms must enter linearly, as c*log(f)")
@@ -256,9 +281,17 @@ class _Parser:
                 start = self.tokens[first]
                 raise ParseError(f"constant power exceeds the limit of {limit} digits",
                                  start.line, start.column)
-        if exponent < 0 and isinstance(base, Poly3):
-            base = RationalFunction(base)
-        return base ** exponent
+        if exponent < 0:
+            base, exponent = _rational(base).reciprocal(), -exponent
+        # square and multiply, as Poly3.__pow__, each step through product
+        result = base ** 0
+        while exponent:
+            if exponent & 1:
+                result = self.product("*", result, base, caret)
+            exponent >>= 1
+            if exponent:
+                base = self.product("*", base, base, caret)
+        return result
 
     def exponent(self) -> int:
         token = self.peek()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -213,6 +214,14 @@ class TestArgumentValidation:
         captured = capsys.readouterr()
         assert (status, captured.out) == (2, "")
         assert captured.err == f"parse error: {diagnostic}\n"
+
+    def test_a_candidate_past_the_term_pair_limit_exits_2_quickly(self):
+        start = time.process_time()
+        document, status, diagnostic = run(["verify", "guillot", "--rho=(x + y + z)^300"])
+        assert time.process_time() - start < 1
+        assert (document, status) == (None, 2)
+        assert diagnostic == ("parse error: a product of 4601025 term pairs exceeds the limit "
+                              "of 1000000 (line 1, column 12)")
 
 
 class TestCheckFile:

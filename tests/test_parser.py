@@ -1,6 +1,7 @@
 import operator
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,23 @@ class TestParseExpr:
                                              ("0^99999999999999999999", Fraction(0))])
     def test_constant_power_within_the_digit_limit(self, text, value):
         assert parse_rational(text) == rf(Poly3.const(value))
+
+    def test_a_power_past_the_term_pair_limit_is_refused_quickly(self):
+        # (x + y + z)^300 has 45451 terms and took about a minute to compute
+        source = "name: big\nvariables: x, y, z\nv: 1; 1; (x + y + z)^300\n"
+        start = time.process_time()
+        with pytest.raises(ParseError, match="term pairs exceeds the limit") as error:
+            parse_system(source)
+        assert time.process_time() - start < 1
+        assert (error.value.line, error.value.column) == (3, 21)
+
+    def test_a_product_past_the_term_pair_limit_is_refused(self):
+        # each factor has 1001 terms: 1002001 pairs
+        factor = "(" + " + ".join(f"x^{k}" for k in range(1001)) + ")"
+        with pytest.raises(ParseError, match="a product of 1002001 term pairs") as error:
+            parse_rational(f"{factor}*{factor}")
+        assert error.value.column == len(factor) + 1
+        assert parse_rational(f"{factor}*(x + y)") == rf(parse_rational(factor).num * (X + Y))
 
 
 def outcome(function, *args):

@@ -7,6 +7,8 @@ or ``Attribute`` node outside its own body carries its name.  Attributes
 match by name alone, whatever object they are read from, so a method whose
 name another class also defines could pass on the other class's use: such
 methods must also run while the CLI serves a set of covering requests.
+A private top-level function or class that no runtime code names outside
+its own body is a leftover of deleted code, and fails the same way.
 """
 
 import ast
@@ -52,13 +54,23 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _unreferenced() -> set:
+def _private_definitions(tree):
+    """(name, node) of each top-level private function and class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") \
+                and not node.name.endswith("__"):
+            yield node.name, node
+
+
+def _unreferenced(definitions=_public_definitions) -> set:
+    """module.qualname of each of the definitions that no runtime code
+    names outside its own body."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     everywhere = sum((_referenced(tree) for tree in trees.values()), Counter())
     unused = set()
     for module, tree in trees.items():
-        for qualname, node in _public_definitions(tree):
+        for qualname, node in definitions(tree):
             if everywhere[node.name] - _referenced(node)[node.name] == 0:
                 unused.add(f"{module}.{qualname}")
     return unused
@@ -66,6 +78,10 @@ def _unreferenced() -> set:
 
 def test_every_public_name_is_reached_by_runtime_code():
     assert sorted(_unreferenced() - KEPT.keys()) == []
+
+
+def test_every_private_helper_is_named_by_runtime_code():
+    assert sorted(_unreferenced(_private_definitions)) == []
 
 
 def test_every_kept_name_is_still_unreferenced():
