@@ -506,6 +506,23 @@ class TestCoprimeCertificate:
         assert _prs_gcd(a, b) == ONE
 
 
+class TestOneTermSlices:
+    """The certificate images each axis once; it has no one-term-slice short-cut."""
+
+    def test_a_coprime_pair_needs_one_image_pair(self):
+        # one image pair on each axis where both inputs have positive degree
+        a, b = X**2 * Y + Z**3 - 1, Y**2 * Z - X + 2
+        with mock.patch.object(algebra, "_image", wraps=algebra._image) as image:
+            assert _certified(a, b)
+        assert [call.args[1] for call in image.call_args_list] == [0, 0, 1, 1, 2, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_polys, nonzero_polys)
+    def test_certified_pairs_are_coprime(self, a, b):
+        if _certified(a, b):
+            assert _prs_gcd(a, b).is_constant()
+
+
 class TestDivisibleInputs:
     def test_a_divisor_of_the_other_input_is_the_gcd(self):
         a, b = 3 * X**2 + Y * Z - 1, X - 2 * Y * Z + 5
