@@ -798,17 +798,22 @@ class RationalFunction:
     Invariants: denominator nonzero and monic (graded-lex leading
     coefficient 1); numerator and denominator have no common factor.  Two
     values are equal iff their (num, den) pairs are syntactically equal.
+    Every reduction is the constructor's (``_normalize``): a sum is its
+    numerator over the lcm of the two denominators (``over_lcm``), and a
+    product reduces each numerator against the other denominator.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=1, variables: Sequence[str] | None = None):
+    def __init__(self, num, *factors):
+        """num over the product of the factors (Poly3 or exact constants),
+        in canonical form."""
         if not isinstance(num, Poly3):
-            num = Poly3.const(num, variables or DEFAULT_CHART)
-        if not isinstance(den, Poly3):
-            den = Poly3.const(den, num.variables)
-        num._require_chart(den)
-        self.num, self.den = _normalize(num, den)
+            num = Poly3.const(num)
+        factors = [f if isinstance(f, Poly3) else Poly3.const(f, num.variables) for f in factors]
+        for f in factors:
+            num._require_chart(f)
+        self.num, self.den = _normalize(num, *factors)
         self._hash = None
 
     @classmethod
@@ -818,11 +823,6 @@ class RationalFunction:
         out.den = den
         out._hash = None
         return out
-
-    @classmethod
-    def over(cls, num: Poly3, *factors: Poly3) -> "RationalFunction":
-        """num over the product of the factors, in canonical form."""
-        return cls._raw(*_normalize(num, *factors))
 
     @classmethod
     def const(cls, value: Coefficient, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
@@ -845,42 +845,14 @@ class RationalFunction:
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            if self.chart != other.chart:
-                raise ChartMismatchError(f"charts differ: {self.chart} vs {other.chart}")
-            return other
-        if isinstance(other, Poly3):
-            return RationalFunction._raw(other, Poly3.const(1, other.variables))
-        return RationalFunction.const(other, self.chart)
-
     def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
+        other = as_rational(other, self.chart)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1 == d2:
-            top = n1 + n2
-            if top.is_zero():
-                return RationalFunction.const(0, self.chart)
-            g = poly_gcd(top, d1)
-            if g.is_constant():
-                return RationalFunction._raw(top, d1)
-            return RationalFunction._raw(top.div_exact(g), d1.div_exact(g))
-        # coprime denominators too: with g0 = 1 the divisions only rescale
-        # and gcd(top, g0) returns at its constant test
-        g0 = poly_gcd(d1, d2)
-        d1r = d1.div_exact(g0)
-        d2r = d2.div_exact(g0)
-        top = n1 * d2r + n2 * d1r
-        if top.is_zero():
-            return RationalFunction.const(0, self.chart)
-        g1 = poly_gcd(top, g0)
-        if g1.is_constant():
-            return RationalFunction._raw(top, d1r * d2)
-        return RationalFunction._raw(top.div_exact(g1), d1r * (d2.div_exact(g1)))
+        den, (n1, n2) = over_lcm((self, other))
+        return RationalFunction(n1 + n2, den)
 
     __radd__ = __add__
 
@@ -888,28 +860,22 @@ class RationalFunction:
         return RationalFunction._raw(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
+        return self + (-as_rational(other, self.chart))
 
     def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) - self
+        return as_rational(other, self.chart) - self
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return RationalFunction.const(0, self.chart)
             return RationalFunction._raw(self.num * other, self.den)
-        other = self._coerce(other)
+        other = as_rational(other, self.chart)
         if self.is_zero() or other.is_zero():
             return RationalFunction.const(0, self.chart)
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g1 = poly_gcd(n1, d2)
-        if not g1.is_constant():
-            n1 = n1.div_exact(g1)
-            d2 = d2.div_exact(g1)
-        g2 = poly_gcd(n2, d1)
-        if not g2.is_constant():
-            n2 = n2.div_exact(g2)
-            d1 = d1.div_exact(g2)
+        # each numerator is already coprime to its own denominator
+        n1, d2 = _normalize(self.num, other.den)
+        n2, d1 = _normalize(other.num, self.den)
         return RationalFunction._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -921,11 +887,10 @@ class RationalFunction:
         return RationalFunction._raw(self.den * (1 / lc), self.num * (1 / lc))
 
     def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return self * other.reciprocal()
+        return self * as_rational(other, self.chart).reciprocal()
 
     def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
+        return as_rational(other, self.chart) / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):
@@ -936,7 +901,7 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Poly3)):
-            other = self._coerce(other)
+            other = as_rational(other, self.chart)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -951,7 +916,7 @@ class RationalFunction:
         if name not in self.chart:
             raise UnknownVariableError(f"{name!r} not in chart {self.chart}")
         top = self.num.diff(name) * self.den - self.num * self.den.diff(name)
-        return RationalFunction.over(top, self.den, self.den)
+        return RationalFunction(top, self.den, self.den)
 
     def eval(self, point: "Point3"):
         """Exact Fraction at exact points, float at numeric points."""
@@ -983,12 +948,47 @@ class RationalFunction:
         return f"RationalFunction({format_rational(self)})"
 
 
+def as_rational(value, chart: tuple[str, str, str]) -> RationalFunction:
+    """value as a RationalFunction: a Poly3 over 1, an exact constant on the
+    chart; a RationalFunction must already live on the chart."""
+    if isinstance(value, RationalFunction):
+        if value.chart != chart:
+            raise ChartMismatchError(f"charts differ: {value.chart} vs {chart}")
+        return value
+    if isinstance(value, Poly3):
+        return RationalFunction._raw(value, Poly3.const(1, value.variables))
+    return RationalFunction.const(value, chart)
+
+
+def over_lcm(fs: Sequence[RationalFunction]) -> tuple[Poly3, list[Poly3]]:
+    """(L, nums): the monic lcm L of the denominators of the rational
+    functions fs, and their numerators over it; poly_gcd runs only where two
+    denominators differ."""
+    den = fs[0].den
+    nums = [fs[0].num]
+    for f in fs[1:]:
+        d = f.den
+        if d.is_constant():
+            nums.append(f.num * den)
+        elif den.is_constant():
+            nums = [n * d for n in nums] + [f.num]
+            den = d
+        elif d == den:
+            nums.append(f.num)
+        else:
+            g = poly_gcd(den, d)
+            up = d.div_exact(g)
+            nums = [n * up for n in nums] + [f.num * den.div_exact(g)]
+            den = den * up
+    return den, nums
+
+
 def _normalize(num: Poly3, *factors: Poly3) -> tuple[Poly3, Poly3]:
     """Canonical (num, den) of num over the product of the factors.  Each
-    factor is reduced against num in turn: once g = gcd(num, f) is divided
-    out of both, num is coprime to f / g, so it is coprime to the product of
-    the reduced factors.  Against factors that share or repeat a factor,
-    these gcds are much smaller than one gcd against the product."""
+    nonconstant factor is reduced against num in turn: once g = gcd(num, f)
+    is divided out of both, num is coprime to f / g, so it is coprime to the
+    product of the reduced factors.  Against factors that share or repeat a
+    factor, these gcds are much smaller than one gcd against the product."""
     den = None
     for f in factors:
         if f.is_zero():
@@ -999,8 +999,8 @@ def _normalize(num: Poly3, *factors: Poly3) -> tuple[Poly3, Poly3]:
                 num = num.div_exact(g)
                 f = f.div_exact(g)
         den = f if den is None else den * f
-    if num.is_zero():
-        return Poly3.zero(num.variables), Poly3.const(1, num.variables)
+    if den is None or num.is_zero():
+        return num, Poly3.const(1, num.variables)
     lc = den.leading_coefficient()
     if lc != 1:
         num = num * (1 / lc)

@@ -23,7 +23,8 @@ from .algebra import (
     Point3,
     Poly3,
     RationalFunction,
-    poly_gcd,
+    as_rational,
+    over_lcm,
 )
 
 
@@ -35,43 +36,10 @@ class ZeroLogArgumentError(Exception):
     """log term with an identically zero argument."""
 
 
-def _rf(value, chart) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        if value.chart != chart:
-            raise ChartMismatchError(f"charts differ: {value.chart} vs {chart}")
-        return value
-    if isinstance(value, Poly3):
-        return RationalFunction(value)
-    return RationalFunction.const(value, chart)
-
-
 # The products and the derivatives on coefficient triples, shared by the
 # vector and the form operators.  Each brings a triple over one common
 # denominator, computes with the Poly3 numerators, and normalises each output
 # coefficient once, against the factors its denominator is built from.
-
-
-def _over_lcm(triple) -> tuple[Poly3, list[Poly3]]:
-    """(L, nums): the monic lcm L of the denominators of a triple of
-    rational functions, and their numerators over it; poly_gcd runs only
-    where two denominators differ."""
-    den = triple[0].den
-    nums = [triple[0].num]
-    for f in triple[1:]:
-        d = f.den
-        if d.is_constant():
-            nums.append(f.num * den)
-        elif den.is_constant():
-            nums = [n * d for n in nums] + [f.num]
-            den = d
-        elif d == den:
-            nums.append(f.num)
-        else:
-            g = poly_gcd(den, d)
-            up = d.div_exact(g)
-            nums = [n * up for n in nums] + [f.num * den.div_exact(g)]
-            den = den * up
-    return den, nums
 
 
 def _cross3(p, q) -> tuple:
@@ -87,35 +55,35 @@ def _grad(p: Poly3, names) -> tuple[Poly3, Poly3, Poly3]:
 
 
 def _cross(p, q) -> tuple:
-    den_p, p = _over_lcm(p)
-    den_q, q = _over_lcm(q)
-    return tuple(RationalFunction.over(top, den_p, den_q) for top in _cross3(p, q))
+    den_p, p = over_lcm(p)
+    den_q, q = over_lcm(q)
+    return tuple(RationalFunction(top, den_p, den_q) for top in _cross3(p, q))
 
 
 def _dot(p, q) -> RationalFunction:
-    den_p, p = _over_lcm(p)
-    den_q, q = _over_lcm(q)
-    return RationalFunction.over(_dot3(p, q), den_p, den_q)
+    den_p, p = over_lcm(p)
+    den_q, q = over_lcm(q)
+    return RationalFunction(_dot3(p, q), den_p, den_q)
 
 
 def _curl(p, names) -> tuple:
     """curl(P/L) = (L curl(P) - grad(L) x P)/L^2."""
-    den, p = _over_lcm(p)
+    den, p = over_lcm(p)
     (_, py, pz), (qx, _, qz), (rx, ry, _) = (_grad(c, names) for c in p)
     curl = (ry - qz, pz - rx, qx - py)
     if den.is_constant():
-        return tuple(RationalFunction.over(top, den) for top in curl)
-    return tuple(RationalFunction.over(den * c - t, den, den)
+        return tuple(RationalFunction(top, den) for top in curl)
+    return tuple(RationalFunction(den * c - t, den, den)
                  for c, t in zip(curl, _cross3(_grad(den, names), p)))
 
 
 def _div(p, names) -> RationalFunction:
     """div(P/L) = (L div(P) - grad(L) . P)/L^2."""
-    den, p = _over_lcm(p)
+    den, p = over_lcm(p)
     top = p[0].diff(names[0]) + p[1].diff(names[1]) + p[2].diff(names[2])
     if den.is_constant():
-        return RationalFunction.over(top, den)
-    return RationalFunction.over(den * top - _dot3(_grad(den, names), p), den, den)
+        return RationalFunction(top, den)
+    return RationalFunction(den * top - _dot3(_grad(den, names), p), den, den)
 
 
 class VectorField3:
@@ -125,7 +93,7 @@ class VectorField3:
 
     def __init__(self, cx, cy, cz, chart: Sequence[str] = DEFAULT_CHART):
         chart = tuple(chart)
-        self.components = (_rf(cx, chart), _rf(cy, chart), _rf(cz, chart))
+        self.components = tuple(as_rational(c, chart) for c in (cx, cy, cz))
 
     @classmethod
     def from_components(cls, comps: Sequence) -> "VectorField3":
@@ -146,13 +114,13 @@ class VectorField3:
     def apply(self, f: RationalFunction) -> RationalFunction:
         """Directional derivative sum_i X^i df/dx_i: with X = P/L and
         f = N/E, (E (P . grad N) - N (P . grad E))/(L E^2)."""
-        den, p = _over_lcm(self.components)
+        den, p = over_lcm(self.components)
         names = self.chart
         top = _dot3(p, _grad(f.num, names))
         if f.den.is_constant():
-            return RationalFunction.over(top, den)
+            return RationalFunction(top, den)
         top = f.den * top - f.num * _dot3(p, _grad(f.den, names))
-        return RationalFunction.over(top, den, f.den, f.den)
+        return RationalFunction(top, den, f.den, f.den)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
         return VectorField3.from_components(
@@ -168,7 +136,7 @@ class VectorField3:
         return VectorField3.from_components(tuple(-a for a in self.components))
 
     def scale(self, factor) -> "VectorField3":
-        factor = _rf(factor, self.chart)
+        factor = as_rational(factor, self.chart)
         return VectorField3.from_components(tuple(factor * a for a in self.components))
 
     def __eq__(self, other) -> bool:
@@ -195,7 +163,7 @@ class KForm:
         if grade not in _BASIS_SIZE:
             raise GradeError(f"grade must be 0..3, got {grade}")
         chart = tuple(chart)
-        coeffs = tuple(_rf(c, chart) for c in coeffs)
+        coeffs = tuple(as_rational(c, chart) for c in coeffs)
         if len(coeffs) != _BASIS_SIZE[grade]:
             raise GradeError(
                 f"grade {grade} needs {_BASIS_SIZE[grade]} coefficients, got {len(coeffs)}"
@@ -260,7 +228,7 @@ class KForm:
         return KForm(self.grade, tuple(-a for a in self.coeffs), self.chart)
 
     def scale(self, factor) -> "KForm":
-        factor = _rf(factor, self.chart)
+        factor = as_rational(factor, self.chart)
         return KForm(self.grade, tuple(factor * a for a in self.coeffs), self.chart)
 
     def __eq__(self, other) -> bool:

@@ -119,12 +119,15 @@ def _bihamiltonian_checks(r: System, args):
 
 
 def _candidate(text: str, option: str, default: int, chart) -> RationalFunction:
-    """The value of a --rho or --f option; a zero divisor, found while
-    evaluating the parsed text, reports the option and its first character."""
+    """The value of a --rho or --f option.  Every parse error names the
+    option; a zero divisor, found while evaluating the parsed text, reports
+    the column of its first character."""
     if not text:
         return RationalFunction.const(default, chart)
     try:
         return parse_rational(text, chart)
+    except ParseError as exc:
+        raise ParseError(f"{option}: {exc.message}", exc.line, exc.column) from None
     except ZeroDenominatorError as exc:
         raise ParseError(f"{option}: {exc}", 1, 1 + len(text) - len(text.lstrip())) from None
 
@@ -492,9 +495,12 @@ def _render_text(doc) -> str:
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return tuple(float(Fraction(part.strip())) for part in parts)
+    try:
+        if len(parts) == 3:
+            return tuple(float(Fraction(part.strip())) for part in parts)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected three comma-separated finite numbers, got {text!r}")
 
 
 def _parse_box(text: str) -> tuple[float, float]:
@@ -565,6 +571,9 @@ def run(argv) -> tuple[dict | None, int, str | None]:
     parser = _build_arg_parser()
     try:
         args = parser.parse_args(argv)
+        if not math.isfinite(args.t / args.h):
+            parser.error(f"argument --t/--h: --t={args.t} over --h={args.h} "
+                         "is not a finite step count")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return None, (EXIT_OK if code == 0 else EXIT_PARSE_ERROR), None

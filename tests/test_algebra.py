@@ -1,3 +1,4 @@
+import math
 import sys
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
@@ -615,6 +616,63 @@ class TestRationalFunction:
         assert (fa + fb) - fb == fa
         if not fb.is_zero():
             assert (fa / fb) * fb == fa
+
+
+def _reference(num: Poly3, den: Poly3) -> tuple[Poly3, Poly3]:
+    """Canonical (num, den) by one gcd against the whole unreduced
+    denominator, then monic scaling: independent of the engine's
+    factor-at-a-time reduction."""
+    if num.is_zero():
+        return num, ONE
+    g = poly_gcd(num, den)
+    num, den = num.div_exact(g), den.div_exact(g)
+    lc = den.leading_coefficient()
+    return num * (1 / lc), den * (1 / lc)
+
+
+@st.composite
+def denominator_pairs(draw):
+    """Two denominators that share a factor, repeat one (g*e1 and g^2*e2),
+    are coprime (one in x alone, one free of x) or include a constant."""
+    g, e1, e2 = draw(denominators()), draw(denominators()), draw(denominators())
+    shape = draw(st.sampled_from(["shared", "repeated", "coprime", "constant"]))
+    if shape == "shared":
+        return g * e1, g * e2
+    if shape == "repeated":
+        return g * e1, g**2 * e2
+    if shape == "coprime":
+        in_x = math.prod((X + c for c in draw(st.lists(coefficients, min_size=1, max_size=2))),
+                         start=ONE)
+        free_of_x = Poly3({(0, b, c): k for (_, b, c), k in e2.terms()})
+        return in_x, Y if free_of_x.is_zero() else free_of_x
+    return draw(st.sampled_from([ONE, Poly3.const(Fraction(-3, 2))])), g * e2
+
+
+class TestNormalisationAgainstReference:
+    """Every arithmetic result, and the constructor over several factors,
+    equals one gcd against the unreduced product."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(polys(max_terms=3), polys(max_terms=3), denominator_pairs())
+    def test_arithmetic_matches_one_gcd_against_the_product(self, n1, n2, dens):
+        d1, d2 = dens
+        a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+        assert (a.num, a.den) == _reference(n1, d1)
+        assert (b.num, b.den) == _reference(n2, d2)
+        total = a + b
+        assert (total.num, total.den) == _reference(a.num * b.den + b.num * a.den, a.den * b.den)
+        product = a * b
+        assert (product.num, product.den) == _reference(a.num * b.num, a.den * b.den)
+        if not b.is_zero():
+            quotient = a / b
+            assert (quotient.num, quotient.den) == _reference(a.num * b.den, a.den * b.num)
+
+    @settings(max_examples=80, deadline=None)
+    @given(polys(max_terms=3), denominator_pairs())
+    def test_constructor_over_factors_matches_one_gcd_against_the_product(self, n, dens):
+        f1, f2 = dens
+        built = RationalFunction(n, f1, f2)
+        assert (built.num, built.den) == _reference(n, f1 * f2)
 
 
 # ---------------------------------------------------------------------------

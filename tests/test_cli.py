@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mcflow
 from mcflow.cli import main, run
@@ -199,7 +200,7 @@ class TestArgumentValidation:
     def test_digit_that_is_not_decimal_in_a_candidate(self, option):
         document, status, diagnostic = run(["verify", "guillot", option])
         assert (document, status) == (None, 2)
-        assert diagnostic.startswith("parse error: unexpected character")
+        assert diagnostic.startswith(f"parse error: {option.split('=')[0]}: unexpected character")
 
     @pytest.mark.parametrize(
         "option, diagnostic",
@@ -220,8 +221,21 @@ class TestArgumentValidation:
         document, status, diagnostic = run(["verify", "guillot", "--rho=(x + y + z)^300"])
         assert time.process_time() - start < 1
         assert (document, status) == (None, 2)
-        assert diagnostic == ("parse error: a product of 4601025 term pairs exceeds the limit "
-                              "of 1000000 (line 1, column 12)")
+        assert diagnostic == ("parse error: --rho: a product of 4601025 term pairs exceeds the "
+                              "limit of 1000000 (line 1, column 12)")
+
+    @pytest.mark.parametrize("start", ["1e400,1,1", "1/0,1,1", "1,2", "a,b,c"])
+    def test_start_point_that_is_not_three_floats_is_a_usage_error(self, start, capsys):
+        document, status, _ = run(["integrate", "guillot", f"--from={start}"])
+        assert (document, status) == (None, 2)
+        assert "argument --from: expected three comma-separated finite numbers" in \
+            capsys.readouterr().err
+
+    def test_step_count_past_the_float_range_is_a_usage_error(self, capsys):
+        document, status, _ = run(["integrate", "guillot", "--t=1e300", "--h=1e-300"])
+        assert (document, status) == (None, 2)
+        err = capsys.readouterr().err
+        assert "--t=1e+300" in err and "--h=1e-300" in err
 
 
 class TestCheckFile:
@@ -414,6 +428,46 @@ system_lines = st.one_of(
 )
 
 
+# option values: mostly valid or on a boundary, then one or two of garbage
+OPTION_VALUES = {
+    "--eps": ["+1", "-1", "0"],
+    "--rho": ["x + 1", "y", "x*z - y^2", "1/(x-x)", "(x + y + z)^300", "\u00b2"],
+    "--f": ["y", "x*z", "y/(x + z)", "", "1/(x-x)", ")"],
+    "--points": ["1", "2", "3", "0"],
+    "--h": ["0.01", "0.1", "1e-300", "1e300", "0", "x"],
+    "--t": ["0.1", "0.02", "1e-300", "1e300", "nan"],
+    "--from": ["1,1,1", "0.5,1,2", "0,0,0", "1e308,1e308,1e308", "1e400,1,1", "1/0,1,1",
+               "1,2"],
+    "--seed": ["0", "7", "-3", "99999999999999999999", "x"],
+    "--box": ["-3,3", "-1,1", "0,0", "-1e300,1e300", "1,0"],
+    "--tol": ["1e-12", "1e-3", "1e308", "0"],
+    "--check": ["structure.dgamma", "integral.H1", "nope"],
+}
+options = st.one_of(
+    st.just(["--json"]),
+    *(st.sampled_from(values).map(lambda v, o=option: [f"{o}={v}"])
+      for option, values in OPTION_VALUES.items()),
+    # free text never starts an option, which could set --t or --h unseen
+    st.text(min_size=1, max_size=8).filter(lambda t: not t.startswith("--")).map(lambda t: [t]),
+)
+MAX_STEPS = 1000
+
+
+def _last_value(argv, option, default):
+    values = [a.split("=", 1)[1] for a in argv if a.startswith(f"{option}=")]
+    return values[-1] if values else default
+
+
+def _too_many_steps(argv) -> bool:
+    """True if --t and --h are both valid and integrate would take more than
+    MAX_STEPS finite steps: such a request is valid but slow."""
+    try:
+        t, h = float(_last_value(argv, "--t", "0.2")), float(_last_value(argv, "--h", "1e-3"))
+    except ValueError:
+        return False
+    return t > 0 and h > 0 and MAX_STEPS < t / h < math.inf
+
+
 class TestExitCodeContract:
     """Whatever the input, a request ends in one of the four exit codes."""
 
@@ -429,6 +483,17 @@ class TestExitCodeContract:
     @given(expression_texts, expression_texts)
     def test_any_candidate(self, rho, f):
         _, status, _ = run(["verify", "guillot", f"--rho={rho}", f"--f={f}", "--points", "2"])
+        assert status in (0, 1, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["verify", "derive", "integrate", "sample", "check-file"]),
+           st.sampled_from(["guillot", "heisenberg_example", "dh_classic",
+                            str(Path(__file__).parent / "golden" / "partial.sys")]),
+           st.lists(options, max_size=4).map(lambda parts: sum(parts, [])))
+    def test_any_argv(self, command, system, rest):
+        argv = [command, system, *rest]
+        assume(not _too_many_steps(argv))
+        _, status, _ = run(argv)
         assert status in (0, 1, 2, 3)
 
 

@@ -89,6 +89,25 @@ def test_every_kept_name_is_still_unreferenced():
     assert sorted(KEPT.keys() - _unreferenced()) == []
 
 
+# The one normalisation policy: a rational function is reduced only by the
+# RationalFunction constructor and the helpers of algebra.py behind it.
+NORMALISERS = {"poly_gcd", "_normalize", "_raw"}
+
+
+def test_only_algebra_normalises_rational_functions():
+    named = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        hits = NORMALISERS & (imported | _referenced(tree).keys())
+        if hits:
+            named[path.stem] = sorted(hits)
+    assert named == {}
+
+
 # every built-in under every command, plus a sigma candidate
 REQUESTS = [
     [command, system]
