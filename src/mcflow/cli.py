@@ -72,6 +72,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_SINGULAR = 3
 
+# integrate takes at most this many RK4 steps, --t over --h: about a minute
+# of work, where the default request takes 200
+MAX_STEPS = 10**6
+
 
 def _resolve(target: str) -> System:
     if target in BUILTIN_NAMES:
@@ -89,33 +93,8 @@ def _eps_integrals(spec: SystemSpec, eps: int):
 
 
 # ---------------------------------------------------------------------------
-# the check table
+# the checks
 # ---------------------------------------------------------------------------
-
-
-def _framed(r: System, args) -> bool:
-    return r.frame is not None
-
-
-def _frameless(r: System, args) -> bool:
-    return r.frame is None and r.heisenberg is None
-
-
-def _frobenius_checks(r: System, args):
-    for form, expect in (("gamma", ZERO), ("beta", ZERO), ("alpha", NONZERO)):
-        relation = "=" if expect == ZERO else "!="
-        yield Check.from_residual(
-            f"frobenius.{form}", f"{form} ^ d({form}) {relation} 0",
-            frobenius_residual(getattr(r.frame, form)), expect,
-        )
-
-
-def _bihamiltonian_checks(r: System, args):
-    (_, h1), *pairs = _eps_integrals(r.spec, args.eps)
-    div_mv = r.curl_report().find("divergence.mv").residual_obj
-    for label, h2 in pairs:
-        yield from bihamiltonian_verify(
-            r.frame.v, r.frame.M, h1, h2, r.name, label, div_mv).checks
 
 
 def _candidate(text: str, option: str, default: int, chart) -> RationalFunction:
@@ -133,80 +112,77 @@ def _candidate(text: str, option: str, default: int, chart) -> RationalFunction:
 
 
 def _sigma_checks(r: System, args):
-    frame = r.frame
-    chart = frame.M.chart
+    """The candidate (rho, f) checked on the conformally transformed frame,
+    where sigma = alpha - (1/2) dlog(rho) + f gamma is alpha' + (f rho) gamma'."""
+    chart = r.frame.M.chart
     rho = _candidate(args.rho, "--rho", 1, chart)
     f = _candidate(args.f, "--f", 0, chart)
-    sigma = sigma_residual(frame.alpha, frame.gamma, frame.beta, rho, f)
-    factored = sigma_residual_factored(frame.alpha, frame.gamma, frame.beta, rho, f)
-    t_alpha, t_beta, t_gamma = conformal_transform(frame, rho)
-    transformed = verify_maurer_cartan(t_alpha, t_beta, t_gamma, r.name)
-    return (
-        Check.from_residual(
-            "sigma.integrability", "sigma ^ d(sigma) = 0 for candidate (rho, f)", sigma
-        ),
-        Check.from_residual(
-            "sigma.factored_agreement",
-            "sigma ^ d(sigma) matches its factored shape",
-            sigma - factored,
-        ),
-        *(Check(f"conformal.{c.name}", c.anchor, c.status, c.residual_obj, c.residual, c.expect)
-          for c in transformed.checks),
-    )
+    alpha, beta, gamma = conformal_transform(r.frame, rho)
+    g = f * rho
+    sigma = sigma_residual(alpha, gamma, g)
+    yield Check.from_residual(
+        "sigma.integrability", "sigma ^ d(sigma) = 0 for candidate (rho, f)", sigma)
+    yield Check.from_residual(
+        "sigma.factored_agreement", "sigma ^ d(sigma) matches its factored shape",
+        sigma - sigma_residual_factored(alpha, beta, gamma, g))
+    for c in verify_maurer_cartan(alpha, beta, gamma, r.name).checks:
+        yield Check(f"conformal.{c.name}", c.anchor, c.status, c.residual_obj, c.residual,
+                    c.expect)
 
 
-# Every check of a report, in report order: rows of (applies, checks), both
-# called with the resolved System and the parsed arguments.  Rows call the
-# mcframe and systems functions through module global names (the System's
-# curl report and potential through those of systems), so a wrapper
-# installed in every namespace that holds a function (a tracing span) sees
-# each call.
-_CHECKS = (
-    (lambda r, args: r.heisenberg is not None,
-     lambda r, args: heisenberg_verify(r.heisenberg).checks),
-    (lambda r, args: r.bracket_report is not None,
-     lambda r, args: r.bracket_report.checks),
-    (lambda r, args: _framed(r, args) and r.spec.multiplier_hint is not None,
-     lambda r, args: (Check.from_residual(
-         "multiplier.matches_hint", "M = declared multiplier",
-         r.frame.M - r.spec.multiplier_hint),)),
-    (_framed, lambda r, args: verify_duality(r.frame).checks),
-    (_framed, lambda r, args: verify_maurer_cartan(
-        r.frame.alpha, r.frame.beta, r.frame.gamma, r.name).checks),
-    (_framed, lambda r, args: r.curl_report().checks),
-    (_framed, _frobenius_checks),
-    (_framed, lambda r, args: (Check.from_residual(
-        "potential.curl_scale", f"curl(A) = s M v, s = {r.potential().scale}",
-        VectorField3.zero(r.frame.M.chart)),)),
-    (lambda r, args: _framed(r, args) and len(_eps_integrals(r.spec, args.eps)) >= 2,
-     _bihamiltonian_checks),
+def _checks(r: System, args):
+    """Every check of a report, in report order.  The mcframe and systems
+    functions are called through module global names (the System's curl
+    report and potential through those of systems), so a wrapper installed
+    in every namespace that holds a function (a tracing span) sees each
+    call."""
+    frame, hint = r.frame, r.spec.multiplier_hint
+    frameless = frame is None and r.heisenberg is None
+    integrals = _eps_integrals(r.spec, args.eps)
+    if r.heisenberg is not None:
+        yield from heisenberg_verify(r.heisenberg).checks
+    if r.bracket_report is not None:
+        yield from r.bracket_report.checks
+    if frame is not None:
+        if hint is not None:
+            yield Check.from_residual(
+                "multiplier.matches_hint", "M = declared multiplier", frame.M - hint)
+        yield from verify_duality(frame).checks
+        yield from verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma, r.name).checks
+        yield from r.curl_report().checks
+        for form, expect in (("gamma", ZERO), ("beta", ZERO), ("alpha", NONZERO)):
+            relation = "=" if expect == ZERO else "!="
+            yield Check.from_residual(
+                f"frobenius.{form}", f"{form} ^ d({form}) {relation} 0",
+                frobenius_residual(getattr(frame, form)), expect)
+        yield Check.from_residual(
+            "potential.curl_scale", f"curl(A) = s M v, s = {r.potential().scale}",
+            VectorField3.zero(frame.M.chart))
+        if len(integrals) >= 2:
+            (_, h1), *pairs = integrals
+            div_mv = r.curl_report().find("divergence.mv").residual_obj
+            for label, h2 in pairs:
+                yield from bihamiltonian_verify(
+                    frame.v, frame.M, h1, h2, r.name, label, div_mv).checks
     # with a frame, a single integral has no partner for the decomposition
-    (lambda r, args: _frameless(r, args)
-     or (_framed(r, args) and len(_eps_integrals(r.spec, args.eps)) == 1),
-     lambda r, args: (
-         Check.from_residual(
-             f"integral.{label}", f"iota_v d{label} = 0",
-             h.differential().interior(r.v).coeffs[0])
-         for label, h in _eps_integrals(r.spec, args.eps))),
-    (lambda r, args: _frameless(r, args) and r.spec.multiplier_hint is not None,
-     lambda r, args: (Check.from_residual(
-         "multiplier.invariance", "div(M v) = 0 for declared M",
-         div(r.v.scale(r.spec.multiplier_hint))),)),
-    (lambda r, args: _framed(r, args) and (args.rho is not None or args.f is not None),
-     _sigma_checks),
-    (lambda r, args: r.is_builtin and r.name in ("dh_classic", "dh_symmetric"),
-     lambda r, args: dh_reduction_check().checks),
-    (lambda r, args: r.is_builtin and r.name == "dh_symmetric",
-     lambda r, args: grading_check(r).checks),
-)
+    if frameless or (frame is not None and len(integrals) == 1):
+        for label, h in integrals:
+            yield Check.from_residual(
+                f"integral.{label}", f"iota_v d{label} = 0",
+                h.differential().interior(r.v).coeffs[0])
+    if frameless and hint is not None:
+        yield Check.from_residual(
+            "multiplier.invariance", "div(M v) = 0 for declared M", div(r.v.scale(hint)))
+    if frame is not None and (args.rho is not None or args.f is not None):
+        yield from _sigma_checks(r, args)
+    if r.is_builtin and r.name in ("dh_classic", "dh_symmetric"):
+        yield from dh_reduction_check().checks
+    if r.is_builtin and r.name == "dh_symmetric":
+        yield from grading_check(r).checks
 
 
 def _run_checks(resolved: System, args) -> VerificationReport:
-    checks = []
-    for applies, row in _CHECKS:
-        if applies(resolved, args):
-            checks.extend(row(resolved, args))
-    return VerificationReport(resolved.name, tuple(checks))
+    return VerificationReport(resolved.name, tuple(_checks(resolved, args)))
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +547,9 @@ def run(argv) -> tuple[dict | None, int, str | None]:
     parser = _build_arg_parser()
     try:
         args = parser.parse_args(argv)
-        if not math.isfinite(args.t / args.h):
+        if not args.t / args.h <= MAX_STEPS:
             parser.error(f"argument --t/--h: --t={args.t} over --h={args.h} "
-                         "is not a finite step count")
+                         f"exceeds the limit of {MAX_STEPS} steps")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return None, (EXIT_OK if code == 0 else EXIT_PARSE_ERROR), None

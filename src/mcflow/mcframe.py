@@ -274,66 +274,43 @@ def verify_maurer_cartan(
 # ---------------------------------------------------------------------------
 
 
-def dlog(rho: RationalFunction) -> KForm:
-    """d(log rho) represented as the rational one-form d(rho)/rho."""
-    if rho.is_zero():
-        raise DegenerateFrameError("conformal factor rho vanishes identically")
-    return KForm.scalar(rho, rho.chart).d().scale(rho.reciprocal())
-
-
 def conformal_transform(
     frame: Sl2Frame, rho: RationalFunction
 ) -> tuple[KForm, KForm, KForm]:
-    """beta -> rho beta, alpha -> alpha - (1/2) dlog(rho), gamma -> gamma/rho."""
-    half = Fraction(1, 2)
-    alpha = frame.alpha - dlog(rho).scale(RationalFunction.const(half, rho.chart))
-    beta = frame.beta.scale(rho)
-    gamma = frame.gamma.scale(rho.reciprocal())
-    return alpha, beta, gamma
+    """beta -> rho beta, alpha -> alpha - (1/2) dlog(rho), gamma -> gamma/rho,
+    with dlog(rho) the rational one-form d(rho)/rho.  The transformed forms
+    satisfy the structure equations again."""
+    if rho.is_zero():
+        raise DegenerateFrameError("conformal factor rho vanishes identically")
+    inverse = rho.reciprocal()
+    half_dlog = KForm.scalar(rho, rho.chart).d().scale(inverse * Fraction(1, 2))
+    return frame.alpha - half_dlog, frame.beta.scale(rho), frame.gamma.scale(inverse)
 
 
-def sigma_residual(
-    alpha: KForm,
-    gamma: KForm,
-    beta: KForm,
-    rho: RationalFunction,
-    f: RationalFunction,
-) -> KForm:
-    """sigma^d(sigma) for sigma = alpha - (1/2) dlog(rho) + f gamma.
+def sigma_residual(alpha: KForm, gamma: KForm, g: RationalFunction) -> KForm:
+    """sigma^d(sigma) for sigma = alpha + g gamma.
 
-    Vanishing of the 3-form is the exact integrability condition on the
-    perturbed potential for the candidate pair (rho, f).
+    On the conformally transformed frame with g = f rho, sigma is
+    alpha - (1/2) dlog(rho) + f gamma of the original frame, and vanishing
+    of the 3-form is the exact integrability condition on the perturbed
+    potential for the candidate pair (rho, f).
     """
-    half = Fraction(1, 2)
-    sigma = (
-        alpha
-        - dlog(rho).scale(RationalFunction.const(half, rho.chart))
-        + gamma.scale(f)
-    )
+    sigma = alpha + gamma.scale(g)
     return sigma.wedge(sigma.d())
 
 
 def sigma_residual_factored(
-    alpha: KForm,
-    gamma: KForm,
-    beta: KForm,
-    rho: RationalFunction,
-    f: RationalFunction,
+    alpha: KForm, beta: KForm, gamma: KForm, g: RationalFunction
 ) -> KForm:
-    """Factored shape of the integrability condition.
+    """Factored shape of the integrability condition: expanding
+    sigma^d(sigma) with the structure equations gives exactly
 
-    Expanding sigma^d(sigma) with the structure equations gives exactly
+        alpha ^ (dg - beta) ^ gamma.
 
-        (alpha - (1/2) dlog rho) ^ (df + f dlog rho - beta) ^ gamma;
-
-    the middle factor reduces to the familiar (df - beta) when rho is
-    constant or f vanishes.
+    On the transformed frame with g = f rho the middle factor times gamma
+    is (df + f dlog rho - beta) ^ gamma of the original frame.
     """
-    log_rho = dlog(rho)
-    half = Fraction(1, 2)
-    alpha_bar = alpha - log_rho.scale(RationalFunction.const(half, rho.chart))
-    middle = KForm.scalar(f, f.chart).d() + log_rho.scale(f) - beta
-    return alpha_bar.wedge(middle).wedge(gamma)
+    return alpha.wedge(KForm.scalar(g, g.chart).d() - beta).wedge(gamma)
 
 
 def frobenius_residual(omega: KForm) -> KForm:

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from . import Record
 from .algebra import (
     DEFAULT_CHART,
+    ExponentOverflowError,
     Poly3,
     RationalFunction,
     ZeroDenominatorError,
@@ -166,15 +167,19 @@ def _term_count(value) -> int:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _arithmetic(op: str, left, right):
-    """left op right for rational values."""
+def _arithmetic(op: str, left, right, token: _Token):
+    """left op right for rational values; an exponent past what a monomial
+    holds is a ParseError at the operator token (for a power, its '^')."""
     if op == "/" and isinstance(right, Poly3) and right.is_constant() and not right.is_zero():
         return left * (1 / right.constant_value())
     # a RationalFunction takes a Poly3 operand, and divides by zero with
     # the error "reciprocal of zero"
     if isinstance(left, Poly3) and (op == "/" or isinstance(right, RationalFunction)):
         left = RationalFunction(left)
-    return _ARITHMETIC[op](left, right)
+    try:
+        return _ARITHMETIC[op](left, right)
+    except ExponentOverflowError as exc:
+        raise ParseError(str(exc), token.line, token.column) from None
 
 
 class _Parser:
@@ -211,14 +216,14 @@ class _Parser:
         first = self.tokens[0]
         raise ParseError(message, first.line, first.column)
 
-    def combine(self, op: str, left, right):
+    def combine(self, op: str, left, right, token: _Token):
         if not (isinstance(left, _Logs) or isinstance(right, _Logs)):
-            return _arithmetic(op, left, right)
+            return _arithmetic(op, left, right, token)
         if op in "+-":
             (left, left_terms), (right, right_terms) = _split(left), _split(right)
             if op == "-":
                 right_terms = [(-c, a) for c, a in right_terms]
-            return _Logs(_arithmetic(op, left, right), left_terms + right_terms)
+            return _Logs(_arithmetic(op, left, right, token), left_terms + right_terms)
         if op == "*":
             for constant, logs in ((left, right), (right, left)):
                 if not isinstance(constant, _Logs) and constant.is_constant():
@@ -235,8 +240,8 @@ class _Parser:
     def expr(self):
         value = self.term()
         while self.at_op("+", "-"):
-            op = self.advance().text
-            value = self.combine(op, value, self.term())
+            token = self.advance()
+            value = self.combine(token.text, value, self.term(), token)
         return value
 
     def term(self):
@@ -253,7 +258,7 @@ class _Parser:
         if pairs > _MAX_TERM_PAIRS:
             raise ParseError(f"a product of {pairs} term pairs exceeds the limit of "
                              f"{_MAX_TERM_PAIRS}", token.line, token.column)
-        return self.combine(op, left, right)
+        return self.combine(op, left, right, token)
 
     def unary(self):
         if self.at_op("-"):

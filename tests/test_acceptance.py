@@ -163,10 +163,7 @@ def test_criterion_9_frobenius_dichotomy(guillot, dh):
         assert frobenius_residual(frame.beta).is_zero()
         assert not frobenius_residual(frame.alpha).is_zero()
     frame = guillot.frame
-    unperturbed = sigma_residual(
-        frame.alpha, frame.gamma, frame.beta,
-        RationalFunction.const(1), RationalFunction.const(0),
-    )
+    unperturbed = sigma_residual(frame.alpha, frame.gamma, RationalFunction.const(0))
     assert unperturbed == frame.alpha.wedge(frame.alpha.d())
     report_line(9, "beta and gamma integrable, alpha not; sigma residual at (rho=1, f=0) equals alpha ^ d(alpha)")
 

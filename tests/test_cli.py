@@ -224,12 +224,38 @@ class TestArgumentValidation:
         assert diagnostic == ("parse error: --rho: a product of 4601025 term pairs exceeds the "
                               "limit of 1000000 (line 1, column 12)")
 
+    @pytest.mark.parametrize(
+        "option, diagnostic",
+        [
+            ("--rho=x^4294967296", "--rho: product exponents up to (2147483648, 0, 0) too large "
+                                   "(line 1, column 2)"),
+            ("--f=y*x^2147483647*x", "--f: product exponents up to (2147483648, 1, 0) too large "
+                                     "(line 1, column 15)"),
+            ("--rho=1/x^2000000000 + x^2000000000", "--rho: product exponents up to "
+                                                    "(4000000000, 0, 0) too large (line 1, column 16)"),
+        ],
+        ids=["power", "product", "sum"],
+    )
+    def test_exponent_overflow_in_a_candidate_is_a_parse_error(self, option, diagnostic):
+        document, status, message = run(["verify", "guillot", option])
+        assert (document, status) == (None, 2)
+        assert message == f"parse error: {diagnostic}"
+
     @pytest.mark.parametrize("start", ["1e400,1,1", "1/0,1,1", "1,2", "a,b,c"])
     def test_start_point_that_is_not_three_floats_is_a_usage_error(self, start, capsys):
         document, status, _ = run(["integrate", "guillot", f"--from={start}"])
         assert (document, status) == (None, 2)
         assert "argument --from: expected three comma-separated finite numbers" in \
             capsys.readouterr().err
+
+    def test_step_count_past_the_limit_is_a_usage_error_found_quickly(self, capsys):
+        start = time.process_time()
+        document, status, _ = run(["integrate", "guillot", "--t=1e10", "--h=1e-10"])
+        assert time.process_time() - start < 1
+        assert (document, status) == (None, 2)
+        assert capsys.readouterr().err.endswith(
+            "argument --t/--h: --t=10000000000.0 over --h=1e-10 exceeds the limit of "
+            f"{mcflow.cli.MAX_STEPS} steps\n")
 
     def test_step_count_past_the_float_range_is_a_usage_error(self, capsys):
         document, status, _ = run(["integrate", "guillot", "--t=1e300", "--h=1e-300"])
@@ -280,6 +306,20 @@ class TestCheckFile:
             document, status, diagnostic = run([command, str(path)])
             assert (document, status) == (None, 2)
             assert message in diagnostic and "line 3" in diagnostic
+
+    @pytest.mark.parametrize(
+        "lines, position",
+        [("v: x^4294967296; y; z", "line 3, column 5"),
+         ("v: x; y; z\nintegral H: log(x^3000000000)", "line 4, column 18")],
+        ids=["value", "integral"],
+    )
+    def test_exponent_overflow_is_a_parse_error(self, tmp_path, lines, position):
+        path = tmp_path / "big.sys"
+        path.write_text(f"name: big\nvariables: x, y, z\n{lines}\n")
+        document, status, diagnostic = run(["verify", str(path)])
+        assert (document, status) == (None, 2)
+        assert diagnostic == ("parse error: product exponents up to (2147483648, 0, 0) too "
+                              f"large ({position})")
 
     @pytest.mark.parametrize("command", [["derive"], ["verify"], ["derive", "--json"]],
                              ids=["derive", "verify", "derive_json"])

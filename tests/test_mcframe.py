@@ -275,12 +275,10 @@ class TestSigmaResidual:
         gamma = KForm.one_form(0, 0, 1)
         rho = rf(Poly3.const(1))
         f = rf(Y)  # df = dy = beta
-        assert sigma_residual_factored(alpha, gamma, beta, rho, f).is_zero()
+        assert sigma_residual_factored(alpha, beta, gamma, f * rho).is_zero()
 
     def test_unperturbed_reduces_to_frobenius(self, guillot):
-        residual = sigma_residual(
-            guillot.alpha, guillot.gamma, guillot.beta, rf(Poly3.const(1)), rf(Poly3.zero())
-        )
+        residual = sigma_residual(guillot.alpha, guillot.gamma, rf(Poly3.zero()))
         assert residual == frobenius_residual(guillot.alpha)
         assert not residual.is_zero()
 
@@ -290,11 +288,58 @@ class TestSigmaResidual:
             rho = rf(Poly3({(rng.randint(0, 1), rng.randint(0, 1), 0): Fraction(rng.randint(1, 3)),
                             (0, 0, 0): Fraction(rng.randint(1, 4))}))
             f = rf(Poly3({(rng.randint(0, 1), 0, rng.randint(0, 1)): Fraction(rng.randint(-3, 3))}))
-            direct = sigma_residual(guillot.alpha, guillot.gamma, guillot.beta, rho, f)
-            factored = sigma_residual_factored(
-                guillot.alpha, guillot.gamma, guillot.beta, rho, f
-            )
+            alpha, beta, gamma = conformal_transform(guillot, rho)
+            direct = sigma_residual(alpha, gamma, f * rho)
+            factored = sigma_residual_factored(alpha, beta, gamma, f * rho)
             assert direct == factored
+
+
+def _reference_sigma(frame, rho, f):
+    """Both residuals written out on the original frame:
+    sigma = alpha - (1/2) d(rho)/rho + f gamma, with sigma ^ d(sigma), and
+    (alpha - (1/2) d(rho)/rho) ^ (df + f d(rho)/rho - beta) ^ gamma."""
+    dlog = KForm.scalar(rho, rho.chart).d().scale(rho.reciprocal())
+    alpha_bar = frame.alpha - dlog.scale(RationalFunction.const(Fraction(1, 2)))
+    sigma = alpha_bar + frame.gamma.scale(f)
+    middle = KForm.scalar(f, f.chart).d() + dlog.scale(f) - frame.beta
+    return sigma.wedge(sigma.d()), alpha_bar.wedge(middle).wedge(frame.gamma)
+
+
+def _random_poly(rng, degree=2):
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 3)):
+            exps = (rng.randint(0, degree), rng.randint(0, degree), rng.randint(0, degree))
+            if sum(exps) <= degree:
+                terms[exps] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+    return Poly3(terms)
+
+
+def _candidates(seed):
+    """Seeded (rho, f) pairs: constant, negative-led and rational rho, rho
+    sharing a factor with a denominator of M, polynomial and rational f."""
+    rng = random.Random(seed)
+    rhos = [
+        rf(Poly3.const(rng.choice([2, 3, 7]))),
+        rf(Poly3.const(-rng.randint(1, 5))),
+        rf(-X * Y * Z - _random_poly(rng, 1)),
+        rf(_random_poly(rng), _random_poly(rng, 1) + 1),
+        rf(Y),
+        rf(X * Y * Z),
+        rf(Y**2 * _random_poly(rng, 1)),
+    ]
+    fs = [rf(Poly3.zero()), rf(_random_poly(rng)), rf(_random_poly(rng), _random_poly(rng, 1) + 2)]
+    return [(rho, f) for rho in rhos if not rho.is_zero() for f in fs]
+
+
+@pytest.mark.parametrize("system", ["guillot", "dh"])
+def test_sigma_on_the_transformed_frame_matches_the_original_definitions(system, request):
+    frame = request.getfixturevalue(system)
+    for rho, f in _candidates(17):
+        direct, factored = _reference_sigma(frame, rho, f)
+        alpha, beta, gamma = conformal_transform(frame, rho)
+        assert sigma_residual(alpha, gamma, f * rho) == direct, (rho, f)
+        assert sigma_residual_factored(alpha, beta, gamma, f * rho) == factored, (rho, f)
 
 
 class TestFrobenius:

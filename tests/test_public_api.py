@@ -8,7 +8,8 @@ match by name alone, whatever object they are read from, so a method whose
 name another class also defines could pass on the other class's use: such
 methods must also run while the CLI serves a set of covering requests.
 A private top-level function or class that no runtime code names outside
-its own body is a leftover of deleted code, and fails the same way.
+its own body is a leftover of deleted code, and fails the same way, as does
+a parameter that its function or lambda never reads.
 """
 
 import ast
@@ -87,6 +88,31 @@ def test_every_private_helper_is_named_by_runtime_code():
 def test_every_kept_name_is_still_unreferenced():
     # a kept name that runtime code now reaches no longer needs its entry
     assert sorted(KEPT.keys() - _unreferenced()) == []
+
+
+def _parameters(node) -> list:
+    a = node.args
+    return [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+            if p is not None]
+
+
+def test_every_parameter_is_read():
+    # dunder methods keep the signature of their protocol, and the _cmd_*
+    # handlers share one signature
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("_cmd_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+            read = {n.id for statement in body for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{name} (line {node.lineno}): {parameter}"
+                       for parameter in _parameters(node) if parameter not in read]
+    assert unread == []
 
 
 # The one normalisation policy: a rational function is reduced only by the
