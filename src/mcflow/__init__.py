@@ -15,8 +15,7 @@ class Record:
     """Base of the package's immutable records.
 
     A subclass lists its fields, in order, as ``__slots__``; ``_defaults``
-    holds the values of the last ``len(_defaults)`` fields and ``_hidden``
-    names fields left out of ``==``, ``hash`` and ``repr``.  Records are
+    holds the values of the last ``len(_defaults)`` fields.  Records are
     built by position or keyword, compare equal only to a record of the same
     class with equal fields, print as ``Name(field=value, ...)`` and raise
     AttributeError on assignment.
@@ -24,11 +23,6 @@ class Record:
 
     __slots__ = ()
     _defaults = ()
-    _hidden = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls._fields = tuple(n for n in cls.__slots__ if n not in cls._hidden)
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -50,7 +44,7 @@ class Record:
         return [values[n] for n in names]
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, n) for n in self._fields)
+        return tuple(getattr(self, n) for n in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,12 +55,12 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
+        return self.__class__, self._key()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -50,8 +50,6 @@ from .numeric import (
     GRID_DENOMINATOR,
     NumericError,
     InconclusiveSample,
-    SingularEvaluation,
-    SingularityAbort,
     conservation_drift,
     rk4_integrate,
     sample_identity,
@@ -560,17 +558,12 @@ def run(argv) -> tuple[dict | None, int, str | None]:
             raise ParseError("check-file expects a path to a .sys file")
         document, status = _COMMANDS[args.command](resolved, args)
         return document, status, None
-    except ParseError as exc:
-        return None, EXIT_PARSE_ERROR, f"parse error: {exc}"
-    except (ZeroDenominatorError, ZeroLogArgumentError) as exc:
+    except (ParseError, ZeroDenominatorError, ZeroLogArgumentError) as exc:
         return None, EXIT_PARSE_ERROR, f"parse error: {exc}"
     except (
         DegenerateFrameError,
         InconsistencyError,
         SingularPointError,
-        SingularityAbort,
-        SingularEvaluation,
-        InconclusiveSample,
         NumericError,
         UnknownSystemError,
     ) as exc:

@@ -41,14 +41,6 @@ class DegenerateFrameError(FrameError):
     """The triple product (v x u).w vanishes identically."""
 
 
-class InvalidFrameError(FrameError):
-    """The companion fields do not close the required bracket relations."""
-
-    def __init__(self, message: str, report: Optional["VerificationReport"] = None):
-        self.report = report
-        super().__init__(message)
-
-
 class InconsistencyError(FrameError):
     """curl of the potential is not a constant multiple of M v."""
 
@@ -108,9 +100,7 @@ class VerificationReport(Record):
 class Sl2Frame(Record):
     """Companion fields with their multiplier and dual one-forms."""
 
-    __slots__ = ("name", "v", "u", "w", "M", "alpha", "beta", "gamma", "bracket_report")
-    _defaults = (None,)
-    _hidden = ("bracket_report",)
+    __slots__ = ("name", "v", "u", "w", "M", "alpha", "beta", "gamma")
     name: str
     v: VectorField3
     u: VectorField3
@@ -119,8 +109,6 @@ class Sl2Frame(Record):
     alpha: KForm
     beta: KForm
     gamma: KForm
-    # verify_sl2(v, u, w) as build_frame found it; None for a frame built by hand
-    bracket_report: Optional[VerificationReport]
 
 
 class HeisenbergFrame(Record):
@@ -149,26 +137,15 @@ class PotentialVector(Record):
 # ---------------------------------------------------------------------------
 
 
-def sl2_residuals(
-    v: VectorField3, u: VectorField3, w: VectorField3
-) -> tuple[VectorField3, VectorField3, VectorField3]:
-    return (
-        lie_bracket(u, v) - v.scale(2),
-        lie_bracket(u, w) + w.scale(2),
-        lie_bracket(v, w) - u,
-    )
-
-
 def verify_sl2(
     v: VectorField3, u: VectorField3, w: VectorField3, system: str = ""
 ) -> VerificationReport:
-    r_uv, r_uw, r_vw = sl2_residuals(v, u, w)
     return VerificationReport(
         system,
         (
-            Check.from_residual("sl2.uv", "[u,v] - 2v = 0", r_uv),
-            Check.from_residual("sl2.uw", "[u,w] + 2w = 0", r_uw),
-            Check.from_residual("sl2.vw", "[v,w] - u = 0", r_vw),
+            Check.from_residual("sl2.uv", "[u,v] - 2v = 0", lie_bracket(u, v) - v.scale(2)),
+            Check.from_residual("sl2.uw", "[u,w] + 2w = 0", lie_bracket(u, w) + w.scale(2)),
+            Check.from_residual("sl2.vw", "[v,w] - u = 0", lie_bracket(v, w) - u),
         ),
     )
 
@@ -183,33 +160,21 @@ def last_multiplier(
     return volume.reciprocal()
 
 
-def dual_forms(
-    v: VectorField3,
-    u: VectorField3,
-    w: VectorField3,
-    multiplier: RationalFunction,
-) -> tuple[KForm, KForm, KForm]:
-    alpha = KForm.from_covector(cross(w, v).scale(multiplier))
-    beta = KForm.from_covector(cross(u, w).scale(multiplier))
-    gamma = KForm.from_covector(cross(v, u).scale(multiplier))
-    return alpha, beta, gamma
-
-
 def build_frame(
     v: VectorField3,
     u: VectorField3,
     w: VectorField3,
     name: str = "",
 ) -> Sl2Frame:
-    """The frame of (v, u, w), carrying its bracket report; raises
-    InvalidFrameError, with that report, when a bracket relation fails."""
-    report = verify_sl2(v, u, w, name)
-    if not report.ok:
-        failed = ", ".join(c.name for c in report.checks if c.status == FAILS)
-        raise InvalidFrameError(f"bracket relations fail: {failed}", report)
+    """The multiplier and dual one-forms of (v, u, w); the caller has
+    verified the bracket relations (see verify_sl2)."""
     multiplier = last_multiplier(v, u, w)
-    alpha, beta, gamma = dual_forms(v, u, w, multiplier)
-    return Sl2Frame(name, v, u, w, multiplier, alpha, beta, gamma, report)
+    return Sl2Frame(
+        name, v, u, w, multiplier,
+        KForm.from_covector(cross(w, v).scale(multiplier)),
+        KForm.from_covector(cross(u, w).scale(multiplier)),
+        KForm.from_covector(cross(v, u).scale(multiplier)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +345,6 @@ def _constant_ratio(
 
 def potential_from_gamma(frame: Sl2Frame) -> PotentialVector:
     """Covector A of gamma with the exact constant s in curl(A) = s M v."""
-    bracket_report = frame.bracket_report
-    if bracket_report is None:
-        bracket_report = verify_sl2(frame.v, frame.u, frame.w, frame.name)
-    if not bracket_report.ok:
-        raise InvalidFrameError(
-            "potential extraction requires the bracket relations to hold"
-        )
     a = frame.gamma.covector()
     curl_a = frame.gamma.d().covector()
     target = frame.v.scale(frame.M)

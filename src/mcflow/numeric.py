@@ -50,15 +50,13 @@ class InconclusiveSample(NumericError):
 
 
 class Trajectory(Record):
-    __slots__ = ("times", "states", "step")
+    __slots__ = ("times", "states")
     times: tuple[float, ...]
     states: tuple[tuple[float, float, float], ...]
-    step: float
 
 
 class SampleVerdict(Record):
-    __slots__ = ("identity", "points_tried", "max_abs_residual", "tolerance")
-    identity: str
+    __slots__ = ("points_tried", "max_abs_residual", "tolerance")
     points_tried: int
     max_abs_residual: float
     tolerance: float
@@ -104,9 +102,9 @@ def _field_evaluator(field: VectorField3) -> Callable:
     return evaluate
 
 
-def _rk4_step(rhs, state, h: float):
-    k1 = rhs(state)
-    k2 = rhs(tuple(s + 0.5 * h * d for s, d in zip(state, k1))) if k1 else None
+def _rk4_step(rhs, state, k1, h: float):
+    """One step from state, whose slope k1 = rhs(state) the caller has."""
+    k2 = rhs(tuple(s + 0.5 * h * d for s, d in zip(state, k1)))
     k3 = rhs(tuple(s + 0.5 * h * d for s, d in zip(state, k2))) if k2 else None
     k4 = rhs(tuple(s + h * d for s, d in zip(state, k3))) if k3 else None
     if k4 is None:
@@ -129,25 +127,23 @@ def rk4_integrate(
         raise NumericError(f"step size must be positive, got {h}")
     rhs = _field_evaluator(field)
     state = tuple(float(c) for c in start.coords)
-    if rhs(state) is None:
+    slope = rhs(state)
+    if slope is None:
         raise SingularityAbort(0.0)
     full_steps = int(math.floor(t_end / h + 1e-9))
     remainder = t_end - full_steps * h
+    closing = [remainder] if remainder > 1e-9 * h else []
     times = [0.0]
     states = [state]
-    for k in range(full_steps):
-        state = _rk4_step(rhs, state, h)
-        if state is None or rhs(state) is None:
-            raise SingularityAbort(k * h)
-        times.append((k + 1) * h)
+    for k, step in enumerate([h] * full_steps + closing):
+        state = _rk4_step(rhs, state, slope, step)
+        # the slope where a step lands is the next step's k1
+        slope = rhs(state) if state else None
+        if slope is None:
+            raise SingularityAbort(times[-1])
+        times.append((k + 1) * h if k < full_steps else t_end)
         states.append(state)
-    if remainder > 1e-9 * h:
-        state = _rk4_step(rhs, state, remainder)
-        if state is None or rhs(state) is None:
-            raise SingularityAbort(full_steps * h)
-        times.append(t_end)
-        states.append(state)
-    return Trajectory(tuple(times), tuple(states), h)
+    return Trajectory(tuple(times), tuple(states))
 
 
 def conservation_drift(h: LogIntegral, trajectory: Trajectory) -> float:
@@ -247,4 +243,4 @@ def sample_identity(
             f"all {attempts} draws were singular or not finite for identity "
             f"{name or '<unnamed>'}"
         )
-    return SampleVerdict(name, evaluated, worst, tolerance)
+    return SampleVerdict(evaluated, worst, tolerance)

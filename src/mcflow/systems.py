@@ -21,7 +21,6 @@ from .mcframe import (
     Check,
     FrameError,
     HeisenbergFrame,
-    InvalidFrameError,
     VerificationReport,
     HOLDS,
     FAILS,
@@ -29,6 +28,7 @@ from .mcframe import (
     build_frame,
     curl_identities,
     potential_from_gamma,
+    verify_sl2,
 )
 from .parser import SystemSpec, parse_rational, parse_system
 
@@ -83,8 +83,8 @@ def system_source(name: str) -> str:
 class System:
     """A parsed system and the structure derived from it.
 
-    With both companion fields, the constructor builds the sl(2) frame, or
-    keeps the failing bracket report that prevents one; the shipped
+    With both companion fields, the constructor verifies the bracket
+    relations once and builds the sl(2) frame only when they hold; the shipped
     Heisenberg example gets its Heisenberg frame instead.  The curl report
     and the potential are computed on first use and kept.
     """
@@ -98,7 +98,6 @@ class System:
         self.is_builtin = is_builtin
         chart = spec.variables
         self.v = VectorField3(*spec.v, chart)
-        # bracket_report: the frame's, or the failing one that prevented a frame
         self.frame = self.heisenberg = self.bracket_report = None
         self._curl_report = self._potential = None
         if spec.u is None or spec.w is None:
@@ -109,11 +108,9 @@ class System:
             omegas = (KForm.one_form(*c, chart) for c in ((1, 0, 0), (0, 1, -x), (0, 0, 1)))
             self.heisenberg = HeisenbergFrame(spec.name, *omegas, u, self.v, w)
             return
-        try:
+        self.bracket_report = verify_sl2(self.v, u, w, spec.name)
+        if self.bracket_report.ok:
             self.frame = build_frame(self.v, u, w, spec.name)
-            self.bracket_report = self.frame.bracket_report
-        except InvalidFrameError as exc:
-            self.bracket_report = exc.report
 
     def curl_report(self) -> VerificationReport:
         """curl_identities(frame): its divergence.mv residual is also every

@@ -664,12 +664,15 @@ class TestCheckTable:
         for module in (mcflow.mcframe, mcflow.systems, mcflow.cli):
             if vars(module).get("build_frame") is original:
                 monkeypatch.setattr(module, "build_frame", counting)
+        # a built-in without companion fields, and a file whose brackets fail
+        broken = str(Path(__file__).parent / "golden" / "broken.sys")
         mcflow.systems.builtin.cache_clear()
         try:
-            _, status = run_json(["verify", "dh_classic", "--points", "1"])
+            statuses = [run_json(["verify", system, "--points", "1"])[1]
+                        for system in ("dh_classic", broken)]
         finally:
             mcflow.systems.builtin.cache_clear()
-        assert status == 0
+        assert statuses == [0, 1]
         assert calls == []
 
     def test_shipped_spec_parsed_once_per_request(self, monkeypatch, capsys):

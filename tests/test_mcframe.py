@@ -8,7 +8,6 @@ from mcflow.calculus import KForm, LogIntegral, VectorField3
 from mcflow.mcframe import (
     DegenerateFrameError,
     InconsistencyError,
-    InvalidFrameError,
     Sl2Frame,
     HeisenbergFrame,
     bihamiltonian_verify,
@@ -406,19 +405,6 @@ class TestPotential:
             dh.M * rf(4 * X**2 * Z - X * Y**2 - 3 * Y * Z),
             dh.M * rf(2 * Y**2 - 6 * X * Z),
         )
-
-    def test_non_sl2_frame_rejected(self):
-        # Heisenberg data stuffed into the sl(2) slots: brackets fail
-        v = VectorField3(0, 1, 0)
-        u = VectorField3(0, X, 1)
-        w = VectorField3(1, 0, 0)
-        omega2 = KForm.one_form(0, 1, rf(-X))
-        frame = Sl2Frame(
-            "wrong", v, u, w, rf(Poly3.const(1)),
-            KForm.one_form(1, 0, 0), KForm.one_form(0, 1, 0), omega2,
-        )
-        with pytest.raises(InvalidFrameError):
-            potential_from_gamma(frame)
 
     def test_inconsistent_gamma_rejected(self, guillot):
         tampered = Sl2Frame(

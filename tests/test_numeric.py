@@ -82,6 +82,23 @@ class TestRk4:
             rk4_integrate(VectorField3(X**2, 0, 0), Point3.real(1, 0, 0), 2.0, 1e-3)
         assert 0.9 < info.value.last_safe_time <= 1.01
 
+    def test_four_field_evaluations_per_step(self, monkeypatch):
+        # the slope where a step lands is the next step's first stage, so
+        # 200 steps take one evaluation at the start and four per step
+        from mcflow import numeric
+
+        original = numeric._finite_values
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(numeric, "_finite_values", counting)
+        trajectory = rk4_integrate(guillot_frame().v, Point3.real(1, 1, 1), 0.2, 1e-3)
+        assert len(trajectory.times) == 201
+        assert len(calls) == 801
+
 
 class TestConservationDrift:
     def test_guillot_invariants(self):

@@ -115,6 +115,26 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def test_every_record_field_is_read():
+    # a field counts as read when any attribute load in src/mcflow carries
+    # its name, whatever object it is read from
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    unread += [f"{cls.name}.{field}" for field in ast.literal_eval(item.value)
+                               if field not in read]
+    assert unread == []
+
+
 # The one normalisation policy: a rational function is reduced only by the
 # RationalFunction constructor and the helpers of algebra.py behind it.
 NORMALISERS = {"poly_gcd", "_normalize", "_raw"}

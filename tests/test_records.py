@@ -13,7 +13,6 @@ from mcflow.mcframe import (
     FAILS,
     HOLDS,
     NONZERO,
-    Sl2Frame,
     VerificationReport,
     conformal_transform,
     verify_maurer_cartan,
@@ -38,8 +37,8 @@ from mcflow.systems import ConcordanceEntry, builtin, system_source
      "Check(name='a', anchor='b != 0', status='fails', residual_obj=None, "
      "residual=None, expect='nonzero')"),
     (VerificationReport("s", ()), "VerificationReport(system='s', checks=())"),
-    (SampleVerdict("i", 5, 0.5, 1e-12),
-     "SampleVerdict(identity='i', points_tried=5, max_abs_residual=0.5, tolerance=1e-12)"),
+    (SampleVerdict(5, 0.5, 1e-12),
+     "SampleVerdict(points_tried=5, max_abs_residual=0.5, tolerance=1e-12)"),
     (ConcordanceEntry("alpha", "dx", "match", "0", "0", "0"),
      "ConcordanceEntry(form='alpha', component='dx', status='match', computed='0', "
      "printed='0', difference='0')"),
@@ -92,25 +91,12 @@ def test_bad_construction_raises_type_error(args, kwargs):
         Check(*args, **kwargs)
 
 
-def test_sl2_frame_equality_ignores_bracket_report():
-    frame = builtin("guillot").frame
-    assert frame.bracket_report is not None
-    bare = Sl2Frame(frame.name, frame.v, frame.u, frame.w, frame.M,
-                    frame.alpha, frame.beta, frame.gamma)
-    assert bare.bracket_report is None
-    assert bare == frame and hash(bare) == hash(frame)
-    assert repr(bare) == repr(frame)
-    assert "bracket_report" not in repr(frame)
-    assert bare != Sl2Frame("other", frame.v, frame.u, frame.w, frame.M,
-                            frame.alpha, frame.beta, frame.gamma)
-
-
 @pytest.mark.parametrize("record, field", [
     (_Token("int", "1", 1, 1), "kind"),
     (ConcordanceEntry("alpha", "dx", "match", "0", "0", "0"), "status"),
     (Check("a", "b", HOLDS), "status"),
     (VerificationReport("s", ()), "checks"),
-    (SampleVerdict("i", 1, 0.0, 1.0), "tolerance"),
+    (SampleVerdict(1, 0.0, 1.0), "tolerance"),
 ])
 def test_assigning_a_field_raises(record, field):
     with pytest.raises(AttributeError):
@@ -122,8 +108,6 @@ def test_frame_and_spec_are_frozen():
     with pytest.raises(AttributeError):
         system.frame.M = None
     with pytest.raises(AttributeError):
-        system.frame.bracket_report = None
-    with pytest.raises(AttributeError):
         system.spec.name = "renamed"
 
 
@@ -131,7 +115,6 @@ def test_copy_and_pickle_keep_every_field():
     frame = builtin("guillot").frame
     for clone in (copy.copy(frame), pickle.loads(pickle.dumps(frame))):
         assert clone == frame
-        assert clone.bracket_report == frame.bracket_report
     check = Check("n", "x = 0", HOLDS)
     assert pickle.loads(pickle.dumps(check)) == check
 
