@@ -1111,6 +1111,13 @@ def _integer_scaled(f: RationalFunction) -> tuple[Poly3, Poly3]:
             Poly3._make(f.den._prim, Fraction(ratio.denominator), f.den._lead, f.chart))
 
 
+def highest_exponent(f: Poly3 | RationalFunction) -> int:
+    """The largest exponent of one variable in f, or in f's numerator or
+    denominator."""
+    polys = (f.num, f.den) if isinstance(f, RationalFunction) else (f,)
+    return max((max(exps) for p in polys for exps in p._prim), default=0)
+
+
 def widest_printed_integer(f: RationalFunction) -> int:
     """The largest magnitude among the integers that str(f) prints."""
     return max(abs(p._content.numerator) * max(map(abs, p._prim.values()), default=0)

@@ -6,12 +6,14 @@
     mcflow sample <system|path>     numeric sampling of check residuals
     mcflow check-file <path>        parse and verify a user .sys file
 
-Exit codes: 0 all attempted checks hold, 1 a mathematical check failed,
-2 parse/usage error, 3 singular or degenerate input.  Reports are plain
-text by default; --json emits a single deterministic JSON document.
+Exit codes: 0 all attempted checks hold, 1 a mathematical check failed or
+the report could not be written, 2 parse/usage error, 3 singular or
+degenerate input.  Reports are plain text by default; --json emits a single
+deterministic JSON document.
 """
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -80,8 +82,15 @@ def _resolve(target: str) -> System:
         return builtin(target)
     if not os.path.exists(target):
         raise ParseError(f"{target!r} is not a built-in system or an existing file")
-    with open(target, encoding="utf-8") as handle:
-        return System(parse_system(handle.read()))
+    try:
+        with open(target, encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {target!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{target!r} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
+    return System(parse_system(source))
 
 
 def _eps_integrals(spec: SystemSpec, eps: int):
@@ -592,7 +601,24 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """The ``mcflow`` command and ``python -m mcflow.cli``: main(), then exit.
+
+    A report that cannot be written (a closed pipe, a full disk) exits 1
+    with one line on stderr.  The collector is frozen before exit, so the
+    interpreter's final collection, which cost more than a small request's
+    own work, skips every object and the operating system takes the memory
+    back.  main() leaves the collector alone for longer-lived callers."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is left in the buffer goes to devnull, so the interpreter's
+        # own final flush of stdout cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"mcflow: cannot write the report: {exc}", file=sys.stderr)
+        status = EXIT_CHECK_FAILED
+    gc.freeze()
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .algebra import (
     Poly3,
     RationalFunction,
     ZeroDenominatorError,
+    highest_exponent,
     widest_printed_integer,
 )
 from .calculus import LogIntegral, ZeroLogArgumentError
@@ -154,6 +155,11 @@ def _rational(value) -> RationalFunction:
 # input needs more than a few hundred pairs.
 _MAX_TERM_PAIRS = 10**6
 
+# A parsed value of higher degree than this in one variable is refused: the
+# gcd images its inputs as dense lists of degree + 1 coefficients, so x^(2^30)
+# would ask for gigabytes.  Shipped and benchmark inputs have degree 4 at most.
+_MAX_DEGREE = 10**4
+
 
 def _term_count(value) -> int:
     """Terms of a value's rational part, numerator and denominator."""
@@ -212,7 +218,8 @@ class _Parser:
         return token.kind == "op" and token.text in symbols
 
     def fail(self, message: str):
-        """A misplaced log term, reported at the value's first character."""
+        """A fault of the whole value, such as a misplaced log term, reported
+        at the value's first character."""
         first = self.tokens[0]
         raise ParseError(message, first.line, first.column)
 
@@ -384,6 +391,10 @@ def _parse(text: str, variables: Sequence[str], allow_log: bool, line: int, colu
     if trailing.kind != "end":
         raise ParseError(f"unexpected trailing input {trailing.text!r}",
                          trailing.line, trailing.column)
+    rational, terms = _split(value)
+    degree = max(highest_exponent(part) for part in (rational, *(a for _, a in terms)))
+    if degree > _MAX_DEGREE:
+        parser.fail(f"degree {degree} in one variable exceeds the limit of {_MAX_DEGREE}")
     return value
 
 

@@ -10,8 +10,8 @@ instead of failing, since recomputation from the defining cross products is
 authoritative.
 """
 
+import os
 from functools import lru_cache
-from importlib import resources
 from typing import Optional
 
 from . import Record
@@ -77,7 +77,9 @@ def system_source(name: str) -> str:
     """Raw text of a shipped .sys file."""
     if name not in BUILTIN_NAMES:
         raise UnknownSystemError(f"unknown system {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    return resources.files("mcflow.data").joinpath(f"{name}.sys").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.sys")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 class System:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -28,6 +29,13 @@ def run_json(argv):
     document, status, diagnostic = run(argv)
     assert diagnostic is None, diagnostic
     return document, status
+
+
+def child_env(**extra):
+    """The environment of an mcflow child process, stdout buffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mcflow.__file__).parent.parent), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 class TestVerify:
@@ -241,6 +249,28 @@ class TestArgumentValidation:
         assert (document, status) == (None, 2)
         assert message == f"parse error: {diagnostic}"
 
+    @pytest.mark.parametrize(
+        "argv, diagnostic",
+        [
+            (["--rho=y", "--f=x^2000000000"], "--f: degree 2000000000"),
+            (["--rho=x^2000000000"], "--rho: degree 2000000000"),
+        ],
+        ids=["f", "rho"],
+    )
+    def test_candidate_of_too_high_degree_is_a_parse_error(self, argv, diagnostic):
+        # the gcd would image x^2000000000 as a dense list of 2*10^9 + 1
+        # coefficients; a 2 GiB address space turns that into a MemoryError
+        # instead of exhausting the machine's memory
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        done = subprocess.run([sys.executable, "-m", "mcflow.cli", "verify", "dh_symmetric",
+                               *argv], env=child_env(), capture_output=True, text=True,
+                              preexec_fn=limit_memory)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"parse error: {diagnostic} in one variable exceeds the limit "
+                               "of 10000 (line 1, column 1)\n")
+
     @pytest.mark.parametrize("start", ["1e400,1,1", "1/0,1,1", "1,2", "a,b,c"])
     def test_start_point_that_is_not_three_floats_is_a_usage_error(self, start, capsys):
         document, status, _ = run(["integrate", "guillot", f"--from={start}"])
@@ -400,6 +430,17 @@ class TestCheckFile:
     def test_missing_file_exit_2(self):
         _, status, diagnostic = run(["check-file", "/nonexistent/f.sys"])
         assert status == 2
+
+    def test_unreadable_file_exit_2(self, tmp_path):
+        _, status, diagnostic = run(["check-file", str(tmp_path)])
+        assert (status, diagnostic) == (
+            2, f"parse error: cannot read {str(tmp_path)!r}: Is a directory (line 1, column 1)")
+        path = tmp_path / "latin1.sys"
+        path.write_bytes("name: caf\xe9\n".encode("latin-1"))
+        _, status, diagnostic = run(["check-file", str(path)])
+        assert (status, diagnostic) == (
+            2, f"parse error: {str(path)!r} is not UTF-8 text: invalid continuation byte at "
+               "byte 9 (line 1, column 1)")
 
     def test_builtin_name_rejected(self):
         _, status, diagnostic = run(["check-file", "guillot"])
@@ -838,16 +879,64 @@ class TestEntryPoint:
             "assert status == 0 and out.getvalue().startswith('{')\n"
             "print(len(builds))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(mcflow.__file__).parent.parent))
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
+        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "1"
 
-    def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "mcflow.cli", "derive", "guillot"],
-            capture_output=True,
-            text=True,
+    def test_module_invocation(self, capsys):
+        # the console entry prints what main() prints, byte for byte
+        for argv in (["verify", "guillot"], ["verify", "guillot", "--json"],
+                     ["integrate", "heisenberg_example"]):
+            status = main(argv)
+            expected = capsys.readouterr().out.encode()
+            result = subprocess.run([sys.executable, "-m", "mcflow.cli", *argv],
+                                    env=child_env(), capture_output=True)
+            assert (result.returncode, result.stdout) == (status, expected)
+
+    @pytest.mark.parametrize("call, frozen", [("console_main()", "True"), ("main()", "False")],
+                             ids=["console_main", "main"])
+    def test_only_the_console_entry_freezes_the_collector(self, call, frozen):
+        # a frozen collector skips the interpreter's final collection; main()
+        # leaves it alone for callers in a longer-lived process
+        probe = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv[1:] = ['derive', 'guillot']\n"
+            "from mcflow.cli import console_main, main\n"
+            f"{call}\n"
         )
-        assert result.returncode == 0
-        assert "1/(2*y^3*z)" in result.stdout
+        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, f"{frozen}\n")
+        assert "1/(2*y^3*z)" in done.stdout
+
+
+class TestUnwritableReport:
+    """A report that cannot be written exits 1 with one line on stderr."""
+
+    @staticmethod
+    def assert_one_line(done, reason):
+        assert done.returncode == 1
+        assert done.stderr == f"mcflow: cannot write the report: {reason}\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["verify", "guillot"], ["derive", "heisenberg_example"]],
+                             ids=["verify", "derive"])
+    def test_closed_pipe(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        try:
+            done = subprocess.run([sys.executable, "-m", "mcflow.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        self.assert_one_line(done, "[Errno 32] Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "mcflow.cli", "verify", "guillot"],
+                                  env=child_env(), stdout=full, stderr=subprocess.PIPE,
+                                  text=True)
+        self.assert_one_line(done, "[Errno 28] No space left on device")

@@ -411,9 +411,21 @@ class TestSingleFaults:
         ("v: x; y; z\nintegral H: log(y) + 1/(z - z)", "reciprocal of zero", 4, 13),
         ("v: x; y; z\nintegral H: log(x, y)", "log takes exactly one argument", 4, 18),
         ("v: x; y; z\nintegral H: log x", "log takes exactly one parenthesised argument", 4, 13),
+        ("v: x^10001; y; z", "degree 10001 in one variable exceeds the limit of 10000", 3, 4),
+        ("v: x; 1/(z^20000 + 1); z", "degree 20000 in one variable exceeds the limit of 10000",
+         3, 7),
+        ("v: x; y; z\nintegral H: x + 2*log(y^10001)",
+         "degree 10001 in one variable exceeds the limit of 10000", 4, 13),
     ])
     def test_report_of_one_fault(self, source, message, line, column):
         assert parse_error(source) == (message, line, column)
+
+    def test_degree_at_the_limit_is_accepted(self):
+        # only the finished value counts: x^20000/x^10000 is x^10000
+        spec = parse_system("name: a\nvariables: x, y, z\nv: x^10000; x^20000/x^10000; z\n"
+                            "integral H: log(y^10000)\n")
+        assert spec.v[:2] == (rf(X**10000), rf(X**10000))
+        assert spec.integral("H").log_terms == ((1, rf(Y**10000)),)
 
     def test_several_faults_report_the_first_one_reached(self):
         # the zero divisor stands left of the syntax error

@@ -8,6 +8,8 @@ itself) or name a top-level module in ``sys.stdlib_module_names``.
 Every request is a fresh process, so import weight is start-up time:
 ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``) is not imported at all, and ``json`` only by ``--json``.
+The shipped ``.sys`` files are read with ``open``: ``importlib.resources``
+would bring ``zipfile``, ``tempfile`` and ``pathlib`` with it.
 """
 
 import ast
@@ -65,3 +67,12 @@ def test_cli_import_loads_no_heavy_module():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_without_site_loads_no_importlib_resources():
+    # with -S, site has not imported importlib.resources on the package's behalf
+    probe = "import sys, mcflow.cli; print('importlib.resources' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
