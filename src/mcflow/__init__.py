@@ -8,6 +8,8 @@ conformal invariance, bi-Hamiltonian decomposition) as an exact zero
 residual, cross-validated by a floating-point oracle.
 """
 
+from __future__ import annotations
+
 __version__ = "0.1.0"
 
 

@@ -17,6 +17,8 @@ what lets the rest of the package claim that a residual vanishes
 All values are immutable after construction and all operations are pure.
 """
 
+from __future__ import annotations
+
 import math
 import sys
 from fractions import Fraction
@@ -798,9 +800,10 @@ class RationalFunction:
     Invariants: denominator nonzero and monic (graded-lex leading
     coefficient 1); numerator and denominator have no common factor.  Two
     values are equal iff their (num, den) pairs are syntactically equal.
-    Every reduction is the constructor's (``_normalize``): a sum is its
-    numerator over the lcm of the two denominators (``over_lcm``), and a
-    product reduces each numerator against the other denominator.
+    Every reduction is ``_normalize``'s: the constructor reduces its
+    numerator against each factor, a sum reduces its numerator over the lcm
+    only against the gcd of the two denominators, and a product reduces each
+    numerator against the other denominator.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -851,8 +854,23 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        den, (n1, n2) = over_lcm((self, other))
-        return RationalFunction(n1 + n2, den)
+        (n1, d1), (n2, d2) = (self.num, self.den), (other.num, other.den)
+        if d1 == d2:
+            return RationalFunction(n1 + n2, d1)
+        # Over the lcm, with g = gcd(d1, d2), the sum is n1 d2/g + n2 d1/g,
+        # and only a factor of g can cancel from it (Henrici; Knuth, TAOCP
+        # vol. 2, 4.5.1): a constant denominator is 1, and coprime ones leave
+        # the sum reduced
+        if d1.is_constant():
+            return RationalFunction._raw(n1 * d2 + n2, d2)
+        if d2.is_constant():
+            return RationalFunction._raw(n1 + n2 * d1, d1)
+        g = poly_gcd(d1, d2)
+        if g.is_constant():
+            return RationalFunction._raw(n1 * d2 + n2 * d1, d1 * d2)
+        a, b = d1.div_exact(g), d2.div_exact(g)
+        num, rest = _normalize(n1 * b + n2 * a, g)
+        return RationalFunction._raw(num, rest * a * b)
 
     __radd__ = __add__
 

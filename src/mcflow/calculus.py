@@ -13,6 +13,8 @@ With this orientation every curl/divergence identity becomes a plain
 coefficient equality, with no stray signs.
 """
 
+from __future__ import annotations
+
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence

@@ -12,13 +12,15 @@ degenerate input.  Reports are plain text by default; --json emits a single
 deterministic JSON document.
 """
 
-import argparse
+from __future__ import annotations
+
 import gc
 import math
 import os
+import re
 import sys
+import types
 from fractions import Fraction
-from functools import lru_cache
 
 from . import __version__
 from .algebra import (
@@ -330,14 +332,21 @@ def _integration_section(resolved: System, args):
     }
 
 
+class _Document(dict):
+    """A report document that knows whether its request asked for --json,
+    so main() renders it without reading argv again."""
+
+    __slots__ = ("json",)
+
+
 def _document(resolved, command, sections, exit_status):
-    return {
-        "tool": {"name": "mcflow", "version": __version__},
-        "command": command,
-        "system": resolved.name,
-        "sections": sections,
-        "exit_status": exit_status,
-    }
+    return _Document(
+        tool={"name": "mcflow", "version": __version__},
+        command=command,
+        system=resolved.name,
+        sections=sections,
+        exit_status=exit_status,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +485,10 @@ def _render_text(doc) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A malformed command line; the message follows ``mcflow: error: ``."""
+
+
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     try:
@@ -483,19 +496,19 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
             return tuple(float(Fraction(part.strip())) for part in parts)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
-    raise argparse.ArgumentTypeError(f"expected three comma-separated finite numbers, got {text!r}")
+    raise _UsageError(f"expected three comma-separated finite numbers, got {text!r}")
 
 
 def _parse_box(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected LO,HI")
+        raise _UsageError("expected LO,HI")
     lo, hi = (float(part) for part in parts)
     # the sampler draws grid indices between bound * GRID_DENOMINATOR
     if not all(math.isfinite(bound * GRID_DENOMINATOR) for bound in (lo, hi)):
-        raise argparse.ArgumentTypeError("box bounds must be finite on the sampling grid")
+        raise _UsageError("box bounds must be finite on the sampling grid")
     if hi < lo:
-        raise argparse.ArgumentTypeError("box upper bound below lower bound")
+        raise _UsageError("box upper bound below lower bound")
     return lo, hi
 
 
@@ -505,7 +518,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise _UsageError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -515,57 +528,198 @@ def _positive_real(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+        raise _UsageError(f"expected a finite positive number, got {text!r}")
     return value
 
 
-@lru_cache(maxsize=None)
-def _build_arg_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: run() and main() both
-    parse argv with it."""
-    parser = argparse.ArgumentParser(
-        prog="mcflow",
-        description="exact structural verification of 3D flows with companion frames",
-    )
-    parser.add_argument("--version", action="version", version=f"mcflow {__version__}")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("system", help="built-in system name or path to a .sys file")
-    parser.add_argument("--json", action="store_true", help="emit one JSON document")
-    parser.add_argument("--eps", choices=["+1", "-1"], default="+1",
-                        help="select the +1 or -1 branch of paired integrals")
-    parser.add_argument("--rho", help="conformal factor candidate (expression)")
-    parser.add_argument("--f", help="perturbation candidate for the potential (expression)")
-    parser.add_argument("--points", type=_positive_int, default=25,
-                        help="oracle sample points per check")
-    parser.add_argument("--h", type=_positive_real, default=1e-3, help="integration step size")
-    parser.add_argument("--t", type=_positive_real, default=0.2, help="integration horizon")
-    parser.add_argument("--from", dest="start", type=_parse_triple, default=(1.0, 1.0, 1.0),
-                        help="initial point x,y,z")
-    parser.add_argument("--seed", type=int, default=0, help="oracle sampling seed")
-    parser.add_argument("--box", type=_parse_box, default=(-3.0, 3.0),
-                        help="sampling box LO,HI (applied to each axis)")
-    parser.add_argument("--tol", type=_positive_real, default=1e-12, help="oracle zero tolerance")
-    parser.add_argument("--check", help="restrict `sample` to one named check")
-    return parser
+def _choice(text: str, choices) -> str:
+    if text not in choices:
+        shown = ", ".join(map(repr, choices))
+        raise _UsageError(f"invalid choice: {text!r} (choose from {shown})")
+    return text
+
+
+def _eps(text: str) -> int:
+    return int(_choice(text, ("+1", "-1")))
+
+
+def _command(text: str) -> str:
+    return _choice(text, sorted(_COMMANDS))
+
+
+def _convert(label: str, convert, text: str):
+    """convert(text); a fault is a _UsageError naming the argument."""
+    try:
+        return convert(text)
+    except _UsageError as exc:
+        raise _UsageError(f"argument {label}: {exc}") from None
+    except ValueError:
+        raise _UsageError(f"argument {label}: invalid {convert.__name__} value: "
+                          f"{text!r}") from None
+
+
+# Every long option, in the order of the usage line: its destination (None
+# for --help and --version, which print and exit), its converter (None for a
+# flag) and its default.  A converter raises _UsageError with its message,
+# or ValueError for "invalid <converter> value".
+_OPTIONS = {
+    "--help": (None, None, None),
+    "--version": (None, None, None),
+    "--json": ("json", None, False),
+    "--eps": ("eps", _eps, 1),
+    "--rho": ("rho", str, None),
+    "--f": ("f", str, None),
+    "--points": ("points", _positive_int, 25),
+    "--h": ("h", _positive_real, 1e-3),
+    "--t": ("t", _positive_real, 0.2),
+    "--from": ("start", _parse_triple, (1.0, 1.0, 1.0)),
+    "--seed": ("seed", int, 0),
+    "--box": ("box", _parse_box, (-3.0, 3.0)),
+    "--tol": ("tol", _positive_real, 1e-12),
+    "--check": ("check", str, None),
+}
+
+_USAGE = """\
+usage: mcflow [-h] [--version] [--json] [--eps {+1,-1}] [--rho RHO] [--f F]
+              [--points POINTS] [--h H] [--t T] [--from START] [--seed SEED]
+              [--box BOX] [--tol TOL] [--check CHECK]
+              {check-file,derive,integrate,sample,verify} system
+"""
+_HELP = _USAGE + """
+exact structural verification of 3D flows with companion frames
+
+positional arguments:
+  {check-file,derive,integrate,sample,verify}
+  system                built-in system name or path to a .sys file
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+  --json                emit one JSON document
+  --eps {+1,-1}         select the +1 or -1 branch of paired integrals
+  --rho RHO             conformal factor candidate (expression)
+  --f F                 perturbation candidate for the potential (expression)
+  --points POINTS       oracle sample points per check
+  --h H                 integration step size
+  --t T                 integration horizon
+  --from START          initial point x,y,z
+  --seed SEED           oracle sampling seed
+  --box BOX             sampling box LO,HI (applied to each axis)
+  --tol TOL             oracle zero tolerance
+  --check CHECK         restrict `sample` to one named check
+"""
+
+
+def _option_of(text: str):
+    """(long option, text after '=' or None) if text is an option, the
+    option None if it is unknown; None if text is a positional.  A long
+    option may be a unique prefix, and a text that looks like a negative
+    number or holds a space is a positional."""
+    if text[:1] != "-" or text == "-":
+        return None
+    name, equals, value = text.partition("=")
+    explicit = value if equals else None
+    if name in _OPTIONS:
+        return name, explicit
+    if text[1] == "-":
+        matches = [option for option in _OPTIONS if option.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {text} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif text.startswith("-h"):
+        # -h takes no value, so letters after it are more options: -hh is
+        # -h -h, and the first letter that is not h is left over
+        if name != "-h":
+            explicit = text[2:]
+        return "--help", explicit.lstrip("h") or None if explicit else explicit
+    if re.match(r"^-\d+$|^-\d*\.\d+$", text) or " " in text:
+        return None
+    return None, None
+
+
+def _parse_args(argv):
+    """The request a command line asks for: one attribute per option
+    destination, plus command and system.
+
+    argv is read once, left to right, with argparse's rules: --opt=value,
+    --opt value (a value never starts with '-' unless it is a negative
+    number or holds a space), a unique prefix of a long option, and '--',
+    after which every token is a positional.  Each option is converted, and
+    each run of positionals taken, where it stands, so the first fault from
+    the left is reported; a missing positional, then an unrecognised token,
+    only at the end.  Returns the text to print instead if --help or
+    --version comes first; raises _UsageError."""
+    separator = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option_of(text) for text in argv[:separator]] + [None] * (len(argv) - separator)
+    values = {dest: default for dest, _, default in _OPTIONS.values() if dest}
+    positionals, extras = [], []
+    i = 0
+    while i < len(argv):
+        if kinds[i] is None:
+            # a run of positionals up to the next option: each feeds the next
+            # missing positional, the '--' next to the last one taken is
+            # dropped, and the rest is unrecognised
+            end = i
+            while end < len(argv) and kinds[end] is None:
+                end += 1
+            taken = [k for k in range(i, end) if k != separator][:2 - len(positionals)]
+            rest = i
+            for k in taken:
+                text = argv[k]
+                positionals.append(text if positionals else _convert("command", _command, text))
+                rest = k + 1 + (k + 1 == separator)
+            extras += argv[rest:end]
+            i = end
+            continue
+        name, explicit = kinds[i]
+        i += 1
+        if name is None:
+            extras.append(argv[i - 1])
+            continue
+        label = "-h/--help" if name == "--help" else name
+        dest, convert, _ = _OPTIONS[name]
+        if convert is None:
+            if explicit is not None:
+                raise _UsageError(f"argument {label}: ignored explicit argument {explicit!r}")
+            if dest is None:
+                return _HELP if name == "--help" else f"mcflow {__version__}\n"
+            values[dest] = True
+            continue
+        if explicit is None:
+            if i == len(argv) or kinds[i] is not None or i == separator:
+                raise _UsageError(f"argument {label}: expected one argument")
+            explicit = argv[i]
+            i += 1
+        values[dest] = _convert(label, convert, explicit)
+    if len(positionals) < 2:
+        missing = ", ".join(("command", "system")[len(positionals):])
+        raise _UsageError(f"the following arguments are required: {missing}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    args = types.SimpleNamespace(command=positionals[0], system=positionals[1], **values)
+    if not args.t / args.h <= MAX_STEPS:
+        raise _UsageError(f"argument --t/--h: --t={args.t} over --h={args.h} "
+                          f"exceeds the limit of {MAX_STEPS} steps")
+    return args
 
 
 def run(argv) -> tuple[dict | None, int, str | None]:
     """Execute a request; returns (document, exit code, diagnostic)."""
-    parser = _build_arg_parser()
     try:
-        args = parser.parse_args(argv)
-        if not args.t / args.h <= MAX_STEPS:
-            parser.error(f"argument --t/--h: --t={args.t} over --h={args.h} "
-                         f"exceeds the limit of {MAX_STEPS} steps")
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return None, (EXIT_OK if code == 0 else EXIT_PARSE_ERROR), None
-    args.eps = int(args.eps)
+        args = _parse_args(argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}mcflow: error: {exc}\n")
+        return None, EXIT_PARSE_ERROR, None
+    if isinstance(args, str):
+        sys.stdout.write(args)
+        return None, EXIT_OK, None
     try:
         resolved = _resolve(args.system)
         if args.command == "check-file" and resolved.is_builtin:
             raise ParseError("check-file expects a path to a .sys file")
         document, status = _COMMANDS[args.command](resolved, args)
+        document.json = args.json
         return document, status, None
     except (ParseError, ZeroDenominatorError, ZeroLogArgumentError) as exc:
         return None, EXIT_PARSE_ERROR, f"parse error: {exc}"
@@ -589,9 +743,7 @@ def main(argv=None) -> int:
         return status
     if document is None:
         return status
-    # run() accepted argv, so parsing it again cannot fail; argparse also
-    # accepts abbreviations such as --jso, which a string test would miss
-    if _build_arg_parser().parse_args(argv).json:
+    if document.json:
         import json
 
         print(json.dumps(document, indent=2))

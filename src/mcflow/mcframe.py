@@ -16,6 +16,8 @@ Every check is reported with its residual kept as an exact object, so a
 numeric oracle can re-evaluate it independently.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
 from typing import Optional, Sequence
 

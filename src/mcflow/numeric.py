@@ -8,6 +8,8 @@ as its residual, so for those the sample re-reads the exact verdict
 rather than testing it independently.
 """
 
+from __future__ import annotations
+
 import math
 import random
 import zlib

@@ -24,6 +24,8 @@ line-oriented: one ``key: value`` pair per line, ``#`` starts a comment.
     multiplier: <expr>                 # optional
 """
 
+from __future__ import annotations
+
 import math
 import operator
 import sys
@@ -160,6 +162,22 @@ _MAX_TERM_PAIRS = 10**6
 # would ask for gigabytes.  Shipped and benchmark inputs have degree 4 at most.
 _MAX_DEGREE = 10**4
 
+# The operands of a rational step (a quotient, or a sum or product with one)
+# are checked before the step runs its gcds, which image them too: up to
+# twice the limit, the degree of a product of two values at the limit
+# (x^20000/x^10000 is x^10000).  Between monomials every gcd is read off the
+# exponents, so only a step with a part of several terms is refused.
+_MAX_OPERAND_DEGREE = 2 * _MAX_DEGREE
+
+
+def _degree_message(degree: int, limit: int) -> str:
+    return f"degree {degree} in one variable exceeds the limit of {limit}"
+
+
+def _parts(value) -> tuple:
+    """A rational value's numerator and denominator, or the polynomial."""
+    return (value.num, value.den) if isinstance(value, RationalFunction) else (value,)
+
 
 def _term_count(value) -> int:
     """Terms of a value's rational part, numerator and denominator."""
@@ -175,9 +193,16 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 
 def _arithmetic(op: str, left, right, token: _Token):
     """left op right for rational values; an exponent past what a monomial
-    holds is a ParseError at the operator token (for a power, its '^')."""
+    holds, or an operand past _MAX_OPERAND_DEGREE, is a ParseError at the
+    operator token (for a power, its '^')."""
     if op == "/" and isinstance(right, Poly3) and right.is_constant() and not right.is_zero():
         return left * (1 / right.constant_value())
+    if op == "/" or isinstance(left, RationalFunction) or isinstance(right, RationalFunction):
+        parts = [p for value in (left, right) for p in _parts(value)]
+        degree = max(map(highest_exponent, parts))
+        if degree > _MAX_OPERAND_DEGREE and any(p.term_count() > 1 for p in parts):
+            raise ParseError(_degree_message(degree, _MAX_OPERAND_DEGREE),
+                             token.line, token.column)
     # a RationalFunction takes a Poly3 operand, and divides by zero with
     # the error "reciprocal of zero"
     if isinstance(left, Poly3) and (op == "/" or isinstance(right, RationalFunction)):
@@ -394,7 +419,7 @@ def _parse(text: str, variables: Sequence[str], allow_log: bool, line: int, colu
     rational, terms = _split(value)
     degree = max(highest_exponent(part) for part in (rational, *(a for _, a in terms)))
     if degree > _MAX_DEGREE:
-        parser.fail(f"degree {degree} in one variable exceeds the limit of {_MAX_DEGREE}")
+        parser.fail(_degree_message(degree, _MAX_DEGREE))
     return value
 
 

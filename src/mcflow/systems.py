@@ -10,6 +10,8 @@ instead of failing, since recomputation from the defining cross products is
 authoritative.
 """
 
+from __future__ import annotations
+
 import os
 from functools import lru_cache
 from typing import Optional

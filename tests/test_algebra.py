@@ -675,6 +675,41 @@ class TestNormalisationAgainstReference:
         assert (built.num, built.den) == _reference(n, f1 * f2)
 
 
+class TestSumReduction:
+    """A sum reduces its numerator only against gcd(d1, d2): no other factor
+    of the lcm can cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1)."""
+
+    @staticmethod
+    def gcd_calls(monkeypatch, a, b):
+        calls = []
+
+        def recording(p, q):
+            calls.append((p, q))
+            return poly_gcd(p, q)
+
+        monkeypatch.setattr(algebra, "poly_gcd", recording)
+        total = a + b
+        monkeypatch.undo()
+        return total, calls
+
+    @pytest.mark.parametrize("b", [rf(Z), rf(Z, 3)], ids=["polynomial", "constant"])
+    def test_constant_denominator_takes_no_gcd(self, monkeypatch, b):
+        a = rf(X, Y + 1)
+        total, calls = self.gcd_calls(monkeypatch, a, b)
+        assert (total, calls) == (rf(X + b.num * (Y + 1), Y + 1), [])
+
+    def test_coprime_denominators_take_only_their_gcd(self, monkeypatch):
+        total, calls = self.gcd_calls(monkeypatch, rf(X, Y + 1), rf(Z, X + 2))
+        assert total == rf(X * (X + 2) + Z * (Y + 1), (Y + 1) * (X + 2))
+        assert calls == [(Y + 1, X + 2)]
+
+    def test_a_common_factor_cancels_against_the_gcd(self, monkeypatch):
+        # 1/(x(x+1)) + 1/(x(x-1)) = 2x/(x(x^2-1)) = 2/(x^2-1)
+        total, calls = self.gcd_calls(monkeypatch, rf(ONE, X * (X + 1)), rf(ONE, X * (X - 1)))
+        assert total == rf(2, X**2 - 1)
+        assert calls == [(X**2 + X, X**2 - X), (2 * X, X)]
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------

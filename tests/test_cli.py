@@ -271,6 +271,20 @@ class TestArgumentValidation:
         assert done.stderr == (f"parse error: {diagnostic} in one variable exceeds the limit "
                                "of 10000 (line 1, column 1)\n")
 
+    def test_quotient_of_too_high_degree_is_a_parse_error(self):
+        # the operands are refused at the '/' before the gcd images them;
+        # under a 2 GiB address space that gcd ended in a MemoryError
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        done = subprocess.run([sys.executable, "-m", "mcflow.cli", "verify", "guillot",
+                               "--rho=(x^2000000000 + y)/(x^2000000000 + z)"],
+                              env=child_env(), capture_output=True, text=True,
+                              preexec_fn=limit_memory)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("parse error: --rho: degree 2000000000 in one variable exceeds "
+                               "the limit of 20000 (line 1, column 19)\n")
+
     @pytest.mark.parametrize("start", ["1e400,1,1", "1/0,1,1", "1,2", "a,b,c"])
     def test_start_point_that_is_not_three_floats_is_a_usage_error(self, start, capsys):
         document, status, _ = run(["integrate", "guillot", f"--from={start}"])
@@ -292,6 +306,79 @@ class TestArgumentValidation:
         assert (document, status) == (None, 2)
         err = capsys.readouterr().err
         assert "--t=1e+300" in err and "--h=1e-300" in err
+
+
+USAGE = """\
+usage: mcflow [-h] [--version] [--json] [--eps {+1,-1}] [--rho RHO] [--f F]
+              [--points POINTS] [--h H] [--t T] [--from START] [--seed SEED]
+              [--box BOX] [--tol TOL] [--check CHECK]
+              {check-file,derive,integrate,sample,verify} system
+"""
+HELP = USAGE + """
+exact structural verification of 3D flows with companion frames
+
+positional arguments:
+  {check-file,derive,integrate,sample,verify}
+  system                built-in system name or path to a .sys file
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+  --json                emit one JSON document
+  --eps {+1,-1}         select the +1 or -1 branch of paired integrals
+  --rho RHO             conformal factor candidate (expression)
+  --f F                 perturbation candidate for the potential (expression)
+  --points POINTS       oracle sample points per check
+  --h H                 integration step size
+  --t T                 integration horizon
+  --from START          initial point x,y,z
+  --seed SEED           oracle sampling seed
+  --box BOX             sampling box LO,HI (applied to each axis)
+  --tol TOL             oracle zero tolerance
+  --check CHECK         restrict `sample` to one named check
+"""
+
+
+def usage_error(message):
+    return USAGE + f"mcflow: error: {message}\n"
+
+
+class TestCommandLine:
+    """(exit code, stdout, stderr) of main() for each form of the command
+    line; where stdout is an argv, the report that argv prints."""
+
+    @pytest.mark.parametrize("argv, status, out, err", [
+        (["-h"], 0, HELP, ""),
+        (["--help"], 0, HELP, ""),
+        (["--version"], 0, f"mcflow {mcflow.__version__}\n", ""),
+        (["derive", "guillot", "--jso"], 0, ["derive", "guillot", "--json"], ""),
+        (["sample", "guillot", "--poi", "2"], 0, ["sample", "guillot", "--points=2"], ""),
+        (["verify", "guillot", "--rho", "-x"], 2, "",
+         usage_error("argument --rho: expected one argument")),
+        (["derive", "guillot", "--json=1"], 2, "",
+         usage_error("argument --json: ignored explicit argument '1'")),
+        (["verify", "guillot", "--eps", "0"], 2, "",
+         usage_error("argument --eps: invalid choice: '0' (choose from '+1', '-1')")),
+        (["sample", "guillot", "--seed", "x"], 2, "",
+         usage_error("argument --seed: invalid int value: 'x'")),
+        (["prove", "guillot"], 2, "",
+         usage_error("argument command: invalid choice: 'prove' (choose from 'check-file', "
+                     "'derive', 'integrate', 'sample', 'verify')")),
+        (["verify"], 2, "", usage_error("the following arguments are required: system")),
+        (["derive", "guillot", "extra"], 2, "", usage_error("unrecognized arguments: extra")),
+        (["derive", "--", "guillot"], 0, ["derive", "guillot"], ""),
+        (["derive", "guillot", "-x"], 2, "", usage_error("unrecognized arguments: -x")),
+        (["sample", "guillot", "--points=3", "--points", "2"], 0,
+         ["sample", "guillot", "--points=2"], ""),
+    ], ids=["-h", "--help", "--version", "prefix", "prefix-two-tokens", "dash-value",
+            "flag-value", "eps-choice", "seed-int", "unknown-command", "missing-system",
+            "extra-positional", "separator", "unknown-option", "repeated-option"])
+    def test_command_line(self, argv, status, out, err, capsys):
+        if isinstance(out, list):
+            assert main(out) == status
+            out = capsys.readouterr().out
+        assert main(argv) == status
+        assert capsys.readouterr() == (out, err)
 
 
 class TestCheckFile:
@@ -524,9 +611,19 @@ OPTION_VALUES = {
     "--tol": ["1e-12", "1e-3", "1e308", "0"],
     "--check": ["structure.dgamma", "integral.H1", "nope"],
 }
+LONG_OPTIONS = [*OPTION_VALUES, "--json", "--help", "--version"]
+
+
+def spellings(option):
+    """option and each prefix of it that names no other long option."""
+    prefixes = [option[:k] for k in range(3, len(option))]
+    return [p for p in prefixes if sum(o.startswith(p) for o in LONG_OPTIONS) == 1] + [option]
+
+
 options = st.one_of(
-    st.just(["--json"]),
-    *(st.sampled_from(values).map(lambda v, o=option: [f"{o}={v}"])
+    st.sampled_from(spellings("--json")).map(lambda o: [o]),
+    *(st.builds(lambda o, v, joined: [f"{o}={v}"] if joined else [o, v],
+                st.sampled_from(spellings(option)), st.sampled_from(values), st.booleans())
       for option, values in OPTION_VALUES.items()),
     # free text never starts an option, which could set --t or --h unseen
     st.text(min_size=1, max_size=8).filter(lambda t: not t.startswith("--")).map(lambda t: [t]),
@@ -535,7 +632,11 @@ MAX_STEPS = 1000
 
 
 def _last_value(argv, option, default):
-    values = [a.split("=", 1)[1] for a in argv if a.startswith(f"{option}=")]
+    """The last value given as option=VALUE or as option VALUE (--t and --h
+    have no shorter spelling)."""
+    values = [a.split("=", 1)[1] if a != option else b
+              for a, b in zip(argv, [*argv[1:], None])
+              if a.startswith(f"{option}=") or (a == option and b is not None)]
     return values[-1] if values else default
 
 
@@ -857,31 +958,25 @@ class TestEntryPoint:
         assert document["command"] == "derive"
 
     def test_main_json_flag_abbreviation(self, capsys):
-        # argparse accepts unambiguous prefixes; the output must follow the flag
+        # a unique prefix names its option; the output must follow the flag
         status = main(["derive", "guillot", "--jso"])
         document = json.loads(capsys.readouterr().out)
         assert status == 0
         assert document["command"] == "derive"
 
-    def test_main_builds_the_argument_parser_once(self):
-        # a fresh process, so no earlier request has built the parser yet
-        probe = (
-            "import argparse, contextlib, io\n"
-            "from mcflow.cli import main\n"
-            "builds = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def counting(self, *args, **kwargs):\n"
-            "    builds.append(None)\n"
-            "    init(self, *args, **kwargs)\n"
-            "argparse.ArgumentParser.__init__ = counting\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    status = main(['derive', 'guillot', '--jso'])\n"
-            "assert status == 0 and out.getvalue().startswith('{')\n"
-            "print(len(builds))\n"
-        )
-        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "1"
+    def test_main_parses_argv_once(self, monkeypatch, capsys):
+        # main() renders --json from the request run() parsed, prefix and all
+        parses = []
+        parse = mcflow.cli._parse_args
+
+        def counting(argv):
+            parses.append(list(argv))
+            return parse(argv)
+
+        monkeypatch.setattr(mcflow.cli, "_parse_args", counting)
+        status = main(["derive", "guillot", "--jso"])
+        assert status == 0 and capsys.readouterr().out.startswith("{")
+        assert parses == [["derive", "guillot", "--jso"]]
 
     def test_module_invocation(self, capsys):
         # the console entry prints what main() prints, byte for byte

@@ -414,6 +414,10 @@ class TestSingleFaults:
         ("v: x^10001; y; z", "degree 10001 in one variable exceeds the limit of 10000", 3, 4),
         ("v: x; 1/(z^20000 + 1); z", "degree 20000 in one variable exceeds the limit of 10000",
          3, 7),
+        ("v: x; (y^30000 + x)/(y^30000 + z); z",
+         "degree 30000 in one variable exceeds the limit of 20000", 3, 20),
+        ("v: x; y; z^30000*y + 1/(x + 1)",
+         "degree 30000 in one variable exceeds the limit of 20000", 3, 20),
         ("v: x; y; z\nintegral H: x + 2*log(y^10001)",
          "degree 10001 in one variable exceeds the limit of 10000", 4, 13),
     ])

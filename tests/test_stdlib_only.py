@@ -7,7 +7,8 @@ itself) or name a top-level module in ``sys.stdlib_module_names``.
 
 Every request is a fresh process, so import weight is start-up time:
 ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
-``tokenize``) is not imported at all, and ``json`` only by ``--json``.
+``tokenize``) is not imported at all, nor ``argparse`` (with ``gettext`` and
+``locale``), and ``json`` only by ``--json``.
 The shipped ``.sys`` files are read with ``open``: ``importlib.resources``
 would bring ``zipfile``, ``tempfile`` and ``pathlib`` with it.
 """
@@ -22,7 +23,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
 SOURCES = sorted(PACKAGE.glob("*.py"))
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale",
+         "json")
 
 
 def _absolute_imports(path: Path):
@@ -62,6 +64,23 @@ def test_cli_import_loads_no_heavy_module():
     probe = (
         "import sys; before = set(sys.modules); import mcflow.cli; "
         f"print(sorted((set(sys.modules) - before) & set({HEAVY!r})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["verify", "guillot"], ["derive", "guillot", "--json"]],
+                         ids=["verify", "derive-json"])
+def test_request_loads_no_heavy_module(argv):
+    # a whole request in a fresh interpreter: json only for --json
+    heavy = tuple(name for name in HEAVY if name != "json" or "--json" not in argv)
+    probe = (
+        "import contextlib, io, sys; before = set(sys.modules); from mcflow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        f"print(sorted((set(sys.modules) - before) & set({heavy!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
