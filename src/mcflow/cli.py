@@ -14,6 +14,7 @@ deterministic JSON document.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import math
 import os
@@ -21,6 +22,11 @@ import re
 import sys
 import types
 from fractions import Fraction
+
+if __name__ == "__main__":
+    # a console request runs without the cyclic collector (see
+    # console_main), and so do the package imports below
+    gc.disable()
 
 from . import __version__
 from .algebra import (
@@ -49,14 +55,6 @@ from .mcframe import (
     sigma_residual_factored,
     verify_duality,
     verify_maurer_cartan,
-)
-from .numeric import (
-    GRID_DENOMINATOR,
-    NumericError,
-    InconclusiveSample,
-    conservation_drift,
-    rk4_integrate,
-    sample_identity,
 )
 from .parser import ParseError, SystemSpec, parse_rational, parse_system
 from .systems import (
@@ -277,6 +275,8 @@ def _concordance_section(resolved: System):
 
 
 def _sample_checks(report: VerificationReport, args, names=None):
+    from .numeric import InconclusiveSample, sample_identity
+
     rows = []
     all_pass = True
     for check in report.checks:
@@ -317,6 +317,8 @@ def _sample_checks(report: VerificationReport, args, names=None):
 
 
 def _integration_section(resolved: System, args):
+    from .numeric import conservation_drift, rk4_integrate
+
     start = Point3.real(*args.start)
     trajectory = rk4_integrate(resolved.v, start, args.t, args.h)
     drifts = {}
@@ -500,6 +502,8 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
 
 
 def _parse_box(text: str) -> tuple[float, float]:
+    from .numeric import GRID_DENOMINATOR
+
     parts = text.split(",")
     if len(parts) != 2:
         raise _UsageError("expected LO,HI")
@@ -727,8 +731,10 @@ def run(argv) -> tuple[dict | None, int, str | None]:
         DegenerateFrameError,
         InconsistencyError,
         SingularPointError,
-        NumericError,
         UnknownSystemError,
+        # mcflow.numeric is imported only by the commands that use it, and
+        # until one has, nothing can raise its errors
+        getattr(sys.modules.get("mcflow.numeric"), "NumericError", UnknownSystemError),
     ) as exc:
         return None, EXIT_SINGULAR, f"degenerate or singular input: {exc}"
     except (FrameError, AlgebraError) as exc:
@@ -756,21 +762,27 @@ def console_main() -> None:
     """The ``mcflow`` command and ``python -m mcflow.cli``: main(), then exit.
 
     A report that cannot be written (a closed pipe, a full disk) exits 1
-    with one line on stderr.  The collector is frozen before exit, so the
-    interpreter's final collection, which cost more than a small request's
-    own work, skips every object and the operating system takes the memory
-    back.  main() leaves the collector alone for longer-lived callers."""
+    with one line on stderr.  A request leaves no garbage cycles, so it runs
+    without the cyclic collector, and it ends without interpreter teardown:
+    the atexit callbacks run, both streams are flushed, and os._exit hands
+    the memory back to the operating system.  main() leaves the collector
+    on and returns, for callers in a longer-lived process."""
+    gc.disable()
     try:
         status = main()
         sys.stdout.flush()
     except OSError as exc:
-        # what is left in the buffer goes to devnull, so the interpreter's
-        # own final flush of stdout cannot fail again
+        # what is left in the buffer goes to devnull, so the final flush of
+        # stdout cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"mcflow: cannot write the report: {exc}", file=sys.stderr)
         status = EXIT_CHECK_FAILED
-    gc.freeze()
-    raise SystemExit(status)
+    # what the interpreter's shutdown would do that can be seen from outside,
+    # in its order: the atexit callbacks, then the flush of both streams
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -164,21 +164,6 @@ def conservation_drift(h: LogIntegral, trajectory: Trajectory) -> float:
     return worst / max(1.0, abs(reference))
 
 
-def convergence_order(
-    field: VectorField3, start: Point3, t_end: float, h: float
-) -> float:
-    """Observed Runge-Kutta order via Richardson comparison at h, h/2, h/4."""
-    ends = []
-    for step in (h, h / 2, h / 4):
-        trajectory = rk4_integrate(field, start, t_end, step)
-        ends.append(trajectory.states[-1])
-    coarse = math.dist(ends[0], ends[1])
-    fine = math.dist(ends[1], ends[2])
-    if fine == 0.0:
-        raise NumericError("refinement differences vanished; cannot measure order")
-    return math.log2(coarse / fine)
-
-
 # ---------------------------------------------------------------------------
 # residual sampling
 # ---------------------------------------------------------------------------

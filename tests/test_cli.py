@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mcflow
 from mcflow.cli import main, run
-from mcflow.systems import system_source
+from mcflow.systems import BUILTIN_NAMES, system_source
 
 
 @pytest.fixture(scope="module")
@@ -988,22 +989,65 @@ class TestEntryPoint:
                                     env=child_env(), capture_output=True)
             assert (result.returncode, result.stdout) == (status, expected)
 
-    @pytest.mark.parametrize("call, frozen", [("console_main()", "True"), ("main()", "False")],
+    @pytest.mark.parametrize("call, collecting", [("console_main()", False),
+                                                  ("raise SystemExit(main())", True)],
                              ids=["console_main", "main"])
-    def test_only_the_console_entry_freezes_the_collector(self, call, frozen):
-        # a frozen collector skips the interpreter's final collection; main()
-        # leaves it alone for callers in a longer-lived process
+    def test_only_the_console_entry_turns_the_collector_off(self, call, collecting, capsys):
+        # the console entry runs without the collector and ends without
+        # interpreter teardown, yet its atexit callbacks run and what they
+        # write reaches both streams; main() leaves the collector on
+        argv = ["verify", "guillot", "--rho=x + 1", "--f=y"]
+        status = main(argv)
+        report = capsys.readouterr().out
         probe = (
             "import atexit, gc, sys\n"
-            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
-            "sys.argv[1:] = ['derive', 'guillot']\n"
+            "atexit.register(lambda: (print('atexit'),\n"
+            "                         sys.stderr.write(f'collector on: {gc.isenabled()}')))\n"
+            f"sys.argv[1:] = {argv!r}\n"
             "from mcflow.cli import console_main, main\n"
             f"{call}\n"
         )
         done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True)
-        assert (done.returncode, done.stderr) == (0, f"{frozen}\n")
-        assert "1/(2*y^3*z)" in done.stdout
+        assert status == 1
+        assert (done.returncode, done.stderr) == (status, f"collector on: {collecting}")
+        assert done.stdout == report + "atexit\n"
+
+
+class TestWithoutTheCollector:
+    """A console request runs with the cyclic collector off, which is sound
+    while no request leaves a garbage cycle behind."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+    REQUESTS = [
+        *([command, name] for name in BUILTIN_NAMES for command in sorted(mcflow.cli._COMMANDS)),
+        ["derive", "guillot", "--json"],
+        ["verify", str(GOLDEN / "guillot_conj0_tri2.sys")],
+        ["verify", "guillot", "--rho=x + 1", "--f=y"],
+        ["verify", "guillot", "--rho=x +"],
+        ["integrate", "guillot", "--from", "0,0,0"],
+        ["verify", "guillot", "--points", "0"],
+    ]
+
+    def test_no_request_leaves_a_garbage_cycle(self, capsys):
+        statuses = set()
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in self.REQUESTS:
+                # the standard library's indented JSON encoder leaves a cycle
+                # of its own closures behind on every call; run() of the same
+                # request without --json is one of the other rows
+                left = 0
+                if "--json" in argv:
+                    json.dumps(run(argv)[0], indent=2)
+                    left = gc.collect()
+                statuses.add(main(argv))
+                capsys.readouterr()
+                assert (argv, gc.collect()) == (argv, left)
+        finally:
+            gc.enable()
+        assert statuses == {0, 1, 2, 3}
 
 
 class TestUnwritableReport:

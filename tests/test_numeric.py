@@ -10,10 +10,10 @@ from mcflow.numeric import (
     InconclusiveSample,
     SingularityAbort,
     conservation_drift,
-    convergence_order,
     rk4_integrate,
     sample_identity,
 )
+from test_acceptance import convergence_order
 
 X = Poly3.variable("x")
 Y = Poly3.variable("y")

@@ -26,7 +26,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
 
 # public names that no runtime code reaches, each kept for a stated reason
 KEPT = {
-    "numeric.convergence_order": "acceptance criterion 11 asserts the observed RK4 order",
     "algebra.Point3.exact": "exact reference evaluation at rational points in the tests",
     "parser.SystemSpec.integral": "acceptance criteria 4 and 11 look declared integrals up by name",
 }

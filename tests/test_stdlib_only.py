@@ -95,3 +95,18 @@ def test_cli_import_without_site_loads_no_importlib_resources():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, loaded", [("derive", False), ("verify", True)])
+def test_only_the_commands_that_use_the_oracle_import_it(command, loaded):
+    # derive neither samples nor integrates, so it never compiles mcflow.numeric
+    probe = (
+        "import contextlib, io, sys; from mcflow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main([{command!r}, 'guillot'])\n"
+        "print('mcflow.numeric' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == str(loaded)
