@@ -831,10 +831,6 @@ class RationalFunction:
     def const(cls, value: Coefficient, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
         return cls._raw(Poly3.const(value, variables), Poly3.const(1, variables))
 
-    @classmethod
-    def var(cls, name: str, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
-        return cls._raw(Poly3.variable(name, variables), Poly3.const(1, variables))
-
     @property
     def chart(self) -> tuple[str, str, str]:
         return self.num.variables

@@ -45,10 +45,11 @@ from .mcframe import (
     InconsistencyError,
     NONZERO,
     NOT_APPLICABLE,
-    VerificationReport,
     ZERO,
+    all_hold,
     bihamiltonian_verify,
     conformal_transform,
+    curl_identities,
     frobenius_residual,
     heisenberg_verify,
     sigma_residual,
@@ -76,6 +77,10 @@ EXIT_SINGULAR = 3
 # of work, where the default request takes 200
 MAX_STEPS = 10**6
 
+# the oracle samples each check at most at this many points: about a minute
+# for the slowest built-in verify (guillot), where the default takes 25
+MAX_POINTS = 350_000
+
 
 def _resolve(target: str) -> System:
     if target in BUILTIN_NAMES:
@@ -96,7 +101,7 @@ def _resolve(target: str) -> System:
 def _eps_integrals(spec: SystemSpec, eps: int):
     """Declared integrals, with the _plus/_minus pair restricted by eps."""
     skip = "_minus" if eps > 0 else "_plus"
-    return tuple((name, h) for name, h in spec.integrals if skip not in name)
+    return tuple((name, h) for name, h in spec.integrals if not name.endswith(skip))
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +137,31 @@ def _sigma_checks(r: System, args):
     yield Check.from_residual(
         "sigma.factored_agreement", "sigma ^ d(sigma) matches its factored shape",
         sigma - sigma_residual_factored(alpha, beta, gamma, g))
-    for c in verify_maurer_cartan(alpha, beta, gamma, r.name).checks:
+    for c in verify_maurer_cartan(alpha, beta, gamma):
         yield Check(f"conformal.{c.name}", c.anchor, c.status, c.residual_obj, c.residual,
                     c.expect)
 
 
 def _checks(r: System, args):
     """Every check of a report, in report order.  The mcframe and systems
-    functions are called through module global names (the System's curl
-    report and potential through those of systems), so a wrapper installed
-    in every namespace that holds a function (a tracing span) sees each
-    call."""
+    functions are called through module global names (the System's
+    potential through those of systems), so a wrapper installed in every
+    namespace that holds a function (a tracing span) sees each call."""
     frame, hint = r.frame, r.spec.multiplier_hint
     frameless = frame is None and r.heisenberg is None
     integrals = _eps_integrals(r.spec, args.eps)
     if r.heisenberg is not None:
-        yield from heisenberg_verify(r.heisenberg).checks
-    if r.bracket_report is not None:
-        yield from r.bracket_report.checks
+        yield from heisenberg_verify(r.heisenberg)
+    if r.brackets is not None:
+        yield from r.brackets
     if frame is not None:
         if hint is not None:
             yield Check.from_residual(
                 "multiplier.matches_hint", "M = declared multiplier", frame.M - hint)
-        yield from verify_duality(frame).checks
-        yield from verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma, r.name).checks
-        yield from r.curl_report().checks
+        yield from verify_duality(frame)
+        yield from verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma)
+        curl = curl_identities(frame)
+        yield from curl
         for form, expect in (("gamma", ZERO), ("beta", ZERO), ("alpha", NONZERO)):
             relation = "=" if expect == ZERO else "!="
             yield Check.from_residual(
@@ -167,10 +172,9 @@ def _checks(r: System, args):
             VectorField3.zero(frame.M.chart))
         if len(integrals) >= 2:
             (_, h1), *pairs = integrals
-            div_mv = r.curl_report().find("divergence.mv").residual_obj
+            div_mv = next(c.residual_obj for c in curl if c.name == "divergence.mv")
             for label, h2 in pairs:
-                yield from bihamiltonian_verify(
-                    frame.v, frame.M, h1, h2, r.name, label, div_mv).checks
+                yield from bihamiltonian_verify(frame.v, frame.M, h1, h2, label, div_mv)
     # with a frame, a single integral has no partner for the decomposition
     if frameless or (frame is not None and len(integrals) == 1):
         for label, h in integrals:
@@ -183,13 +187,9 @@ def _checks(r: System, args):
     if frame is not None and (args.rho is not None or args.f is not None):
         yield from _sigma_checks(r, args)
     if r.is_builtin and r.name in ("dh_classic", "dh_symmetric"):
-        yield from dh_reduction_check().checks
+        yield from dh_reduction_check()
     if r.is_builtin and r.name == "dh_symmetric":
-        yield from grading_check(r).checks
-
-
-def _run_checks(resolved: System, args) -> VerificationReport:
-    return VerificationReport(resolved.name, tuple(_checks(resolved, args)))
+        yield from grading_check(r)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +197,16 @@ def _run_checks(resolved: System, args) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_rows(report: VerificationReport):
+def _check_rows(resolved: System, checks):
     return [
         {
-            "system": report.system,
+            "system": resolved.name,
             "check": c.name,
             "anchor": c.anchor,
             "status": c.status,
             "residual": c.residual,
         }
-        for c in report.checks
+        for c in checks
     ]
 
 
@@ -227,11 +227,11 @@ def _frame_section(resolved: System):
 
 def _forms_section(resolved: System):
     if resolved.heisenberg is not None:
-        hf = resolved.heisenberg
+        coframe = resolved.heisenberg
         return {
-            "omega1": [str(c) for c in hf.omega1.coeffs],
-            "omega2": [str(c) for c in hf.omega2.coeffs],
-            "omega3": [str(c) for c in hf.omega3.coeffs],
+            "omega1": [str(c) for c in coframe.gamma.coeffs],
+            "omega2": [str(c) for c in coframe.beta.coeffs],
+            "omega3": [str(c) for c in coframe.alpha.coeffs],
         }
     if resolved.frame is None:
         return None
@@ -274,12 +274,12 @@ def _concordance_section(resolved: System):
     ]
 
 
-def _sample_checks(report: VerificationReport, args, names=None):
+def _sample_checks(checks, args, names=None):
     from .numeric import InconclusiveSample, sample_identity
 
     rows = []
     all_pass = True
-    for check in report.checks:
+    for check in checks:
         if names is not None and check.name not in names:
             continue
         if check.residual_obj is None:
@@ -357,14 +357,14 @@ def _document(resolved, command, sections, exit_status):
 
 
 def _cmd_verify(resolved: System, args):
-    report = _run_checks(resolved, args)
-    samples, oracle_ok = _sample_checks(report, args)
-    status = EXIT_OK if report.ok and oracle_ok else EXIT_CHECK_FAILED
+    checks = tuple(_checks(resolved, args))
+    samples, oracle_ok = _sample_checks(checks, args)
+    status = EXIT_OK if all_hold(checks) and oracle_ok else EXIT_CHECK_FAILED
     sections = {
         "frame": _frame_section(resolved),
         "multiplier": _multiplier_section(resolved),
         "forms": _forms_section(resolved),
-        "checks": _check_rows(report),
+        "checks": _check_rows(resolved, checks),
         "concordance": _concordance_section(resolved),
         "numeric": {"samples": samples},
     }
@@ -380,8 +380,8 @@ def _cmd_derive(resolved: System, args):
         "concordance": _concordance_section(resolved),
         "numeric": {},
     }
-    if resolved.bracket_report is not None and not resolved.bracket_report.ok:
-        sections["checks"] = _check_rows(resolved.bracket_report)
+    if resolved.brackets is not None and not all_hold(resolved.brackets):
+        sections["checks"] = _check_rows(resolved, resolved.brackets)
         return _document(resolved, "derive", sections, EXIT_CHECK_FAILED), EXIT_CHECK_FAILED
     return _document(resolved, "derive", sections, EXIT_OK), EXIT_OK
 
@@ -399,21 +399,21 @@ def _cmd_integrate(resolved: System, args):
 
 
 def _cmd_sample(resolved: System, args):
-    report = _run_checks(resolved, args)
+    checks = tuple(_checks(resolved, args))
     names = {args.check} if args.check else None
     if names is not None:
-        known = {c.name for c in report.checks}
+        known = {c.name for c in checks}
         if args.check not in known:
             raise ParseError(
                 f"unknown check {args.check!r}; available: {', '.join(sorted(known))}"
             )
-    samples, oracle_ok = _sample_checks(report, args, names)
+    samples, oracle_ok = _sample_checks(checks, args, names)
     status = EXIT_OK if oracle_ok and all(r["verdict"] != "inconclusive" for r in samples) else EXIT_CHECK_FAILED
     sections = {
         "frame": _frame_section(resolved),
         "multiplier": None,
         "forms": None,
-        "checks": _check_rows(report),
+        "checks": _check_rows(resolved, checks),
         "concordance": [],
         "numeric": {"samples": samples},
     }
@@ -526,6 +526,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _point_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_POINTS:
+        raise _UsageError(f"{value} exceeds the limit of {MAX_POINTS} points")
+    return value
+
+
 def _positive_real(text: str) -> float:
     try:
         value = float(text)
@@ -573,7 +580,7 @@ _OPTIONS = {
     "--eps": ("eps", _eps, 1),
     "--rho": ("rho", str, None),
     "--f": ("f", str, None),
-    "--points": ("points", _positive_int, 25),
+    "--points": ("points", _point_count, 25),
     "--h": ("h", _positive_real, 1e-3),
     "--t": ("t", _positive_real, 0.2),
     "--from": ("start", _parse_triple, (1.0, 1.0, 1.0)),

@@ -83,27 +83,15 @@ class Check(Record):
         return cls(name, anchor, FAILS, residual_obj, shown, expect)
 
 
-class VerificationReport(Record):
-    __slots__ = ("system", "checks")
-    system: str
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status != FAILS for c in self.checks)
-
-    def find(self, name: str) -> Check:
-        for check in self.checks:
-            if check.name == name:
-                return check
-        raise KeyError(name)
+def all_hold(checks) -> bool:
+    """True unless one of the checks fails."""
+    return all(c.status != FAILS for c in checks)
 
 
-class Sl2Frame(Record):
+class Frame(Record):
     """Companion fields with their multiplier and dual one-forms."""
 
-    __slots__ = ("name", "v", "u", "w", "M", "alpha", "beta", "gamma")
-    name: str
+    __slots__ = ("v", "u", "w", "M", "alpha", "beta", "gamma")
     v: VectorField3
     u: VectorField3
     w: VectorField3
@@ -111,19 +99,6 @@ class Sl2Frame(Record):
     alpha: KForm
     beta: KForm
     gamma: KForm
-
-
-class HeisenbergFrame(Record):
-    """One-form triple with two commuting symmetries of the flow."""
-
-    __slots__ = ("name", "omega1", "omega2", "omega3", "u", "v", "w")
-    name: str
-    omega1: KForm
-    omega2: KForm
-    omega3: KForm
-    u: VectorField3
-    v: VectorField3
-    w: VectorField3
 
 
 class PotentialVector(Record):
@@ -139,16 +114,11 @@ class PotentialVector(Record):
 # ---------------------------------------------------------------------------
 
 
-def verify_sl2(
-    v: VectorField3, u: VectorField3, w: VectorField3, system: str = ""
-) -> VerificationReport:
-    return VerificationReport(
-        system,
-        (
-            Check.from_residual("sl2.uv", "[u,v] - 2v = 0", lie_bracket(u, v) - v.scale(2)),
-            Check.from_residual("sl2.uw", "[u,w] + 2w = 0", lie_bracket(u, w) + w.scale(2)),
-            Check.from_residual("sl2.vw", "[v,w] - u = 0", lie_bracket(v, w) - u),
-        ),
+def verify_sl2(v: VectorField3, u: VectorField3, w: VectorField3) -> tuple[Check, ...]:
+    return (
+        Check.from_residual("sl2.uv", "[u,v] - 2v = 0", lie_bracket(u, v) - v.scale(2)),
+        Check.from_residual("sl2.uw", "[u,w] + 2w = 0", lie_bracket(u, w) + w.scale(2)),
+        Check.from_residual("sl2.vw", "[v,w] - u = 0", lie_bracket(v, w) - u),
     )
 
 
@@ -162,17 +132,13 @@ def last_multiplier(
     return volume.reciprocal()
 
 
-def build_frame(
-    v: VectorField3,
-    u: VectorField3,
-    w: VectorField3,
-    name: str = "",
-) -> Sl2Frame:
-    """The multiplier and dual one-forms of (v, u, w); the caller has
-    verified the bracket relations (see verify_sl2)."""
+def build_frame(v: VectorField3, u: VectorField3, w: VectorField3) -> Frame:
+    """The multiplier and dual one-forms of (v, u, w): the coframe of the
+    sl(2) frame when the bracket relations hold (see verify_sl2), and of the
+    Heisenberg frame (see heisenberg_verify)."""
     multiplier = last_multiplier(v, u, w)
-    return Sl2Frame(
-        name, v, u, w, multiplier,
+    return Frame(
+        v, u, w, multiplier,
         KForm.from_covector(cross(w, v).scale(multiplier)),
         KForm.from_covector(cross(u, w).scale(multiplier)),
         KForm.from_covector(cross(v, u).scale(multiplier)),
@@ -184,7 +150,7 @@ def build_frame(
 # ---------------------------------------------------------------------------
 
 
-def verify_duality(frame: Sl2Frame) -> VerificationReport:
+def verify_duality(frame: Frame) -> tuple[Check, ...]:
     """All nine couplings: three unit pairings, six vanishing ones."""
     pairs = {
         "v": frame.v,
@@ -210,7 +176,7 @@ def verify_duality(frame: Sl2Frame) -> VerificationReport:
             checks.append(
                 Check.from_residual(f"duality.{field_name}_{form_name}", anchor, residual)
             )
-    return VerificationReport(frame.name, tuple(checks))
+    return tuple(checks)
 
 
 def maurer_cartan_residuals(
@@ -223,17 +189,14 @@ def maurer_cartan_residuals(
     )
 
 
-def verify_maurer_cartan(
-    alpha: KForm, beta: KForm, gamma: KForm, system: str = ""
-) -> VerificationReport:
+def verify_maurer_cartan(alpha: KForm, beta: KForm, gamma: KForm) -> tuple[Check, ...]:
     r_beta, r_alpha, r_gamma = maurer_cartan_residuals(alpha, beta, gamma)
-    checks = (
+    return (
         Check.from_residual("structure.dbeta", "d(beta) + 2 alpha^beta = 0", r_beta),
         Check.from_residual("structure.dalpha", "d(alpha) - gamma^beta = 0", r_alpha),
         Check.from_residual("structure.dgamma", "d(gamma) - 2 alpha^gamma = 0", r_gamma),
         Check.from_residual("structure.dalpha_nonzero", "d(alpha) != 0", alpha.d(), NONZERO),
     )
-    return VerificationReport(system, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +205,7 @@ def verify_maurer_cartan(
 
 
 def conformal_transform(
-    frame: Sl2Frame, rho: RationalFunction
+    frame: Frame, rho: RationalFunction
 ) -> tuple[KForm, KForm, KForm]:
     """beta -> rho beta, alpha -> alpha - (1/2) dlog(rho), gamma -> gamma/rho,
     with dlog(rho) the rational one-form d(rho)/rho.  The transformed forms
@@ -290,7 +253,7 @@ def frobenius_residual(omega: KForm) -> KForm:
 # ---------------------------------------------------------------------------
 
 
-def curl_identities(frame: Sl2Frame) -> VerificationReport:
+def curl_identities(frame: Frame) -> tuple[Check, ...]:
     """curl(M v x u) = 2Mv, curl(M u x w) = 2Mw, curl(M v x w) = -Mu,
     plus vanishing divergence of Mv, Mu, Mw.
 
@@ -302,7 +265,7 @@ def curl_identities(frame: Sl2Frame) -> VerificationReport:
     mv = frame.v.scale(m)
     mu = frame.u.scale(m)
     mw = frame.w.scale(m)
-    checks = (
+    return (
         Check.from_residual(
             "curl.v_cross_u",
             "curl(M v x u) - 2 M v = 0",
@@ -322,7 +285,6 @@ def curl_identities(frame: Sl2Frame) -> VerificationReport:
         Check.from_residual("divergence.mu", "div(M u) = 0", div(mu)),
         Check.from_residual("divergence.mw", "div(M w) = 0", div(mw)),
     )
-    return VerificationReport(frame.name, checks)
 
 
 def _constant_ratio(
@@ -345,7 +307,7 @@ def _constant_ratio(
     return ratio.constant_value()
 
 
-def potential_from_gamma(frame: Sl2Frame) -> PotentialVector:
+def potential_from_gamma(frame: Frame) -> PotentialVector:
     """Covector A of gamma with the exact constant s in curl(A) = s M v."""
     a = frame.gamma.covector()
     curl_a = frame.gamma.d().covector()
@@ -370,10 +332,9 @@ def bihamiltonian_verify(
     multiplier: RationalFunction,
     h1: LogIntegral,
     h2: LogIntegral,
-    system: str = "",
     label: str = "",
     divergence: Optional[RationalFunction] = None,
-) -> VerificationReport:
+) -> tuple[Check, ...]:
     """First-integral, invariance and decomposition checks.
 
     The decomposition check finds the exact rational constant c with
@@ -414,7 +375,7 @@ def bihamiltonian_verify(
     checks.append(
         Check.from_residual(f"bihamiltonian.decomposition{suffix}", anchor, wedge - scaled)
     )
-    return VerificationReport(system, tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -422,38 +383,39 @@ def bihamiltonian_verify(
 # ---------------------------------------------------------------------------
 
 
-def heisenberg_verify(hf: HeisenbergFrame) -> VerificationReport:
-    one = RationalFunction.const(1, hf.omega1.chart)
-    omega_triple = triple(
-        hf.omega1.covector(), hf.omega2.covector(), hf.omega3.covector()
-    )
-    checks = (
-        Check.from_residual("heisenberg.domega1", "d(omega1) = 0", hf.omega1.d()),
-        Check.from_residual("heisenberg.domega3", "d(omega3) = 0", hf.omega3.d()),
+def heisenberg_verify(frame: Frame) -> tuple[Check, ...]:
+    """The Heisenberg relations of the coframe (omega1, omega2, omega3) =
+    (gamma, beta, alpha) of the flow v and its symmetries u, w."""
+    omega1, omega2, omega3 = frame.gamma, frame.beta, frame.alpha
+    one = RationalFunction.const(1, omega1.chart)
+    omega_triple = triple(omega1.covector(), omega2.covector(), omega3.covector())
+    return (
+        Check.from_residual("heisenberg.domega1", "d(omega1) = 0", omega1.d()),
+        Check.from_residual("heisenberg.domega3", "d(omega3) = 0", omega3.d()),
         Check.from_residual(
             "heisenberg.domega2",
             "d(omega2) - omega3^omega1 = 0",
-            hf.omega2.d() - hf.omega3.wedge(hf.omega1),
+            omega2.d() - omega3.wedge(omega1),
         ),
-        Check.from_residual("heisenberg.vw", "[v,w] = 0", lie_bracket(hf.v, hf.w)),
-        Check.from_residual("heisenberg.vu", "[v,u] = 0", lie_bracket(hf.v, hf.u)),
+        Check.from_residual("heisenberg.vw", "[v,w] = 0", lie_bracket(frame.v, frame.w)),
+        Check.from_residual("heisenberg.vu", "[v,u] = 0", lie_bracket(frame.v, frame.u)),
         Check.from_residual(
-            "heisenberg.wu", "[w,u] - v = 0", lie_bracket(hf.w, hf.u) - hf.v
+            "heisenberg.wu", "[w,u] - v = 0", lie_bracket(frame.w, frame.u) - frame.v
         ),
         Check.from_residual(
             "heisenberg.w_omega1",
             "iota_w omega1 = 1",
-            hf.omega1.interior(hf.w).coeffs[0] - one,
+            omega1.interior(frame.w).coeffs[0] - one,
         ),
         Check.from_residual(
             "heisenberg.v_omega2",
             "iota_v omega2 = 1",
-            hf.omega2.interior(hf.v).coeffs[0] - one,
+            omega2.interior(frame.v).coeffs[0] - one,
         ),
         Check.from_residual(
             "heisenberg.u_omega3",
             "iota_u omega3 = 1",
-            hf.omega3.interior(hf.u).coeffs[0] - one,
+            omega3.interior(frame.u).coeffs[0] - one,
         ),
         Check.from_residual(
             "heisenberg.volume",
@@ -461,4 +423,3 @@ def heisenberg_verify(hf: HeisenbergFrame) -> VerificationReport:
             omega_triple - one,
         ),
     )
-    return VerificationReport(hf.name, checks)

@@ -157,6 +157,9 @@ def conservation_drift(h: LogIntegral, trajectory: Trajectory) -> float:
             value = h.eval_float(Point3.real(*state))
         except Exception as exc:
             raise SingularEvaluation(t, str(exc)) from exc
+        if not math.isfinite(value):
+            # inf - inf is nan, which max() would pass over
+            raise SingularEvaluation(t, f"the value {value} is not finite")
         if reference is None:
             reference = value
             continue

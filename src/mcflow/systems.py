@@ -22,13 +22,11 @@ from .calculus import KForm, VectorField3
 from .mcframe import (
     Check,
     FrameError,
-    HeisenbergFrame,
-    VerificationReport,
     HOLDS,
     FAILS,
     NOT_APPLICABLE,
+    all_hold,
     build_frame,
-    curl_identities,
     potential_from_gamma,
     verify_sl2,
 )
@@ -89,12 +87,12 @@ class System:
 
     With both companion fields, the constructor verifies the bracket
     relations once and builds the sl(2) frame only when they hold; the shipped
-    Heisenberg example gets its Heisenberg frame instead.  The curl report
-    and the potential are computed on first use and kept.
+    Heisenberg example gets the coframe of its Heisenberg frame instead.  The
+    potential is computed on first use and kept.
     """
 
-    __slots__ = ("spec", "name", "is_builtin", "v", "frame", "heisenberg",
-                 "bracket_report", "_curl_report", "_potential")
+    __slots__ = ("spec", "name", "is_builtin", "v", "frame", "heisenberg", "brackets",
+                 "_potential")
 
     def __init__(self, spec: SystemSpec, is_builtin: bool = False):
         self.spec = spec
@@ -102,26 +100,16 @@ class System:
         self.is_builtin = is_builtin
         chart = spec.variables
         self.v = VectorField3(*spec.v, chart)
-        self.frame = self.heisenberg = self.bracket_report = None
-        self._curl_report = self._potential = None
+        self.frame = self.heisenberg = self.brackets = self._potential = None
         if spec.u is None or spec.w is None:
             return
         u, w = VectorField3(*spec.u, chart), VectorField3(*spec.w, chart)
         if is_builtin and spec.name == "heisenberg_example":
-            x = RationalFunction.var("x", chart)
-            omegas = (KForm.one_form(*c, chart) for c in ((1, 0, 0), (0, 1, -x), (0, 0, 1)))
-            self.heisenberg = HeisenbergFrame(spec.name, *omegas, u, self.v, w)
+            self.heisenberg = build_frame(self.v, u, w)
             return
-        self.bracket_report = verify_sl2(self.v, u, w, spec.name)
-        if self.bracket_report.ok:
-            self.frame = build_frame(self.v, u, w, spec.name)
-
-    def curl_report(self) -> VerificationReport:
-        """curl_identities(frame): its divergence.mv residual is also every
-        bi-Hamiltonian pair's divergence."""
-        if self._curl_report is None:
-            self._curl_report = curl_identities(self.frame)
-        return self._curl_report
+        self.brackets = verify_sl2(self.v, u, w)
+        if all_hold(self.brackets):
+            self.frame = build_frame(self.v, u, w)
 
     def potential(self):
         """potential_from_gamma(frame); a failure is raised, not kept."""
@@ -200,7 +188,7 @@ def concordance(system: System) -> tuple[ConcordanceEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-def dh_reduction_check() -> VerificationReport:
+def dh_reduction_check() -> tuple[Check, ...]:
     """Chain-rule verification of x = -2 e1, y = 4 e2, z = -8 e3.
 
     Differentiating the substitution along the classical flow must
@@ -233,7 +221,7 @@ def dh_reduction_check() -> VerificationReport:
                 derived - target,
             )
         )
-    return VerificationReport("dh_classic -> dh_symmetric", tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +258,16 @@ def _form_weight(form: KForm) -> Optional[int]:
     return total
 
 
-def grading_check(system: System) -> VerificationReport:
+def grading_check(system: System) -> tuple[Check, ...]:
     """Weight bookkeeping: M carries -6 and (alpha, beta, gamma) carry (0, -1, 1)."""
     if system.frame is None:
         raise FrameError(f"{system.name} carries no companion frame to grade")
     if _system_shift(system) is None:
-        return VerificationReport(
-            system.name,
-            (
-                Check(
-                    "grading.applicability",
-                    f"flow is quasi-homogeneous under weights {GRADING_WEIGHTS}",
-                    NOT_APPLICABLE,
-                ),
+        return (
+            Check(
+                "grading.applicability",
+                f"flow is quasi-homogeneous under weights {GRADING_WEIGHTS}",
+                NOT_APPLICABLE,
             ),
         )
     frame = system.frame
@@ -300,4 +285,4 @@ def grading_check(system: System) -> VerificationReport:
             checks.append(
                 Check(name, anchor, FAILS, None, f"weight is {actual}, expected {wanted}")
             )
-    return VerificationReport(system.name, tuple(checks))
+    return tuple(checks)

@@ -827,9 +827,9 @@ class TestFormatting:
 
     def test_composition(self):
         t_chart = ("t1", "t2", "t3")
-        t1 = RationalFunction.var("t1", t_chart)
-        t2 = RationalFunction.var("t2", t_chart)
-        t3 = RationalFunction.var("t3", t_chart)
+        t1 = RationalFunction(Poly3.variable("t1", t_chart))
+        t2 = RationalFunction(Poly3.variable("t2", t_chart))
+        t3 = RationalFunction(Poly3.variable("t3", t_chart))
         f = rf(X * Y + Z)
         composed = f.compose((t1, t2, t3))
         assert composed == t1 * t2 + t3

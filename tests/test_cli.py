@@ -110,6 +110,19 @@ class TestVerify:
         names = {c["check"] for c in minus["sections"]["checks"]}
         assert "bihamiltonian.decomposition[H2_minus]" in names
 
+    @pytest.mark.parametrize("label, eps, kept", [
+        ("H1_minusx", "+1", True),
+        ("H1_plusx", "-1", True),
+        ("H1_minus", "+1", False),
+        ("H1_minus", "-1", True),
+    ])
+    def test_eps_drops_only_the_other_suffix(self, tmp_path, label, eps, kept):
+        # a branch is named by its suffix, not by a substring of the name
+        path = tmp_path / "partial.sys"
+        path.write_text(PARTIAL_SYS.replace("integral H1:", f"integral {label}:"))
+        names = check_names(["verify", str(path), f"--eps={eps}"])
+        assert (f"integral.{label}" in names) == kept
+
 
 class TestDerive:
     def test_guillot_forms(self):
@@ -152,6 +165,15 @@ class TestIntegrate:
         assert status == 3
         assert document is None
         assert "last safe time" in diagnostic
+
+    def test_integral_that_overflows_is_singular(self, tmp_path):
+        # x*y is inf along the trajectory, and inf - inf once read as no drift
+        path = tmp_path / "lift.sys"
+        path.write_text("name: lift\nvariables: x, y, z\nv: 0; 0; 1\nintegral H: x*y\n")
+        document, status, diagnostic = run(["integrate", str(path), "--from", "1e200,1e200,1"])
+        assert (document, status) == (None, 3)
+        assert diagnostic == ("degenerate or singular input: singular evaluation at t = 0.0: "
+                              "the value inf is not finite")
 
 
 class TestSample:
@@ -301,6 +323,16 @@ class TestArgumentValidation:
         assert capsys.readouterr().err.endswith(
             "argument --t/--h: --t=10000000000.0 over --h=1e-10 exceeds the limit of "
             f"{mcflow.cli.MAX_STEPS} steps\n")
+
+    def test_point_count_past_the_limit_is_a_usage_error_found_quickly(self, capsys):
+        limit = mcflow.cli.MAX_POINTS
+        assert mcflow.cli._point_count(str(limit)) == limit
+        start = time.process_time()
+        document, status, _ = run(["verify", "guillot", f"--points={limit + 1}"])
+        assert time.process_time() - start < 1
+        assert (document, status) == (None, 2)
+        assert capsys.readouterr().err.endswith(
+            f"argument --points: {limit + 1} exceeds the limit of {limit} points\n")
 
     def test_step_count_past_the_float_range_is_a_usage_error(self, capsys):
         document, status, _ = run(["integrate", "guillot", "--t=1e300", "--h=1e-300"])
@@ -780,12 +812,7 @@ class TestCheckTable:
             return original(field)
 
         monkeypatch.setattr(mcflow.mcframe, "div", counting)
-        # a cached built-in keeps its curl report across requests
-        mcflow.systems.builtin.cache_clear()
-        try:
-            document, status = run_json(["verify", "guillot", "--points", "1"])
-        finally:
-            mcflow.systems.builtin.cache_clear()
+        document, status = run_json(["verify", "guillot", "--points", "1"])
         assert status == 0
         # divergence.mv and bihamiltonian.divergence[H2_plus] share one div(M v)
         assert sum(field == mv for field in fields) == 1

@@ -7,9 +7,9 @@ from mcflow.algebra import Poly3, RationalFunction
 from mcflow.calculus import KForm, LogIntegral, VectorField3
 from mcflow.mcframe import (
     DegenerateFrameError,
+    Frame,
     InconsistencyError,
-    Sl2Frame,
-    HeisenbergFrame,
+    all_hold,
     bihamiltonian_verify,
     build_frame,
     conformal_transform,
@@ -34,6 +34,11 @@ def rf(num, den=1):
     return RationalFunction(num, den)
 
 
+def find(checks, name):
+    """The check of that name."""
+    return next(c for c in checks if c.name == name)
+
+
 def guillot_fields():
     v = VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z)
     u = VectorField3(2 * X, Y, -Z)
@@ -50,12 +55,12 @@ def dh_fields():
 
 @pytest.fixture(scope="module")
 def guillot():
-    return build_frame(*guillot_fields(), name="guillot")
+    return build_frame(*guillot_fields())
 
 
 @pytest.fixture(scope="module")
 def dh():
-    return build_frame(*dh_fields(), name="dh_symmetric")
+    return build_frame(*dh_fields())
 
 
 def guillot_h1():
@@ -82,16 +87,16 @@ def guillot_h2(eps: int):
 
 class TestVerifySl2:
     def test_guillot_holds(self):
-        assert verify_sl2(*guillot_fields()).ok
+        assert all_hold(verify_sl2(*guillot_fields()))
 
     def test_dh_holds(self):
-        assert verify_sl2(*dh_fields()).ok
+        assert all_hold(verify_sl2(*dh_fields()))
 
     def test_degenerate_triple_fails_with_residual(self):
         v, _, _ = guillot_fields()
         report = verify_sl2(v, v, v)
-        assert not report.ok
-        first = report.find("sl2.uv")
+        assert not all_hold(report)
+        first = find(report, "sl2.uv")
         assert first.status == "fails"
         assert first.residual_obj == -v.scale(2)
 
@@ -162,14 +167,13 @@ class TestDualForms:
 
 class TestDuality:
     def test_guillot(self, guillot):
-        assert verify_duality(guillot).ok
+        assert all_hold(verify_duality(guillot))
 
     def test_dh(self, dh):
-        assert verify_duality(dh).ok
+        assert all_hold(verify_duality(dh))
 
     def test_scaled_gamma_breaks_one_pairing(self, guillot):
-        broken = Sl2Frame(
-            "broken",
+        broken = Frame(
             guillot.v,
             guillot.u,
             guillot.w,
@@ -179,10 +183,10 @@ class TestDuality:
             guillot.gamma.scale(2),
         )
         report = verify_duality(broken)
-        bad = report.find("duality.w_gamma")
+        bad = find(report, "duality.w_gamma")
         assert bad.status == "fails"
         assert bad.residual_obj == rf(Poly3.const(1))
-        others = [c for c in report.checks if c.name != "duality.w_gamma"]
+        others = [c for c in report if c.name != "duality.w_gamma"]
         assert all(c.status == "holds" for c in others)
 
 
@@ -194,18 +198,18 @@ class TestDuality:
 class TestMaurerCartan:
     def test_guillot(self, guillot):
         report = verify_maurer_cartan(guillot.alpha, guillot.beta, guillot.gamma)
-        assert report.ok
-        assert report.find("structure.dalpha_nonzero").status == "holds"
+        assert all_hold(report)
+        assert find(report, "structure.dalpha_nonzero").status == "holds"
 
     def test_dh(self, dh):
-        assert verify_maurer_cartan(dh.alpha, dh.beta, dh.gamma).ok
+        assert all_hold(verify_maurer_cartan(dh.alpha, dh.beta, dh.gamma))
 
     def test_coordinate_frame_fails(self):
         dx = KForm.one_form(1, 0, 0)
         dy = KForm.one_form(0, 1, 0)
         dz = KForm.one_form(0, 0, 1)
         report = verify_maurer_cartan(dx, dy, dz)
-        bad = report.find("structure.dbeta")
+        bad = find(report, "structure.dbeta")
         assert bad.status == "fails"
         assert bad.residual_obj == KForm.two_form(0, 0, 2)
 
@@ -213,7 +217,7 @@ class TestMaurerCartan:
         dx = KForm.one_form(1, 0, 0)
         dy = KForm.one_form(0, 1, 0)
         dz = KForm.one_form(0, 0, 1)
-        check = verify_maurer_cartan(dx, dy, dz).find("structure.dalpha_nonzero")
+        check = find(verify_maurer_cartan(dx, dy, dz), "structure.dalpha_nonzero")
         assert check.status == "fails"
         assert check.residual == "d(alpha) == 0"
         assert check.residual_obj.is_zero()
@@ -234,7 +238,7 @@ class TestConformal:
 
     def test_simple_factor_preserves_structure(self, guillot):
         alpha, beta, gamma = conformal_transform(guillot, rf(Y))
-        assert verify_maurer_cartan(alpha, beta, gamma).ok
+        assert all_hold(verify_maurer_cartan(alpha, beta, gamma))
 
     def test_pairing_scales_with_rho(self, guillot):
         rho = rf(Y**2)
@@ -254,7 +258,7 @@ class TestConformal:
             if rho.is_zero():
                 rho = rf(Poly3.const(2))
             alpha, beta, gamma = conformal_transform(guillot, rho)
-            assert verify_maurer_cartan(alpha, beta, gamma).ok
+            assert all_hold(verify_maurer_cartan(alpha, beta, gamma))
 
     def test_zero_factor_rejected(self, guillot):
         with pytest.raises(DegenerateFrameError):
@@ -364,14 +368,13 @@ class TestFrobenius:
 
 class TestCurlIdentities:
     def test_guillot(self, guillot):
-        assert curl_identities(guillot).ok
+        assert all_hold(curl_identities(guillot))
 
     def test_dh(self, dh):
-        assert curl_identities(dh).ok
+        assert all_hold(curl_identities(dh))
 
     def test_unit_multiplier_breaks_divergence(self, guillot):
-        fake = Sl2Frame(
-            "fake",
+        fake = Frame(
             guillot.v,
             guillot.u,
             guillot.w,
@@ -381,7 +384,7 @@ class TestCurlIdentities:
             guillot.gamma,
         )
         report = curl_identities(fake)
-        bad = report.find("divergence.mv")
+        bad = find(report, "divergence.mv")
         assert bad.status == "fails"
         assert bad.residual_obj == rf(2 * X + 2 * Y**2)
 
@@ -407,8 +410,8 @@ class TestPotential:
         )
 
     def test_inconsistent_gamma_rejected(self, guillot):
-        tampered = Sl2Frame(
-            "tampered", guillot.v, guillot.u, guillot.w, guillot.M,
+        tampered = Frame(
+            guillot.v, guillot.u, guillot.w, guillot.M,
             guillot.alpha, guillot.beta, KForm.one_form(rf(X), rf(Y), rf(Z)),
         )
         with pytest.raises(InconsistencyError):
@@ -457,29 +460,29 @@ class TestBihamiltonian:
     @pytest.mark.parametrize("eps", [+1, -1])
     def test_guillot_decomposition(self, guillot, eps):
         report = bihamiltonian_verify(
-            guillot.v, guillot.M, guillot_h1(), guillot_h2(eps), "guillot",
+            guillot.v, guillot.M, guillot_h1(), guillot_h2(eps),
             label=f"eps{eps:+d}",
         )
-        assert report.ok
-        decomposition = report.find(f"bihamiltonian.decomposition[eps{eps:+d}]")
+        assert all_hold(report)
+        decomposition = find(report, f"bihamiltonian.decomposition[eps{eps:+d}]")
         assert "c = -2" in decomposition.anchor
 
     def test_non_integral_detected(self, guillot):
         h_bad = LogIntegral(rf(X), [])
         report = bihamiltonian_verify(guillot.v, guillot.M, h_bad, guillot_h2(1))
-        bad = report.find("bihamiltonian.integral_h1")
+        bad = find(report, "bihamiltonian.integral_h1")
         assert bad.status == "fails"
         assert bad.residual_obj == rf(X**2 + Y**4)
 
     def test_decomposition_without_a_constant_fails(self, guillot):
         # dH1 ^ dH1 = 0 is no nonzero multiple of M iota_v(dx^dy^dz)
         report = bihamiltonian_verify(guillot.v, guillot.M, guillot_h1(), guillot_h1())
-        check = report.find("bihamiltonian.decomposition")
+        check = find(report, "bihamiltonian.decomposition")
         assert check.status == "fails"
         assert check.anchor == "dH2 ^ dH1 = c M iota_v(dx^dy^dz)"
         assert check.residual_obj == KForm.volume(1).interior(guillot.v).scale(guillot.M * -2)
         assert check.residual == str(check.residual_obj)
-        assert not report.ok
+        assert not all_hold(report)
 
 
 # ---------------------------------------------------------------------------
@@ -488,34 +491,35 @@ class TestBihamiltonian:
 
 
 def canonical_heisenberg():
-    return HeisenbergFrame(
-        "heisenberg_example",
-        KForm.one_form(1, 0, 0),
-        KForm.one_form(0, 1, rf(-X)),
-        KForm.one_form(0, 0, 1),
-        VectorField3(0, X, 1),
+    # (omega1, omega2, omega3) = (gamma, beta, alpha) = (dx, dy - x dz, dz)
+    return Frame(
         VectorField3(0, 1, 0),
+        VectorField3(0, X, 1),
         VectorField3(1, 0, 0),
+        rf(Poly3.const(1)),
+        KForm.one_form(0, 0, 1),
+        KForm.one_form(0, 1, rf(-X)),
+        KForm.one_form(1, 0, 0),
     )
 
 
 class TestHeisenberg:
     def test_canonical_realisation(self):
-        assert heisenberg_verify(canonical_heisenberg()).ok
+        canonical = canonical_heisenberg()
+        assert build_frame(canonical.v, canonical.u, canonical.w) == canonical
+        assert all_hold(heisenberg_verify(canonical))
 
     def test_flat_omega2_breaks_structure(self):
         hf = canonical_heisenberg()
-        broken = HeisenbergFrame(
-            "broken", hf.omega1, KForm.one_form(0, 1, 0), hf.omega3, hf.u, hf.v, hf.w
-        )
+        broken = Frame(hf.v, hf.u, hf.w, hf.M, hf.alpha, KForm.one_form(0, 1, 0), hf.gamma)
         report = heisenberg_verify(broken)
-        bad = report.find("heisenberg.domega2")
+        bad = find(report, "heisenberg.domega2")
         assert bad.status == "fails"
         assert bad.residual_obj == KForm.two_form(0, -1, 0)
 
     def test_volume_is_unity(self):
         report = heisenberg_verify(canonical_heisenberg())
-        assert report.find("heisenberg.volume").status == "holds"
+        assert find(report, "heisenberg.volume").status == "holds"
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +552,7 @@ def _conjugate(field: VectorField3, matrix, inverse) -> VectorField3:
     for row in inverse:
         image = RationalFunction.const(0, chart)
         for entry, name in zip(row, chart):
-            image = image + RationalFunction.var(name, chart) * entry
+            image = image + RationalFunction(Poly3.variable(name, chart)) * entry
         images.append(image)
     pushed = [c.compose(images) for c in field.components]
     new_components = []
@@ -572,6 +576,6 @@ class TestConjugatedFrames:
                 continue
             produced += 1
             cv, cu, cw = (_conjugate(f, matrix, inverse) for f in (v, u, w))
-            frame = build_frame(cv, cu, cw, name="conjugated")
-            assert verify_duality(frame).ok
-            assert verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma).ok
+            frame = build_frame(cv, cu, cw)
+            assert all_hold(verify_duality(frame))
+            assert all_hold(verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma))

@@ -8,6 +8,7 @@ from mcflow.calculus import KForm, LogIntegral, VectorField3
 from mcflow.mcframe import build_frame, potential_from_gamma, verify_sl2
 from mcflow.numeric import (
     InconclusiveSample,
+    SingularEvaluation,
     SingularityAbort,
     conservation_drift,
     rk4_integrate,
@@ -29,7 +30,6 @@ def guillot_frame():
         VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z),
         VectorField3(2 * X, Y, -Z),
         VectorField3(-1, 0, 0),
-        name="guillot",
     )
 
 
@@ -111,6 +111,12 @@ class TestConservationDrift:
         trajectory = rk4_integrate(VectorField3.zero(), Point3.real(1, 2, 3), 1.0, 0.1)
         assert conservation_drift(LogIntegral(rf(X), []), trajectory) == 0.0
 
+    def test_value_that_overflows_is_singular(self):
+        # x*y is inf on this trajectory: inf - inf is nan, which max() passes over
+        trajectory = rk4_integrate(VectorField3(0, 0, 1), Point3.real(1e200, 1e200, 1), 0.2, 1e-3)
+        with pytest.raises(SingularEvaluation):
+            conservation_drift(LogIntegral(rf(X * Y), []), trajectory)
+
     def test_convergence_order(self):
         frame = guillot_frame()
         order = convergence_order(frame.v, Point3.real(1, 1, 1), 0.2, 2e-3)
@@ -122,8 +128,8 @@ class TestSampleIdentity:
         v = VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z)
         u = VectorField3(2 * X, Y, -Z)
         w = VectorField3(-1, 0, 0)
-        report = verify_sl2(v, u, w)
-        verdict = sample_identity(report.checks[0].residual_obj, n=25, name="sl2.uv")
+        checks = verify_sl2(v, u, w)
+        verdict = sample_identity(checks[0].residual_obj, n=25, name="sl2.uv")
         assert verdict.passed
         assert verdict.points_tried == 25
         assert verdict.max_abs_residual == 0.0
@@ -174,8 +180,7 @@ class TestSampleIdentity:
 
     def test_failed_identity_has_visible_witness(self):
         v = VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z)
-        report = verify_sl2(v, v, v)
-        residual = report.checks[0].residual_obj
+        residual = verify_sl2(v, v, v)[0].residual_obj
         verdict = sample_identity(residual, n=100, name="bad")
         assert verdict.max_abs_residual > 1e-6
 
@@ -263,10 +268,10 @@ class TestOracleAgreementAcrossModules:
 
         frame = guillot_frame()
         checks = (
-            verify_sl2(frame.v, frame.u, frame.w, "guillot").checks
-            + verify_duality(frame).checks
-            + verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma, "guillot").checks
-            + curl_identities(frame).checks
+            verify_sl2(frame.v, frame.u, frame.w)
+            + verify_duality(frame)
+            + verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma)
+            + curl_identities(frame)
         )
         for check in checks:
             if check.status != "holds" or check.residual_obj is None:

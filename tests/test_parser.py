@@ -144,7 +144,7 @@ ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": oper
 expressions = st.recursive(
     st.one_of(
         st.integers(0, 3).map(lambda n: (str(n), RationalFunction.const(n))),
-        st.sampled_from("xyz").map(lambda v: (v, RationalFunction.var(v))),
+        st.sampled_from("xyz").map(lambda v: (v, RationalFunction(Poly3.variable(v)))),
     ),
     lambda children: st.one_of(
         children.map(lambda a: (f"-({a[0]})", reference(operator.neg, a[1]))),
@@ -156,7 +156,7 @@ expressions = st.recursive(
     max_leaves=8,
 )
 
-RX, RY, RZ = (RationalFunction.var(v) for v in "xyz")
+RX, RY, RZ = (RationalFunction(Poly3.variable(v)) for v in "xyz")
 
 
 def const(n):
@@ -357,9 +357,9 @@ class TestParseSystem:
         )
         spec = parse_system(source)
         assert spec.variables == ("t1", "t2", "t3")
-        t1 = RationalFunction.var("t1", spec.variables)
-        t2 = RationalFunction.var("t2", spec.variables)
-        t3 = RationalFunction.var("t3", spec.variables)
+        t1 = RationalFunction(Poly3.variable("t1", spec.variables))
+        t2 = RationalFunction(Poly3.variable("t2", spec.variables))
+        t3 = RationalFunction(Poly3.variable("t3", spec.variables))
         assert spec.v[0] == t2 * t3 - t1 * t2 - t1 * t3
 
     def test_round_trip_through_serialization(self):

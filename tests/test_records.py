@@ -3,6 +3,7 @@ hash and print by their fields, and refuse assignment."""
 
 import copy
 import pickle
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -13,20 +14,18 @@ from mcflow.mcframe import (
     FAILS,
     HOLDS,
     NONZERO,
-    VerificationReport,
+    PotentialVector,
     conformal_transform,
     verify_maurer_cartan,
 )
-from mcflow.numeric import SampleVerdict
+from mcflow.numeric import SampleVerdict, Trajectory
 from mcflow.parser import SystemSpec, _Token, parse_rational, parse_system
 from mcflow.systems import ConcordanceEntry, builtin, system_source
 
 
 @pytest.mark.parametrize("record, shown", [
     (_Token("int", "3", 1, 5), "_Token(kind='int', text='3', line=1, column=5)"),
-    (VerificationReport("s", (Check("a", "b = 0", HOLDS),)),
-     "VerificationReport(system='s', checks=(Check(name='a', anchor='b = 0', status='holds', "
-     "residual_obj=None, residual=None, expect='zero'),))"),
+    (PotentialVector(None, Fraction(2)), "PotentialVector(A=None, scale=Fraction(2, 1))"),
     (SystemSpec("toy", ("x", "y", "z"), ()),
      "SystemSpec(name='toy', variables=('x', 'y', 'z'), v=(), u=None, w=None, integrals=(), "
      "multiplier_hint=None)"),
@@ -36,7 +35,8 @@ from mcflow.systems import ConcordanceEntry, builtin, system_source
     (Check(name="a", anchor="b != 0", status=FAILS, expect=NONZERO),
      "Check(name='a', anchor='b != 0', status='fails', residual_obj=None, "
      "residual=None, expect='nonzero')"),
-    (VerificationReport("s", ()), "VerificationReport(system='s', checks=())"),
+    (Trajectory((0.0,), ((1.0, 1.0, 1.0),)),
+     "Trajectory(times=(0.0,), states=((1.0, 1.0, 1.0),))"),
     (SampleVerdict(5, 0.5, 1e-12),
      "SampleVerdict(points_tried=5, max_abs_residual=0.5, tolerance=1e-12)"),
     (ConcordanceEntry("alpha", "dx", "match", "0", "0", "0"),
@@ -95,7 +95,7 @@ def test_bad_construction_raises_type_error(args, kwargs):
     (_Token("int", "1", 1, 1), "kind"),
     (ConcordanceEntry("alpha", "dx", "match", "0", "0", "0"), "status"),
     (Check("a", "b", HOLDS), "status"),
-    (VerificationReport("s", ()), "checks"),
+    (PotentialVector(None, Fraction(2)), "scale"),
     (SampleVerdict(1, 0.0, 1.0), "tolerance"),
 ])
 def test_assigning_a_field_raises(record, field):
@@ -126,7 +126,7 @@ def test_conformal_rows_keep_the_row_they_rename(rho, f):
     rows = [c for c in cli._sigma_checks(resolved, SimpleNamespace(rho=rho, f=f))
             if c.name.startswith("conformal.")]
     t_rho = cli.parse_rational(rho, frame.M.chart)
-    source = verify_maurer_cartan(*conformal_transform(frame, t_rho), resolved.name).checks
+    source = verify_maurer_cartan(*conformal_transform(frame, t_rho))
     assert [c.name for c in rows] == [f"conformal.{c.name}" for c in source]
     for renamed, original in zip(rows, source):
         assert type(renamed) is Check

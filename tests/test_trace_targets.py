@@ -32,3 +32,28 @@ def test_trace_target_resolves(module, attr):
         assert callable(vars(getattr(namespace, cls_name)).get(method))
     else:
         assert callable(getattr(namespace, attr, None))
+
+
+def test_every_traced_check_family_returns_a_tuple():
+    # a span times a family by wrapping its call, so the family must do its
+    # work before it returns: a generator would be timed empty
+    from mcflow.mcframe import Check
+    from mcflow.systems import builtin
+
+    guillot, dh = builtin("guillot"), builtin("dh_symmetric")
+    frame = guillot.frame
+    h1, h2 = (guillot.spec.integral(name) for name in ("H1", "H2_plus"))
+    calls = {
+        ("mcframe", "verify_sl2"): (frame.v, frame.u, frame.w),
+        ("mcframe", "verify_duality"): (frame,),
+        ("mcframe", "verify_maurer_cartan"): (frame.alpha, frame.beta, frame.gamma),
+        ("mcframe", "curl_identities"): (frame,),
+        ("mcframe", "bihamiltonian_verify"): (frame.v, frame.M, h1, h2),
+        ("systems", "dh_reduction_check"): (),
+        ("systems", "grading_check"): (dh,),
+    }
+    assert set(calls) <= set(_targets())
+    for (module, attr), args in calls.items():
+        checks = getattr(importlib.import_module(f"mcflow.{module}"), attr)(*args)
+        assert type(checks) is tuple and checks, attr
+        assert all(type(c) is Check for c in checks), attr
