@@ -68,11 +68,6 @@ class NotDivisibleError(AlgebraError):
 class SingularPointError(AlgebraError):
     """Evaluation at a point where the denominator vanishes."""
 
-    def __init__(self, denominator: str, point: "Point3"):
-        self.denominator = denominator
-        self.point = point
-        super().__init__(f"denominator {denominator} vanishes at {point}")
-
 
 Coefficient = Union[int, Fraction]
 ExponentTriple = tuple[int, int, int]
@@ -344,20 +339,21 @@ class Poly3:
         return Poly3._make(*_canonical(out, content.numerator, content.denominator),
                            self.variables)
 
-    def eval(self, point: "Point3"):
-        """Value at a point; exact for Fraction coordinates, float otherwise."""
-        coords = point.coords
-        if point.is_exact:
+    def eval(self, point: tuple):
+        """Value at a point (x, y, z): a float if a coordinate is a float,
+        else the exact Fraction at int or Fraction coordinates."""
+        x, y, z = point
+        if float not in (type(x), type(y), type(z)):
             total = _ZERO
-            for exps, coeff in self._prim.items():
-                total += coeff * coords[0] ** exps[0] * coords[1] ** exps[1] * coords[2] ** exps[2]
+            for (a, b, c), coeff in self._prim.items():
+                total += coeff * x ** a * y ** b * z ** c
             return total * self._content
         # coeff * num / den is an int true division, correctly rounded exactly
         # like float() of the term's Fraction coefficient.
         num, den = self._content.numerator, self._content.denominator
         total = 0.0
-        for exps, coeff in self._prim.items():
-            total += coeff * num / den * coords[0] ** exps[0] * coords[1] ** exps[1] * coords[2] ** exps[2]
+        for (a, b, c), coeff in self._prim.items():
+            total += coeff * num / den * x ** a * y ** b * z ** c
         return total
 
     def compose(self, images: Sequence["RationalFunction"]) -> "RationalFunction":
@@ -932,11 +928,12 @@ class RationalFunction:
         top = self.num.diff(name) * self.den - self.num * self.den.diff(name)
         return RationalFunction(top, self.den, self.den)
 
-    def eval(self, point: "Point3"):
-        """Exact Fraction at exact points, float at numeric points."""
+    def eval(self, point: tuple):
+        """Value at a point (x, y, z), exact or float as Poly3.eval."""
         den_value = self.den.eval(point)
         if den_value == 0:
-            raise SingularPointError(format_poly(self.den), point)
+            raise SingularPointError(
+                f"denominator {format_poly(self.den)} vanishes at {format_point(point)}")
         return self.num.eval(point) / den_value
 
     def compose(self, images: Sequence["RationalFunction"]) -> "RationalFunction":
@@ -1023,40 +1020,6 @@ def _normalize(num: Poly3, *factors: Poly3) -> tuple[Poly3, Poly3]:
 
 
 # ---------------------------------------------------------------------------
-# Points
-# ---------------------------------------------------------------------------
-
-
-class Point3:
-    """Evaluation point, either exact (Fraction coords) or numeric (float)."""
-
-    __slots__ = ("coords", "is_exact")
-
-    def __init__(self, coords: Sequence, is_exact: bool):
-        self.coords = tuple(coords)
-        self.is_exact = is_exact
-
-    @classmethod
-    def exact(cls, a, b, c) -> "Point3":
-        return cls((Fraction(a), Fraction(b), Fraction(c)), True)
-
-    @classmethod
-    def real(cls, a, b, c) -> "Point3":
-        return cls((float(a), float(b), float(c)), False)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, Point3) and self.coords == other.coords
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-    __repr__ = __str__
-
-
-# ---------------------------------------------------------------------------
 # Canonical printing.  The output is always re-parseable by the expression
 # parser: explicit '*', '^' for powers, '/' only between a numerator and a
 # parenthesised (or atomic) denominator.
@@ -1094,6 +1057,10 @@ def _format_coefficient(coeff: Fraction) -> str:
     if coeff.denominator == 1:
         return _decimal(coeff.numerator)
     return f"{_decimal(coeff.numerator)}/{_decimal(coeff.denominator)}"
+
+
+def format_point(point: tuple) -> str:
+    return "(" + ", ".join(map(str, point)) + ")"
 
 
 def format_poly(p: Poly3) -> str:

@@ -22,10 +22,10 @@ from typing import Iterable, Sequence
 from .algebra import (
     DEFAULT_CHART,
     ChartMismatchError,
-    Point3,
     Poly3,
     RationalFunction,
     as_rational,
+    format_point,
     over_lcm,
 )
 
@@ -412,13 +412,15 @@ class LogIntegral:
             total = total + dlog
         return total
 
-    def eval_float(self, point: Point3) -> float:
-        """Value with log|f|; raises on a vanishing log argument."""
+    def eval_float(self, point: tuple) -> float:
+        """Value with log|f| at a point (x, y, z); raises on a vanishing log
+        argument."""
         value = float(self.rational_part.eval(point))
         for coeff, argument in self.log_terms:
             arg_value = float(argument.eval(point))
             if arg_value == 0.0:
-                raise ZeroLogArgumentError(f"log argument {argument} vanishes at {point}")
+                raise ZeroLogArgumentError(
+                    f"log argument {argument} vanishes at {format_point(point)}")
             value += float(coeff) * math.log(abs(arg_value))
         return value
 

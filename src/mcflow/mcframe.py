@@ -46,11 +46,6 @@ class DegenerateFrameError(FrameError):
 class InconsistencyError(FrameError):
     """curl of the potential is not a constant multiple of M v."""
 
-    def __init__(self, message: str, computed: VectorField3, expected: VectorField3):
-        self.computed = computed
-        self.expected = expected
-        super().__init__(message)
-
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -314,11 +309,7 @@ def potential_from_gamma(frame: Frame) -> PotentialVector:
     target = frame.v.scale(frame.M)
     scale = _constant_ratio(curl_a.components, target.components)
     if scale is None or scale == 0:
-        raise InconsistencyError(
-            "curl of the potential is not a constant multiple of M v",
-            curl_a,
-            target,
-        )
+        raise InconsistencyError("curl of the potential is not a constant multiple of M v")
     return PotentialVector(a, scale)
 
 

@@ -15,13 +15,11 @@ import random
 import zlib
 from typing import Callable
 
-from . import Record
-from .algebra import Point3, RationalFunction
+from .algebra import RationalFunction
 from .calculus import KForm, LogIntegral, VectorField3
 
 DENOMINATOR_FLOOR = 1e-12
 SINGULAR_SKIP = 1e-9
-ZERO_TOLERANCE = 1e-12
 DEFAULT_BOX = (-3.0, 3.0)
 GRID_DENOMINATOR = 8
 
@@ -34,7 +32,6 @@ class SingularityAbort(NumericError):
     """Integration stopped near a denominator zero."""
 
     def __init__(self, last_safe_time: float):
-        self.last_safe_time = last_safe_time
         super().__init__(f"trajectory aborted near a singularity; last safe time {last_safe_time}")
 
 
@@ -42,30 +39,7 @@ class SingularEvaluation(NumericError):
     """A quantity could not be evaluated along a trajectory."""
 
     def __init__(self, time: float, detail: str):
-        self.time = time
         super().__init__(f"singular evaluation at t = {time}: {detail}")
-
-
-class InconclusiveSample(NumericError):
-    """Every drawn point was singular for the residual, or its value
-    overflowed or was not finite."""
-
-
-class Trajectory(Record):
-    __slots__ = ("times", "states")
-    times: tuple[float, ...]
-    states: tuple[tuple[float, float, float], ...]
-
-
-class SampleVerdict(Record):
-    __slots__ = ("points_tried", "max_abs_residual", "tolerance")
-    points_tried: int
-    max_abs_residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_residual < self.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +47,8 @@ class SampleVerdict(Record):
 # ---------------------------------------------------------------------------
 
 
-def _finite_values(coefficients, point: Point3, floor: float):
-    """Float values of the coefficients at the point; None where a
+def _finite_values(coefficients, point: tuple, floor: float):
+    """Float values of the coefficients at the point (x, y, z); None where a
     denominator is below the floor in magnitude or is not finite, or where
     a value overflows or is not finite."""
     values = []
@@ -96,7 +70,7 @@ def _field_evaluator(field: VectorField3) -> Callable:
     components = field.components
 
     def evaluate(state: tuple[float, float, float]):
-        out = _finite_values(components, Point3.real(*state), DENOMINATOR_FLOOR)
+        out = _finite_values(components, state, DENOMINATOR_FLOOR)
         if out is None or not all(map(math.isfinite, state)):
             return None
         return tuple(out)
@@ -117,10 +91,9 @@ def _rk4_step(rhs, state, k1, h: float):
     )
 
 
-def rk4_integrate(
-    field: VectorField3, start: Point3, t_end: float, h: float
-) -> Trajectory:
-    """Classical fixed-step 4th-order Runge-Kutta from t = 0 to t_end.
+def rk4_integrate(field: VectorField3, start: tuple, t_end: float, h: float) -> tuple:
+    """(times, states) of classical fixed-step 4th-order Runge-Kutta from
+    the point start at t = 0 to t_end; each state is a float (x, y, z).
 
     The grid is uniform with spacing h; when h does not divide t_end a
     single shorter closing step lands exactly on t_end.
@@ -128,7 +101,7 @@ def rk4_integrate(
     if h <= 0:
         raise NumericError(f"step size must be positive, got {h}")
     rhs = _field_evaluator(field)
-    state = tuple(float(c) for c in start.coords)
+    state = tuple(float(c) for c in start)
     slope = rhs(state)
     if slope is None:
         raise SingularityAbort(0.0)
@@ -145,16 +118,17 @@ def rk4_integrate(
             raise SingularityAbort(times[-1])
         times.append((k + 1) * h if k < full_steps else t_end)
         states.append(state)
-    return Trajectory(tuple(times), tuple(states))
+    return times, states
 
 
-def conservation_drift(h: LogIntegral, trajectory: Trajectory) -> float:
-    """max_t |H(x(t)) - H(x(0))| / max(1, |H(x(0))|)."""
+def conservation_drift(h: LogIntegral, times, states) -> float:
+    """max_t |H(x(t)) - H(x(0))| / max(1, |H(x(0))|) over the states of a
+    trajectory and their times."""
     reference = None
     worst = 0.0
-    for t, state in zip(trajectory.times, trajectory.states):
+    for t, state in zip(times, states):
         try:
-            value = h.eval_float(Point3.real(*state))
+            value = h.eval_float(state)
         except Exception as exc:
             raise SingularEvaluation(t, str(exc)) from exc
         if not math.isfinite(value):
@@ -201,14 +175,15 @@ def sample_identity(
     box: tuple[float, float] = DEFAULT_BOX,
     seed: int = 0,
     name: str = "",
-    tolerance: float = ZERO_TOLERANCE,
-) -> SampleVerdict:
-    """Evaluate residual coefficients at n random non-singular grid points.
+) -> tuple[int, float]:
+    """(points evaluated, largest |value|) of the residual coefficients at n
+    random non-singular grid points.
 
     Points are drawn uniformly from the (1/8)-grid in the box, whose
-    coordinates are exact as floats; draws where any denominator is smaller than 1e-9, or where the
-    float evaluation overflows or is not finite, are skipped.  The verdict
-    passes iff every |value| stays below the tolerance.
+    coordinates are exact as floats; draws where any denominator is smaller
+    than 1e-9, or where the float evaluation overflows or is not finite, are
+    skipped.  After 40 n draws it stops, so 0 points means that every draw
+    was skipped.
     """
     if n < 1:
         raise NumericError(f"need at least one sample point, got {n}")
@@ -221,16 +196,11 @@ def sample_identity(
     max_attempts = 40 * n
     while evaluated < n and attempts < max_attempts:
         attempts += 1
-        float_point = Point3.real(*(k / GRID_DENOMINATOR for k in next(stream)))
-        values = _finite_values(coefficients, float_point, SINGULAR_SKIP)
+        point = tuple(k / GRID_DENOMINATOR for k in next(stream))
+        values = _finite_values(coefficients, point, SINGULAR_SKIP)
         if values is None:
             continue
         evaluated += 1
         for value in values:
             worst = max(worst, abs(value))
-    if evaluated == 0:
-        raise InconclusiveSample(
-            f"all {attempts} draws were singular or not finite for identity "
-            f"{name or '<unnamed>'}"
-        )
-    return SampleVerdict(evaluated, worst, tolerance)
+    return evaluated, worst

@@ -18,10 +18,10 @@ line-oriented: one ``key: value`` pair per line, ``#`` starts a comment.
     name: <string>
     variables: <id>, <id>, <id>
     v: <expr>; <expr>; <expr>
-    u: <expr>; <expr>; <expr>          # optional
-    w: <expr>; <expr>; <expr>          # optional
+    u: <expr>; <expr>; <expr>          # optional, together with w
+    w: <expr>; <expr>; <expr>          # optional, together with u
     integral <name>: <sum of c*log(f) and rational terms>   # optional, repeatable
-    multiplier: <expr>                 # optional
+    multiplier: <expr>                 # optional, not identically zero
 """
 
 from __future__ import annotations
@@ -455,12 +455,6 @@ class SystemSpec(Record):
     integrals: tuple[tuple[str, LogIntegral], ...]
     multiplier_hint: Optional[RationalFunction]
 
-    def integral(self, name: str) -> LogIntegral:
-        for key, value in self.integrals:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 def _strip_comment(line: str) -> str:
     cut = line.find("#")
@@ -535,6 +529,10 @@ def parse_system(source: str) -> SystemSpec:
     for required in ("name", "variables", "v"):
         if required not in raw:
             raise ParseError(f"missing required key {required!r}")
+    for present, missing in (("u", "w"), ("w", "u")):
+        if present in raw and missing not in raw:
+            raise ParseError(f"missing key {missing!r}: the companion fields u and w "
+                             f"come together", raw[present][0])
 
     name = raw["name"][1]
     if not name:
@@ -554,6 +552,9 @@ def parse_system(source: str) -> SystemSpec:
     if "multiplier" in raw:
         m_line, m_value, m_column = raw["multiplier"]
         multiplier = _parse_value(m_value, names, m_line, m_column)
+        # div(0 v) = 0 holds for every flow v
+        if multiplier.is_zero():
+            raise ParseError("the multiplier is identically zero", m_line, m_column)
     resolved = tuple(
         (integral_name, _parse_value(value, names, line_no, column, allow_log=True))
         for integral_name, line_no, value, column in integrals

@@ -16,7 +16,6 @@ import os
 from functools import lru_cache
 from typing import Optional
 
-from . import Record
 from .algebra import Poly3, RationalFunction
 from .calculus import KForm, VectorField3
 from .mcframe import (
@@ -85,7 +84,7 @@ def system_source(name: str) -> str:
 class System:
     """A parsed system and the structure derived from it.
 
-    With both companion fields, the constructor verifies the bracket
+    With the companion fields, the constructor verifies the bracket
     relations once and builds the sl(2) frame only when they hold; the shipped
     Heisenberg example gets the coframe of its Heisenberg frame instead.  The
     potential is computed on first use and kept.
@@ -101,7 +100,7 @@ class System:
         chart = spec.variables
         self.v = VectorField3(*spec.v, chart)
         self.frame = self.heisenberg = self.brackets = self._potential = None
-        if spec.u is None or spec.w is None:
+        if spec.u is None:
             return
         u, w = VectorField3(*spec.u, chart), VectorField3(*spec.w, chart)
         if is_builtin and spec.name == "heisenberg_example":
@@ -133,22 +132,13 @@ def builtin(name: str) -> System:
 # ---------------------------------------------------------------------------
 
 
-class ConcordanceEntry(Record):
-    __slots__ = ("form", "component", "status", "computed", "printed", "difference")
-    form: str
-    component: str
-    status: str  # "match" | "mismatch"
-    computed: str
-    printed: str
-    difference: str
-
-
-def concordance(system: System) -> tuple[ConcordanceEntry, ...]:
+def concordance(system: System) -> list[dict]:
     """Componentwise comparison of a built-in's computed forms against
-    printed ones."""
+    printed ones: one report row per component, whose status is "match" or
+    "mismatch"."""
     printed_forms = _PRINTED.get(system.name) if system.is_builtin else None
     if system.frame is None or printed_forms is None:
-        return ()
+        return []
     frame = system.frame
     computed_forms = {
         "alpha": frame.alpha.coeffs,
@@ -161,7 +151,7 @@ def concordance(system: System) -> tuple[ConcordanceEntry, ...]:
     # the shared denominator is parsed once, not once per coefficient
     den_text = _PRINTED_DENOMINATOR.get(system.name)
     den = parse_rational(den_text, chart) if den_text else None
-    entries = []
+    rows = []
     for form_name, printed in printed_forms.items():
         computed = computed_forms[form_name]
         for label, computed_coeff, printed_text in zip(labels, computed, printed):
@@ -170,17 +160,15 @@ def concordance(system: System) -> tuple[ConcordanceEntry, ...]:
                 printed_value = printed_value / den
                 printed_text = f"{printed_text}/({den_text})"
             delta = computed_coeff - printed_value
-            entries.append(
-                ConcordanceEntry(
-                    form_name,
-                    label,
-                    "match" if delta.is_zero() else "mismatch",
-                    str(computed_coeff),
-                    printed_text,
-                    str(delta),
-                )
-            )
-    return tuple(entries)
+            rows.append({
+                "form": form_name,
+                "component": label,
+                "status": "match" if delta.is_zero() else "mismatch",
+                "computed": str(computed_coeff),
+                "printed": printed_text,
+                "difference": str(delta),
+            })
+    return rows
 
 
 # ---------------------------------------------------------------------------

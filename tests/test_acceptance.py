@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcflow.algebra import Point3, Poly3, RationalFunction, poly_gcd
+from mcflow.algebra import Poly3, RationalFunction, poly_gcd
 from mcflow.calculus import KForm, VectorField3, lie_bracket
 from mcflow.mcframe import (
     all_hold,
@@ -51,14 +51,12 @@ def dh():
     return builtin("dh_symmetric")
 
 
-def convergence_order(
-    field: VectorField3, start: Point3, t_end: float, h: float
-) -> float:
+def convergence_order(field: VectorField3, start: tuple, t_end: float, h: float) -> float:
     """Observed Runge-Kutta order via Richardson comparison at h, h/2, h/4."""
     ends = []
     for step in (h, h / 2, h / 4):
-        trajectory = rk4_integrate(field, start, t_end, step)
-        ends.append(trajectory.states[-1])
+        _, states = rk4_integrate(field, start, t_end, step)
+        ends.append(states[-1])
     coarse = math.dist(ends[0], ends[1])
     fine = math.dist(ends[1], ends[2])
     if fine == 0.0:
@@ -94,7 +92,7 @@ def test_criterion_2_guillot_structural_suite(guillot):
 
 
 def test_criterion_3_guillot_concordance(guillot):
-    entries = {(e.form, e.component): e.status for e in concordance(guillot)}
+    entries = {(row["form"], row["component"]): row["status"] for row in concordance(guillot)}
     for component in ("dx", "dy", "dz"):
         assert entries[("alpha", component)] == "match"
         assert entries[("beta", component)] == "match"
@@ -102,20 +100,21 @@ def test_criterion_3_guillot_concordance(guillot):
     assert entries[("gamma", "dy")] == "mismatch"
     assert entries[("gamma", "dz")] == "mismatch"
     # the dy mismatch is precisely a sign flip, the dz one a factor y on x^2
-    by_key = {(e.form, e.component): e for e in concordance(guillot)}
+    by_key = {(row["form"], row["component"]): row for row in concordance(guillot)}
     computed_dy = rf(Y**4 + 4 * X * Y**2 - X**2, 2 * Y**3)
-    assert by_key[("gamma", "dy")].difference == str(computed_dy * 2)
-    assert by_key[("gamma", "dz")].computed == str(rf(Y**4 - X**2, 2 * Z * Y**2))
-    assert by_key[("gamma", "dz")].printed == "(y^4 - x^2*y)/(2*y^2*z)"
+    assert by_key[("gamma", "dy")]["difference"] == str(computed_dy * 2)
+    assert by_key[("gamma", "dz")]["computed"] == str(rf(Y**4 - X**2, 2 * Z * Y**2))
+    assert by_key[("gamma", "dz")]["printed"] == "(y^4 - x^2*y)/(2*y^2*z)"
     report_line(3, "alpha and beta match the printed forms; gamma differs exactly in dy (sign) and dz (factor y)")
 
 
 def test_criterion_4_guillot_bihamiltonian(guillot):
     frame = guillot.frame
-    h1 = guillot.spec.integral("H1")
+    integrals = dict(guillot.spec.integrals)
+    h1 = integrals["H1"]
     volume_flux = KForm.volume(1).interior(frame.v).scale(frame.M)
     for label in ("H2_plus", "H2_minus"):
-        h2 = guillot.spec.integral(label)
+        h2 = integrals[label]
         assert h1.differential().interior(frame.v).coeffs[0].is_zero()
         assert h2.differential().interior(frame.v).coeffs[0].is_zero()
         wedge = h2.differential().wedge(h1.differential())
@@ -210,12 +209,12 @@ def test_criterion_11_numeric_oracle(guillot, dh):
     reports = []
     for system in (guillot, dh):
         reports.extend(frame_structural_reports(system))
-    h1 = guillot.spec.integral("H1")
+    integrals = dict(guillot.spec.integrals)
     for label in ("H2_plus", "H2_minus"):
         reports.append((
             "guillot",
             bihamiltonian_verify(
-                guillot.frame.v, guillot.frame.M, h1, guillot.spec.integral(label), label,
+                guillot.frame.v, guillot.frame.M, integrals["H1"], integrals[label], label,
             ),
         ))
     reports.append(("dh_classic -> dh_symmetric", dh_reduction_check()))
@@ -229,30 +228,26 @@ def test_criterion_11_numeric_oracle(guillot, dh):
                 continue
             if check.name == "structure.dalpha_nonzero":
                 continue
-            verdict = sample_identity(
-                check.residual_obj, n=25, name=f"{system_label}.{check.name}",
-                tolerance=1e-12,
-            )
-            assert verdict.passed, check.name
+            points, worst = sample_identity(
+                check.residual_obj, n=25, name=f"{system_label}.{check.name}")
+            assert points > 0 and worst < 1e-12, check.name
             sampled += 1
     for system in (guillot, dh):
         for omega in (system.frame.beta, system.frame.gamma):
-            verdict = sample_identity(
-                frobenius_residual(omega), n=25,
-                name=f"{system.name}.frobenius", tolerance=1e-12,
-            )
-            assert verdict.passed
+            points, worst = sample_identity(
+                frobenius_residual(omega), n=25, name=f"{system.name}.frobenius")
+            assert points > 0 and worst < 1e-12
             sampled += 1
     assert sampled >= 60
 
     frame = guillot.frame
-    trajectory = rk4_integrate(frame.v, Point3.real(1, 1, 1), 0.2, 1e-3)
-    drift_h1 = conservation_drift(guillot.spec.integral("H1"), trajectory)
-    drift_h2 = conservation_drift(guillot.spec.integral("H2_plus"), trajectory)
+    trajectory = rk4_integrate(frame.v, (1.0, 1.0, 1.0), 0.2, 1e-3)
+    drift_h1 = conservation_drift(integrals["H1"], *trajectory)
+    drift_h2 = conservation_drift(integrals["H2_plus"], *trajectory)
     assert drift_h1 < 1e-8
     assert drift_h2 < 1e-7
 
-    order = convergence_order(frame.v, Point3.real(1, 1, 1), 0.2, 2e-3)
+    order = convergence_order(frame.v, (1.0, 1.0, 1.0), 0.2, 2e-3)
     assert abs(order - 4.0) <= 0.3
     report_line(
         11,

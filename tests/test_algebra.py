@@ -14,7 +14,6 @@ from mcflow.algebra import (
     ChartMismatchError,
     ExponentOverflowError,
     NegativeExponentError,
-    Point3,
     Poly3,
     RationalFunction,
     SingularPointError,
@@ -767,26 +766,51 @@ class TestPartialDerivative:
 class TestEvaluate:
     def test_multiplier_at_unit_point(self):
         m = rf(ONE, 2 * Z * Y**3)
-        assert m.eval(Point3.exact(1, 1, 1)) == Fraction(1, 2)
+        assert m.eval((Fraction(1), Fraction(1), Fraction(1))) == Fraction(1, 2)
 
     def test_coordinate_projection(self):
-        p = Point3.exact(Fraction(5, 7), 2, -3)
+        p = (Fraction(5, 7), Fraction(2), Fraction(-3))
         assert rf(X).eval(p) == Fraction(5, 7)
 
     def test_singular_point_reported(self):
         f = rf(ONE, Y)
         with pytest.raises(SingularPointError) as info:
-            f.eval(Point3.exact(1, 0, 1))
+            f.eval((Fraction(1), Fraction(0), Fraction(1)))
         assert "y" in str(info.value)
 
     def test_float_mode(self):
         m = rf(ONE, 2 * Z * Y**3)
-        assert m.eval(Point3.real(1.0, 1.0, 1.0)) == pytest.approx(0.5)
+        assert m.eval((1.0, 1.0, 1.0)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("point, kind", [
+        ((1, 2, -3), Fraction),
+        ((Fraction(1, 2), Fraction(2), Fraction(-3, 4)), Fraction),
+        ((Fraction(1, 2), 2, -3), Fraction),
+        ((0.5, 2.0, -3.0), float),
+        ((0.5, 2, -3), float),
+    ])
+    def test_the_coordinates_type_picks_the_path(self, point, kind):
+        # ints and Fractions evaluate exactly, any float coordinate in floats
+        m = rf(X**2 + ONE, 2 * Z * Y**3)
+        value = m.eval(point)
+        assert type(value) is kind
+        exact = m.eval(tuple(Fraction(c) for c in point))
+        assert value == exact if kind is Fraction else value == pytest.approx(float(exact))
+        assert type(X.eval(point)) is kind
+
+    @pytest.mark.parametrize("point, shown", [
+        ((1.0, 0.0, 1.0), "(1.0, 0.0, 1.0)"),
+        ((1, 0, Fraction(1, 2)), "(1, 0, 1/2)"),
+    ])
+    def test_a_singular_point_prints_as_a_triple(self, point, shown):
+        with pytest.raises(SingularPointError) as info:
+            rf(ONE, Y**2).eval(point)
+        assert str(info.value) == f"denominator y^2 vanishes at {shown}"
 
     @settings(max_examples=40, deadline=None)
     @given(polys(max_terms=4), polys(max_terms=4))
     def test_evaluation_is_multiplicative(self, a, b):
-        point = Point3.exact(Fraction(2, 3), Fraction(-1, 2), Fraction(5, 4))
+        point = (Fraction(2, 3), Fraction(-1, 2), Fraction(5, 4))
         assert (a * b).eval(point) == a.eval(point) * b.eval(point)
 
 

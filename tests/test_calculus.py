@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcflow.algebra import ChartMismatchError, Point3, Poly3, RationalFunction
+from mcflow.algebra import ChartMismatchError, Poly3, RationalFunction
 from mcflow.calculus import (
     GradeError,
     KForm,
@@ -478,5 +478,5 @@ class TestLogIntegral:
         h = LogIntegral(rf(X), [(Fraction(2), rf(Y))])
         import math
 
-        value = h.eval_float(Point3.real(0.5, 3.0, 1.0))
+        value = h.eval_float((0.5, 3.0, 1.0))
         assert value == pytest.approx(0.5 + 2 * math.log(3.0))

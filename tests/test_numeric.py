@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mcflow.algebra import Point3, Poly3, RationalFunction
+from mcflow.algebra import Poly3, RationalFunction
 from mcflow.calculus import KForm, LogIntegral, VectorField3
 from mcflow.mcframe import build_frame, potential_from_gamma, verify_sl2
 from mcflow.numeric import (
-    InconclusiveSample,
     SingularEvaluation,
     SingularityAbort,
     conservation_drift,
@@ -19,6 +18,13 @@ from test_acceptance import convergence_order
 X = Poly3.variable("x")
 Y = Poly3.variable("y")
 Z = Poly3.variable("z")
+
+# the default --tol: a sampled value below it counts as zero
+TOLERANCE = 1e-12
+
+
+def last_safe_time(abort: SingularityAbort) -> float:
+    return float(str(abort).rsplit(" ", 1)[1])
 
 
 def rf(num, den=1):
@@ -51,36 +57,33 @@ def guillot_h2_plus():
 class TestRk4:
     def test_harmonic_oscillator_period(self):
         field = VectorField3(Y, -X, 0)
-        trajectory = rk4_integrate(field, Point3.real(1, 0, 0), 2 * math.pi, 1e-3)
-        final = trajectory.states[-1]
+        _, states = rk4_integrate(field, (1.0, 0.0, 0.0), 2 * math.pi, 1e-3)
+        final = states[-1]
         assert abs(final[0] - 1.0) < 1e-8
         assert abs(final[1]) < 1e-8
 
     def test_zero_field_is_constant(self):
-        trajectory = rk4_integrate(VectorField3.zero(), Point3.real(2, 3, 4), 1.0, 0.1)
-        assert all(state == (2.0, 3.0, 4.0) for state in trajectory.states)
+        _, states = rk4_integrate(VectorField3.zero(), (2.0, 3.0, 4.0), 1.0, 0.1)
+        assert all(state == (2.0, 3.0, 4.0) for state in states)
 
     def test_uniform_step_grid(self):
-        trajectory = rk4_integrate(VectorField3.zero(), Point3.real(0, 0, 0), 0.01, 1e-3)
-        assert len(trajectory.times) == 11
-        diffs = {
-            round(b - a, 12)
-            for a, b in zip(trajectory.times, trajectory.times[1:])
-        }
+        times, _ = rk4_integrate(VectorField3.zero(), (0.0, 0.0, 0.0), 0.01, 1e-3)
+        assert len(times) == 11
+        diffs = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert diffs == {1e-3}
 
     def test_singularity_abort(self):
         field = VectorField3(rf(Poly3.const(1), Y), rf(Poly3.const(-1)), 0)
         with pytest.raises(SingularityAbort) as info:
-            rk4_integrate(field, Point3.real(0, 1, 0), 2.0, 1e-3)
-        assert 0.9 < info.value.last_safe_time <= 1.01
+            rk4_integrate(field, (0.0, 1.0, 0.0), 2.0, 1e-3)
+        assert 0.9 < last_safe_time(info.value) <= 1.01
 
     def test_finite_time_blow_up_aborts(self):
         # x' = x^2 from x = 1 reaches infinity at t = 1; the float
         # evaluation overflows instead of meeting a vanishing denominator
         with pytest.raises(SingularityAbort) as info:
-            rk4_integrate(VectorField3(X**2, 0, 0), Point3.real(1, 0, 0), 2.0, 1e-3)
-        assert 0.9 < info.value.last_safe_time <= 1.01
+            rk4_integrate(VectorField3(X**2, 0, 0), (1.0, 0.0, 0.0), 2.0, 1e-3)
+        assert 0.9 < last_safe_time(info.value) <= 1.01
 
     def test_four_field_evaluations_per_step(self, monkeypatch):
         # the slope where a step lands is the next step's first stage, so
@@ -95,31 +98,31 @@ class TestRk4:
             return original(*args)
 
         monkeypatch.setattr(numeric, "_finite_values", counting)
-        trajectory = rk4_integrate(guillot_frame().v, Point3.real(1, 1, 1), 0.2, 1e-3)
-        assert len(trajectory.times) == 201
+        times, _ = rk4_integrate(guillot_frame().v, (1.0, 1.0, 1.0), 0.2, 1e-3)
+        assert len(times) == 201
         assert len(calls) == 801
 
 
 class TestConservationDrift:
     def test_guillot_invariants(self):
         frame = guillot_frame()
-        trajectory = rk4_integrate(frame.v, Point3.real(1, 1, 1), 0.2, 1e-3)
-        assert conservation_drift(guillot_h1(), trajectory) < 1e-8
-        assert conservation_drift(guillot_h2_plus(), trajectory) < 1e-7
+        trajectory = rk4_integrate(frame.v, (1.0, 1.0, 1.0), 0.2, 1e-3)
+        assert conservation_drift(guillot_h1(), *trajectory) < 1e-8
+        assert conservation_drift(guillot_h2_plus(), *trajectory) < 1e-7
 
     def test_constant_on_frozen_flow(self):
-        trajectory = rk4_integrate(VectorField3.zero(), Point3.real(1, 2, 3), 1.0, 0.1)
-        assert conservation_drift(LogIntegral(rf(X), []), trajectory) == 0.0
+        trajectory = rk4_integrate(VectorField3.zero(), (1.0, 2.0, 3.0), 1.0, 0.1)
+        assert conservation_drift(LogIntegral(rf(X), []), *trajectory) == 0.0
 
     def test_value_that_overflows_is_singular(self):
         # x*y is inf on this trajectory: inf - inf is nan, which max() passes over
-        trajectory = rk4_integrate(VectorField3(0, 0, 1), Point3.real(1e200, 1e200, 1), 0.2, 1e-3)
+        trajectory = rk4_integrate(VectorField3(0, 0, 1), (1e200, 1e200, 1.0), 0.2, 1e-3)
         with pytest.raises(SingularEvaluation):
-            conservation_drift(LogIntegral(rf(X * Y), []), trajectory)
+            conservation_drift(LogIntegral(rf(X * Y), []), *trajectory)
 
     def test_convergence_order(self):
         frame = guillot_frame()
-        order = convergence_order(frame.v, Point3.real(1, 1, 1), 0.2, 2e-3)
+        order = convergence_order(frame.v, (1.0, 1.0, 1.0), 0.2, 2e-3)
         assert abs(order - 4.0) <= 0.3
 
 
@@ -129,23 +132,20 @@ class TestSampleIdentity:
         u = VectorField3(2 * X, Y, -Z)
         w = VectorField3(-1, 0, 0)
         checks = verify_sl2(v, u, w)
-        verdict = sample_identity(checks[0].residual_obj, n=25, name="sl2.uv")
-        assert verdict.passed
-        assert verdict.points_tried == 25
-        assert verdict.max_abs_residual == 0.0
+        assert sample_identity(checks[0].residual_obj, n=25, name="sl2.uv") == (25, 0.0)
 
     def test_constant_residual_fails(self):
         alpha = KForm.one_form(1, 0, 0)
         beta = KForm.one_form(0, 1, 0)
         residual = beta.d() + alpha.wedge(beta).scale(2)
-        verdict = sample_identity(residual, n=25, name="structure.dbeta")
-        assert not verdict.passed
-        assert verdict.max_abs_residual == pytest.approx(2.0)
+        points, worst = sample_identity(residual, n=25, name="structure.dbeta")
+        assert points == 25
+        assert worst == pytest.approx(2.0)
 
     def test_singular_draws_skipped(self):
-        verdict = sample_identity(rf(Poly3.const(1), Y), n=10, name="pole")
-        assert verdict.points_tried == 10
-        assert not verdict.passed
+        points, worst = sample_identity(rf(Poly3.const(1), Y), n=10, name="pole")
+        assert points == 10
+        assert worst >= TOLERANCE
 
     def test_determinism(self):
         residual = rf(X * Y - Z)
@@ -156,13 +156,12 @@ class TestSampleIdentity:
         assert c != a
 
     def test_all_singular_is_inconclusive(self):
-        with pytest.raises(InconclusiveSample):
-            sample_identity(rf(Poly3.const(1), Y), n=5, box=(0.0, 0.0), name="stuck")
+        assert sample_identity(rf(Poly3.const(1), Y), n=5, box=(0.0, 0.0), name="stuck") \
+            == (0, 0.0)
 
     def test_overflowing_draws_are_skipped(self):
         # x^2 overflows a float on this box, so no draw can be evaluated
-        with pytest.raises(InconclusiveSample):
-            sample_identity(rf(X**2), n=5, box=(1e300, 1e301), name="huge")
+        assert sample_identity(rf(X**2), n=5, box=(1e300, 1e301), name="huge") == (0, 0.0)
 
     @pytest.mark.parametrize("residual, box", [
         # 10^300 x^2 and 10^300 y^2 are inf on this box, so the float value
@@ -172,26 +171,23 @@ class TestSampleIdentity:
         (rf(Poly3.const(1), X * Y * Z), (1e150, 1e151)),
     ])
     def test_non_finite_residual_never_passes(self, residual, box):
-        try:
-            verdict = sample_identity(residual, n=25, box=box, name="non-finite")
-        except InconclusiveSample:
-            return
-        assert not verdict.passed
+        points, worst = sample_identity(residual, n=25, box=box, name="non-finite")
+        assert points == 0 or worst >= TOLERANCE
 
     def test_failed_identity_has_visible_witness(self):
         v = VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z)
         residual = verify_sl2(v, v, v)[0].residual_obj
-        verdict = sample_identity(residual, n=100, name="bad")
-        assert verdict.max_abs_residual > 1e-6
+        _, worst = sample_identity(residual, n=100, name="bad")
+        assert worst > 1e-6
 
 
 class TestSampleAgreement:
     # both sides evaluated exactly at rational points, with no symbolic
     # cancellation between them
     POINTS = (
-        Point3.exact(Fraction(1, 2), 3, -2),
-        Point3.exact(-1, Fraction(5, 8), Fraction(7, 3)),
-        Point3.exact(2, -1, 1),
+        (Fraction(1, 2), Fraction(3), Fraction(-2)),
+        (Fraction(-1), Fraction(5, 8), Fraction(7, 3)),
+        (Fraction(2), Fraction(-1), Fraction(1)),
     )
 
     def test_structure_equation_sides_agree(self):
@@ -211,7 +207,7 @@ def _central_difference(f, coords, axis, h):
     forward, backward = list(coords), list(coords)
     forward[axis] += h
     backward[axis] -= h
-    return (f.eval(Point3.real(*forward)) - f.eval(Point3.real(*backward))) / (2 * h)
+    return (f.eval(tuple(map(float, forward))) - f.eval(tuple(map(float, backward)))) / (2 * h)
 
 
 def finite_difference_error(form, coords, h):
@@ -230,7 +226,7 @@ def finite_difference_error(form, coords, h):
                   partial(c[1], 0) - partial(c[0], 1)]
     else:
         approx = [partial(c[0], 0) + partial(c[1], 1) + partial(c[2], 2)]
-    exact = [f.eval(Point3.real(*coords)) for f in form.d().coeffs]
+    exact = [f.eval(tuple(map(float, coords))) for f in form.d().coeffs]
     return max(abs(e - a) for e, a in zip(exact, approx))
 
 
@@ -278,5 +274,5 @@ class TestOracleAgreementAcrossModules:
                 continue
             if check.name == "structure.dalpha_nonzero":
                 continue  # witness object is intentionally nonzero
-            verdict = sample_identity(check.residual_obj, n=25, name=check.name)
-            assert verdict.passed, check.name
+            points, worst = sample_identity(check.residual_obj, n=25, name=check.name)
+            assert points > 0 and worst < TOLERANCE, check.name

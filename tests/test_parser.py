@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcflow.algebra import Point3, Poly3, RationalFunction
+from mcflow.algebra import Poly3, RationalFunction
 from mcflow.calculus import LogIntegral
 from mcflow.parser import ParseError, _parse_value, parse_rational, parse_system
 
@@ -38,7 +38,7 @@ class TestParseExpr:
         assert lhs == rhs
         for seed in range(5):
             rng = random.Random(seed)
-            p = Point3.exact(
+            p = (
                 Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                 Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                 Fraction(rng.randint(1, 9), rng.randint(1, 4)),
@@ -301,7 +301,7 @@ class TestParseSystem:
         assert spec.u == (rf(2 * X), rf(Y), rf(-Z))
         assert spec.w == (rf(Poly3.const(-1)), rf(Poly3.zero()), rf(Poly3.zero()))
         assert spec.multiplier_hint == rf(Poly3.const(1), 2 * Z * Y**3)
-        assert spec.integral("H1") == LogIntegral(rf(X**2, Y**2) - rf(Y**2), [])
+        assert dict(spec.integrals)["H1"] == LogIntegral(rf(X**2, Y**2) - rf(Y**2), [])
 
     def test_minimal_file_leaves_options_absent(self):
         spec = parse_system("name: toy\nvariables: x, y, z\nv: y; -x; 0\n")
@@ -398,6 +398,13 @@ class TestSingleFaults:
         ("v: x; log(y); z", "log is only allowed in integral expressions", 3, 7),
         ("v: x; y; (z", "expected ')', found end of input", 3, 12),
         ("v: x; y; z\nmultiplier: 1/(x - x)", "reciprocal of zero", 4, 13),
+        # div(0 v) = 0 would hold for every v
+        ("v: x; y; z\nmultiplier: 0", "the multiplier is identically zero", 4, 13),
+        ("v: x; y; z\nmultiplier:   x*y - y*x", "the multiplier is identically zero", 4, 15),
+        ("v: x; y; z\nu: x; y; z", "missing key 'w': the companion fields u and w come together",
+         4, 1),
+        ("w: -1; 0; 0\nv: x; y; z", "missing key 'u': the companion fields u and w come together",
+         3, 1),
         ("v: x; y; z\nintegral H:  x*log(y)", "log may only be scaled by rational constants", 4, 14),
         ("v: x; y; z\nintegral H: log(y)*x + z", "log may only be scaled by rational constants", 4, 13),
         ("v: x; y; z\nintegral H: log(y) * log(z)", "log may only be scaled by rational constants", 4, 13),
@@ -429,7 +436,7 @@ class TestSingleFaults:
         spec = parse_system("name: a\nvariables: x, y, z\nv: x^10000; x^20000/x^10000; z\n"
                             "integral H: log(y^10000)\n")
         assert spec.v[:2] == (rf(X**10000), rf(X**10000))
-        assert spec.integral("H").log_terms == ((1, rf(Y**10000)),)
+        assert dict(spec.integrals)["H"].log_terms == ((1, rf(Y**10000)),)
 
     def test_several_faults_report_the_first_one_reached(self):
         # the zero divisor stands left of the syntax error

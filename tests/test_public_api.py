@@ -24,12 +24,6 @@ from mcflow.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
 
-# public names that no runtime code reaches, each kept for a stated reason
-KEPT = {
-    "algebra.Point3.exact": "exact reference evaluation at rational points in the tests",
-    "parser.SystemSpec.integral": "acceptance criteria 4 and 11 look declared integrals up by name",
-}
-
 
 def _referenced(tree) -> Counter:
     names = Counter()
@@ -77,16 +71,11 @@ def _unreferenced(definitions=_public_definitions) -> set:
 
 
 def test_every_public_name_is_reached_by_runtime_code():
-    assert sorted(_unreferenced() - KEPT.keys()) == []
+    assert sorted(_unreferenced()) == []
 
 
 def test_every_private_helper_is_named_by_runtime_code():
     assert sorted(_unreferenced(_private_definitions)) == []
-
-
-def test_every_kept_name_is_still_unreferenced():
-    # a kept name that runtime code now reaches no longer needs its entry
-    assert sorted(KEPT.keys() - _unreferenced()) == []
 
 
 def _parameters(node) -> list:
@@ -114,23 +103,29 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def _fields(cls):
+    """The names in the class's __slots__ and the attributes that its
+    __init__ assigns on self."""
+    for item in cls.body:
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+        ):
+            yield from ast.literal_eval(item.value)
+        elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            yield from (node.attr for node in ast.walk(item)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 def test_every_record_field_is_read():
     # a field counts as read when any attribute load in src/mcflow carries
     # its name, whatever object it is read from
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = []
-    for tree in trees:
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for item in cls.body:
-                if isinstance(item, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
-                ):
-                    unread += [f"{cls.name}.{field}" for field in ast.literal_eval(item.value)
-                               if field not in read]
+    unread = sorted({f"{cls.name}.{field}" for tree in trees for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for field in _fields(cls)
+                     if field not in read})
     assert unread == []
 
 
@@ -197,4 +192,4 @@ def _methods_run() -> set:
 
 
 def test_every_shared_method_name_runs():
-    assert sorted(_shared_methods() - _methods_run() - KEPT.keys()) == []
+    assert sorted(_shared_methods() - _methods_run()) == []

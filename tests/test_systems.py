@@ -100,10 +100,10 @@ class TestFullPipelines:
         assert all_hold(verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma))
         assert all_hold(curl_identities(frame))
         assert potential_from_gamma(frame).scale == Fraction(2)
-        h1 = system.spec.integral("H1")
+        integrals = dict(system.spec.integrals)
         for label in ("H2_plus", "H2_minus"):
             checks = bihamiltonian_verify(
-                frame.v, frame.M, h1, system.spec.integral(label), label
+                frame.v, frame.M, integrals["H1"], integrals[label], label
             )
             assert all_hold(checks)
 
@@ -118,32 +118,38 @@ class TestFullPipelines:
 
 class TestConcordance:
     def test_guillot_mismatch_pattern(self):
-        entries = concordance(builtin("guillot"))
-        by_key = {(e.form, e.component): e for e in entries}
-        assert by_key[("alpha", "dx")].status == "match"
-        assert by_key[("alpha", "dy")].status == "match"
-        assert by_key[("alpha", "dz")].status == "match"
-        assert by_key[("beta", "dy")].status == "match"
-        assert by_key[("beta", "dz")].status == "match"
-        assert by_key[("gamma", "dx")].status == "match"
-        assert by_key[("gamma", "dy")].status == "mismatch"
-        assert by_key[("gamma", "dz")].status == "mismatch"
-        assert by_key[("potential", "dy")].status == "mismatch"
+        rows = concordance(builtin("guillot"))
+        by_key = {(row["form"], row["component"]): row["status"] for row in rows}
+        assert by_key[("alpha", "dx")] == "match"
+        assert by_key[("alpha", "dy")] == "match"
+        assert by_key[("alpha", "dz")] == "match"
+        assert by_key[("beta", "dy")] == "match"
+        assert by_key[("beta", "dz")] == "match"
+        assert by_key[("gamma", "dx")] == "match"
+        assert by_key[("gamma", "dy")] == "mismatch"
+        assert by_key[("gamma", "dz")] == "mismatch"
+        assert by_key[("potential", "dy")] == "mismatch"
+
+    def test_rows_carry_the_report_keys_in_order(self):
+        for row in concordance(builtin("guillot")):
+            assert list(row) == ["form", "component", "status", "computed", "printed",
+                                 "difference"]
 
     def test_guillot_gamma_dy_mismatch_is_a_sign_flip(self):
-        entries = {(e.form, e.component): e for e in concordance(builtin("guillot"))}
-        entry = entries[("gamma", "dy")]
+        rows = {(row["form"], row["component"]): row for row in concordance(builtin("guillot"))}
+        row = rows[("gamma", "dy")]
         computed = rf(Y**4 + 4 * X * Y**2 - X**2, 2 * Y**3)
-        assert entry.computed == str(computed)
-        assert entry.difference == str(computed * 2)
+        assert row["computed"] == str(computed)
+        assert row["difference"] == str(computed * 2)
 
     def test_dh_mismatch_only_in_gamma_dx(self):
-        entries = concordance(builtin("dh_symmetric"))
-        mismatches = [(e.form, e.component) for e in entries if e.status == "mismatch"]
+        rows = concordance(builtin("dh_symmetric"))
+        mismatches = [(row["form"], row["component"]) for row in rows
+                      if row["status"] == "mismatch"]
         assert mismatches == [("gamma", "dx")]
 
     def test_heisenberg_has_no_concordance_section(self):
-        assert concordance(builtin("heisenberg_example")) == ()
+        assert concordance(builtin("heisenberg_example")) == []
 
 
 class TestReduction:

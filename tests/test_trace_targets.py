@@ -42,7 +42,7 @@ def test_every_traced_check_family_returns_a_tuple():
 
     guillot, dh = builtin("guillot"), builtin("dh_symmetric")
     frame = guillot.frame
-    h1, h2 = (guillot.spec.integral(name) for name in ("H1", "H2_plus"))
+    h1, h2 = (dict(guillot.spec.integrals)[name] for name in ("H1", "H2_plus"))
     calls = {
         ("mcframe", "verify_sl2"): (frame.v, frame.u, frame.w),
         ("mcframe", "verify_duality"): (frame,),
