@@ -167,7 +167,7 @@ def _checks(r: System, args):
                 f"frobenius.{form}", f"{form} ^ d({form}) {relation} 0",
                 frobenius_residual(getattr(frame, form)), expect)
         yield Check.from_residual(
-            "potential.curl_scale", f"curl(A) = s M v, s = {r.potential().scale}",
+            "potential.curl_scale", f"curl(A) = s M v, s = {r.potential()}",
             VectorField3.zero(frame.M.chart))
         if len(integrals) >= 2:
             (_, h1), *pairs = integrals
@@ -192,21 +192,8 @@ def _checks(r: System, args):
 
 
 # ---------------------------------------------------------------------------
-# document assembly
+# the report
 # ---------------------------------------------------------------------------
-
-
-def _check_rows(resolved: System, checks):
-    return [
-        {
-            "system": resolved.name,
-            "check": c.name,
-            "anchor": c.anchor,
-            "status": c.status,
-            "residual": c.residual,
-        }
-        for c in checks
-    ]
 
 
 def _frame_section(resolved: System):
@@ -224,29 +211,20 @@ def _frame_section(resolved: System):
 
 
 def _forms_section(resolved: System):
-    if resolved.heisenberg is not None:
-        coframe = resolved.heisenberg
-        return {
-            "omega1": [str(c) for c in coframe.gamma.coeffs],
-            "omega2": [str(c) for c in coframe.beta.coeffs],
-            "omega3": [str(c) for c in coframe.alpha.coeffs],
-        }
-    if resolved.frame is None:
+    frame, coframe = resolved.frame, resolved.heisenberg
+    if frame is None and coframe is None:
         return None
-    frame = resolved.frame
-    section = {
-        "alpha": [str(c) for c in frame.alpha.coeffs],
-        "beta": [str(c) for c in frame.beta.coeffs],
-        "gamma": [str(c) for c in frame.gamma.coeffs],
-    }
-    try:
-        potential = resolved.potential()
-        section["potential"] = {
-            "A": [str(c) for c in potential.A.components],
-            "scale": str(potential.scale),
-        }
-    except FrameError:
-        section["potential"] = None
+    if frame is None:
+        forms = {"omega1": coframe.gamma, "omega2": coframe.beta, "omega3": coframe.alpha}
+    else:
+        forms = {"alpha": frame.alpha, "beta": frame.beta, "gamma": frame.gamma}
+    section = {name: [str(c) for c in form.coeffs] for name, form in forms.items()}
+    if frame is not None:
+        # A is the covector of gamma
+        try:
+            section["potential"] = {"A": section["gamma"], "scale": str(resolved.potential())}
+        except FrameError:
+            section["potential"] = None
     return section
 
 
@@ -318,92 +296,47 @@ class _Document(dict):
     __slots__ = ("json",)
 
 
-def _document(resolved, command, sections, exit_status):
-    return _Document(
-        tool={"name": "mcflow", "version": __version__},
-        command=command,
-        system=resolved.name,
-        sections=sections,
-        exit_status=exit_status,
-    )
+_COMMANDS = ("check-file", "derive", "integrate", "sample", "verify")
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
+def _report(resolved: System, args):
+    """The request's document and exit status.
 
-
-def _cmd_verify(resolved: System, args):
-    checks = tuple(_checks(resolved, args))
-    samples, oracle_ok = _sample_checks(checks, args)
-    status = EXIT_OK if all_hold(checks) and oracle_ok else EXIT_CHECK_FAILED
-    sections = {
-        "frame": _frame_section(resolved),
-        "multiplier": _multiplier_section(resolved),
-        "forms": _forms_section(resolved),
-        "checks": _check_rows(resolved, checks),
-        "concordance": concordance(resolved),
-        "numeric": {"samples": samples},
-    }
-    return _document(resolved, "verify", sections, status), status
-
-
-def _cmd_derive(resolved: System, args):
-    sections = {
-        "frame": _frame_section(resolved),
-        "multiplier": _multiplier_section(resolved),
-        "forms": _forms_section(resolved),
-        "checks": [],
-        "concordance": concordance(resolved),
-        "numeric": {},
-    }
-    if resolved.brackets is not None and not all_hold(resolved.brackets):
-        sections["checks"] = _check_rows(resolved, resolved.brackets)
-        return _document(resolved, "derive", sections, EXIT_CHECK_FAILED), EXIT_CHECK_FAILED
-    return _document(resolved, "derive", sections, EXIT_OK), EXIT_OK
-
-
-def _cmd_integrate(resolved: System, args):
-    sections = {
-        "frame": _frame_section(resolved),
-        "multiplier": _multiplier_section(resolved),
-        "forms": None,
-        "checks": [],
-        "concordance": [],
-        "numeric": {"integration": _integration_section(resolved, args)},
-    }
-    return _document(resolved, "integrate", sections, EXIT_OK), EXIT_OK
-
-
-def _cmd_sample(resolved: System, args):
-    checks = tuple(_checks(resolved, args))
-    names = {args.check} if args.check else None
-    if names is not None:
+    Every command fills the same six sections, or leaves some empty:
+    verify (and check-file, whose document reads verify) fills all six;
+    derive all but the numeric one, and the checks only with the bracket
+    relations that fail; sample the frame, the checks and the oracle rows;
+    integrate the frame, the multiplier and the trajectory."""
+    command = "verify" if args.command == "check-file" else args.command
+    checks, numeric, status = (), {}, EXIT_OK
+    if command in ("verify", "sample"):
+        checks = tuple(_checks(resolved, args))
+        names = {args.check} if command == "sample" and args.check else None
         known = {c.name for c in checks}
-        if args.check not in known:
+        if names and args.check not in known:
             raise ParseError(
-                f"unknown check {args.check!r}; available: {', '.join(sorted(known))}"
-            )
-    samples, oracle_ok = _sample_checks(checks, args, names)
-    status = EXIT_OK if oracle_ok and all(r["verdict"] != "inconclusive" for r in samples) else EXIT_CHECK_FAILED
+                f"unknown check {args.check!r}; available: {', '.join(sorted(known))}")
+        numeric["samples"], oracle_ok = _sample_checks(checks, args, names)
+        if not oracle_ok or (command == "verify" and not all_hold(checks)):
+            status = EXIT_CHECK_FAILED
+    elif command == "derive" and not all_hold(resolved.brackets or ()):
+        checks, status = resolved.brackets, EXIT_CHECK_FAILED
+    derived = command in ("verify", "derive")
     sections = {
         "frame": _frame_section(resolved),
-        "multiplier": None,
-        "forms": None,
-        "checks": _check_rows(resolved, checks),
-        "concordance": [],
-        "numeric": {"samples": samples},
+        "multiplier": _multiplier_section(resolved) if command != "sample" else None,
+        "forms": _forms_section(resolved) if derived else None,
+        "checks": [{"system": resolved.name, "check": c.name, "anchor": c.anchor,
+                    "status": c.status, "residual": c.residual} for c in checks],
+        "concordance": concordance(resolved) if derived else [],
+        "numeric": numeric,
     }
-    return _document(resolved, "sample", sections, status), status
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "derive": _cmd_derive,
-    "integrate": _cmd_integrate,
-    "sample": _cmd_sample,
-    "check-file": _cmd_verify,
-}
+    if command == "integrate":
+        numeric["integration"] = _integration_section(resolved, args)
+    document = _Document(tool={"name": "mcflow", "version": __version__}, command=command,
+                         system=resolved.name, sections=sections, exit_status=status)
+    document.json = args.json
+    return document, status
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +423,18 @@ def _parse_box(text: str) -> tuple[float, float]:
         raise _UsageError("box bounds must be finite on the sampling grid")
     if hi < lo:
         raise _UsageError("box upper bound below lower bound")
+    if math.ceil(lo * GRID_DENOMINATOR) > math.floor(hi * GRID_DENOMINATOR):
+        raise _UsageError(f"box holds no point of the 1/{GRID_DENOMINATOR} sampling grid")
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
+def _point_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value <= 0:
         raise _UsageError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _point_count(text: str) -> int:
-    value = _positive_int(text)
     if value > MAX_POINTS:
         raise _UsageError(f"{value} exceeds the limit of {MAX_POINTS} points")
     return value
@@ -532,7 +462,7 @@ def _eps(text: str) -> int:
 
 
 def _command(text: str) -> str:
-    return _choice(text, sorted(_COMMANDS))
+    return _choice(text, _COMMANDS)
 
 
 def _convert(label: str, convert, text: str):
@@ -634,36 +564,33 @@ def _parse_args(argv):
     --opt value (a value never starts with '-' unless it is a negative
     number or holds a space), a unique prefix of a long option, and '--',
     after which every token is a positional.  Each option is converted, and
-    each run of positionals taken, where it stands, so the first fault from
-    the left is reported; a missing positional, then an unrecognised token,
+    each positional taken, where it stands, so the first fault from the
+    left is reported; a missing positional, then an unrecognised token,
     only at the end.  Returns the text to print instead if --help or
     --version comes first; raises _UsageError."""
     separator = argv.index("--") if "--" in argv else len(argv)
     kinds = [_option_of(text) for text in argv[:separator]] + [None] * (len(argv) - separator)
     values = {dest: default for dest, _, default in _OPTIONS.values() if dest}
     positionals, extras = [], []
+    taken = None  # the index of the last positional taken
     i = 0
     while i < len(argv):
-        if kinds[i] is None:
-            # a run of positionals up to the next option: each feeds the next
-            # missing positional, the '--' next to the last one taken is
-            # dropped, and the rest is unrecognised
-            end = i
-            while end < len(argv) and kinds[end] is None:
-                end += 1
-            taken = [k for k in range(i, end) if k != separator][:2 - len(positionals)]
-            rest = i
-            for k in taken:
-                text = argv[k]
-                positionals.append(text if positionals else _convert("command", _command, text))
-                rest = k + 1 + (k + 1 == separator)
-            extras += argv[rest:end]
-            i = end
-            continue
-        name, explicit = kinds[i]
+        text, kind = argv[i], kinds[i]
         i += 1
+        if kind is None:
+            # a positional feeds the next missing one, or is unrecognised;
+            # the '--' is dropped while one is missing or right after system
+            if i - 1 == separator and (len(positionals) < 2 or taken == i - 2):
+                continue
+            if len(positionals) == 2:
+                extras.append(text)
+                continue
+            positionals.append(text if positionals else _convert("command", _command, text))
+            taken = i - 1
+            continue
+        name, explicit = kind
         if name is None:
-            extras.append(argv[i - 1])
+            extras.append(text)
             continue
         label = "-h/--help" if name == "--help" else name
         dest, convert, _ = _OPTIONS[name]
@@ -706,8 +633,7 @@ def run(argv) -> tuple[dict | None, int, str | None]:
         resolved = _resolve(args.system)
         if args.command == "check-file" and resolved.is_builtin:
             raise ParseError("check-file expects a path to a .sys file")
-        document, status = _COMMANDS[args.command](resolved, args)
-        document.json = args.json
+        document, status = _report(resolved, args)
         return document, status, None
     except (ParseError, ZeroDenominatorError, ZeroLogArgumentError) as exc:
         return None, EXIT_PARSE_ERROR, f"parse error: {exc}"
@@ -716,9 +642,6 @@ def run(argv) -> tuple[dict | None, int, str | None]:
         InconsistencyError,
         SingularPointError,
         UnknownSystemError,
-        # mcflow.numeric is imported only by the commands that use it, and
-        # until one has, nothing can raise its errors
-        getattr(sys.modules.get("mcflow.numeric"), "NumericError", UnknownSystemError),
     ) as exc:
         return None, EXIT_SINGULAR, f"degenerate or singular input: {exc}"
     except (FrameError, AlgebraError) as exc:

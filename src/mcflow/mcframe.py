@@ -96,14 +96,6 @@ class Frame(Record):
     gamma: KForm
 
 
-class PotentialVector(Record):
-    """Covector of gamma together with the exact constant in curl(A) = s M v."""
-
-    __slots__ = ("A", "scale")
-    A: VectorField3
-    scale: Fraction
-
-
 # ---------------------------------------------------------------------------
 # bracket relations and frame assembly
 # ---------------------------------------------------------------------------
@@ -302,15 +294,15 @@ def _constant_ratio(
     return ratio.constant_value()
 
 
-def potential_from_gamma(frame: Frame) -> PotentialVector:
-    """Covector A of gamma with the exact constant s in curl(A) = s M v."""
-    a = frame.gamma.covector()
+def potential_from_gamma(frame: Frame) -> Fraction:
+    """The exact constant s in curl(A) = s M v, where the potential A is the
+    covector of gamma."""
     curl_a = frame.gamma.d().covector()
     target = frame.v.scale(frame.M)
     scale = _constant_ratio(curl_a.components, target.components)
     if scale is None or scale == 0:
         raise InconsistencyError("curl of the potential is not a constant multiple of M v")
-    return PotentialVector(a, scale)
+    return scale
 
 
 # ---------------------------------------------------------------------------

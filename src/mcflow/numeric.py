@@ -15,7 +15,7 @@ import random
 import zlib
 from typing import Callable
 
-from .algebra import RationalFunction
+from .algebra import RationalFunction, SingularPointError
 from .calculus import KForm, LogIntegral, VectorField3
 
 DENOMINATOR_FLOOR = 1e-12
@@ -24,8 +24,9 @@ DEFAULT_BOX = (-3.0, 3.0)
 GRID_DENOMINATOR = 8
 
 
-class NumericError(Exception):
-    """Base class for oracle failures."""
+class NumericError(SingularPointError):
+    """Base class for oracle failures: the input is singular where the
+    oracle evaluates it."""
 
 
 class SingularityAbort(NumericError):

@@ -10,7 +10,8 @@ Expression grammar (recursive descent, first error aborts with position):
     atom     := INT | IDENT | '(' expr ')' | 'log' '(' expr ')'
 
 Each rule returns the value of what it read; there is no syntax tree, so
-of several faults the first one reached from the left is reported.
+of several faults the first one reached from the left is reported.  A
+value nests at most 100 levels of '(' and unary '-'.
 Implicit multiplication is rejected; ``log`` is accepted only where a
 log-combination integral is expected.  System files are UTF-8 and
 line-oriented: one ``key: value`` pair per line, ``#`` starts a comment.
@@ -169,6 +170,12 @@ _MAX_DEGREE = 10**4
 # exponents, so only a step with a part of several terms is refused.
 _MAX_OPERAND_DEGREE = 2 * _MAX_DEGREE
 
+# Each '(' and each unary '-' takes the parser one level deeper, and a level
+# costs up to five Python frames: past this many levels a value is refused
+# at the token that goes past it, well before the interpreter's recursion
+# limit.  No shipped, golden or benchmark input nests more than 6 levels.
+_MAX_NESTING = 100
+
 
 def _degree_message(degree: int, limit: int) -> str:
     return f"degree {degree} in one variable exceeds the limit of {limit}"
@@ -222,6 +229,7 @@ class _Parser:
         # the index of the last identifier consumed: a power whose base
         # starts after it has a constant base
         self.last_ident = -1
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -237,6 +245,15 @@ class _Parser:
             return self.advance()
         raise ParseError(f"expected {text!r}, found {token.text or 'end of input'}",
                          token.line, token.column)
+
+    def enter(self) -> None:
+        """Consume the next token, a '(' or a unary '-', one level deeper;
+        the caller leaves the level with depth -= 1."""
+        token = self.advance()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels",
+                             token.line, token.column)
 
     def at_op(self, *symbols: str) -> bool:
         token = self.peek()
@@ -294,8 +311,9 @@ class _Parser:
 
     def unary(self):
         if self.at_op("-"):
-            self.advance()
+            self.enter()
             value = self.unary()
+            self.depth -= 1
             return value.scaled(-1) if isinstance(value, _Logs) else -value
         return self.power()
 
@@ -333,9 +351,10 @@ class _Parser:
     def exponent(self) -> int:
         token = self.peek()
         if self.at_op("("):
-            self.advance()
+            self.enter()
             value = self.exponent()
             self.expect(")")
+            self.depth -= 1
             return value
         sign = 1
         if self.at_op("-"):
@@ -366,9 +385,10 @@ class _Parser:
                     token.line, token.column)
             return Poly3.variable(token.text, self.variables)
         if self.at_op("("):
-            self.advance()
+            self.enter()
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"expected an expression, found {token.text or 'end of input'}",
                          token.line, token.column)
@@ -380,12 +400,13 @@ class _Parser:
         if not self.at_op("("):
             raise ParseError("log takes exactly one parenthesised argument",
                              token.line, token.column)
-        self.advance()
+        self.enter()
         argument = self.expr()
         if self.at_op(","):
             comma = self.peek()
             raise ParseError("log takes exactly one argument", comma.line, comma.column)
         self.expect(")")
+        self.depth -= 1
         if isinstance(argument, _Logs):
             self.fail("log is only allowed in integral expressions")
         return _Logs(Poly3.zero(self.variables), [(Fraction(1), _rational(argument))])

@@ -87,7 +87,7 @@ class System:
     With the companion fields, the constructor verifies the bracket
     relations once and builds the sl(2) frame only when they hold; the shipped
     Heisenberg example gets the coframe of its Heisenberg frame instead.  The
-    potential is computed on first use and kept.
+    potential's scale is computed on first use and kept.
     """
 
     __slots__ = ("spec", "name", "is_builtin", "v", "frame", "heisenberg", "brackets",
@@ -111,7 +111,8 @@ class System:
             self.frame = build_frame(self.v, u, w)
 
     def potential(self):
-        """potential_from_gamma(frame); a failure is raised, not kept."""
+        """The Fraction s in curl(A) = s M v, potential_from_gamma(frame); a
+        failure is raised, not kept."""
         if self._potential is None:
             self._potential = potential_from_gamma(self.frame)
         return self._potential

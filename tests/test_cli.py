@@ -166,6 +166,13 @@ class TestIntegrate:
         assert document is None
         assert "last safe time" in diagnostic
 
+    def test_integral_singular_at_the_start_is_singular(self):
+        # the oracle's errors are singular inputs, mapped to exit 3 as such
+        document, status, diagnostic = run(["integrate", "guillot", "--from", "1,0,1"])
+        assert (document, status) == (None, 3)
+        assert diagnostic == ("degenerate or singular input: singular evaluation at t = 0.0: "
+                              "denominator y^2 vanishes at (1.0, 0.0, 1.0)")
+
     def test_integral_that_overflows_is_singular(self, tmp_path):
         # x*y is inf along the trajectory, and inf - inf once read as no drift
         path = tmp_path / "lift.sys"
@@ -226,6 +233,26 @@ class TestArgumentValidation:
         document, status, _ = run(["sample", "guillot", f"--box={box}", "--points", "2"])
         assert (document, status) == (None, 2)
         assert "box bounds must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "verify"])
+    @pytest.mark.parametrize("box", ["0.01,0.1", "-0.1,-0.01"])
+    def test_box_without_a_grid_point_is_a_usage_error(self, command, box, capsys):
+        # ceil(0.08) = 1 > floor(0.8) = 0: the sampler would have no index to draw
+        document, status, _ = run([command, "guillot", f"--box={box}"])
+        assert (document, status) == (None, 2)
+        assert capsys.readouterr().err == usage_error(
+            "argument --box: box holds no point of the 1/8 sampling grid")
+
+    @pytest.mark.parametrize("option, column", [
+        ("--rho=" + "(" * 200 + "x" + ")" * 200, 101),
+        ("--f=" + "-" * 1000 + "x", 101),
+        ("--f=x^" + "(" * 1000 + "2" + ")" * 1000, 103),
+    ], ids=["parentheses", "unary_minus", "exponent"])
+    def test_deeply_nested_candidate_is_a_parse_error(self, option, column):
+        document, status, diagnostic = run(["verify", "guillot", "--points", "1", option])
+        assert (document, status) == (None, 2)
+        assert diagnostic == (f"parse error: {option.split('=')[0]}: nesting deeper than "
+                              f"100 levels (line 1, column {column})")
 
     @pytest.mark.parametrize("option", ["--rho=\u00b2", "--f=x + 2\u2460"])
     def test_digit_that_is_not_decimal_in_a_candidate(self, option):
@@ -403,9 +430,25 @@ class TestCommandLine:
         (["derive", "guillot", "-x"], 2, "", usage_error("unrecognized arguments: -x")),
         (["sample", "guillot", "--points=3", "--points", "2"], 0,
          ["sample", "guillot", "--points=2"], ""),
+        # a '--' is dropped while a positional is missing or right after
+        # the system; a later '--' is a positional
+        (["derive", "guillot", "--", "x"], 2, "", usage_error("unrecognized arguments: x")),
+        (["--", "derive", "guillot"], 0, ["derive", "guillot"], ""),
+        (["derive", "--", "--", "guillot"], 2, "",
+         usage_error("unrecognized arguments: guillot")),
+        (["derive", "guillot", "x", "--", "y"], 2, "",
+         usage_error("unrecognized arguments: x -- y")),
+        # -h takes no value, so the letters after it are more options
+        (["-hh"], 0, HELP, ""),
+        (["-hx"], 2, "", usage_error("argument -h/--help: ignored explicit argument 'x'")),
+        (["--=x"], 2, "",
+         usage_error("ambiguous option: --=x could match --help, --version, --json, --eps, "
+                     "--rho, --f, --points, --h, --t, --from, --seed, --box, --tol, --check")),
     ], ids=["-h", "--help", "--version", "prefix", "prefix-two-tokens", "dash-value",
             "flag-value", "eps-choice", "seed-int", "unknown-command", "missing-system",
-            "extra-positional", "separator", "unknown-option", "repeated-option"])
+            "extra-positional", "separator", "unknown-option", "repeated-option",
+            "separator-after-system", "separator-first", "second-separator",
+            "separator-among-extras", "-hh", "-hx", "empty-long-option"])
     def test_command_line(self, argv, status, out, err, capsys):
         if isinstance(out, list):
             assert main(out) == status
@@ -547,6 +590,14 @@ class TestCheckFile:
         assert diagnostic.startswith("parse error: unexpected character")
         assert diagnostic.endswith(f"(line 3, column {column})")
 
+    def test_deeply_nested_value_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "deep.sys"
+        path.write_text("name: deep\nvariables: x, y, z\nv: " + "(" * 300 + "x" + ")" * 300
+                        + "; y; z\n")
+        document, status, diagnostic = run(["verify", str(path)])
+        assert (document, status) == (None, 2)
+        assert diagnostic == "parse error: nesting deeper than 100 levels (line 3, column 104)"
+
     def test_missing_file_exit_2(self):
         _, status, diagnostic = run(["check-file", "/nonexistent/f.sys"])
         assert status == 2
@@ -615,8 +666,13 @@ def check_names(argv):
 PIECES = ["x", "y", "z", "t", "0", "1", "2", "10", "\u00b2", "\u2460", "\u0663", "\u00e9",
           "\u00df", "log", "+", "-", "*", "/", "^", "(", ")", ",", ";", ":", "#", " ",
           "x*y", "1/(x-x)", "log(y)", "^-1"]
+# values that nest past the parser's limit of 100 levels
+NESTED_SHAPES = [lambda n: "(" * n + "x" + ")" * n, lambda n: "-" * n + "x",
+                 lambda n: "x^" + "(" * n + "2" + ")" * n]
 expression_texts = st.one_of(st.lists(st.sampled_from(PIECES), max_size=8).map("".join),
-                             st.text(max_size=10))
+                             st.text(max_size=10),
+                             st.builds(lambda shape, n: shape(n), st.sampled_from(NESTED_SHAPES),
+                                       st.integers(150, 1200)))
 system_lines = st.one_of(
     st.builds("{}: {}; {}; {}".format, st.sampled_from("vuw"),
               expression_texts, expression_texts, expression_texts),
@@ -640,7 +696,7 @@ OPTION_VALUES = {
     "--from": ["1,1,1", "0.5,1,2", "0,0,0", "1e308,1e308,1e308", "1e400,1,1", "1/0,1,1",
                "1,2"],
     "--seed": ["0", "7", "-3", "99999999999999999999", "x"],
-    "--box": ["-3,3", "-1,1", "0,0", "-1e300,1e300", "1,0"],
+    "--box": ["-3,3", "-1,1", "0,0", "-1e300,1e300", "1,0", "0.01,0.1", "-0.1,-0.01"],
     "--tol": ["1e-12", "1e-3", "1e308", "0"],
     "--check": ["structure.dgamma", "integral.H1", "nope"],
 }

@@ -42,6 +42,17 @@ CASES = [
     ("derive_broken", ["derive", str(GOLDEN / "broken.sys")], 1),
     # no companion fields: one declared integral and a declared multiplier
     ("verify_partial", ["verify", str(GOLDEN / "partial.sys")], 0),
+    # the check-file document reads "verify"
+    ("check_file_partial", ["check-file", str(GOLDEN / "partial.sys")], 0),
+    ("derive_heisenberg_example", ["derive", "heisenberg_example"], 0),
+    # the oracle rows of every check, and of one named check
+    ("sample_guillot", ["sample", "guillot", "--points", "3"], 0),
+    ("sample_guillot_check", ["sample", "guillot", "--check", "structure.dgamma"], 0),
+    ("sample_json_guillot_check",
+     ["sample", "guillot", "--check", "structure.dgamma", "--json"], 0),
+    # neither declares a log integral, so no drift digit depends on libm
+    ("integrate_heisenberg_example", ["integrate", "heisenberg_example"], 0),
+    ("integrate_dh_classic", ["integrate", "dh_classic"], 0),
 ]
 
 

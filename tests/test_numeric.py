@@ -232,9 +232,11 @@ def finite_difference_error(form, coords, h):
 
 class TestFiniteDifference:
     def test_guillot_potential_curl(self):
+        # the potential A is the covector of gamma; its scale must exist
         frame = guillot_frame()
-        potential = potential_from_gamma(frame)
-        error = finite_difference_error(KForm.from_covector(potential.A), (1, 1, 1), 1e-4)
+        assert potential_from_gamma(frame) == 2
+        error = finite_difference_error(KForm.from_covector(frame.gamma.covector()), (1, 1, 1),
+                                        1e-4)
         assert error < 1e-6
 
     def test_gradient_of_constant(self):

@@ -112,6 +112,25 @@ class TestParseExpr:
         assert time.process_time() - start < 1
         assert (error.value.line, error.value.column) == (3, 21)
 
+    # each '(' and each unary '-' nests one level: 100 levels parse, and the
+    # token of the 101st is refused before the recursion limit is reached
+    @pytest.mark.parametrize("shape, column", [
+        (lambda n: "(" * n + "x" + ")" * n, 101),
+        (lambda n: "-" * n + "x", 101),
+        (lambda n: "x^" + "(" * n + "2" + ")" * n, 103),
+        (lambda n: ("(-" * n)[:n] + "x" + ")" * ((n + 1) // 2), 101),
+    ], ids=["parentheses", "unary_minus", "exponent", "alternating"])
+    def test_nesting_past_the_limit_is_refused(self, shape, column):
+        parse_rational(shape(100))
+        for depth in (101, 1000):
+            with pytest.raises(ParseError, match="nesting deeper than 100 levels") as error:
+                parse_rational(shape(depth))
+            assert (error.value.line, error.value.column) == (1, column)
+
+    def test_nesting_inside_log_is_counted(self):
+        with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+            parse_integral("log(" * 1000 + "x" + ")" * 1000)
+
     def test_a_product_past_the_term_pair_limit_is_refused(self):
         # each factor has 1001 terms: 1002001 pairs
         factor = "(" + " + ".join(f"x^{k}" for k in range(1001)) + ")"

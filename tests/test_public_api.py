@@ -85,15 +85,14 @@ def _parameters(node) -> list:
 
 
 def test_every_parameter_is_read():
-    # dunder methods keep the signature of their protocol, and the _cmd_*
-    # handlers share one signature
+    # dunder methods keep the signature of their protocol
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 continue
             name = getattr(node, "name", "<lambda>")
-            if name.startswith("_cmd_") or (name.startswith("__") and name.endswith("__")):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
             read = {n.id for statement in body for n in ast.walk(statement)

@@ -14,7 +14,7 @@ from mcflow.mcframe import (
     FAILS,
     HOLDS,
     NONZERO,
-    PotentialVector,
+    Frame,
     conformal_transform,
     verify_maurer_cartan,
 )
@@ -25,7 +25,8 @@ from mcflow.systems import builtin, system_source
 
 @pytest.mark.parametrize("record, shown", [
     (_Token("int", "3", 1, 5), "_Token(kind='int', text='3', line=1, column=5)"),
-    (PotentialVector(None, Fraction(2)), "PotentialVector(A=None, scale=Fraction(2, 1))"),
+    (Frame(None, None, None, Fraction(1, 2), None, None, None),
+     "Frame(v=None, u=None, w=None, M=Fraction(1, 2), alpha=None, beta=None, gamma=None)"),
     (SystemSpec("toy", ("x", "y", "z"), ()),
      "SystemSpec(name='toy', variables=('x', 'y', 'z'), v=(), u=None, w=None, integrals=(), "
      "multiplier_hint=None)"),
@@ -92,7 +93,6 @@ def test_bad_construction_raises_type_error(args, kwargs):
     (Check("a", "b", HOLDS), "status"),
     # built by keyword, through the binding of defaults
     (Check(name="a", anchor="b != 0", status=FAILS, expect=NONZERO), "status"),
-    (PotentialVector(None, Fraction(2)), "scale"),
 ])
 def test_assigning_a_field_raises(record, field):
     with pytest.raises(AttributeError):
