@@ -121,7 +121,7 @@ class Poly3:
     graded-lexicographic order of the chart variables.
     """
 
-    __slots__ = ("variables", "_prim", "_content", "_lead", "_hash")
+    __slots__ = ("variables", "_prim", "_content", "_lead")
 
     def __init__(
         self,
@@ -143,7 +143,6 @@ class Poly3:
         ints = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
         self.variables = variables
         self._prim, self._content, self._lead = _canonical(ints, 1, den)
-        self._hash = None
 
     # ---- constructors -------------------------------------------------
 
@@ -157,7 +156,6 @@ class Poly3:
         out._prim = prim
         out._content = content
         out._lead = lead
-        out._hash = None
         return out
 
     @classmethod
@@ -308,9 +306,7 @@ class Poly3:
                 and self._prim == other._prim)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.variables, self._content, frozenset(self._prim.items())))
-        return self._hash
+        return hash((self.variables, self._content, frozenset(self._prim.items())))
 
     # ---- structure -----------------------------------------------------
 
@@ -802,7 +798,7 @@ class RationalFunction:
     numerator against the other denominator.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, *factors):
         """num over the product of the factors (Poly3 or exact constants),
@@ -813,14 +809,12 @@ class RationalFunction:
         for f in factors:
             num._require_chart(f)
         self.num, self.den = _normalize(num, *factors)
-        self._hash = None
 
     @classmethod
     def _raw(cls, num: Poly3, den: Poly3) -> "RationalFunction":
         out = object.__new__(cls)
         out.num = num
         out.den = den
-        out._hash = None
         return out
 
     @classmethod
@@ -917,9 +911,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def diff(self, name: str) -> "RationalFunction":
         """Exact quotient-rule partial derivative."""
@@ -961,13 +953,13 @@ class RationalFunction:
 
 def as_rational(value, chart: tuple[str, str, str]) -> RationalFunction:
     """value as a RationalFunction: a Poly3 over 1, an exact constant on the
-    chart; a RationalFunction must already live on the chart."""
+    chart; a RationalFunction or a Poly3 must already live on the chart."""
+    if isinstance(value, Poly3):
+        value = RationalFunction._raw(value, Poly3.const(1, value.variables))
     if isinstance(value, RationalFunction):
         if value.chart != chart:
             raise ChartMismatchError(f"charts differ: {value.chart} vs {chart}")
         return value
-    if isinstance(value, Poly3):
-        return RationalFunction._raw(value, Poly3.const(1, value.variables))
     return RationalFunction.const(value, chart)
 
 

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 from .algebra import (
     DEFAULT_CHART,
-    ChartMismatchError,
     Poly3,
     RationalFunction,
     as_rational,
@@ -88,23 +87,24 @@ def _div(p, names) -> RationalFunction:
     return RationalFunction(den * top - _dot3(_grad(den, names), p), den, den)
 
 
+def _on_one_chart(coeffs, chart=None) -> tuple[RationalFunction, ...]:
+    """The coefficients of a vector field or a form as RationalFunctions on
+    one chart: the chart given, else that of the first coefficient that is a
+    RationalFunction or a Poly3, else the default chart."""
+    if chart is None:
+        chart = next((c.chart if isinstance(c, RationalFunction) else c.variables
+                      for c in coeffs if isinstance(c, (RationalFunction, Poly3))), DEFAULT_CHART)
+    return tuple(as_rational(c, tuple(chart)) for c in coeffs)
+
+
 class VectorField3:
-    """Vector field with rational-function components on the fixed chart."""
+    """Vector field with rational-function components on one chart; a chart
+    given last must hold every component."""
 
     __slots__ = ("components",)
 
-    def __init__(self, cx, cy, cz, chart: Sequence[str] = DEFAULT_CHART):
-        chart = tuple(chart)
-        self.components = tuple(as_rational(c, chart) for c in (cx, cy, cz))
-
-    @classmethod
-    def from_components(cls, comps: Sequence) -> "VectorField3":
-        chart = comps[0].chart if isinstance(comps[0], RationalFunction) else DEFAULT_CHART
-        return cls(comps[0], comps[1], comps[2], chart)
-
-    @classmethod
-    def zero(cls, chart: Sequence[str] = DEFAULT_CHART) -> "VectorField3":
-        return cls(0, 0, 0, chart)
+    def __init__(self, cx, cy, cz, chart: Sequence[str] | None = None):
+        self.components = _on_one_chart((cx, cy, cz), chart)
 
     @property
     def chart(self):
@@ -125,21 +125,17 @@ class VectorField3:
         return RationalFunction(top, den, f.den, f.den)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":
-        return VectorField3.from_components(
-            tuple(a + b for a, b in zip(self.components, other.components))
-        )
+        return VectorField3(*(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "VectorField3") -> "VectorField3":
-        return VectorField3.from_components(
-            tuple(a - b for a, b in zip(self.components, other.components))
-        )
+        return VectorField3(*(a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> "VectorField3":
-        return VectorField3.from_components(tuple(-a for a in self.components))
+        return VectorField3(*(-a for a in self.components))
 
     def scale(self, factor) -> "VectorField3":
         factor = as_rational(factor, self.chart)
-        return VectorField3.from_components(tuple(factor * a for a in self.components))
+        return VectorField3(*(factor * a for a in self.components))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VectorField3) and self.components == other.components
@@ -161,11 +157,10 @@ class KForm:
 
     __slots__ = ("grade", "coeffs", "_d")
 
-    def __init__(self, grade: int, coeffs: Sequence, chart: Sequence[str] = DEFAULT_CHART):
+    def __init__(self, grade: int, coeffs: Sequence):
         if grade not in _BASIS_SIZE:
             raise GradeError(f"grade must be 0..3, got {grade}")
-        chart = tuple(chart)
-        coeffs = tuple(as_rational(c, chart) for c in coeffs)
+        coeffs = _on_one_chart(tuple(coeffs))
         if len(coeffs) != _BASIS_SIZE[grade]:
             raise GradeError(
                 f"grade {grade} needs {_BASIS_SIZE[grade]} coefficients, got {len(coeffs)}"
@@ -173,29 +168,6 @@ class KForm:
         self.grade = grade
         self.coeffs = coeffs
         self._d = None
-
-    # ---- constructors ---------------------------------------------------
-
-    @classmethod
-    def scalar(cls, f, chart: Sequence[str] = DEFAULT_CHART) -> "KForm":
-        return cls(0, (f,), chart)
-
-    @classmethod
-    def one_form(cls, ax, ay, az, chart: Sequence[str] = DEFAULT_CHART) -> "KForm":
-        return cls(1, (ax, ay, az), chart)
-
-    @classmethod
-    def two_form(cls, byz, bzx, bxy, chart: Sequence[str] = DEFAULT_CHART) -> "KForm":
-        return cls(2, (byz, bzx, bxy), chart)
-
-    @classmethod
-    def volume(cls, f=1, chart: Sequence[str] = DEFAULT_CHART) -> "KForm":
-        return cls(3, (f,), chart)
-
-    @classmethod
-    def from_covector(cls, field: VectorField3) -> "KForm":
-        """One-form A.dx of a covector A."""
-        return cls(1, field.components, field.chart)
 
     @property
     def chart(self):
@@ -205,7 +177,7 @@ class KForm:
         """Component triple of a grade-1 or grade-2 form."""
         if self.grade not in (1, 2):
             raise GradeError(f"no covector for grade {self.grade}")
-        return VectorField3.from_components(self.coeffs)
+        return VectorField3(*self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -215,23 +187,21 @@ class KForm:
     def _require_same(self, other: "KForm") -> None:
         if self.grade != other.grade:
             raise GradeError(f"grade mismatch: {self.grade} vs {other.grade}")
-        if self.chart != other.chart:
-            raise ChartMismatchError(f"charts differ: {self.chart} vs {other.chart}")
 
     def __add__(self, other: "KForm") -> "KForm":
         self._require_same(other)
-        return KForm(self.grade, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.chart)
+        return KForm(self.grade, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "KForm") -> "KForm":
         self._require_same(other)
-        return KForm(self.grade, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.chart)
+        return KForm(self.grade, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "KForm":
-        return KForm(self.grade, tuple(-a for a in self.coeffs), self.chart)
+        return KForm(self.grade, tuple(-a for a in self.coeffs))
 
     def scale(self, factor) -> "KForm":
         factor = as_rational(factor, self.chart)
-        return KForm(self.grade, tuple(factor * a for a in self.coeffs), self.chart)
+        return KForm(self.grade, tuple(factor * a for a in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -246,8 +216,6 @@ class KForm:
     # ---- graded products ---------------------------------------------------
 
     def wedge(self, other: "KForm") -> "KForm":
-        if self.chart != other.chart:
-            raise ChartMismatchError(f"charts differ: {self.chart} vs {other.chart}")
         total = self.grade + other.grade
         if total > 3:
             raise GradeError(f"wedge of grades {self.grade} and {other.grade} exceeds 3")
@@ -256,9 +224,9 @@ class KForm:
         if other.grade == 0:
             return self.scale(other.coeffs[0])
         if self.grade == 1 and other.grade == 1:
-            return KForm.two_form(*_cross(self.coeffs, other.coeffs), self.chart)
+            return KForm(2, _cross(self.coeffs, other.coeffs))
         # (1,2) and (2,1) both produce (A . B) volume: the grades commute.
-        return KForm.volume(_dot(self.coeffs, other.coeffs), self.chart)
+        return KForm(3, (_dot(self.coeffs, other.coeffs),))
 
     def d(self) -> "KForm":
         """Exterior derivative, computed on the first call and kept."""
@@ -273,10 +241,10 @@ class KForm:
         names = self.chart
         if self.grade == 0:
             f = self.coeffs[0]
-            return KForm.one_form(f.diff(names[0]), f.diff(names[1]), f.diff(names[2]), names)
+            return KForm(1, (f.diff(names[0]), f.diff(names[1]), f.diff(names[2])))
         if self.grade == 1:
-            return KForm.two_form(*_curl(self.coeffs, names), names)
-        return KForm.volume(_div(self.coeffs, names), names)
+            return KForm(2, _curl(self.coeffs, names))
+        return KForm(3, (_div(self.coeffs, names),))
 
     def interior(self, field: VectorField3) -> "KForm":
         """Contraction of the first slot with a vector field."""
@@ -285,12 +253,12 @@ class KForm:
         x = field.components
         a = self.coeffs
         if self.grade == 1:
-            return KForm.scalar(_dot(a, x), self.chart)
+            return KForm(0, (_dot(a, x),))
         if self.grade == 2:
             # iota_X (N . dx^dx) = (N x X) . dx
-            return KForm.one_form(*_cross(a, x), self.chart)
+            return KForm(1, _cross(a, x))
         rho = a[0]
-        return KForm.two_form(rho * x[0], rho * x[1], rho * x[2], self.chart)
+        return KForm(2, (rho * x[0], rho * x[1], rho * x[2]))
 
     def __str__(self) -> str:
         return format_form(self)
@@ -346,27 +314,17 @@ def div(field: VectorField3) -> RationalFunction:
 
 
 def cross(a: VectorField3, b: VectorField3) -> VectorField3:
-    return VectorField3(*_cross(a.components, b.components), a.chart)
+    return VectorField3(*_cross(a.components, b.components))
 
 
 def dot(a: VectorField3, b: VectorField3) -> RationalFunction:
     return _dot(a.components, b.components)
 
 
-def triple(a: VectorField3, b: VectorField3, c: VectorField3) -> RationalFunction:
-    return dot(cross(a, b), c)
-
-
 def lie_bracket(x: VectorField3, y: VectorField3) -> VectorField3:
     """Jacobi-Lie bracket [X, Y]^i = X(Y^i) - Y(X^i)."""
-    return VectorField3.from_components(
-        tuple(x.apply(c) for c in y.components)
-    ) - VectorField3.from_components(tuple(y.apply(c) for c in x.components))
-
-
-def flux_form(field: VectorField3) -> KForm:
-    """iota_X (dx^dy^dz): the 2-form with coefficients X."""
-    return KForm.volume(1, field.chart).interior(field)
+    return VectorField3(*(x.apply(c) for c in y.components)) - VectorField3(
+        *(y.apply(c) for c in x.components))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +362,9 @@ class LogIntegral:
         return self.rational_part.chart
 
     def differential(self) -> KForm:
-        total = KForm.scalar(self.rational_part, self.chart).d()
+        total = KForm(0, (self.rational_part,)).d()
         for coeff, argument in self.log_terms:
-            dlog = KForm.scalar(argument, self.chart).d().scale(
+            dlog = KForm(0, (argument,)).d().scale(
                 RationalFunction.const(coeff, self.chart) / argument
             )
             total = total + dlog

@@ -35,7 +35,7 @@ from .algebra import (
     SingularPointError,
     ZeroDenominatorError,
 )
-from .calculus import VectorField3, ZeroLogArgumentError, div
+from .calculus import div
 from .mcframe import (
     Check,
     DegenerateFrameError,
@@ -87,7 +87,7 @@ def _resolve(target: str) -> System:
     if not os.path.exists(target):
         raise ParseError(f"{target!r} is not a built-in system or an existing file")
     try:
-        with open(target, encoding="utf-8") as handle:
+        with open(target, encoding="utf-8-sig") as handle:
             source = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {target!r}: {exc.strerror}") from None
@@ -168,7 +168,7 @@ def _checks(r: System, args):
                 frobenius_residual(getattr(frame, form)), expect)
         yield Check.from_residual(
             "potential.curl_scale", f"curl(A) = s M v, s = {r.potential()}",
-            VectorField3.zero(frame.M.chart))
+            RationalFunction.const(0, frame.M.chart))
         if len(integrals) >= 2:
             (_, h1), *pairs = integrals
             div_mv = next(c.residual_obj for c in curl if c.name == "divergence.mv")
@@ -635,7 +635,7 @@ def run(argv) -> tuple[dict | None, int, str | None]:
             raise ParseError("check-file expects a path to a .sys file")
         document, status = _report(resolved, args)
         return document, status, None
-    except (ParseError, ZeroDenominatorError, ZeroLogArgumentError) as exc:
+    except (ParseError, ZeroDenominatorError) as exc:
         return None, EXIT_PARSE_ERROR, f"parse error: {exc}"
     except (
         DegenerateFrameError,

@@ -29,9 +29,8 @@ from .calculus import (
     VectorField3,
     cross,
     div,
-    flux_form,
+    dot,
     lie_bracket,
-    triple,
 )
 
 
@@ -109,26 +108,21 @@ def verify_sl2(v: VectorField3, u: VectorField3, w: VectorField3) -> tuple[Check
     )
 
 
-def last_multiplier(
-    v: VectorField3, u: VectorField3, w: VectorField3
-) -> RationalFunction:
-    """M = 1/((v x u).w); the density of the invariant volume."""
-    volume = triple(v, u, w)
+def build_frame(v: VectorField3, u: VectorField3, w: VectorField3) -> Frame:
+    """The multiplier M = 1/((v x u).w), the density of the invariant
+    volume, and the dual one-forms of (v, u, w): the coframe of the sl(2)
+    frame when the bracket relations hold (see verify_sl2), and of the
+    Heisenberg frame (see heisenberg_verify)."""
+    v_cross_u = cross(v, u)
+    volume = dot(v_cross_u, w)
     if volume.is_zero():
         raise DegenerateFrameError("(v x u).w vanishes identically")
-    return volume.reciprocal()
-
-
-def build_frame(v: VectorField3, u: VectorField3, w: VectorField3) -> Frame:
-    """The multiplier and dual one-forms of (v, u, w): the coframe of the
-    sl(2) frame when the bracket relations hold (see verify_sl2), and of the
-    Heisenberg frame (see heisenberg_verify)."""
-    multiplier = last_multiplier(v, u, w)
+    m = volume.reciprocal()
     return Frame(
-        v, u, w, multiplier,
-        KForm.from_covector(cross(w, v).scale(multiplier)),
-        KForm.from_covector(cross(u, w).scale(multiplier)),
-        KForm.from_covector(cross(v, u).scale(multiplier)),
+        v, u, w, m,
+        KForm(1, cross(w, v).scale(m).components),
+        KForm(1, cross(u, w).scale(m).components),
+        KForm(1, v_cross_u.scale(m).components),
     )
 
 
@@ -200,7 +194,7 @@ def conformal_transform(
     if rho.is_zero():
         raise DegenerateFrameError("conformal factor rho vanishes identically")
     inverse = rho.reciprocal()
-    half_dlog = KForm.scalar(rho, rho.chart).d().scale(inverse * Fraction(1, 2))
+    half_dlog = KForm(0, (rho,)).d().scale(inverse * Fraction(1, 2))
     return frame.alpha - half_dlog, frame.beta.scale(rho), frame.gamma.scale(inverse)
 
 
@@ -227,7 +221,7 @@ def sigma_residual_factored(
     On the transformed frame with g = f rho the middle factor times gamma
     is (df + f dlog rho - beta) ^ gamma of the original frame.
     """
-    return alpha.wedge(KForm.scalar(g, g.chart).d() - beta).wedge(gamma)
+    return alpha.wedge(KForm(0, (g,)).d() - beta).wedge(gamma)
 
 
 def frobenius_residual(omega: KForm) -> KForm:
@@ -315,18 +309,19 @@ def bihamiltonian_verify(
     multiplier: RationalFunction,
     h1: LogIntegral,
     h2: LogIntegral,
-    label: str = "",
-    divergence: Optional[RationalFunction] = None,
+    label: str,
+    divergence: RationalFunction,
 ) -> tuple[Check, ...]:
-    """First-integral, invariance and decomposition checks.
+    """First-integral, invariance and decomposition checks of the pair
+    named by label.
 
     The decomposition check finds the exact rational constant c with
     dH2 ^ dH1 = c M iota_v(dx^dy^dz) and reports it; the structural
     normalisation fixes |c| = 2 when H1, H2 are normalised as here.
-    ``divergence`` is div(M v) when the caller has it already (curl_identities
-    reports it as divergence.mv); otherwise it is computed here.
+    ``divergence`` is div(M v), which curl_identities reports as
+    divergence.mv.
     """
-    suffix = f"[{label}]" if label else ""
+    suffix = f"[{label}]"
     d_h1 = h1.differential()
     d_h2 = h2.differential()
     checks = [
@@ -343,11 +338,11 @@ def bihamiltonian_verify(
         Check.from_residual(
             f"bihamiltonian.divergence{suffix}",
             "div(M v) = 0",
-            div(v.scale(multiplier)) if divergence is None else divergence,
+            divergence,
         ),
     ]
     wedge = d_h2.wedge(d_h1)
-    target = flux_form(v).scale(multiplier)
+    target = KForm(2, v.scale(multiplier).components)
     # wedge - c*target is zero for the constant found; without one,
     # wedge - 2*target is nonzero, as v != 0 makes target nonzero
     constant = _constant_ratio(wedge.coeffs, target.coeffs)
@@ -371,7 +366,7 @@ def heisenberg_verify(frame: Frame) -> tuple[Check, ...]:
     (gamma, beta, alpha) of the flow v and its symmetries u, w."""
     omega1, omega2, omega3 = frame.gamma, frame.beta, frame.alpha
     one = RationalFunction.const(1, omega1.chart)
-    omega_triple = triple(omega1.covector(), omega2.covector(), omega3.covector())
+    omega_triple = dot(cross(omega1.covector(), omega2.covector()), omega3.covector())
     return (
         Check.from_residual("heisenberg.domega1", "d(omega1) = 0", omega1.d()),
         Check.from_residual("heisenberg.domega3", "d(omega3) = 0", omega3.d()),

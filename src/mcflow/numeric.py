@@ -20,7 +20,6 @@ from .calculus import KForm, LogIntegral, VectorField3
 
 DENOMINATOR_FLOOR = 1e-12
 SINGULAR_SKIP = 1e-9
-DEFAULT_BOX = (-3.0, 3.0)
 GRID_DENOMINATOR = 8
 
 
@@ -171,11 +170,7 @@ def _grid_stream(rng: random.Random, box: tuple[float, float]):
 
 
 def sample_identity(
-    residual,
-    n: int = 25,
-    box: tuple[float, float] = DEFAULT_BOX,
-    seed: int = 0,
-    name: str = "",
+    residual, n: int, box: tuple[float, float], seed: int, name: str
 ) -> tuple[int, float]:
     """(points evaluated, largest |value|) of the residual coefficients at n
     random non-singular grid points.

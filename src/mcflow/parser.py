@@ -43,7 +43,7 @@ from .algebra import (
     highest_exponent,
     widest_printed_integer,
 )
-from .calculus import LogIntegral, ZeroLogArgumentError
+from .calculus import LogIntegral
 
 
 class ParseError(Exception):
@@ -298,6 +298,10 @@ class _Parser:
         while self.at_op("*", "/"):
             token = self.advance()
             value = self.product(token.text, value, self.unary(), token)
+        # a log of zero is refused once its term is read, before any fault to
+        # its right, unless the term scales it by zero
+        if isinstance(value, _Logs) and any(c and a.is_zero() for c, a in value.terms):
+            self.fail("log argument is identically zero")
         return value
 
     def product(self, op: str, left, right, token: _Token):
@@ -484,13 +488,13 @@ def _strip_comment(line: str) -> str:
 
 def _parse_value(text: str, variables, line_no: int, column: int, allow_log: bool = False):
     """The value of one expression of a system file, whose first character
-    sits at (line_no, column).  A zero divisor or a log of zero carries no
-    position of its own: it reports the value's first character."""
+    sits at (line_no, column).  A zero divisor carries no position of its
+    own: it reports the value's first character."""
     start = column + len(text) - len(text.lstrip())
     try:
         value = _parse(text, variables, allow_log, line_no, column)
         value = _log_integral(value) if allow_log else _rational(value)
-    except (ZeroDenominatorError, ZeroLogArgumentError) as exc:
+    except ZeroDenominatorError as exc:
         raise ParseError(str(exc), line_no, start) from None
     if not allow_log:
         rationals, constants = (value,), ()
@@ -532,7 +536,7 @@ def parse_system(source: str) -> SystemSpec:
         key = key.strip()
         column = line.index(":") + 2 + len(value) - len(value.lstrip())
         value = value.strip()
-        if key.startswith("integral"):
+        if key.split(None, 1)[:1] == ["integral"]:
             integral_name = key[len("integral"):].strip()
             if not integral_name:
                 raise ParseError("integral lines read 'integral <name>: <expr>'", line_no)

@@ -97,12 +97,11 @@ class System:
         self.spec = spec
         self.name = spec.name
         self.is_builtin = is_builtin
-        chart = spec.variables
-        self.v = VectorField3(*spec.v, chart)
+        self.v = VectorField3(*spec.v)
         self.frame = self.heisenberg = self.brackets = self._potential = None
         if spec.u is None:
             return
-        u, w = VectorField3(*spec.u, chart), VectorField3(*spec.w, chart)
+        u, w = VectorField3(*spec.u), VectorField3(*spec.w)
         if is_builtin and spec.name == "heisenberg_example":
             self.heisenberg = build_frame(self.v, u, w)
             return
@@ -187,7 +186,7 @@ def dh_reduction_check() -> tuple[Check, ...]:
     classic = _shipped_spec("dh_classic")
     symmetric_v = _shipped_spec("dh_symmetric").v
     t_chart = classic.variables
-    flow = VectorField3(*classic.v, t_chart)
+    flow = VectorField3(*classic.v)
 
     t1 = Poly3.variable("t1", t_chart)
     t2 = Poly3.variable("t2", t_chart)

@@ -613,6 +613,15 @@ class TestCheckFile:
             2, f"parse error: {str(path)!r} is not UTF-8 text: invalid continuation byte at "
                "byte 9 (line 1, column 1)")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.sys", tmp_path / "marked.sys"
+        plain.write_text(system_source("guillot"), encoding="utf-8")
+        marked.write_text(system_source("guillot"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        document, status, diagnostic = run(["check-file", str(marked)])
+        assert (status, diagnostic) == (0, None)
+        assert document == run(["check-file", str(plain)])[0]
+
     def test_builtin_name_rejected(self):
         _, status, diagnostic = run(["check-file", "guillot"])
         assert status == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mcflow.algebra import Poly3, RationalFunction
-from mcflow.calculus import KForm, LogIntegral, VectorField3
+from mcflow.calculus import KForm, LogIntegral, VectorField3, div
 from mcflow.mcframe import (
     DegenerateFrameError,
     Frame,
@@ -16,7 +16,6 @@ from mcflow.mcframe import (
     curl_identities,
     frobenius_residual,
     heisenberg_verify,
-    last_multiplier,
     potential_from_gamma,
     sigma_residual,
     sigma_residual_factored,
@@ -102,25 +101,25 @@ class TestVerifySl2:
 
     def test_last_multiplier_guillot(self):
         v, u, w = guillot_fields()
-        assert last_multiplier(v, u, w) == rf(Poly3.const(1), 2 * Z * Y**3)
+        assert build_frame(v, u, w).M == rf(Poly3.const(1), 2 * Z * Y**3)
 
     def test_last_multiplier_dh(self):
         v, u, w = dh_fields()
         delta = (
             72 * X * Y * Z - 16 * Y**3 + 4 * X**2 * Y**2 - 16 * X**3 * Z - 108 * Z**2
         )
-        assert last_multiplier(v, u, w) == rf(Poly3.const(1)) / rf(delta)
+        assert build_frame(v, u, w).M == rf(Poly3.const(1)) / rf(delta)
 
     def test_constant_orthonormal_frame(self):
         v = VectorField3(1, 0, 0)
         u = VectorField3(0, 1, 0)
         w = VectorField3(0, 0, 1)
-        assert last_multiplier(v, u, w) == rf(Poly3.const(1))
+        assert build_frame(v, u, w).M == rf(Poly3.const(1))
 
     def test_degenerate_frame_rejected(self):
         v = VectorField3(1, 0, 0)
         with pytest.raises(DegenerateFrameError):
-            last_multiplier(v, v, v)
+            build_frame(v, v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -130,39 +129,39 @@ class TestVerifySl2:
 
 class TestDualForms:
     def test_guillot_alpha(self, guillot):
-        assert guillot.alpha == KForm.one_form(
-            0, rf(2 * Y**2 - X, 2 * Y**3), rf(-X, 2 * Z * Y**2)
-        )
+        assert guillot.alpha == KForm(1, (
+            0, rf(2 * Y**2 - X, 2 * Y**3), rf(-X, 2 * Z * Y**2),
+        ))
 
     def test_guillot_beta(self, guillot):
-        assert guillot.beta == KForm.one_form(
-            0, rf(Poly3.const(1), 2 * Y**3), rf(Poly3.const(1), 2 * Z * Y**2)
-        )
+        assert guillot.beta == KForm(1, (
+            0, rf(Poly3.const(1), 2 * Y**3), rf(Poly3.const(1), 2 * Z * Y**2),
+        ))
 
     def test_guillot_gamma(self, guillot):
-        assert guillot.gamma == KForm.one_form(
+        assert guillot.gamma == KForm(1, (
             -1,
             rf(Y**4 + 4 * X * Y**2 - X**2, 2 * Y**3),
             rf(Y**4 - X**2, 2 * Z * Y**2),
-        )
+        ))
 
     def test_dh_forms_match_multiplier_pattern(self, dh):
         m = dh.M
-        assert dh.alpha == KForm.one_form(
+        assert dh.alpha == KForm(1, (
             m * rf(2 * X * Y**2 + 6 * Y * Z - 8 * X**2 * Z),
             m * rf(12 * X * Z - 4 * Y**2),
             m * rf(2 * X * Y - 18 * Z),
-        )
-        assert dh.beta == KForm.one_form(
+        ))
+        assert dh.beta == KForm(1, (
             m * rf(4 * (6 * X * Z - 2 * Y**2)),
             m * rf(4 * (X * Y - 9 * Z)),
             m * rf(4 * (6 * Y - 2 * X**2)),
-        )
-        assert dh.gamma == KForm.one_form(
+        ))
+        assert dh.gamma == KForm(1, (
             m * rf(18 * Z**2 - 8 * X * Y * Z + 2 * Y**3),
             m * rf(4 * X**2 * Z - X * Y**2 - 3 * Y * Z),
             m * rf(2 * Y**2 - 6 * X * Z),
-        )
+        ))
 
 
 class TestDuality:
@@ -205,18 +204,18 @@ class TestMaurerCartan:
         assert all_hold(verify_maurer_cartan(dh.alpha, dh.beta, dh.gamma))
 
     def test_coordinate_frame_fails(self):
-        dx = KForm.one_form(1, 0, 0)
-        dy = KForm.one_form(0, 1, 0)
-        dz = KForm.one_form(0, 0, 1)
+        dx = KForm(1, (1, 0, 0))
+        dy = KForm(1, (0, 1, 0))
+        dz = KForm(1, (0, 0, 1))
         report = verify_maurer_cartan(dx, dy, dz)
         bad = find(report, "structure.dbeta")
         assert bad.status == "fails"
-        assert bad.residual_obj == KForm.two_form(0, 0, 2)
+        assert bad.residual_obj == KForm(2, (0, 0, 2))
 
     def test_closed_alpha_fails_the_nonzero_check(self):
-        dx = KForm.one_form(1, 0, 0)
-        dy = KForm.one_form(0, 1, 0)
-        dz = KForm.one_form(0, 0, 1)
+        dx = KForm(1, (1, 0, 0))
+        dy = KForm(1, (0, 1, 0))
+        dz = KForm(1, (0, 0, 1))
         check = find(verify_maurer_cartan(dx, dy, dz), "structure.dalpha_nonzero")
         assert check.status == "fails"
         assert check.residual == "d(alpha) == 0"
@@ -273,9 +272,9 @@ class TestConformal:
 class TestSigmaResidual:
     def test_exact_beta_candidate(self):
         # frame with exact beta: alpha = dx, beta = dy, gamma arbitrary
-        alpha = KForm.one_form(1, 0, 0)
-        beta = KForm.one_form(0, 1, 0)
-        gamma = KForm.one_form(0, 0, 1)
+        alpha = KForm(1, (1, 0, 0))
+        beta = KForm(1, (0, 1, 0))
+        gamma = KForm(1, (0, 0, 1))
         rho = rf(Poly3.const(1))
         f = rf(Y)  # df = dy = beta
         assert sigma_residual_factored(alpha, beta, gamma, f * rho).is_zero()
@@ -301,10 +300,10 @@ def _reference_sigma(frame, rho, f):
     """Both residuals written out on the original frame:
     sigma = alpha - (1/2) d(rho)/rho + f gamma, with sigma ^ d(sigma), and
     (alpha - (1/2) d(rho)/rho) ^ (df + f d(rho)/rho - beta) ^ gamma."""
-    dlog = KForm.scalar(rho, rho.chart).d().scale(rho.reciprocal())
+    dlog = KForm(0, (rho,)).d().scale(rho.reciprocal())
     alpha_bar = frame.alpha - dlog.scale(RationalFunction.const(Fraction(1, 2)))
     sigma = alpha_bar + frame.gamma.scale(f)
-    middle = KForm.scalar(f, f.chart).d() + dlog.scale(f) - frame.beta
+    middle = KForm(0, (f,)).d() + dlog.scale(f) - frame.beta
     return sigma.wedge(sigma.d()), alpha_bar.wedge(middle).wedge(frame.gamma)
 
 
@@ -357,7 +356,7 @@ class TestFrobenius:
         assert not frobenius_residual(dh.alpha).is_zero()
 
     def test_exact_form_is_integrable(self):
-        omega = KForm.scalar(rf(X**2 * Y + Z)).d()
+        omega = KForm(0, (rf(X**2 * Y + Z),)).d()
         assert frobenius_residual(omega).is_zero()
 
 
@@ -399,7 +398,7 @@ class TestPotential:
             rf(Y**4 + 4 * X * Y**2 - X**2, 2 * Y**3),
             rf(Y**4 - X**2, 2 * Z * Y**2),
         )
-        assert KForm.from_covector(a).d().covector() == guillot.v.scale(guillot.M * 2)
+        assert KForm(1, a.components).d().covector() == guillot.v.scale(guillot.M * 2)
 
     def test_dh_potential(self, dh):
         assert potential_from_gamma(dh) == 2
@@ -412,7 +411,7 @@ class TestPotential:
     def test_inconsistent_gamma_rejected(self, guillot):
         tampered = Frame(
             guillot.v, guillot.u, guillot.w, guillot.M,
-            guillot.alpha, guillot.beta, KForm.one_form(rf(X), rf(Y), rf(Z)),
+            guillot.alpha, guillot.beta, KForm(1, (rf(X), rf(Y), rf(Z))),
         )
         with pytest.raises(InconsistencyError):
             potential_from_gamma(tampered)
@@ -428,14 +427,14 @@ class TestJacobiResidual:
     def test_gradient_over_multiplier_is_poisson(self):
         f = rf(X**2 + Y**2)
         m = rf(Z)
-        j = KForm.scalar(f).d().scale(m.reciprocal())
+        j = KForm(0, (f,)).d().scale(m.reciprocal())
         assert frobenius_residual(j).is_zero()
 
     def test_rotation_field(self):
-        assert frobenius_residual(KForm.one_form(Y, -X, 0)).is_zero()
+        assert frobenius_residual(KForm(1, (Y, -X, 0))).is_zero()
 
     def test_cyclic_shift_residual(self):
-        assert frobenius_residual(KForm.one_form(Z, X, Y)) == KForm.volume(rf(X + Y + Z))
+        assert frobenius_residual(KForm(1, (Z, X, Y))) == KForm(3, (rf(X + Y + Z),))
 
     def test_random_gradient_family(self):
         rng = random.Random(5)
@@ -453,7 +452,7 @@ class TestJacobiResidual:
             m = rf(Poly3(m_terms))
             if m.is_zero():
                 continue
-            assert frobenius_residual(KForm.scalar(f).d().scale(m.reciprocal())).is_zero()
+            assert frobenius_residual(KForm(0, (f,)).d().scale(m.reciprocal())).is_zero()
 
 
 class TestBihamiltonian:
@@ -461,7 +460,7 @@ class TestBihamiltonian:
     def test_guillot_decomposition(self, guillot, eps):
         report = bihamiltonian_verify(
             guillot.v, guillot.M, guillot_h1(), guillot_h2(eps),
-            label=f"eps{eps:+d}",
+            label=f"eps{eps:+d}", divergence=div(guillot.v.scale(guillot.M)),
         )
         assert all_hold(report)
         decomposition = find(report, f"bihamiltonian.decomposition[eps{eps:+d}]")
@@ -469,18 +468,20 @@ class TestBihamiltonian:
 
     def test_non_integral_detected(self, guillot):
         h_bad = LogIntegral(rf(X), [])
-        report = bihamiltonian_verify(guillot.v, guillot.M, h_bad, guillot_h2(1))
-        bad = find(report, "bihamiltonian.integral_h1")
+        report = bihamiltonian_verify(guillot.v, guillot.M, h_bad, guillot_h2(1), "H2_plus",
+                                      div(guillot.v.scale(guillot.M)))
+        bad = find(report, "bihamiltonian.integral_h1[H2_plus]")
         assert bad.status == "fails"
         assert bad.residual_obj == rf(X**2 + Y**4)
 
     def test_decomposition_without_a_constant_fails(self, guillot):
         # dH1 ^ dH1 = 0 is no nonzero multiple of M iota_v(dx^dy^dz)
-        report = bihamiltonian_verify(guillot.v, guillot.M, guillot_h1(), guillot_h1())
-        check = find(report, "bihamiltonian.decomposition")
+        report = bihamiltonian_verify(guillot.v, guillot.M, guillot_h1(), guillot_h1(), "H1",
+                                      div(guillot.v.scale(guillot.M)))
+        check = find(report, "bihamiltonian.decomposition[H1]")
         assert check.status == "fails"
         assert check.anchor == "dH2 ^ dH1 = c M iota_v(dx^dy^dz)"
-        assert check.residual_obj == KForm.volume(1).interior(guillot.v).scale(guillot.M * -2)
+        assert check.residual_obj == KForm(3, (1,)).interior(guillot.v).scale(guillot.M * -2)
         assert check.residual == str(check.residual_obj)
         assert not all_hold(report)
 
@@ -497,9 +498,9 @@ def canonical_heisenberg():
         VectorField3(0, X, 1),
         VectorField3(1, 0, 0),
         rf(Poly3.const(1)),
-        KForm.one_form(0, 0, 1),
-        KForm.one_form(0, 1, rf(-X)),
-        KForm.one_form(1, 0, 0),
+        KForm(1, (0, 0, 1)),
+        KForm(1, (0, 1, rf(-X))),
+        KForm(1, (1, 0, 0)),
     )
 
 
@@ -511,11 +512,11 @@ class TestHeisenberg:
 
     def test_flat_omega2_breaks_structure(self):
         hf = canonical_heisenberg()
-        broken = Frame(hf.v, hf.u, hf.w, hf.M, hf.alpha, KForm.one_form(0, 1, 0), hf.gamma)
+        broken = Frame(hf.v, hf.u, hf.w, hf.M, hf.alpha, KForm(1, (0, 1, 0)), hf.gamma)
         report = heisenberg_verify(broken)
         bad = find(report, "heisenberg.domega2")
         assert bad.status == "fails"
-        assert bad.residual_obj == KForm.two_form(0, -1, 0)
+        assert bad.residual_obj == KForm(2, (0, -1, 0))
 
     def test_volume_is_unity(self):
         report = heisenberg_verify(canonical_heisenberg())
@@ -561,7 +562,7 @@ def _conjugate(field: VectorField3, matrix, inverse) -> VectorField3:
         for entry, comp in zip(row, pushed):
             total = total + comp * entry
         new_components.append(total)
-    return VectorField3.from_components(new_components)
+    return VectorField3(*new_components)
 
 
 class TestConjugatedFrames:

@@ -21,6 +21,8 @@ Z = Poly3.variable("z")
 
 # the default --tol: a sampled value below it counts as zero
 TOLERANCE = 1e-12
+# the default --box
+BOX = (-3.0, 3.0)
 
 
 def last_safe_time(abort: SingularityAbort) -> float:
@@ -63,11 +65,11 @@ class TestRk4:
         assert abs(final[1]) < 1e-8
 
     def test_zero_field_is_constant(self):
-        _, states = rk4_integrate(VectorField3.zero(), (2.0, 3.0, 4.0), 1.0, 0.1)
+        _, states = rk4_integrate(VectorField3(0, 0, 0), (2.0, 3.0, 4.0), 1.0, 0.1)
         assert all(state == (2.0, 3.0, 4.0) for state in states)
 
     def test_uniform_step_grid(self):
-        times, _ = rk4_integrate(VectorField3.zero(), (0.0, 0.0, 0.0), 0.01, 1e-3)
+        times, _ = rk4_integrate(VectorField3(0, 0, 0), (0.0, 0.0, 0.0), 0.01, 1e-3)
         assert len(times) == 11
         diffs = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert diffs == {1e-3}
@@ -111,7 +113,7 @@ class TestConservationDrift:
         assert conservation_drift(guillot_h2_plus(), *trajectory) < 1e-7
 
     def test_constant_on_frozen_flow(self):
-        trajectory = rk4_integrate(VectorField3.zero(), (1.0, 2.0, 3.0), 1.0, 0.1)
+        trajectory = rk4_integrate(VectorField3(0, 0, 0), (1.0, 2.0, 3.0), 1.0, 0.1)
         assert conservation_drift(LogIntegral(rf(X), []), *trajectory) == 0.0
 
     def test_value_that_overflows_is_singular(self):
@@ -132,36 +134,37 @@ class TestSampleIdentity:
         u = VectorField3(2 * X, Y, -Z)
         w = VectorField3(-1, 0, 0)
         checks = verify_sl2(v, u, w)
-        assert sample_identity(checks[0].residual_obj, n=25, name="sl2.uv") == (25, 0.0)
+        assert sample_identity(checks[0].residual_obj, n=25, box=BOX, seed=0, name="sl2.uv") \
+            == (25, 0.0)
 
     def test_constant_residual_fails(self):
-        alpha = KForm.one_form(1, 0, 0)
-        beta = KForm.one_form(0, 1, 0)
+        alpha = KForm(1, (1, 0, 0))
+        beta = KForm(1, (0, 1, 0))
         residual = beta.d() + alpha.wedge(beta).scale(2)
-        points, worst = sample_identity(residual, n=25, name="structure.dbeta")
+        points, worst = sample_identity(residual, n=25, box=BOX, seed=0, name="structure.dbeta")
         assert points == 25
         assert worst == pytest.approx(2.0)
 
     def test_singular_draws_skipped(self):
-        points, worst = sample_identity(rf(Poly3.const(1), Y), n=10, name="pole")
+        points, worst = sample_identity(rf(Poly3.const(1), Y), n=10, box=BOX, seed=0, name="pole")
         assert points == 10
         assert worst >= TOLERANCE
 
     def test_determinism(self):
         residual = rf(X * Y - Z)
-        a = sample_identity(residual, n=25, seed=7, name="probe")
-        b = sample_identity(residual, n=25, seed=7, name="probe")
+        a = sample_identity(residual, n=25, seed=7, box=BOX, name="probe")
+        b = sample_identity(residual, n=25, seed=7, box=BOX, name="probe")
         assert a == b
-        c = sample_identity(residual, n=25, seed=8, name="probe")
+        c = sample_identity(residual, n=25, seed=8, box=BOX, name="probe")
         assert c != a
 
     def test_all_singular_is_inconclusive(self):
-        assert sample_identity(rf(Poly3.const(1), Y), n=5, box=(0.0, 0.0), name="stuck") \
+        assert sample_identity(rf(Poly3.const(1), Y), n=5, box=(0.0, 0.0), seed=0, name="stuck") \
             == (0, 0.0)
 
     def test_overflowing_draws_are_skipped(self):
         # x^2 overflows a float on this box, so no draw can be evaluated
-        assert sample_identity(rf(X**2), n=5, box=(1e300, 1e301), name="huge") == (0, 0.0)
+        assert sample_identity(rf(X**2), n=5, box=(1e300, 1e301), seed=0, name="huge") == (0, 0.0)
 
     @pytest.mark.parametrize("residual, box", [
         # 10^300 x^2 and 10^300 y^2 are inf on this box, so the float value
@@ -171,13 +174,13 @@ class TestSampleIdentity:
         (rf(Poly3.const(1), X * Y * Z), (1e150, 1e151)),
     ])
     def test_non_finite_residual_never_passes(self, residual, box):
-        points, worst = sample_identity(residual, n=25, box=box, name="non-finite")
+        points, worst = sample_identity(residual, n=25, box=box, seed=0, name="non-finite")
         assert points == 0 or worst >= TOLERANCE
 
     def test_failed_identity_has_visible_witness(self):
         v = VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z)
         residual = verify_sl2(v, v, v)[0].residual_obj
-        _, worst = sample_identity(residual, n=100, name="bad")
+        _, worst = sample_identity(residual, n=100, box=BOX, seed=0, name="bad")
         assert worst > 1e-6
 
 
@@ -198,8 +201,8 @@ class TestSampleAgreement:
             assert [c.eval(point) for c in lhs.coeffs] == [c.eval(point) for c in rhs.coeffs]
 
     def test_disagreement_detected(self):
-        lhs = KForm.one_form(rf(X), 0, 0)
-        rhs = KForm.one_form(rf(X + Y), 0, 0)
+        lhs = KForm(1, (rf(X), 0, 0))
+        rhs = KForm(1, (rf(X + Y), 0, 0))
         assert any(lhs.coeffs[0].eval(p) != rhs.coeffs[0].eval(p) for p in self.POINTS)
 
 
@@ -235,24 +238,24 @@ class TestFiniteDifference:
         # the potential A is the covector of gamma; its scale must exist
         frame = guillot_frame()
         assert potential_from_gamma(frame) == 2
-        error = finite_difference_error(KForm.from_covector(frame.gamma.covector()), (1, 1, 1),
+        error = finite_difference_error(KForm(1, frame.gamma.covector().components), (1, 1, 1),
                                         1e-4)
         assert error < 1e-6
 
     def test_gradient_of_constant(self):
-        error = finite_difference_error(KForm.scalar(rf(Poly3.const(3))), (1, 2, 3), 1e-4)
+        error = finite_difference_error(KForm(0, (rf(Poly3.const(3)),)), (1, 2, 3), 1e-4)
         assert error < 1e-12
 
     def test_second_order_accuracy(self):
-        f = KForm.scalar(rf(X**3 * Y + Z**2 * X) + rf(Y**3, X))
+        f = KForm(0, (rf(X**3 * Y + Z**2 * X) + rf(Y**3, X),))
         coarse = finite_difference_error(f, (1.3, 0.7, 0.9), 1e-3)
         fine = finite_difference_error(f, (1.3, 0.7, 0.9), 5e-4)
         assert coarse / fine == pytest.approx(4.0, rel=0.35)
 
     def test_div_and_d_kinds(self):
-        flux = KForm.two_form(X**2 * Y, Y * Z, Z**2 * X)
+        flux = KForm(2, (X**2 * Y, Y * Z, Z**2 * X))
         assert finite_difference_error(flux, (1, 1, 1), 1e-4) < 1e-6
-        form = KForm.one_form(rf(X * Y), rf(Y * Z), rf(Z * X))
+        form = KForm(1, (rf(X * Y), rf(Y * Z), rf(Z * X)))
         assert finite_difference_error(form, (1, 1, 1), 1e-4) < 1e-6
 
 
@@ -276,5 +279,6 @@ class TestOracleAgreementAcrossModules:
                 continue
             if check.name == "structure.dalpha_nonzero":
                 continue  # witness object is intentionally nonzero
-            points, worst = sample_identity(check.residual_obj, n=25, name=check.name)
+            points, worst = sample_identity(
+                check.residual_obj, n=25, box=BOX, seed=0, name=check.name)
             assert points > 0 and worst < TOLERANCE, check.name

@@ -369,6 +369,13 @@ class TestParseSystem:
         with pytest.raises(ParseError):
             parse_system("name: a\nvariables: x, y, z\nv: 1; 0; 0\ncolour: blue\n")
 
+    @pytest.mark.parametrize("key", ["integrals H", "integralH"])
+    def test_integral_key_starts_with_the_word_integral(self, key):
+        source = f"name: a\nvariables: x, y, z\nv: 1; 0; 0\n{key}: y\n"
+        with pytest.raises(ParseError) as info:
+            parse_system(source)
+        assert (info.value.message, info.value.line) == (f"unknown key {key!r}", 4)
+
     def test_t_variable_chart(self):
         source = (
             "name: halphen\nvariables: t1, t2, t3\n"
@@ -460,6 +467,11 @@ class TestSingleFaults:
     def test_several_faults_report_the_first_one_reached(self):
         # the zero divisor stands left of the syntax error
         assert parse_error("v: x; 1/(y-y) +* z; z") == ("reciprocal of zero", 3, 7)
+
+    def test_log_of_zero_is_reported_before_a_later_fault(self):
+        # the log of zero stands left of the unclosed parenthesis
+        assert parse_error("v: x; y; z\nintegral H: log(y - y) + (z") == (
+            "log argument is identically zero", 4, 13)
 
 
 class TestUnicodeDigits:

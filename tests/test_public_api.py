@@ -128,6 +128,30 @@ def test_every_record_field_is_read():
     assert unread == []
 
 
+def _is_alias_constructor(node) -> bool:
+    """A classmethod whose body, after its docstring, is one
+    ``return cls(...)``: another spelling of the class's own constructor."""
+    if not any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list):
+        return False
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]
+    return (len(body) == 1 and isinstance(body[0], ast.Return)
+            and isinstance(body[0].value, ast.Call)
+            and isinstance(body[0].value.func, ast.Name) and body[0].value.func.id == "cls")
+
+
+def test_no_classmethod_only_renames_the_constructor():
+    aliases = [f"{path.stem}.{cls.name}.{item.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for cls in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(cls, ast.ClassDef)
+               for item in cls.body
+               if isinstance(item, ast.FunctionDef) and _is_alias_constructor(item)]
+    assert aliases == []
+
+
 # The one normalisation policy: a rational function is reduced only by the
 # RationalFunction constructor and the helpers of algebra.py behind it.
 NORMALISERS = {"poly_gcd", "_normalize", "_raw"}

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mcflow.algebra import Poly3, RationalFunction
+from mcflow.calculus import div
 from mcflow.mcframe import (
     FrameError,
     all_hold,
@@ -103,7 +104,8 @@ class TestFullPipelines:
         integrals = dict(system.spec.integrals)
         for label in ("H2_plus", "H2_minus"):
             checks = bihamiltonian_verify(
-                frame.v, frame.M, integrals["H1"], integrals[label], label
+                frame.v, frame.M, integrals["H1"], integrals[label], label,
+                div(frame.v.scale(frame.M)),
             )
             assert all_hold(checks)
 

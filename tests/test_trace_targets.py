@@ -37,6 +37,7 @@ def test_trace_target_resolves(module, attr):
 def test_every_traced_check_family_returns_a_tuple():
     # a span times a family by wrapping its call, so the family must do its
     # work before it returns: a generator would be timed empty
+    from mcflow.calculus import div
     from mcflow.mcframe import Check
     from mcflow.systems import builtin
 
@@ -48,7 +49,8 @@ def test_every_traced_check_family_returns_a_tuple():
         ("mcframe", "verify_duality"): (frame,),
         ("mcframe", "verify_maurer_cartan"): (frame.alpha, frame.beta, frame.gamma),
         ("mcframe", "curl_identities"): (frame,),
-        ("mcframe", "bihamiltonian_verify"): (frame.v, frame.M, h1, h2),
+        ("mcframe", "bihamiltonian_verify"): (
+            frame.v, frame.M, h1, h2, "H2_plus", div(frame.v.scale(frame.M))),
         ("systems", "dh_reduction_check"): (),
         ("systems", "grading_check"): (dh,),
     }
