@@ -124,10 +124,16 @@ def _candidate(text: str, option: str, default: int, chart) -> RationalFunction:
 
 def _sigma_checks(r: System, args):
     """The candidate (rho, f) checked on the conformally transformed frame,
-    where sigma = alpha - (1/2) dlog(rho) + f gamma is alpha' + (f rho) gamma'."""
-    chart = r.frame.M.chart
+    where sigma = alpha - (1/2) dlog(rho) + f gamma is alpha' + (f rho) gamma'.
+    The candidate is parsed on every system; without an sl(2) frame it gets
+    one N/A row."""
+    chart = r.v.chart
     rho = _candidate(args.rho, "--rho", 1, chart)
     f = _candidate(args.f, "--f", 0, chart)
+    if r.frame is None:
+        yield Check("sigma.integrability",
+                    "no sl(2) frame carries the candidate (rho, f)", NOT_APPLICABLE)
+        return
     alpha, beta, gamma = conformal_transform(r.frame, rho)
     g = f * rho
     sigma = sigma_residual(alpha, gamma, g)
@@ -183,7 +189,7 @@ def _checks(r: System, args):
     if frameless and hint is not None:
         yield Check.from_residual(
             "multiplier.invariance", "div(M v) = 0 for declared M", div(r.v.scale(hint)))
-    if frame is not None and (args.rho is not None or args.f is not None):
+    if args.rho is not None or args.f is not None:
         yield from _sigma_checks(r, args)
     if r.is_builtin and r.name in ("dh_classic", "dh_symmetric"):
         yield from dh_reduction_check()
@@ -237,8 +243,12 @@ def _multiplier_section(resolved: System):
 
 
 def _sample_checks(checks, args, names=None):
-    from .numeric import sample_identity
+    """The oracle row of each applicable check that expects zero.
 
+    An exact zero residual is 0 over 1: at every grid point its denominator
+    clears the singular floor and its value is 0.0, so its row is derived,
+    not drawn: all --points points, max |residual| 0.0.  Only a nonzero
+    residual is evaluated at seeded points by numeric.sample_identity."""
     rows = []
     all_pass = True
     for check in checks:
@@ -248,8 +258,14 @@ def _sample_checks(checks, args, names=None):
             continue
         if check.status == NOT_APPLICABLE or check.expect != ZERO:
             continue
-        points, worst = sample_identity(
-            check.residual_obj, n=args.points, box=args.box, seed=args.seed, name=check.name)
+        if check.residual_obj.is_zero():
+            points, worst = args.points, 0.0
+        else:
+            from .numeric import sample_identity
+
+            points, worst = sample_identity(
+                check.residual_obj, n=args.points, box=args.box, seed=args.seed,
+                name=check.name)
         if points == 0:
             # every draw was singular, or its value overflowed or was not finite
             rows.append({"check": check.name, "points": 0, "max_residual": None,
@@ -311,9 +327,9 @@ def _report(resolved: System, args):
     checks, numeric, status = (), {}, EXIT_OK
     if command in ("verify", "sample"):
         checks = tuple(_checks(resolved, args))
-        names = {args.check} if command == "sample" and args.check else None
+        names = {args.check} if command == "sample" and args.check is not None else None
         known = {c.name for c in checks}
-        if names and args.check not in known:
+        if names is not None and args.check not in known:
             raise ParseError(
                 f"unknown check {args.check!r}; available: {', '.join(sorted(known))}")
         numeric["samples"], oracle_ok = _sample_checks(checks, args, names)

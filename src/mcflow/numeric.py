@@ -1,11 +1,12 @@
 """Floating-point oracle: trajectories, drift and residual sampling.
 
-`verify` samples the residual object of each check that expects zero: its
-coefficients are evaluated in floating point at points of the 1/8-grid in
-the box, drawn from a seeded stream split per identity name, so verdicts
-are reproducible byte for byte.  A holding check keeps the canonical zero
-as its residual, so for those the sample re-reads the exact verdict
-rather than testing it independently.
+`sample_identity` evaluates a residual's coefficients in floating point at
+points of the 1/8-grid in the box, drawn from a seeded stream split per
+identity name, so verdicts are reproducible byte for byte.  `verify` and
+`sample` call it only for a check whose residual is not exactly zero.  A
+holding check keeps the canonical zero, 0 over 1, as its residual, which
+is 0.0 at every point, so the cli derives that row without drawing: it
+re-reads the exact verdict rather than testing it independently.
 """
 
 from __future__ import annotations

@@ -93,6 +93,25 @@ class TestVerify:
         )
         assert agreement["status"] == "holds"
 
+    @pytest.mark.parametrize("system", ["dh_classic", "heisenberg_example",
+                                        str(Path(__file__).parent / "golden" / "partial.sys"),
+                                        str(Path(__file__).parent / "golden" / "broken.sys")],
+                             ids=lambda system: Path(system).stem)
+    def test_candidate_on_a_system_without_an_sl2_frame(self, system):
+        # the candidate is parsed as on guillot, then gets one N/A row
+        for command in ("verify", "sample"):
+            for option, text in [("--rho", ")("), ("--rho", "1/0"), ("--f", ")(")]:
+                on_guillot = run([command, "guillot", f"{option}={text}"])
+                assert run([command, system, f"{option}={text}"]) == on_guillot
+                assert on_guillot[1] == 2
+            document, _, diagnostic = run([command, system, "--rho=2", "--f=1"])
+            assert diagnostic is None
+            rows = [row for row in document["sections"]["checks"]
+                    if row["check"].startswith(("sigma.", "conformal."))]
+            assert rows == [{"system": document["system"], "check": "sigma.integrability",
+                             "anchor": "no sl(2) frame carries the candidate (rho, f)",
+                             "status": "not_applicable", "residual": None}]
+
     def test_overflowing_sample_box_is_inconclusive(self):
         document, status, diagnostic = run(
             ["verify", "guillot", "--rho=x + 1", "--f=y", "--box", "1e300,1e301"]
@@ -195,14 +214,73 @@ class TestSample:
         assert samples[0]["points"] == 10
 
     def test_unknown_check_is_a_usage_error(self):
-        _, status, diagnostic = run(["sample", "guillot", "--check", "nope"])
-        assert status == 2
-        assert "unknown check" in diagnostic
+        # an empty name is a name like any other, not "no --check"
+        for name in ("nope", ""):
+            _, status, diagnostic = run(["sample", "guillot", f"--check={name}"])
+            assert status == 2
+            assert f"unknown check {name!r}" in diagnostic
 
     def test_determinism(self):
         first, _ = run_json(["sample", "guillot", "--seed", "3", "--points", "7"])
         second, _ = run_json(["sample", "guillot", "--seed", "3", "--points", "7"])
         assert json.dumps(first) == json.dumps(second)
+
+
+def sampled_rows(checks, args, names=None):
+    """The oracle rows with every row drawn by numeric.sample_identity, the
+    exact zero residuals too: the reference for cli._sample_checks."""
+    from mcflow.mcframe import HOLDS, NOT_APPLICABLE, ZERO
+    from mcflow.numeric import sample_identity
+
+    rows = []
+    all_pass = True
+    for check in checks:
+        if names is not None and check.name not in names:
+            continue
+        if check.residual_obj is None:
+            continue
+        if check.status == NOT_APPLICABLE or check.expect != ZERO:
+            continue
+        points, worst = sample_identity(
+            check.residual_obj, n=args.points, box=args.box, seed=args.seed, name=check.name)
+        if points == 0:
+            rows.append({"check": check.name, "points": 0, "max_residual": None,
+                         "verdict": "inconclusive"})
+            all_pass = False
+            continue
+        passed = worst < args.tol
+        agrees = passed == (check.status == HOLDS)
+        rows.append({"check": check.name, "points": points, "max_residual": worst,
+                     "verdict": "pass" if passed else "fail",
+                     "agrees_with_symbolic": agrees})
+        if not agrees:
+            all_pass = False
+    return rows, all_pass
+
+
+GOLDEN_SYSTEMS = sorted(str(path) for path in (Path(__file__).parent / "golden").glob("*.sys"))
+ORACLE_REQUESTS = [
+    *([command, system, *extra] for system in [*BUILTIN_NAMES, *GOLDEN_SYSTEMS]
+      for command in ("verify", "sample") for extra in ([], ["--json"])),
+    ["verify", "guillot", "--rho=x + 1", "--f=y"],
+    ["verify", "dh_symmetric", "--rho=x - 2", "--f=y"],
+]
+
+
+class TestDerivedOracleRows:
+    """An exact zero residual's oracle row is derived, not drawn; the
+    report must be the one that sampling every row gives."""
+
+    @pytest.mark.parametrize("argv", ORACLE_REQUESTS,
+                             ids=[" ".join(Path(a).name for a in argv) for argv in ORACLE_REQUESTS])
+    def test_report_equals_the_sampled_report(self, argv, monkeypatch, capsys):
+        import mcflow.cli
+
+        status = main(argv)
+        shipped = capsys.readouterr()
+        monkeypatch.setattr(mcflow.cli, "_sample_checks", sampled_rows)
+        assert main(argv) == status
+        assert capsys.readouterr() == shipped
 
 
 class TestArgumentValidation:
@@ -798,6 +876,8 @@ class TestCheckTable:
                 ],
             ),
             (["verify", "dh_classic"], ["reduction.xdot", "reduction.ydot", "reduction.zdot"]),
+            (["verify", "dh_classic", "--f=t1"],
+             ["sigma.integrability", "reduction.xdot", "reduction.ydot", "reduction.zdot"]),
             (
                 ["verify", "heisenberg_example"],
                 [

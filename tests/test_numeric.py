@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcflow.algebra import Poly3, RationalFunction
 from mcflow.calculus import KForm, LogIntegral, VectorField3
 from mcflow.mcframe import build_frame, potential_from_gamma, verify_sl2
 from mcflow.numeric import (
+    GRID_DENOMINATOR,
     SingularEvaluation,
     SingularityAbort,
     conservation_drift,
@@ -128,7 +130,23 @@ class TestConservationDrift:
         assert abs(order - 4.0) <= 0.3
 
 
+# the exact zero of each type a check residual has
+ZERO_RESIDUALS = [RationalFunction.const(0), VectorField3(0, 0, 0),
+                  *(KForm(grade, (0,) * math.comb(3, grade)) for grade in range(4))]
+# every box that --box accepts with bounds up to 1e300 in magnitude
+grid_boxes = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(sorted).filter(
+    lambda box: math.ceil(box[0] * GRID_DENOMINATOR) <= math.floor(box[1] * GRID_DENOMINATOR))
+
+
 class TestSampleIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ZERO_RESIDUALS), st.integers(1, 400), grid_boxes, st.integers(),
+           st.text())
+    def test_an_exact_zero_evaluates_to_zero_at_every_point(self, zero, n, box, seed, name):
+        # the row cli derives for an exact zero residual, without drawing
+        assert repr(sample_identity(zero, n=n, box=tuple(box), seed=seed, name=name)) \
+            == repr((n, 0.0))
+
     def test_exact_zero_residual_passes(self):
         v = VectorField3(X**2 + Y**4, X * Y, 2 * Y**2 * Z - X * Z)
         u = VectorField3(2 * X, Y, -Z)

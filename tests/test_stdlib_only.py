@@ -97,13 +97,22 @@ def test_cli_import_without_site_loads_no_importlib_resources():
     assert done.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command, loaded", [("derive", False), ("verify", True)])
-def test_only_the_commands_that_use_the_oracle_import_it(command, loaded):
-    # derive neither samples nor integrates, so it never compiles mcflow.numeric
+@pytest.mark.parametrize("argv, loaded", [
+    (["derive", "guillot"], False),
+    (["verify", "guillot"], False),
+    (["sample", "guillot"], False),
+    (["verify", "dh_symmetric", "--rho=x - 2", "--f=y"], True),
+    (["integrate", "guillot"], True),
+], ids=["derive-False", "verify-False", "sample-False", "verify-failing-candidate-True",
+        "integrate-True"])
+def test_only_the_commands_that_use_the_oracle_import_it(argv, loaded):
+    # derive neither samples nor integrates, and an exact zero residual's
+    # oracle row is derived, not drawn: only a nonzero residual (the failing
+    # candidate) or a trajectory compiles mcflow.numeric
     probe = (
         "import contextlib, io, sys; from mcflow.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    main([{command!r}, 'guillot'])\n"
+        f"    main({argv!r})\n"
         "print('mcflow.numeric' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
