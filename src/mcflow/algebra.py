@@ -258,9 +258,6 @@ class Poly3:
     def __sub__(self, other) -> "Poly3":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Poly3":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "Poly3":
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -866,9 +863,6 @@ class RationalFunction:
     def __sub__(self, other) -> "RationalFunction":
         return self + (-as_rational(other, self.chart))
 
-    def __rsub__(self, other) -> "RationalFunction":
-        return as_rational(other, self.chart) - self
-
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -892,9 +886,6 @@ class RationalFunction:
 
     def __truediv__(self, other) -> "RationalFunction":
         return self * as_rational(other, self.chart).reciprocal()
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return as_rational(other, self.chart) / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):

@@ -130,18 +130,12 @@ class VectorField3:
     def __sub__(self, other: "VectorField3") -> "VectorField3":
         return VectorField3(*(a - b for a, b in zip(self.components, other.components)))
 
-    def __neg__(self) -> "VectorField3":
-        return VectorField3(*(-a for a in self.components))
-
     def scale(self, factor) -> "VectorField3":
         factor = as_rational(factor, self.chart)
         return VectorField3(*(factor * a for a in self.components))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VectorField3) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -153,7 +147,11 @@ _BASIS_SIZE = {0: 1, 1: 3, 2: 3, 3: 1}
 
 
 class KForm:
-    """Differential form of grade 0..3 in the fixed bases above."""
+    """Differential form of grade 0..3 in the fixed bases above.
+
+    Forms add, subtract, scale by a function and compare by grade and
+    coefficients; ``d`` takes grades 0..2, ``wedge`` and ``interior``
+    grades 1 and 2."""
 
     __slots__ = ("grade", "coeffs", "_d")
 
@@ -196,9 +194,6 @@ class KForm:
         self._require_same(other)
         return KForm(self.grade, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "KForm":
-        return KForm(self.grade, tuple(-a for a in self.coeffs))
-
     def scale(self, factor) -> "KForm":
         factor = as_rational(factor, self.chart)
         return KForm(self.grade, tuple(factor * a for a in self.coeffs))
@@ -210,19 +205,13 @@ class KForm:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.grade, self.coeffs))
-
     # ---- graded products ---------------------------------------------------
 
     def wedge(self, other: "KForm") -> "KForm":
-        total = self.grade + other.grade
-        if total > 3:
-            raise GradeError(f"wedge of grades {self.grade} and {other.grade} exceeds 3")
-        if self.grade == 0:
-            return other.scale(self.coeffs[0])
-        if other.grade == 0:
-            return self.scale(other.coeffs[0])
+        """Exterior product of two forms of grade 1 or 2 whose grades sum to
+        at most 3; a function times a form is ``scale``."""
+        if 0 in (self.grade, other.grade) or self.grade + other.grade > 3:
+            raise GradeError(f"no wedge of grades {self.grade} and {other.grade}")
         if self.grade == 1 and other.grade == 1:
             return KForm(2, _cross(self.coeffs, other.coeffs))
         # (1,2) and (2,1) both produce (A . B) volume: the grades commute.
@@ -247,18 +236,14 @@ class KForm:
         return KForm(3, (_div(self.coeffs, names),))
 
     def interior(self, field: VectorField3) -> "KForm":
-        """Contraction of the first slot with a vector field."""
-        if self.grade == 0:
-            raise GradeError("interior product of a 0-form")
-        x = field.components
-        a = self.coeffs
+        """Contraction of the first slot of a 1- or 2-form with a vector
+        field; iota_X of rho dx^dy^dz is the 2-form with coefficients rho X."""
         if self.grade == 1:
-            return KForm(0, (_dot(a, x),))
+            return KForm(0, (_dot(self.coeffs, field.components),))
         if self.grade == 2:
             # iota_X (N . dx^dx) = (N x X) . dx
-            return KForm(1, _cross(a, x))
-        rho = a[0]
-        return KForm(2, (rho * x[0], rho * x[1], rho * x[2]))
+            return KForm(1, _cross(self.coeffs, field.components))
+        raise GradeError(f"no interior product of a {self.grade}-form")
 
     def __str__(self) -> str:
         return format_form(self)
@@ -388,9 +373,6 @@ class LogIntegral:
             and self.rational_part == other.rational_part
             and self.log_terms == other.log_terms
         )
-
-    def __hash__(self):
-        return hash((self.rational_part, self.log_terms))
 
     def __str__(self) -> str:
         pieces = []

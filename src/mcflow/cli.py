@@ -28,7 +28,7 @@ if __name__ == "__main__":
     # console_main), and so do the package imports below
     gc.disable()
 
-from . import __version__
+from . import GRID_DENOMINATOR, __version__
 from .algebra import (
     AlgebraError,
     RationalFunction,
@@ -132,7 +132,8 @@ def _sigma_checks(r: System, args):
     f = _candidate(args.f, "--f", 0, chart)
     if r.frame is None:
         yield Check("sigma.integrability",
-                    "no sl(2) frame carries the candidate (rho, f)", NOT_APPLICABLE)
+                    "no sl(2) frame carries the candidate (rho, f)", NOT_APPLICABLE,
+                    None, None, ZERO)
         return
     alpha, beta, gamma = conformal_transform(r.frame, rho)
     g = f * rho
@@ -428,8 +429,6 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
 
 
 def _parse_box(text: str) -> tuple[float, float]:
-    from .numeric import GRID_DENOMINATOR
-
     parts = text.split(",")
     if len(parts) != 2:
         raise _UsageError("expected LO,HI")

@@ -59,7 +59,6 @@ class Check(Record):
     """One verified identity: exact residual plus a display anchor."""
 
     __slots__ = ("name", "anchor", "status", "residual_obj", "residual", "expect")
-    _defaults = (None, None, ZERO)
     name: str
     anchor: str
     status: str

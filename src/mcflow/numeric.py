@@ -16,12 +16,12 @@ import random
 import zlib
 from typing import Callable
 
+from . import GRID_DENOMINATOR
 from .algebra import RationalFunction, SingularPointError
 from .calculus import KForm, LogIntegral, VectorField3
 
 DENOMINATOR_FLOOR = 1e-12
 SINGULAR_SKIP = 1e-9
-GRID_DENOMINATOR = 8
 
 
 class NumericError(SingularPointError):

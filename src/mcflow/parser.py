@@ -73,10 +73,10 @@ class _Token(Record):
     # the most numerous record: spelled out, this is faster than Record's
     # generic __init__
     def __init__(self, kind: str, text: str, line: int, column: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _tokenize(text: str, line: int = 1, column: int = 1) -> list[_Token]:
@@ -471,7 +471,6 @@ class SystemSpec(Record):
     """Fully resolved content of a system file."""
 
     __slots__ = ("name", "variables", "v", "u", "w", "integrals", "multiplier_hint")
-    _defaults = (None, None, (), None)
     name: str
     variables: tuple[str, str, str]
     v: tuple[RationalFunction, RationalFunction, RationalFunction]
@@ -569,6 +568,9 @@ def parse_system(source: str) -> SystemSpec:
         n and (n[0].isalpha() or n[0] == "_") and n.isidentifier() for n in names
     ):
         raise ParseError("variables must be 3 distinct identifiers", vars_line)
+    # log names the logarithm in every expression, so no value could use it
+    if "log" in names:
+        raise ParseError("variables must be 3 distinct identifiers other than log", vars_line)
 
     v = _parse_components(raw["v"][1], names, raw["v"][0], raw["v"][2])
     u = _parse_components(raw["u"][1], names, raw["u"][0], raw["u"][2]) if "u" in raw else None

@@ -24,6 +24,7 @@ from .mcframe import (
     HOLDS,
     FAILS,
     NOT_APPLICABLE,
+    ZERO,
     all_hold,
     build_frame,
     potential_from_gamma,
@@ -255,7 +256,7 @@ def grading_check(system: System) -> tuple[Check, ...]:
             Check(
                 "grading.applicability",
                 f"flow is quasi-homogeneous under weights {GRADING_WEIGHTS}",
-                NOT_APPLICABLE,
+                NOT_APPLICABLE, None, None, ZERO,
             ),
         )
     frame = system.frame
@@ -268,9 +269,9 @@ def grading_check(system: System) -> tuple[Check, ...]:
     checks = []
     for name, anchor, actual, wanted in targets:
         if actual == wanted:
-            checks.append(Check(name, anchor, HOLDS))
+            checks.append(Check(name, anchor, HOLDS, None, None, ZERO))
         else:
             checks.append(
-                Check(name, anchor, FAILS, None, f"weight is {actual}, expected {wanted}")
+                Check(name, anchor, FAILS, None, f"weight is {actual}, expected {wanted}", ZERO)
             )
     return tuple(checks)

@@ -115,7 +115,8 @@ def test_criterion_4_guillot_bihamiltonian(guillot):
     frame = guillot.frame
     integrals = dict(guillot.spec.integrals)
     h1 = integrals["H1"]
-    volume_flux = KForm(3, (1,)).interior(frame.v).scale(frame.M)
+    # M iota_v(dx^dy^dz)
+    volume_flux = KForm(2, frame.v.components).scale(frame.M)
     for label in ("H2_plus", "H2_minus"):
         h2 = integrals[label]
         assert h1.differential().interior(frame.v).coeffs[0].is_zero()

@@ -592,6 +592,16 @@ class TestCheckFile:
         assert diagnostic == ("parse error: product exponents up to (2147483648, 0, 0) too "
                               f"large ({position})")
 
+    # log names the logarithm in every expression, so a variable so named is
+    # refused on its line, whether or not a value uses it
+    @pytest.mark.parametrize("v_line", ["v: y; -log; 0", "v: 1; 0; 0"], ids=["used", "unused"])
+    def test_a_variable_named_log_is_a_parse_error(self, tmp_path, v_line):
+        path = tmp_path / "log.sys"
+        path.write_text(f"name: t\nvariables: log, y, z\n{v_line}\n")
+        assert run(["verify", str(path)]) == (
+            None, 2, "parse error: variables must be 3 distinct identifiers other than log "
+                     "(line 2, column 1)")
+
     @pytest.mark.parametrize("command", [["derive"], ["verify"], ["derive", "--json"]],
                              ids=["derive", "verify", "derive_json"])
     def test_oversized_product_is_a_parse_error(self, tmp_path, command, capsys):

@@ -14,12 +14,13 @@ a parameter that its function or lambda never reads.
 
 import ast
 import contextlib
+import functools
 import io
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from mcflow import systems
+from mcflow import algebra, systems
 from mcflow.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
@@ -102,15 +103,18 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def _slots(cls) -> set:
+    return {name for item in cls.body if isinstance(item, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+            for name in ast.literal_eval(item.value)}
+
+
 def _fields(cls):
     """The names in the class's __slots__ and the attributes that its
     __init__ assigns on self."""
+    yield from _slots(cls)
     for item in cls.body:
-        if isinstance(item, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
-        ):
-            yield from ast.literal_eval(item.value)
-        elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
             yield from (node.attr for node in ast.walk(item)
                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                         and isinstance(node.value, ast.Name) and node.value.id == "self")
@@ -191,7 +195,8 @@ def _shared_methods() -> set:
     return {name for names in owners.values() if len(names) > 1 for name in names}
 
 
-def _methods_run() -> set:
+@functools.cache
+def _methods_run() -> frozenset:
     """module.qualname of every function of src/mcflow that runs while the
     CLI serves REQUESTS."""
     seen = set()
@@ -200,8 +205,11 @@ def _methods_run() -> set:
         if event == "call":
             seen.add((frame.f_code.co_filename, frame.f_code.co_qualname))
 
-    # a cached frame would skip the code that builds it
+    # a cached frame, spec or gcd, left by another test, would skip the code
+    # that computes it
     systems.builtin.cache_clear()
+    systems._shipped_spec.cache_clear()
+    algebra._gcd_memo.clear()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -210,9 +218,70 @@ def _methods_run() -> set:
                 main(argv)
     finally:
         sys.setprofile(previous)
-    return {f"{Path(filename).stem}.{qualname}" for filename, qualname in seen
-            if Path(filename).resolve().parent == PACKAGE}
+    return frozenset(f"{Path(filename).stem}.{qualname}" for filename, qualname in seen
+                     if Path(filename).resolve().parent == PACKAGE)
 
 
 def test_every_shared_method_name_runs():
     assert sorted(_shared_methods() - _methods_run()) == []
+
+
+# the protocol methods that the tests may reach alone: construction, and the
+# comparison and printing that pytest's assertions read
+UNCOVERED_DUNDERS = {"__init__", "__eq__", "__str__", "__repr__"}
+
+
+def test_every_operator_method_runs():
+    defined = {f"{path.stem}.{cls.name}.{item.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(cls, ast.ClassDef)
+               for item in cls.body
+               if isinstance(item, ast.FunctionDef) and item.name.startswith("__")
+               and item.name.endswith("__") and item.name not in UNCOVERED_DUNDERS}
+    assert sorted(defined - _methods_run()) == []
+
+
+def _attribute_writes(function):
+    """(attribute name or None, line) of each attribute that the function
+    stores or deletes, or sets or deletes through setattr/delattr; None
+    stands for a name that is not a literal."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("setattr", "delattr") and len(node.args) >= 2:
+            name = node.args[1]
+            literal = isinstance(name, ast.Constant) and isinstance(name.value, str)
+            yield (name.value if literal else None), node.lineno
+
+
+def test_no_code_assigns_a_record_field_after_construction():
+    # records hold no runtime freeze: outside an __init__, no function stores
+    # to or deletes an attribute named like a field of a Record subclass,
+    # unless its own class has a slot of that name
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    fields = {name for tree in trees.values() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              and any(isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)
+              for name in _slots(cls)}
+    assert fields
+
+    writes = []
+
+    def visit(node, module, own_slots):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, _slots(child))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name != "__init__":
+                    writes.extend(
+                        f"{module}:{line} {name}" for name, line in _attribute_writes(child)
+                        if name is None or (name in fields and name not in own_slots))
+            else:
+                visit(child, module, own_slots)
+
+    for module, tree in trees.items():
+        visit(tree, module, set())
+    assert writes == []

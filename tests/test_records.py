@@ -1,8 +1,6 @@
-"""The immutable records (tokens, system specs, checks, frames) compare,
-hash and print by their fields, and refuse assignment."""
+"""The records (tokens, system specs, checks, frames) are built by position
+and print by their fields."""
 
-import copy
-import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,26 +12,25 @@ from mcflow.mcframe import (
     FAILS,
     HOLDS,
     NONZERO,
+    ZERO,
     Frame,
     conformal_transform,
     verify_maurer_cartan,
 )
-from mcflow import Record
-from mcflow.parser import SystemSpec, _Token, parse_rational, parse_system
-from mcflow.systems import builtin, system_source
+from mcflow.parser import SystemSpec, _Token, parse_rational
 
 
 @pytest.mark.parametrize("record, shown", [
     (_Token("int", "3", 1, 5), "_Token(kind='int', text='3', line=1, column=5)"),
     (Frame(None, None, None, Fraction(1, 2), None, None, None),
      "Frame(v=None, u=None, w=None, M=Fraction(1, 2), alpha=None, beta=None, gamma=None)"),
-    (SystemSpec("toy", ("x", "y", "z"), ()),
+    (SystemSpec("toy", ("x", "y", "z"), (), None, None, (), None),
      "SystemSpec(name='toy', variables=('x', 'y', 'z'), v=(), u=None, w=None, integrals=(), "
      "multiplier_hint=None)"),
-    (Check("a", "b = 0", HOLDS),
+    (Check("a", "b = 0", HOLDS, None, None, ZERO),
      "Check(name='a', anchor='b = 0', status='holds', residual_obj=None, "
      "residual=None, expect='zero')"),
-    (Check(name="a", anchor="b != 0", status=FAILS, expect=NONZERO),
+    (Check("a", "b != 0", FAILS, None, None, NONZERO),
      "Check(name='a', anchor='b != 0', status='fails', residual_obj=None, "
      "residual=None, expect='nonzero')"),
 ])
@@ -41,78 +38,24 @@ def test_repr_lists_fields_in_order(record, shown):
     assert repr(record) == shown
 
 
-def test_parsed_system_spec_equality_and_hash():
-    first = parse_system(system_source("guillot"))
-    second = parse_system(system_source("guillot"))
-    assert first is not second
-    assert first == second
-    assert hash(first) == hash(second)
-    assert first != parse_system(system_source("dh_classic"))
-
-
 def test_parsed_values_and_tokens_equality_and_hash():
     left = parse_rational("x^2 - 3*y")
     right = parse_rational("x ^ 2 - 3 * y")
     assert left == right and hash(left) == hash(right)
-    token = _Token("int", "1", 1, 1)
-    same = _Token(kind="int", text="1", line=1, column=1)
-    assert token == same and hash(token) == hash(same)
-    assert token != _Token("int", "2", 1, 1)
-    # same field values, different class
-    class Twin(Record):
-        __slots__ = Check.__slots__
-
-    fields = ("a", "b", "c", "d", "e", "f")
-    assert Check(*fields) != Twin(*fields)
-    assert len({Check(*fields), Twin(*fields), Check(*fields)}) == 2
 
 
-def test_check_equality_and_hash():
-    a = Check("n", "x = 0", HOLDS)
-    b = Check(name="n", anchor="x = 0", status=HOLDS, residual_obj=None,
-              residual=None)
-    assert a == b and hash(a) == hash(b)
-    assert a != Check("n", "x = 0", FAILS)
-    assert a != Check("n", "x = 0", HOLDS, expect=NONZERO)
-    assert a != ("n", "x = 0", HOLDS, None, None, "zero")
-
-
+# a record takes one value per field, by position only
 @pytest.mark.parametrize("args, kwargs", [
     (("a", "b"), {}),
     (("a", "b", HOLDS), {"name": "again"}),
     (("a", "b", HOLDS), {"unknown": 1}),
     (("a", "b", HOLDS, None, None, "zero", "extra"), {}),
+    ((), {"name": "a", "anchor": "b", "status": HOLDS, "residual_obj": None,
+          "residual": None, "expect": "zero"}),
 ])
 def test_bad_construction_raises_type_error(args, kwargs):
     with pytest.raises(TypeError):
         Check(*args, **kwargs)
-
-
-@pytest.mark.parametrize("record, field", [
-    (_Token("int", "1", 1, 1), "kind"),
-    (Check("a", "b", HOLDS), "status"),
-    # built by keyword, through the binding of defaults
-    (Check(name="a", anchor="b != 0", status=FAILS, expect=NONZERO), "status"),
-])
-def test_assigning_a_field_raises(record, field):
-    with pytest.raises(AttributeError):
-        setattr(record, field, None)
-
-
-def test_frame_and_spec_are_frozen():
-    system = builtin("guillot")
-    with pytest.raises(AttributeError):
-        system.frame.M = None
-    with pytest.raises(AttributeError):
-        system.spec.name = "renamed"
-
-
-def test_copy_and_pickle_keep_every_field():
-    frame = builtin("guillot").frame
-    for clone in (copy.copy(frame), pickle.loads(pickle.dumps(frame))):
-        assert clone == frame
-    check = Check("n", "x = 0", HOLDS)
-    assert pickle.loads(pickle.dumps(check)) == check
 
 
 @pytest.mark.parametrize("rho, f", [("x + 1", "y"), ("y", None)])

@@ -103,12 +103,13 @@ def test_cli_import_without_site_loads_no_importlib_resources():
     (["sample", "guillot"], False),
     (["verify", "dh_symmetric", "--rho=x - 2", "--f=y"], True),
     (["integrate", "guillot"], True),
+    (["verify", "guillot", "--box=-1,1"], False),
 ], ids=["derive-False", "verify-False", "sample-False", "verify-failing-candidate-True",
-        "integrate-True"])
+        "integrate-True", "verify-box-False"])
 def test_only_the_commands_that_use_the_oracle_import_it(argv, loaded):
     # derive neither samples nor integrates, and an exact zero residual's
     # oracle row is derived, not drawn: only a nonzero residual (the failing
-    # candidate) or a trajectory compiles mcflow.numeric
+    # candidate) or a trajectory compiles mcflow.numeric, not a --box alone
     probe = (
         "import contextlib, io, sys; from mcflow.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

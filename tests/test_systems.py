@@ -15,7 +15,7 @@ from mcflow.mcframe import (
     verify_maurer_cartan,
     verify_sl2,
 )
-from mcflow.parser import _parse_value, parse_rational, parse_system
+from mcflow.parser import SystemSpec, _parse_value, parse_rational, parse_system
 from mcflow.systems import (
     BUILTIN_NAMES,
     UnknownSystemError,
@@ -89,7 +89,9 @@ class TestBuiltins:
 
     def test_shipped_sources_parse_to_the_builtins(self):
         for name in BUILTIN_NAMES:
-            assert parse_system(system_source(name)) == builtin(name).spec
+            parsed, spec = parse_system(system_source(name)), builtin(name).spec
+            assert [getattr(parsed, n) for n in SystemSpec.__slots__] == \
+                [getattr(spec, n) for n in SystemSpec.__slots__]
 
 
 class TestFullPipelines:
