@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, sub
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 DEFAULT_CHART = ("x", "y", "z")
 
@@ -123,51 +123,23 @@ class Poly3:
 
     __slots__ = ("variables", "_prim", "_content", "_lead")
 
-    def __init__(
-        self,
-        terms: Mapping[ExponentTriple, Coefficient] | None = None,
-        variables: Sequence[str] = DEFAULT_CHART,
-    ):
-        variables = _chart(variables)
-        cleaned: dict[ExponentTriple, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != 3 or any(e < 0 for e in exps):
-                raise NegativeExponentError(f"bad exponent triple {exps}")
-            if any(e > MAX_EXPONENT for e in exps):
-                raise ExponentOverflowError(f"exponent triple {exps} too large")
-            coeff = _as_fraction(coeff)
-            if coeff:
-                cleaned[exps] = coeff
-        den = math.lcm(*(c.denominator for c in cleaned.values()))
-        ints = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
-        self.variables = variables
-        self._prim, self._content, self._lead = _canonical(ints, 1, den)
-
     # ---- constructors -------------------------------------------------
 
-    @classmethod
-    def _make(cls, prim: IntTerms, content: Fraction, lead: ExponentTriple | None,
-              variables: tuple[str, str, str]) -> "Poly3":
-        """Trusted constructor: the fields already satisfy the class invariant
-        and variables is a chart tuple."""
-        out = object.__new__(cls)
-        out.variables = variables
-        out._prim = prim
-        out._content = content
-        out._lead = lead
-        return out
-
-    @classmethod
-    def zero(cls, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
-        return cls._make({}, _ZERO, None, _chart(variables))
+    def __init__(self, prim: IntTerms, content: Fraction, lead: ExponentTriple | None,
+                 variables: tuple[str, str, str]):
+        """Trusted: the fields already hold the invariant above, on a chart
+        tuple.  ``const``, ``variable`` and the operators build every value."""
+        self.variables = variables
+        self._prim = prim
+        self._content = content
+        self._lead = lead
 
     @classmethod
     def const(cls, value: Coefficient, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
         value = _as_fraction(value)
         if not value:
-            return cls.zero(variables)
-        return cls._make({(0, 0, 0): 1}, value, (0, 0, 0), _chart(variables))
+            return cls({}, value, None, _chart(variables))
+        return cls({(0, 0, 0): 1}, value, (0, 0, 0), _chart(variables))
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
@@ -177,7 +149,7 @@ class Poly3:
         exps = [0, 0, 0]
         exps[variables.index(name)] = 1
         lead = tuple(exps)
-        return cls._make({lead: 1}, Fraction(1), lead, variables)
+        return cls({lead: 1}, Fraction(1), lead, variables)
 
     # ---- basic queries -------------------------------------------------
 
@@ -248,12 +220,12 @@ class Poly3:
                 terms[exps] = acc
             else:
                 del terms[exps]
-        return Poly3._make(*_canonical(terms, g, den), self.variables)
+        return Poly3(*_canonical(terms, g, den), self.variables)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        return Poly3._make(self._prim, -self._content, self._lead, self.variables)
+        return Poly3(self._prim, -self._content, self._lead, self.variables)
 
     def __sub__(self, other) -> "Poly3":
         return self + (-self._coerce(other))
@@ -261,11 +233,11 @@ class Poly3:
     def __mul__(self, other) -> "Poly3":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly3.zero(self.variables)
-            return Poly3._make(self._prim, self._content * other, self._lead, self.variables)
+                return Poly3({}, _ZERO, None, self.variables)
+            return Poly3(self._prim, self._content * other, self._lead, self.variables)
         other = self._coerce(other)
         if not self._prim or not other._prim:
-            return Poly3.zero(self.variables)
+            return Poly3({}, _ZERO, None, self.variables)
         # Exponents add per axis, so the sum of the factors' largest exponents
         # bounds every product exponent; past that bound, check axis by axis.
         if max(map(max, self._prim)) + max(map(max, other._prim)) > MAX_EXPONENT:
@@ -273,8 +245,8 @@ class Poly3:
             if max(top) > MAX_EXPONENT:
                 raise ExponentOverflowError(f"product exponents up to {tuple(top)} too large")
         (a0, a1, a2), (b0, b1, b2) = self._lead, other._lead
-        return Poly3._make(_int_mul(self._prim, other._prim), self._content * other._content,
-                           (a0 + b0, a1 + b1, a2 + b2), self.variables)
+        return Poly3(_int_mul(self._prim, other._prim), self._content * other._content,
+                     (a0 + b0, a1 + b1, a2 + b2), self.variables)
 
     __rmul__ = __mul__
 
@@ -314,7 +286,7 @@ class Poly3:
         content = Fraction(1, self._prim[self._lead])
         if content == self._content:
             return self
-        return Poly3._make(self._prim, content, self._lead, self.variables)
+        return Poly3(self._prim, content, self._lead, self.variables)
 
     def diff(self, name: str) -> "Poly3":
         if name not in self.variables:
@@ -329,8 +301,7 @@ class Poly3:
             new[index] = e - 1
             out[tuple(new)] = coeff * e
         content = self._content
-        return Poly3._make(*_canonical(out, content.numerator, content.denominator),
-                           self.variables)
+        return Poly3(*_canonical(out, content.numerator, content.denominator), self.variables)
 
     def eval(self, point: tuple):
         """Value at a point (x, y, z): a float if a coordinate is a float,
@@ -380,8 +351,8 @@ class Poly3:
         except NotDivisibleError:
             return None
         (a0, a1, a2), (b0, b1, b2) = self._lead, divisor._lead
-        return Poly3._make(quotient, self._content / divisor._content,
-                           (a0 - b0, a1 - b1, a2 - b2), self.variables)
+        return Poly3(quotient, self._content / divisor._content,
+                     (a0 - b0, a1 - b1, a2 - b2), self.variables)
 
     def div_exact(self, divisor: "Poly3") -> "Poly3":
         quotient = self.try_div(divisor)
@@ -439,7 +410,7 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
         prim, _, lead = _canonical(_int_gcd(a._prim, b._prim), 1, 1)
         known = _gcd_memo[key] = prim, lead
     prim, lead = known
-    return Poly3._make(prim, Fraction(1, prim[lead]), lead, a.variables)
+    return Poly3(prim, Fraction(1, prim[lead]), lead, a.variables)
 
 
 def _degrees(p: IntTerms) -> tuple[int, ...]:
@@ -1071,8 +1042,8 @@ def _integer_scaled(f: RationalFunction) -> tuple[Poly3, Poly3]:
     integer coefficients: p * prim(num) and q * prim(den) with p/q the
     reduced ratio of the contents (q > 0, so den stays positive-led)."""
     ratio = f.num._content / f.den._content
-    return (Poly3._make(f.num._prim, Fraction(ratio.numerator), f.num._lead, f.chart),
-            Poly3._make(f.den._prim, Fraction(ratio.denominator), f.den._lead, f.chart))
+    return (Poly3(f.num._prim, Fraction(ratio.numerator), f.num._lead, f.chart),
+            Poly3(f.den._prim, Fraction(ratio.denominator), f.den._lead, f.chart))
 
 
 def highest_exponent(f: Poly3 | RationalFunction) -> int:

@@ -82,8 +82,6 @@ def _div(p, names) -> RationalFunction:
     """div(P/L) = (L div(P) - grad(L) . P)/L^2."""
     den, p = over_lcm(p)
     top = p[0].diff(names[0]) + p[1].diff(names[1]) + p[2].diff(names[2])
-    if den.is_constant():
-        return RationalFunction(top, den)
     return RationalFunction(den * top - _dot3(_grad(den, names), p), den, den)
 
 
@@ -322,7 +320,9 @@ class LogIntegral:
 
     Its differential dr + sum c_i df_i/f_i is always a rational one-form,
     so exact zero testing of iota_v dH works inside the rational engine
-    even though H itself is transcendental.
+    even though H itself is transcendental.  The terms are taken as given:
+    nonzero Fraction coefficients of distinct arguments, as the parser
+    merges them.
     """
 
     __slots__ = ("rational_part", "log_terms")
@@ -332,15 +332,11 @@ class LogIntegral:
         rational_part: RationalFunction,
         log_terms: Iterable[tuple[Fraction, RationalFunction]] = (),
     ):
-        terms = []
-        for coeff, argument in log_terms:
-            coeff = Fraction(coeff)
-            if argument.is_zero():
-                raise ZeroLogArgumentError("log argument is identically zero")
-            if coeff != 0:
-                terms.append((coeff, argument))
+        log_terms = tuple(log_terms)
+        if any(argument.is_zero() for _, argument in log_terms):
+            raise ZeroLogArgumentError("log argument is identically zero")
         self.rational_part = rational_part
-        self.log_terms = tuple(terms)
+        self.log_terms = log_terms
 
     @property
     def chart(self):

@@ -39,6 +39,7 @@ from .calculus import div
 from .mcframe import (
     Check,
     DegenerateFrameError,
+    FAILS,
     FrameError,
     HOLDS,
     InconsistencyError,
@@ -334,6 +335,9 @@ def _report(resolved: System, args):
             raise ParseError(
                 f"unknown check {args.check!r}; available: {', '.join(sorted(known))}")
         numeric["samples"], oracle_ok = _sample_checks(checks, args, names)
+        if names is not None and not numeric["samples"]:
+            raise ParseError(f"check {args.check!r} has no oracle row: only an applicable "
+                             "check that expects an exact zero residual is sampled")
         if not oracle_ok or (command == "verify" and not all_hold(checks)):
             status = EXIT_CHECK_FAILED
     elif command == "derive" and not all_hold(resolved.brackets or ()):
@@ -378,7 +382,7 @@ def _render_text(doc) -> str:
         if potential:
             lines.append(f"A = ({', '.join(potential['A'])})   scale s = {potential['scale']}")
     for row in sections.get("checks", []):
-        status = {HOLDS: "PASS", "fails": "FAIL", NOT_APPLICABLE: "N/A "}[row["status"]]
+        status = {HOLDS: "PASS", FAILS: "FAIL", NOT_APPLICABLE: "N/A "}[row["status"]]
         line = f"{status} {row['check']:34s} {row['anchor']}"
         if row["residual"]:
             line += f"   residual: {row['residual']}"

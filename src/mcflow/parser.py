@@ -413,7 +413,7 @@ class _Parser:
         self.depth -= 1
         if isinstance(argument, _Logs):
             self.fail("log is only allowed in integral expressions")
-        return _Logs(Poly3.zero(self.variables), [(Fraction(1), _rational(argument))])
+        return _Logs(Poly3.const(0, self.variables), [(Fraction(1), _rational(argument))])
 
 
 # Integers print in decimal, and Python converts between int and str only up to

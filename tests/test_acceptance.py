@@ -40,6 +40,15 @@ def rf(num, den=1):
     return RationalFunction(num, den)
 
 
+def poly(terms, chart=("x", "y", "z")):
+    """The sum of c * x^a * y^b * z^e over the term map {(a, b, e): c}."""
+    x, y, z = (Poly3.variable(name, chart) for name in chart)
+    total = Poly3.const(0, chart)
+    for (a, b, e), c in terms.items():
+        total = total + Poly3.const(c, chart) * x**a * y**b * z**e
+    return total
+
+
 def report_line(number: int, text: str) -> None:
     print(f"criterion {number:2d} PASS: {text}")
 
@@ -198,7 +207,7 @@ def test_criterion_10_conformal_invariance(guillot):
         terms = {}
         for _ in range(rng.randint(1, 3)):
             terms[rng.choice(degree_two)] = Fraction(rng.randint(-5, 5))
-        rho = rf(Poly3(terms))
+        rho = rf(poly(terms))
         if rho.is_zero():
             continue
         produced += 1
@@ -268,7 +277,7 @@ def _random_poly(rng, max_terms=3, max_exp=2):
         coeff = rng.randint(-5, 5)
         if coeff:
             terms[exps] = Fraction(coeff)
-    return Poly3(terms)
+    return poly(terms)
 
 
 def _random_one_form(rng):

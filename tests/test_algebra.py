@@ -34,6 +34,15 @@ def rf(num, den=1):
     return RationalFunction(num, den)
 
 
+def poly(terms, chart=("x", "y", "z")):
+    """The sum of c * x^a * y^b * z^e over the term map {(a, b, e): c}."""
+    x, y, z = (Poly3.variable(name, chart) for name in chart)
+    total = Poly3.const(0, chart)
+    for (a, b, e), c in terms.items():
+        total = total + Poly3.const(c, chart) * x**a * y**b * z**e
+    return total
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -53,7 +62,7 @@ def polys(draw, max_terms=6):
     terms = {}
     for _ in range(n):
         terms[draw(exponents)] = draw(coefficients)
-    return Poly3(terms)
+    return poly(terms)
 
 
 nonzero_polys = polys().filter(lambda p: not p.is_zero())
@@ -69,8 +78,8 @@ def denominators(draw):
     terms = {}
     for _ in range(n):
         terms[draw(small_exponents)] = draw(coefficients)
-    poly = Poly3(terms)
-    return poly if not poly.is_zero() else Poly3.const(1)
+    p = poly(terms)
+    return p if not p.is_zero() else Poly3.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +198,7 @@ mixed_coefficients = st.fractions(
 @st.composite
 def mixed_polys(draw, max_terms=5):
     n = draw(st.integers(0, max_terms))
-    return Poly3({draw(exponents): draw(mixed_coefficients) for _ in range(n)})
+    return poly({draw(exponents): draw(mixed_coefficients) for _ in range(n)})
 
 
 # divisors: non-unit content, negative leading coefficients and constants
@@ -209,14 +218,14 @@ class TestIntegerKernels:
     @given(mixed_polys(), divisors)
     def test_product_and_quotient_match_the_reference(self, a, b):
         product = a * b
-        assert product == Poly3(_reference_mul(a, b))
+        assert product == poly(_reference_mul(a, b))
         assert product.try_div(b) == a
         quotient, remainder = _reference_divmod(product, b)
         assert remainder == {}
-        assert product.try_div(b) == Poly3(quotient)
+        assert product.try_div(b) == poly(quotient)
 
     @settings(max_examples=150, deadline=None)
-    @given(mixed_polys(), divisors, st.one_of(st.just(Poly3.zero()), mixed_polys(max_terms=2)))
+    @given(mixed_polys(), divisors, st.one_of(st.just(Poly3.const(0)), mixed_polys(max_terms=2)))
     def test_try_div_is_none_exactly_when_a_remainder_is_left(self, q, b, r):
         a = q * b + r
         quotient, remainder = _reference_divmod(a, b)
@@ -224,11 +233,11 @@ class TestIntegerKernels:
         if remainder:
             assert result is None
         else:
-            assert result == Poly3(quotient)
+            assert result == poly(quotient)
 
     def test_zero_dividend(self):
-        assert Poly3.zero().try_div(Fraction(-3, 2) * X + 1).is_zero()
-        assert (Poly3.zero() * (X + Fraction(1, 3))).is_zero()
+        assert Poly3.const(0).try_div(Fraction(-3, 2) * X + 1).is_zero()
+        assert (Poly3.const(0) * (X + Fraction(1, 3))).is_zero()
 
     def test_rational_quotient_without_poly_multiply(self):
         a = Fraction(2, 3) * X**2 - Fraction(5, 4) * Y * Z + Fraction(1, 6)
@@ -239,18 +248,18 @@ class TestIntegerKernels:
             assert product.try_div(Fraction(7, 5) * a) == Fraction(5, 7) * b
 
     def test_product_exponent_bound(self):
-        top = Poly3({(MAX_EXPONENT, 0, 0): 1})
+        top = poly({(MAX_EXPONENT, 0, 0): 1})
         assert (top * Y).leading()[0][0] == MAX_EXPONENT
-        assert (Poly3({(MAX_EXPONENT - 1, 0, 0): Fraction(1, 2)}) * (X + 1)).leading()[0][0] \
+        assert (poly({(MAX_EXPONENT - 1, 0, 0): Fraction(1, 2)}) * (X + 1)).leading()[0][0] \
             == MAX_EXPONENT
         with pytest.raises(ExponentOverflowError):
             top * X
         with pytest.raises(ExponentOverflowError):
-            (Y + Fraction(1, 2)) * Poly3({(0, MAX_EXPONENT, 1): 3})
+            (Y + Fraction(1, 2)) * poly({(0, MAX_EXPONENT, 1): 3})
         # only one pair of terms overflows, on the last axis
         with pytest.raises(ExponentOverflowError):
-            (X + Z) * Poly3({(0, 0, MAX_EXPONENT): 1})
-        assert (Poly3.zero() * top).is_zero()
+            (X + Z) * poly({(0, 0, MAX_EXPONENT): 1})
+        assert (Poly3.const(0) * top).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +271,7 @@ class TestCanonicalForm:
     @settings(max_examples=100, deadline=None)
     @given(mixed_polys(), mixed_polys().filter(lambda q: not q.is_zero()), mixed_coefficients)
     def test_equal_polynomials_hash_equal(self, p, q, k):
-        rebuilt = (Poly3(dict(p.terms())), (p * q).try_div(q), (p + q) - q, -(-p),
+        rebuilt = (poly(dict(p.terms())), (p * q).try_div(q), (p + q) - q, -(-p),
                    (p * k) * (1 / k))
         for same in rebuilt:
             assert same == p
@@ -279,8 +288,6 @@ class TestCanonicalForm:
         assert hash(unreduced) == hash(reduced)
 
     def test_float_coefficient_rejected(self):
-        with pytest.raises(TypeError):
-            Poly3({(1, 0, 0): 0.5})
         with pytest.raises(TypeError):
             Poly3.const(0.5)
         with pytest.raises(TypeError):
@@ -303,12 +310,12 @@ class TestGcd:
         assert poly_gcd(Y * (Y**4 - X**2), 2 * Z * Y**3) == Y
 
     def test_gcd_with_zero(self):
-        assert poly_gcd(Poly3.zero(), 3 * X) == X
-        assert poly_gcd(3 * X, Poly3.zero()) == X
+        assert poly_gcd(Poly3.const(0), 3 * X) == X
+        assert poly_gcd(3 * X, Poly3.const(0)) == X
 
     def test_gcd_both_zero(self):
         with pytest.raises(ZeroPolynomialError):
-            poly_gcd(Poly3.zero(), Poly3.zero())
+            poly_gcd(Poly3.const(0), Poly3.const(0))
 
     def test_result_is_monic(self):
         g = poly_gcd(4 * X**2 - 4 * Y**2, 6 * X - 6 * Y)
@@ -342,7 +349,7 @@ class TestGcd:
     @settings(max_examples=50, deadline=None)
     @given(nonzero_polys, nonzero_polys, exponents)
     def test_common_monomial_factors_out(self, a, b, exps):
-        m = Poly3({exps: 1})
+        m = poly({exps: 1})
         with factor_base():
             assert poly_gcd(m * a, m * b) == m * poly_gcd(a, b)
 
@@ -441,9 +448,9 @@ class TestGcdMemo:
         with factor_base():
             assert poly_gcd(a, b) == common
             assert poly_gcd(2 * b, a) == common
-            moved = poly_gcd(Poly3(dict(b.terms()), chart), Poly3(dict(a.terms()), chart))
+            moved = poly_gcd(poly(dict(b.terms()), chart), poly(dict(a.terms()), chart))
             assert len(algebra._gcd_memo) == 1
-        assert moved == Poly3(dict(common.terms()), chart)
+        assert moved == poly(dict(common.terms()), chart)
 
 
 def _certified(a: Poly3, b: Poly3) -> bool:
@@ -582,13 +589,13 @@ class TestRationalFunction:
         assert RationalFunction(X**2, X) == rf(X)
 
     def test_zero_numerator(self):
-        f = RationalFunction(Poly3.zero(), 2 * Z * Y**3)
+        f = RationalFunction(Poly3.const(0), 2 * Z * Y**3)
         assert f.is_zero()
         assert f.den == ONE
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominatorError):
-            RationalFunction(X, Poly3.zero())
+            RationalFunction(X, Poly3.const(0))
 
     def test_denominator_is_monic(self):
         f = rf(ONE, 2 * Z * Y**3)
@@ -642,7 +649,7 @@ def denominator_pairs(draw):
     if shape == "coprime":
         in_x = math.prod((X + c for c in draw(st.lists(coefficients, min_size=1, max_size=2))),
                          start=ONE)
-        free_of_x = Poly3({(0, b, c): k for (_, b, c), k in e2.terms()})
+        free_of_x = poly({(0, b, c): k for (_, b, c), k in e2.terms()})
         return in_x, Y if free_of_x.is_zero() else free_of_x
     return draw(st.sampled_from([ONE, Poly3.const(Fraction(-3, 2))])), g * e2
 
@@ -821,7 +828,7 @@ class TestEvaluate:
 
 class TestFormatting:
     def test_zero(self):
-        assert format_rational(rf(Poly3.zero())) == "0"
+        assert format_rational(rf(Poly3.const(0))) == "0"
 
     def test_difference_of_squares(self):
         assert format_rational(rf(X**2 - Y**2)) == "x^2 - y^2"

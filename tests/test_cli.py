@@ -220,6 +220,18 @@ class TestSample:
             assert status == 2
             assert f"unknown check {name!r}" in diagnostic
 
+    @pytest.mark.parametrize("argv, name", [
+        # expects a nonzero residual, has no exact residual, is not applicable
+        (["sample", "guillot", "--check=frobenius.alpha"], "frobenius.alpha"),
+        (["sample", "dh_symmetric", "--check=grading.alpha"], "grading.alpha"),
+        (["sample", "dh_classic", "--f=t1", "--check=sigma.integrability"],
+         "sigma.integrability"),
+    ])
+    def test_a_check_without_an_oracle_row_is_a_usage_error(self, argv, name):
+        document, status, diagnostic = run(argv)
+        assert (document, status) == (None, 2)
+        assert f"check {name!r} has no oracle row" in diagnostic
+
     def test_determinism(self):
         first, _ = run_json(["sample", "guillot", "--seed", "3", "--points", "7"])
         second, _ = run_json(["sample", "guillot", "--seed", "3", "--points", "7"])
@@ -1070,11 +1082,12 @@ class TestCheckTable:
         assert entries <= 124
 
     def test_nonzero_checks_are_never_sampled(self, capsys):
-        status = main(["sample", "guillot", "--check", "frobenius.alpha"])
+        status = main(["sample", "guillot"])
         out = capsys.readouterr().out
         assert status == 0
         assert "PASS frobenius.alpha" in out
-        assert not [line for line in out.splitlines() if line.startswith("oracle")]
+        assert not [line for line in out.splitlines()
+                    if line.startswith("oracle frobenius.alpha ")]
 
 
 def kernel_entries(monkeypatch, capsys, name, argv):

@@ -33,6 +33,15 @@ def rf(num, den=1):
     return RationalFunction(num, den)
 
 
+def poly(terms, chart=("x", "y", "z")):
+    """The sum of c * x^a * y^b * z^e over the term map {(a, b, e): c}."""
+    x, y, z = (Poly3.variable(name, chart) for name in chart)
+    total = Poly3.const(0, chart)
+    for (a, b, e), c in terms.items():
+        total = total + Poly3.const(c, chart) * x**a * y**b * z**e
+    return total
+
+
 def find(checks, name):
     """The check of that name."""
     return next(c for c in checks if c.name == name)
@@ -70,7 +79,7 @@ def guillot_h2(eps: int):
     # eps*log(eps*x + y^2) - (eps + 1/2)*log(y) - (1/2)*log(z)
     arg = rf(X + Y**2) if eps == 1 else rf(Y**2 - X)
     return LogIntegral(
-        rf(Poly3.zero()),
+        rf(Poly3.const(0)),
         [
             (Fraction(eps), arg),
             (Fraction(-(2 * eps + 1), 2), rf(Y)),
@@ -253,7 +262,7 @@ class TestConformal:
                 if sum(e) > 2:
                     continue
                 terms[e] = Fraction(rng.randint(-3, 3))
-            rho = rf(Poly3(terms)) if terms else rf(Poly3.const(2))
+            rho = rf(poly(terms)) if terms else rf(Poly3.const(2))
             if rho.is_zero():
                 rho = rf(Poly3.const(2))
             alpha, beta, gamma = conformal_transform(guillot, rho)
@@ -261,7 +270,7 @@ class TestConformal:
 
     def test_zero_factor_rejected(self, guillot):
         with pytest.raises(DegenerateFrameError):
-            conformal_transform(guillot, rf(Poly3.zero()))
+            conformal_transform(guillot, rf(Poly3.const(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +289,16 @@ class TestSigmaResidual:
         assert sigma_residual_factored(alpha, beta, gamma, f * rho).is_zero()
 
     def test_unperturbed_reduces_to_frobenius(self, guillot):
-        residual = sigma_residual(guillot.alpha, guillot.gamma, rf(Poly3.zero()))
+        residual = sigma_residual(guillot.alpha, guillot.gamma, rf(Poly3.const(0)))
         assert residual == frobenius_residual(guillot.alpha)
         assert not residual.is_zero()
 
     def test_both_shapes_agree(self, guillot):
         rng = random.Random(11)
         for _ in range(4):
-            rho = rf(Poly3({(rng.randint(0, 1), rng.randint(0, 1), 0): Fraction(rng.randint(1, 3)),
+            rho = rf(poly({(rng.randint(0, 1), rng.randint(0, 1), 0): Fraction(rng.randint(1, 3)),
                             (0, 0, 0): Fraction(rng.randint(1, 4))}))
-            f = rf(Poly3({(rng.randint(0, 1), 0, rng.randint(0, 1)): Fraction(rng.randint(-3, 3))}))
+            f = rf(poly({(rng.randint(0, 1), 0, rng.randint(0, 1)): Fraction(rng.randint(-3, 3))}))
             alpha, beta, gamma = conformal_transform(guillot, rho)
             direct = sigma_residual(alpha, gamma, f * rho)
             factored = sigma_residual_factored(alpha, beta, gamma, f * rho)
@@ -314,7 +323,7 @@ def _random_poly(rng, degree=2):
             exps = (rng.randint(0, degree), rng.randint(0, degree), rng.randint(0, degree))
             if sum(exps) <= degree:
                 terms[exps] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
-    return Poly3(terms)
+    return poly(terms)
 
 
 def _candidates(seed):
@@ -330,7 +339,7 @@ def _candidates(seed):
         rf(X * Y * Z),
         rf(Y**2 * _random_poly(rng, 1)),
     ]
-    fs = [rf(Poly3.zero()), rf(_random_poly(rng)), rf(_random_poly(rng), _random_poly(rng, 1) + 2)]
+    fs = [rf(Poly3.const(0)), rf(_random_poly(rng)), rf(_random_poly(rng), _random_poly(rng, 1) + 2)]
     return [(rho, f) for rho in rhos if not rho.is_zero() for f in fs]
 
 
@@ -448,8 +457,8 @@ class TestJacobiResidual:
                 (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1)):
                     Fraction(rng.randint(1, 4))
             }
-            f = rf(Poly3(f_terms))
-            m = rf(Poly3(m_terms))
+            f = rf(poly(f_terms))
+            m = rf(poly(m_terms))
             if m.is_zero():
                 continue
             assert frobenius_residual(KForm(0, (f,)).d().scale(m.reciprocal())).is_zero()

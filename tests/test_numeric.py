@@ -49,7 +49,7 @@ def guillot_h1():
 
 def guillot_h2_plus():
     return LogIntegral(
-        rf(Poly3.zero()),
+        rf(Poly3.const(0)),
         [
             (Fraction(1), rf(X + Y**2)),
             (Fraction(-3, 2), rf(Y)),

@@ -20,6 +20,15 @@ def rf(num, den=1):
     return RationalFunction(num, den)
 
 
+def poly(terms, chart=("x", "y", "z")):
+    """The sum of c * x^a * y^b * z^e over the term map {(a, b, e): c}."""
+    x, y, z = (Poly3.variable(name, chart) for name in chart)
+    total = Poly3.const(0, chart)
+    for (a, b, e), c in terms.items():
+        total = total + Poly3.const(c, chart) * x**a * y**b * z**e
+    return total
+
+
 def parse_integral(text, chart=("x", "y", "z")):
     """An integral value as parse_system reads it, at line 1, column 1."""
     return _parse_value(text, chart, 1, 1, allow_log=True)
@@ -229,7 +238,7 @@ class TestFormatExpr:
         assert parse_rational(str(value)) == value
 
     def test_zero_and_difference(self):
-        assert str(rf(Poly3.zero())) == "0"
+        assert str(rf(Poly3.const(0))) == "0"
         assert str(rf(X**2 - Y**2)) == "x^2 - y^2"
 
     def test_value_round_trip_random(self):
@@ -239,12 +248,12 @@ class TestFormatExpr:
             for _ in range(rng.randint(0, 5)):
                 exps = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))
                 terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            num = Poly3(terms)
+            num = poly(terms)
             den_terms = {}
             for _ in range(rng.randint(1, 2)):
                 exps = (rng.randint(0, 1), rng.randint(0, 2), rng.randint(0, 1))
                 den_terms[exps] = Fraction(rng.randint(-4, 4))
-            den = Poly3(den_terms)
+            den = poly(den_terms)
             if den.is_zero():
                 den = Poly3.const(1)
             value = rf(num, den)
@@ -259,7 +268,7 @@ class TestParseIntegral:
     def test_guillot_h2_plus(self):
         h = parse_integral("log(x + y^2) - 3/2*log(y) - 1/2*log(z)")
         assert h == LogIntegral(
-            rf(Poly3.zero()),
+            rf(Poly3.const(0)),
             [
                 (Fraction(1), rf(X + Y**2)),
                 (Fraction(-3, 2), rf(Y)),
@@ -318,7 +327,7 @@ class TestParseSystem:
         assert spec.variables == ("x", "y", "z")
         assert spec.v == (rf(X**2 + Y**4), rf(X * Y), rf(2 * Y**2 * Z - X * Z))
         assert spec.u == (rf(2 * X), rf(Y), rf(-Z))
-        assert spec.w == (rf(Poly3.const(-1)), rf(Poly3.zero()), rf(Poly3.zero()))
+        assert spec.w == (rf(Poly3.const(-1)), rf(Poly3.const(0)), rf(Poly3.const(0)))
         assert spec.multiplier_hint == rf(Poly3.const(1), 2 * Z * Y**3)
         assert dict(spec.integrals)["H1"] == LogIntegral(rf(X**2, Y**2) - rf(Y**2), [])
 
