@@ -1,12 +1,13 @@
 """Exact arithmetic over a fixed three-variable chart.
 
-A polynomial is a signed ``Fraction`` content times a primitive integer term
-map (see ``Poly3``).  That split is unique, so equality and hashing compare
-the stored pair, and by Gauss's lemma products and exact quotients of
-primitive maps are primitive: multiply, exact division and gcd run on the
-integer maps and only multiply or divide the contents.  ``Fraction``
-coefficients are built only at the boundary (``terms()``, ``leading()``,
-``constant_value()``, exact evaluation and printing).
+A polynomial is a signed rational content, kept as a reduced integer pair,
+times a primitive integer term map (see ``Poly3``).  That split is unique, so
+equality and hashing compare the stored fields, and by Gauss's lemma products
+and exact quotients of primitive maps are primitive: multiply, exact division
+and gcd run on the integer maps and only multiply or divide the contents.
+``Fraction`` coefficients are built only at the boundary (``terms()``,
+``leading()``, ``constant_value()``, exact evaluation, ``compose`` and
+printing).
 
 Rational functions are kept canonical: numerator and denominator coprime,
 denominator monic in graded-lexicographic order.  Syntactic equality of
@@ -24,7 +25,7 @@ import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, sub
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 DEFAULT_CHART = ("x", "y", "z")
 
@@ -69,19 +70,8 @@ class SingularPointError(AlgebraError):
     """Evaluation at a point where the denominator vanishes."""
 
 
-Coefficient = Union[int, Fraction]
 ExponentTriple = tuple[int, int, int]
 IntTerms = dict[ExponentTriple, int]
-
-_ZERO = Fraction(0)
-
-
-def _as_fraction(value: Coefficient) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not an exact coefficient: {value!r}")
 
 
 def _chart(variables: Sequence[str]) -> tuple[str, str, str]:
@@ -95,51 +85,58 @@ def _grlex_key(exponents: ExponentTriple) -> tuple:
     return (sum(exponents), exponents)
 
 
-def _canonical(p: IntTerms, num: int, den: int) -> tuple[IntTerms, Fraction, ExponentTriple | None]:
-    """(primitive map, content, leading triple) of the polynomial num * p / den,
-    for an integer term map p without zero coefficients, num != 0 and den > 0."""
+def _canonical(p: IntTerms, num: int, den: int) -> tuple[IntTerms, int, int, ExponentTriple | None]:
+    """(primitive map, content numerator, content denominator, leading triple)
+    of the polynomial num * p / den, for an integer term map p without zero
+    coefficients, num != 0 and den > 0."""
     if not p:
-        return p, _ZERO, None
+        return p, 0, 1, None
     lead = max(p, key=_grlex_key)
     k = _int_content(p)
     if p[lead] < 0:
         k = -k
     if k != 1:
         p = {e: c // k for e, c in p.items()}
-    return p, Fraction(num * k, den), lead
+    num *= k
+    g = math.gcd(num, den)
+    return p, num // g, den // g, lead
 
 
 class Poly3:
     """Sparse polynomial in three named variables over the rationals.
 
-    The value is ``content * prim``.  ``prim`` maps exponent triples to
+    The value is ``num / den * prim``.  ``prim`` maps exponent triples to
     nonzero integers with gcd 1 and a positive graded-lex leading
-    coefficient, ``content`` is a signed ``Fraction`` and ``lead`` is the
-    graded-lex leading triple; zero is the empty map with content 0 and no
-    lead.  Values that differ by a scalar share one map, which is never
-    mutated.  Term iteration (``terms()``) is in descending
-    graded-lexicographic order of the chart variables.
+    coefficient, the content ``num / den`` is a pair of coprime ints with
+    ``den > 0``, and ``lead`` is the graded-lex leading triple; zero is the
+    empty map with content ``(0, 1)`` and no lead.  Values that differ by a
+    scalar share one map, which is never mutated.  Term iteration
+    (``terms()``) is in descending graded-lexicographic order of the chart
+    variables.
     """
 
-    __slots__ = ("variables", "_prim", "_content", "_lead")
+    __slots__ = ("variables", "_prim", "_num", "_den", "_lead")
 
     # ---- constructors -------------------------------------------------
 
-    def __init__(self, prim: IntTerms, content: Fraction, lead: ExponentTriple | None,
+    def __init__(self, prim: IntTerms, num: int, den: int, lead: ExponentTriple | None,
                  variables: tuple[str, str, str]):
         """Trusted: the fields already hold the invariant above, on a chart
         tuple.  ``const``, ``variable`` and the operators build every value."""
         self.variables = variables
         self._prim = prim
-        self._content = content
+        self._num = num
+        self._den = den
         self._lead = lead
 
     @classmethod
-    def const(cls, value: Coefficient, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
-        value = _as_fraction(value)
+    def const(cls, value: int | Fraction, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact coefficient: {value!r}")
         if not value:
-            return cls({}, value, None, _chart(variables))
-        return cls({(0, 0, 0): 1}, value, (0, 0, 0), _chart(variables))
+            return cls({}, 0, 1, None, _chart(variables))
+        return cls({(0, 0, 0): 1}, value.numerator, value.denominator, (0, 0, 0),
+                   _chart(variables))
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
@@ -149,7 +146,7 @@ class Poly3:
         exps = [0, 0, 0]
         exps[variables.index(name)] = 1
         lead = tuple(exps)
-        return cls({lead: 1}, Fraction(1), lead, variables)
+        return cls({lead: 1}, 1, 1, lead, variables)
 
     # ---- basic queries -------------------------------------------------
 
@@ -162,22 +159,25 @@ class Poly3:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise AlgebraError(f"{self} is not constant")
-        return self._content  # a nonzero constant's map is {(0, 0, 0): 1}
+        return Fraction(self._num, self._den)  # a nonzero constant's map is {(0, 0, 0): 1}
 
     def term_count(self) -> int:
         return len(self._prim)
 
     def terms(self) -> Iterator[tuple[ExponentTriple, Fraction]]:
         for exps in sorted(self._prim, key=_grlex_key, reverse=True):
-            yield exps, self._content * self._prim[exps]
+            yield exps, Fraction(self._num * self._prim[exps], self._den)
 
     def leading(self) -> tuple[ExponentTriple, Fraction]:
         if self._lead is None:
             raise AlgebraError("zero polynomial has no leading term")
-        return self._lead, self._content * self._prim[self._lead]
+        return self._lead, Fraction(self._num * self._prim[self._lead], self._den)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.leading()[1]
+    def _lead_pair(self) -> tuple[int, int]:
+        """Reduced (numerator, denominator) of the leading coefficient."""
+        num = self._num * self._prim[self._lead]
+        g = math.gcd(num, self._den)
+        return num // g, self._den // g
 
     def uniform_weight(self, weights: tuple[int, int, int]) -> int | None:
         """Common weighted degree of all terms, or None if mixed/zero."""
@@ -207,10 +207,9 @@ class Poly3:
         if not self._prim:
             return other
         # self + other = (k1 * prim1 + k2 * prim2) * g / den with k1, k2 coprime
-        c1, c2 = self._content, other._content
-        den = math.lcm(c1.denominator, c2.denominator)
-        k1 = c1.numerator * (den // c1.denominator)
-        k2 = c2.numerator * (den // c2.denominator)
+        den = math.lcm(self._den, other._den)
+        k1 = self._num * (den // self._den)
+        k2 = other._num * (den // other._den)
         g = math.gcd(k1, k2)
         k1, k2 = k1 // g, k2 // g
         terms = {e: k1 * c for e, c in self._prim.items()}
@@ -225,28 +224,43 @@ class Poly3:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        return Poly3(self._prim, -self._content, self._lead, self.variables)
+        return Poly3(self._prim, -self._num, self._den, self._lead, self.variables)
 
     def __sub__(self, other) -> "Poly3":
         return self + (-self._coerce(other))
 
+    def _scale(self, num: int, den: int) -> "Poly3":
+        """self * num / den for coprime nonzero ints (den may be negative);
+        the contents cross-reduce (Knuth, TAOCP vol. 2, 4.5.1)."""
+        if den < 0:
+            num, den = -num, -den
+        g1, g2 = math.gcd(self._num, den), math.gcd(num, self._den)
+        return Poly3(self._prim, (self._num // g1) * (num // g2), (self._den // g2) * (den // g1),
+                     self._lead, self.variables)
+
     def __mul__(self, other) -> "Poly3":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly3({}, _ZERO, None, self.variables)
-            return Poly3(self._prim, self._content * other, self._lead, self.variables)
+                return Poly3({}, 0, 1, None, self.variables)
+            return self._scale(other.numerator, other.denominator)
         other = self._coerce(other)
         if not self._prim or not other._prim:
-            return Poly3({}, _ZERO, None, self.variables)
-        # Exponents add per axis, so the sum of the factors' largest exponents
-        # bounds every product exponent; past that bound, check axis by axis.
-        if max(map(max, self._prim)) + max(map(max, other._prim)) > MAX_EXPONENT:
-            top = [max(a) + max(b) for a, b in zip(zip(*self._prim), zip(*other._prim))]
+            return Poly3({}, 0, 1, None, self.variables)
+        a, b = self._lead, other._lead
+        if a == (0, 0, 0):  # a constant factor scales the other's shared map
+            return other._scale(self._num, self._den)
+        if b == (0, 0, 0):
+            return self._scale(other._num, other._den)
+        # Every exponent of a factor is at most its graded-lex lead's total
+        # degree, so their sum bounds every product exponent; past that bound,
+        # the sums of the factors' largest exponents decide, axis by axis.
+        if sum(a) + sum(b) > MAX_EXPONENT:
+            top = [max(p) + max(q) for p, q in zip(zip(*self._prim), zip(*other._prim))]
             if max(top) > MAX_EXPONENT:
                 raise ExponentOverflowError(f"product exponents up to {tuple(top)} too large")
-        (a0, a1, a2), (b0, b1, b2) = self._lead, other._lead
-        return Poly3(_int_mul(self._prim, other._prim), self._content * other._content,
-                     (a0 + b0, a1 + b1, a2 + b2), self.variables)
+        product = Poly3(_int_mul(self._prim, other._prim), self._num, self._den,
+                        (a[0] + b[0], a[1] + b[1], a[2] + b[2]), self.variables)
+        return product._scale(other._num, other._den)
 
     __rmul__ = __mul__
 
@@ -271,11 +285,11 @@ class Poly3:
             other = Poly3.const(other, self.variables)
         if not isinstance(other, Poly3):
             return NotImplemented
-        return (self.variables == other.variables and self._content == other._content
-                and self._prim == other._prim)
+        return (self.variables == other.variables and self._num == other._num
+                and self._den == other._den and self._prim == other._prim)
 
     def __hash__(self):
-        return hash((self.variables, self._content, frozenset(self._prim.items())))
+        return hash((self.variables, self._num, self._den, frozenset(self._prim.items())))
 
     # ---- structure -----------------------------------------------------
 
@@ -283,10 +297,10 @@ class Poly3:
         """Scale so the graded-lex leading coefficient is 1."""
         if self._lead is None:
             return self
-        content = Fraction(1, self._prim[self._lead])
-        if content == self._content:
+        den = self._prim[self._lead]
+        if self._num == 1 and self._den == den:
             return self
-        return Poly3(self._prim, content, self._lead, self.variables)
+        return Poly3(self._prim, 1, den, self._lead, self.variables)
 
     def diff(self, name: str) -> "Poly3":
         if name not in self.variables:
@@ -300,21 +314,20 @@ class Poly3:
             new = list(exps)
             new[index] = e - 1
             out[tuple(new)] = coeff * e
-        content = self._content
-        return Poly3(*_canonical(out, content.numerator, content.denominator), self.variables)
+        return Poly3(*_canonical(out, self._num, self._den), self.variables)
 
     def eval(self, point: tuple):
         """Value at a point (x, y, z): a float if a coordinate is a float,
         else the exact Fraction at int or Fraction coordinates."""
         x, y, z = point
         if float not in (type(x), type(y), type(z)):
-            total = _ZERO
+            total = Fraction(0)
             for (a, b, c), coeff in self._prim.items():
                 total += coeff * x ** a * y ** b * z ** c
-            return total * self._content
+            return total * Fraction(self._num, self._den)
         # coeff * num / den is an int true division, correctly rounded exactly
         # like float() of the term's Fraction coefficient.
-        num, den = self._content.numerator, self._content.denominator
+        num, den = self._num, self._den
         total = 0.0
         for (a, b, c), coeff in self._prim.items():
             total += coeff * num / den * x ** a * y ** b * z ** c
@@ -327,7 +340,7 @@ class Poly3:
         chart = images[0].chart
         total = RationalFunction.const(0, chart)
         for exps, coeff in self._prim.items():
-            term = RationalFunction.const(self._content * coeff, chart)
+            term = RationalFunction.const(Fraction(self._num * coeff, self._den), chart)
             for image, e in zip(images, exps):
                 if e:
                     term = term * image**e
@@ -342,7 +355,7 @@ class Poly3:
         if self.is_zero():
             return self
         if divisor.is_constant():
-            return self * (1 / divisor._content)
+            return self._scale(divisor._den, divisor._num)
         # A primitive divisor divides over Q iff it divides over Z, and then
         # the quotient of the two primitive maps is primitive with a positive
         # lead (Gauss), so the integer kernel decides divisibility exactly.
@@ -351,8 +364,8 @@ class Poly3:
         except NotDivisibleError:
             return None
         (a0, a1, a2), (b0, b1, b2) = self._lead, divisor._lead
-        return Poly3(quotient, self._content / divisor._content,
-                     (a0 - b0, a1 - b1, a2 - b2), self.variables)
+        return Poly3(quotient, self._num, self._den, (a0 - b0, a1 - b1, a2 - b2),
+                     self.variables)._scale(divisor._den, divisor._num)
 
     def div_exact(self, divisor: "Poly3") -> "Poly3":
         quotient = self.try_div(divisor)
@@ -407,10 +420,10 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
     key = frozenset((frozenset(a._prim.items()), frozenset(b._prim.items())))
     known = _gcd_memo.get(key)
     if known is None:
-        prim, _, lead = _canonical(_int_gcd(a._prim, b._prim), 1, 1)
+        prim, _, _, lead = _canonical(_int_gcd(a._prim, b._prim), 1, 1)
         known = _gcd_memo[key] = prim, lead
     prim, lead = known
-    return Poly3(prim, Fraction(1, prim[lead]), lead, a.variables)
+    return Poly3(prim, 1, prim[lead], lead, a.variables)
 
 
 def _degrees(p: IntTerms) -> tuple[int, ...]:
@@ -786,7 +799,7 @@ class RationalFunction:
         return out
 
     @classmethod
-    def const(cls, value: Coefficient, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
+    def const(cls, value: int | Fraction, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
         return cls._raw(Poly3.const(value, variables), Poly3.const(1, variables))
 
     @property
@@ -852,8 +865,8 @@ class RationalFunction:
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDenominatorError("reciprocal of zero")
-        lc = self.num.leading_coefficient()
-        return RationalFunction._raw(self.den * (1 / lc), self.num * (1 / lc))
+        num, den = self.num._lead_pair()
+        return RationalFunction._raw(self.den._scale(den, num), self.num.monic())
 
     def __truediv__(self, other) -> "RationalFunction":
         return self * as_rational(other, self.chart).reciprocal()
@@ -966,11 +979,10 @@ def _normalize(num: Poly3, *factors: Poly3) -> tuple[Poly3, Poly3]:
         den = f if den is None else den * f
     if den is None or num.is_zero():
         return num, Poly3.const(1, num.variables)
-    lc = den.leading_coefficient()
-    if lc != 1:
-        num = num * (1 / lc)
-        den = den * (1 / lc)
-    return num, den
+    lead_num, lead_den = den._lead_pair()
+    if lead_num != lead_den:
+        num = num._scale(lead_den, lead_num)
+    return num, den.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -1041,9 +1053,10 @@ def _integer_scaled(f: RationalFunction) -> tuple[Poly3, Poly3]:
     """Rescale (num, den) by a positive rational so both have coprime
     integer coefficients: p * prim(num) and q * prim(den) with p/q the
     reduced ratio of the contents (q > 0, so den stays positive-led)."""
-    ratio = f.num._content / f.den._content
-    return (Poly3(f.num._prim, Fraction(ratio.numerator), f.num._lead, f.chart),
-            Poly3(f.den._prim, Fraction(ratio.denominator), f.den._lead, f.chart))
+    p, q = f.num._num * f.den._den, f.num._den * f.den._num
+    g = math.gcd(p, q)
+    return (Poly3(f.num._prim, p // g, 1, f.num._lead, f.chart),
+            Poly3(f.den._prim, q // g, 1, f.den._lead, f.chart))
 
 
 def highest_exponent(f: Poly3 | RationalFunction) -> int:
@@ -1055,7 +1068,7 @@ def highest_exponent(f: Poly3 | RationalFunction) -> int:
 
 def widest_printed_integer(f: RationalFunction) -> int:
     """The largest magnitude among the integers that str(f) prints."""
-    return max(abs(p._content.numerator) * max(map(abs, p._prim.values()), default=0)
+    return max(abs(p._num) * max(map(abs, p._prim.values()), default=0)
                for p in _integer_scaled(f))
 
 

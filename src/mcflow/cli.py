@@ -332,12 +332,13 @@ def _report(resolved: System, args):
         names = {args.check} if command == "sample" and args.check is not None else None
         known = {c.name for c in checks}
         if names is not None and args.check not in known:
-            raise ParseError(
-                f"unknown check {args.check!r}; available: {', '.join(sorted(known))}")
+            raise ParseError(f"--check: unknown check {args.check!r}; available: "
+                             f"{', '.join(sorted(known))}", None)
         numeric["samples"], oracle_ok = _sample_checks(checks, args, names)
         if names is not None and not numeric["samples"]:
-            raise ParseError(f"check {args.check!r} has no oracle row: only an applicable "
-                             "check that expects an exact zero residual is sampled")
+            raise ParseError(f"--check: {args.check!r} has no oracle row: only an "
+                             "applicable check that expects an exact zero residual is sampled",
+                             None)
         if not oracle_ok or (command == "verify" and not all_hold(checks)):
             status = EXIT_CHECK_FAILED
     elif command == "derive" and not all_hold(resolved.brackets or ()):

@@ -47,13 +47,14 @@ from .calculus import LogIntegral
 
 
 class ParseError(Exception):
-    """Lexical or syntactic failure, carrying a 1-based position."""
+    """Lexical or syntactic failure, carrying a 1-based position; line None
+    for a value that is no text, such as a check named by an option."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
+    def __init__(self, message: str, line: int | None = 1, column: int = 1):
         self.message = message
         self.line = line
         self.column = column
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,17 @@ class TestIntegerKernels:
             (X + Z) * poly({(0, 0, MAX_EXPONENT): 1})
         assert (Poly3.const(0) * top).is_zero()
 
+    def test_overflow_guard_bounds_by_total_degree_before_each_axis(self):
+        top = poly({(MAX_EXPONENT, 0, 0): 1})
+        for a, b in ((top, X), (X, top)):
+            with pytest.raises(ExponentOverflowError):
+                a * b
+        # total degree 2^31 passes the bound on the leads, and the exact
+        # per-axis check finds no exponent above MAX_EXPONENT
+        half = 2**30
+        for a, b in ((X**half, Y**half), (Y**half, X**half)):
+            assert (a * b).leading() == ((half, half, 0), 1)
+
 
 # ---------------------------------------------------------------------------
 # canonical form: equal values compare and hash equal however they were built
@@ -295,6 +306,113 @@ class TestCanonicalForm:
 
 
 # ---------------------------------------------------------------------------
+# contents: every value keeps a reduced integer pair over a primitive map
+# ---------------------------------------------------------------------------
+
+# negative, huge and fractional contents
+contents = st.one_of(
+    mixed_coefficients,
+    st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def scaled_polys(draw):
+    """A polynomial or a constant, times a drawn content."""
+    return draw(st.one_of(mixed_polys(max_terms=4), st.builds(Poly3.const, contents))) \
+        * draw(contents)
+
+
+def _assert_canonical(p: Poly3):
+    num, den = p._num, p._den
+    assert den > 0 and math.gcd(num, den) == 1
+    assert (num == 0) == (p._prim == {}) == ((num, den) == (0, 1))
+    if p._prim:
+        assert p._lead == max(p._prim, key=_grlex) and p._prim[p._lead] > 0
+        assert math.gcd(*p._prim.values()) == 1
+    else:
+        assert p._lead is None
+
+
+def _derivative(terms: dict, axis: int) -> dict:
+    out = {}
+    for exps, c in terms.items():
+        if exps[axis]:
+            shifted = list(exps)
+            shifted[axis] -= 1
+            out[tuple(shifted)] = c * exps[axis]
+    return out
+
+
+def _sum(*term_maps: dict) -> dict:
+    out = {}
+    for terms in term_maps:
+        for exps, c in terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+class TestContentInvariant:
+    """What every operation returns holds the class invariant, and its
+    terms() are the Fraction model's value from the operands' terms()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_polys(), scaled_polys(), contents)
+    def test_polynomial_operations(self, a, b, k):
+        ta, tb = dict(a.terms()), dict(b.terms())
+        cases = [
+            (a + b, _sum(ta, tb)),
+            (a - b, _sum(ta, {e: -c for e, c in tb.items()})),
+            (a * b, _reference_mul(a, b)),
+            (b * a, _reference_mul(a, b)),
+            (a * k, {e: c * k for e, c in ta.items()}),
+            (k * a, {e: c * k for e, c in ta.items()}),
+            (a.diff("y"), _derivative(ta, 1)),
+        ]
+        if ta:
+            lead = ta[max(ta, key=_grlex)]
+            cases.append((a.monic(), {e: c / lead for e, c in ta.items()}))
+        if tb:
+            cases.append(((a * b).try_div(b), ta))
+            quotient, remainder = _reference_divmod(a, b)
+            result = a.try_div(b)
+            assert (result is None) == bool(remainder)
+            if result is not None:
+                cases.append((result, quotient))
+        for result, expected in cases:
+            _assert_canonical(result)
+            assert dict(result.terms()) == expected
+        if ta or tb:
+            g = poly_gcd(a, b)
+            _assert_canonical(g)
+            assert g.leading()[1] == 1
+            assert not any(_reference_divmod(p, g)[1] for p in (a, b) if not p.is_zero())
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_polys(), scaled_polys().filter(lambda p: not p.is_zero()),
+           scaled_polys(), scaled_polys().filter(lambda p: not p.is_zero()))
+    def test_rational_function_operations(self, a, b, c, d):
+        f, g = RationalFunction(a, b), RationalFunction(c, d)
+        cases = [(f, a, b), (f + g, a * d + c * b, b * d), (f * g, a * c, b * d),
+                 (f.diff("x"), a.diff("x") * b - a * b.diff("x"), b * b)]
+        if not c.is_zero():
+            cases.append((f / g, a * d, b * c))
+        for h, num, den in cases:
+            _assert_canonical(h.num)
+            _assert_canonical(h.den)
+            assert h.den.leading()[1] == 1
+            assert _reference_mul(h.num, den) == _reference_mul(num, h.den)
+
+    @pytest.mark.parametrize("k", [3, Fraction(-2, 7), Fraction(10**30 + 1, 6)])
+    def test_a_constant_factor_shares_the_map(self, k):
+        p = Fraction(3, 4) * X**2 - 6 * Y * Z
+        c = Poly3.const(k)
+        for result in (p * k, k * p, p * c, c * p, p.try_div(c)):
+            assert result._prim is p._prim
+            _assert_canonical(result)
+
+
+# ---------------------------------------------------------------------------
 # gcd
 # ---------------------------------------------------------------------------
 
@@ -319,7 +437,7 @@ class TestGcd:
 
     def test_result_is_monic(self):
         g = poly_gcd(4 * X**2 - 4 * Y**2, 6 * X - 6 * Y)
-        assert g.leading_coefficient() == 1
+        assert g.leading()[1] == 1
         assert g == X - Y
 
     def test_proportional_pair_skips_the_prs(self):
@@ -599,7 +717,7 @@ class TestRationalFunction:
 
     def test_denominator_is_monic(self):
         f = rf(ONE, 2 * Z * Y**3)
-        assert f.den.leading_coefficient() == 1
+        assert f.den.leading()[1] == 1
         assert f.num == Poly3.const(Fraction(1, 2))
         assert format_rational(f) == "1/(2*y^3*z)"
 
@@ -632,7 +750,7 @@ def _reference(num: Poly3, den: Poly3) -> tuple[Poly3, Poly3]:
         return num, ONE
     g = poly_gcd(num, den)
     num, den = num.div_exact(g), den.div_exact(g)
-    lc = den.leading_coefficient()
+    lc = den.leading()[1]
     return num * (1 / lc), den * (1 / lc)
 
 

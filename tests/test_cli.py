@@ -214,11 +214,15 @@ class TestSample:
         assert samples[0]["points"] == 10
 
     def test_unknown_check_is_a_usage_error(self):
-        # an empty name is a name like any other, not "no --check"
+        # an empty name is a name like any other, not "no --check"; the
+        # diagnostic names the option and no position in any text
+        document, _ = run_json(["verify", "guillot", "--json"])
+        available = ", ".join(sorted(row["check"] for row in document["sections"]["checks"]))
         for name in ("nope", ""):
             _, status, diagnostic = run(["sample", "guillot", f"--check={name}"])
             assert status == 2
-            assert f"unknown check {name!r}" in diagnostic
+            assert diagnostic == (f"parse error: --check: unknown check {name!r}; "
+                                  f"available: {available}")
 
     @pytest.mark.parametrize("argv, name", [
         # expects a nonzero residual, has no exact residual, is not applicable
@@ -230,7 +234,8 @@ class TestSample:
     def test_a_check_without_an_oracle_row_is_a_usage_error(self, argv, name):
         document, status, diagnostic = run(argv)
         assert (document, status) == (None, 2)
-        assert f"check {name!r} has no oracle row" in diagnostic
+        assert diagnostic == (f"parse error: --check: {name!r} has no oracle row: only an "
+                              "applicable check that expects an exact zero residual is sampled")
 
     def test_determinism(self):
         first, _ = run_json(["sample", "guillot", "--seed", "3", "--points", "7"])

@@ -177,6 +177,40 @@ def test_only_the_trusted_rational_constructor_skips_init():
     assert sorted(skips - {"algebra.RationalFunction._raw"}) == []
 
 
+# algebra.py keeps each content as an integer pair: a Fraction is built only
+# where a coefficient or a value goes out; the printing helpers read the
+# Fractions that terms() and leading() give
+FRACTION_BOUNDARY = {"Poly3.terms", "Poly3.leading", "Poly3.constant_value", "Poly3.eval",
+                     "Poly3.compose"}
+
+
+def _types_only(tree):
+    """id of each node in an annotation or in the type argument of an
+    isinstance call: a name there builds and computes nothing."""
+    for node in ast.walk(tree):
+        parts = []
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            parts = [node.returns] + [p.annotation for p in (*a.posonlyargs, *a.args, a.vararg,
+                                                              *a.kwonlyargs, a.kwarg) if p]
+        elif isinstance(node, ast.AnnAssign):
+            parts = [node.annotation]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            parts = [node.args[1]]
+        yield from (id(n) for part in parts if part is not None for n in ast.walk(part))
+
+
+def test_algebra_builds_fractions_only_at_its_boundary():
+    tree = ast.parse((PACKAGE / "algebra.py").read_text(encoding="utf-8"))
+    exempt = set(_types_only(tree))
+    outside = sorted(f"{scope or '<module>'} (line {node.lineno})"
+                     for scope, node in _scoped_nodes(tree)
+                     if isinstance(node, ast.Name) and node.id == "Fraction"
+                     and id(node) not in exempt and scope not in FRACTION_BOUNDARY)
+    assert outside == []
+
+
 # The one normalisation policy: a rational function is reduced only by the
 # RationalFunction constructor and the helpers of algebra.py behind it.
 NORMALISERS = {"poly_gcd", "_normalize", "_raw"}
