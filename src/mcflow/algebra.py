@@ -5,9 +5,11 @@ times a primitive integer term map (see ``Poly3``).  That split is unique, so
 equality and hashing compare the stored fields, and by Gauss's lemma products
 and exact quotients of primitive maps are primitive: multiply, exact division
 and gcd run on the integer maps and only multiply or divide the contents.
-``Fraction`` coefficients are built only at the boundary (``terms()``,
-``leading()``, ``constant_value()``, exact evaluation, ``compose`` and
-printing).
+A rational constant is a reduced integer pair wherever the package computes
+or prints one: ``fractions`` is imported only where a ``Fraction`` goes out
+to a library caller (``terms()`` and exact evaluation).  ``Poly3.const``,
+``RationalFunction.const``, ``*`` and ``==`` still take a ``Fraction``: they
+read its ``numerator`` and ``denominator``.
 
 Rational functions are kept canonical: numerator and denominator coprime,
 denominator monic in graded-lexicographic order.  Syntactic equality of
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le, sub
 from typing import Iterator, Sequence
@@ -131,12 +132,15 @@ class Poly3:
 
     @classmethod
     def const(cls, value: int | Fraction, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"not an exact coefficient: {value!r}")
-        if not value:
+        """The constant value, an int or a Fraction: its numerator and
+        denominator are read, which a float does not have."""
+        try:
+            num, den = value.numerator, value.denominator
+        except AttributeError:
+            raise TypeError(f"not an exact coefficient: {value!r}") from None
+        if not num:
             return cls({}, 0, 1, None, _chart(variables))
-        return cls({(0, 0, 0): 1}, value.numerator, value.denominator, (0, 0, 0),
-                   _chart(variables))
+        return cls({(0, 0, 0): 1}, num, den, (0, 0, 0), _chart(variables))
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
@@ -156,22 +160,39 @@ class Poly3:
     def is_constant(self) -> bool:
         return self._lead in (None, (0, 0, 0))
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> tuple[int, int]:
+        """(numerator, denominator) of a constant, coprime with a positive
+        denominator."""
         if not self.is_constant():
             raise AlgebraError(f"{self} is not constant")
-        return Fraction(self._num, self._den)  # a nonzero constant's map is {(0, 0, 0): 1}
+        return self._num, self._den  # a nonzero constant's map is {(0, 0, 0): 1}
+
+    def reciprocal(self) -> "Poly3":
+        """1/self; only a nonzero constant has a polynomial reciprocal."""
+        if self._lead != (0, 0, 0):
+            raise NotDivisibleError(f"1 is not divisible by ({self})")
+        sign = -1 if self._num < 0 else 1
+        return Poly3(self._prim, sign * self._den, sign * self._num, self._lead, self.variables)
 
     def term_count(self) -> int:
         return len(self._prim)
 
-    def terms(self) -> Iterator[tuple[ExponentTriple, Fraction]]:
+    def _term_pairs(self) -> Iterator[tuple[ExponentTriple, int, int]]:
+        """(exponents, numerator, denominator) of each term in descending
+        graded-lex order, the coefficient's pair coprime with den > 0."""
+        den = self._den
         for exps in sorted(self._prim, key=_grlex_key, reverse=True):
-            yield exps, Fraction(self._num * self._prim[exps], self._den)
+            num = self._num * self._prim[exps]
+            g = math.gcd(num, den)
+            yield exps, num // g, den // g
 
-    def leading(self) -> tuple[ExponentTriple, Fraction]:
-        if self._lead is None:
-            raise AlgebraError("zero polynomial has no leading term")
-        return self._lead, Fraction(self._num * self._prim[self._lead], self._den)
+    def terms(self) -> Iterator[tuple[ExponentTriple, Fraction]]:
+        """(exponents, Fraction coefficient) in descending graded-lex order,
+        for a library caller; the first is the leading term."""
+        from fractions import Fraction
+
+        for exps, num, den in self._term_pairs():
+            yield exps, Fraction(num, den)
 
     def _lead_pair(self) -> tuple[int, int]:
         """Reduced (numerator, denominator) of the leading coefficient."""
@@ -239,10 +260,6 @@ class Poly3:
                      self._lead, self.variables)
 
     def __mul__(self, other) -> "Poly3":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly3({}, 0, 1, None, self.variables)
-            return self._scale(other.numerator, other.denominator)
         other = self._coerce(other)
         if not self._prim or not other._prim:
             return Poly3({}, 0, 1, None, self.variables)
@@ -281,10 +298,10 @@ class Poly3:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly3.const(other, self.variables)
         if not isinstance(other, Poly3):
-            return NotImplemented
+            if not hasattr(other, "denominator"):  # not an int or a Fraction
+                return NotImplemented
+            other = Poly3.const(other, self.variables)
         return (self.variables == other.variables and self._num == other._num
                 and self._den == other._den and self._prim == other._prim)
 
@@ -321,6 +338,8 @@ class Poly3:
         else the exact Fraction at int or Fraction coordinates."""
         x, y, z = point
         if float not in (type(x), type(y), type(z)):
+            from fractions import Fraction
+
             total = Fraction(0)
             for (a, b, c), coeff in self._prim.items():
                 total += coeff * x ** a * y ** b * z ** c
@@ -338,9 +357,11 @@ class Poly3:
         if len(images) != 3:
             raise ChartMismatchError("compose needs one image per chart variable")
         chart = images[0].chart
+        one = Poly3.const(1, chart)
+        content = Poly3(one._prim, self._num, self._den, one._lead, chart)
         total = RationalFunction.const(0, chart)
         for exps, coeff in self._prim.items():
-            term = RationalFunction.const(Fraction(self._num * coeff, self._den), chart)
+            term = RationalFunction._raw(content._scale(coeff, 1), one)
             for image, e in zip(images, exps):
                 if e:
                     term = term * image**e
@@ -812,8 +833,11 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+    def constant_value(self) -> tuple[int, int]:
+        """(numerator, denominator) of a constant, as Poly3.constant_value."""
+        if not self.den.is_constant():
+            raise AlgebraError(f"{self} is not constant")
+        return self.num.constant_value()  # a monic constant denominator is 1
 
     def __add__(self, other) -> "RationalFunction":
         other = as_rational(other, self.chart)
@@ -848,11 +872,14 @@ class RationalFunction:
         return self + (-as_rational(other, self.chart))
 
     def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return RationalFunction.const(0, self.chart)
-            return RationalFunction._raw(self.num * other, self.den)
-        other = as_rational(other, self.chart)
+        if not isinstance(other, RationalFunction):
+            if not isinstance(other, Poly3):
+                other = Poly3.const(other, self.chart)  # an int or a Fraction
+            if other.is_constant():  # a constant factor only rescales the numerator
+                if other.is_zero():
+                    return RationalFunction.const(0, self.chart)
+                return RationalFunction._raw(self.num * other, self.den)
+            other = as_rational(other, self.chart)
         if self.is_zero() or other.is_zero():
             return RationalFunction.const(0, self.chart)
         # each numerator is already coprime to its own denominator
@@ -879,10 +906,10 @@ class RationalFunction:
         return RationalFunction._raw(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Poly3)):
-            other = as_rational(other, self.chart)
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            if not (isinstance(other, Poly3) or hasattr(other, "denominator")):
+                return NotImplemented
+            other = as_rational(other, self.chart)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -1019,10 +1046,11 @@ def _decimal(n: int) -> str:
     return str(chunks.pop()) + "".join(f"{c:0{width}d}" for c in reversed(chunks))
 
 
-def _format_coefficient(coeff: Fraction) -> str:
-    if coeff.denominator == 1:
-        return _decimal(coeff.numerator)
-    return f"{_decimal(coeff.numerator)}/{_decimal(coeff.denominator)}"
+def _format_coefficient(num: int, den: int) -> str:
+    """num/den for num > 0, den > 0."""
+    if den == 1:
+        return _decimal(num)
+    return f"{_decimal(num)}/{_decimal(den)}"
 
 
 def format_point(point: tuple) -> str:
@@ -1033,19 +1061,19 @@ def format_poly(p: Poly3) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
-    for exps, coeff in p.terms():
+    for exps, num, den in p._term_pairs():
         mono = _format_monomial(exps, p.variables)
-        magnitude = abs(coeff)
+        magnitude = abs(num)
         if not mono:
-            body = _format_coefficient(magnitude)
-        elif magnitude == 1:
+            body = _format_coefficient(magnitude, den)
+        elif magnitude == 1 and den == 1:
             body = mono
         else:
-            body = f"{_format_coefficient(magnitude)}*{mono}"
+            body = f"{_format_coefficient(magnitude, den)}*{mono}"
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(pieces)
 
 
@@ -1073,12 +1101,13 @@ def widest_printed_integer(f: RationalFunction) -> int:
 
 
 def _den_needs_parens(den: Poly3) -> bool:
+    """For a denominator with integer coefficients (see _integer_scaled)."""
     if den.term_count() > 1:
         return True
-    exps, coeff = den.leading()
-    factors = sum(1 for e in exps if e > 0)
+    coeff, _ = den._lead_pair()
+    factors = sum(1 for e in den._lead if e > 0)
     if coeff != 1:
-        return factors > 0 or coeff.denominator != 1 or coeff < 0
+        return factors > 0 or coeff < 0
     return factors > 1
 
 
@@ -1087,7 +1116,7 @@ def format_rational(f: RationalFunction) -> str:
         return "0"
     num, den = _integer_scaled(f)
     num_str = format_poly(num)
-    if den.is_constant() and den.constant_value() == 1:
+    if den.is_constant() and den.constant_value() == (1, 1):
         return num_str
     den_str = format_poly(den)
     if num.term_count() > 1:

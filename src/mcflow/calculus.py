@@ -16,7 +16,6 @@ coefficient equality, with no stray signs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -321,8 +320,9 @@ class LogIntegral:
     Its differential dr + sum c_i df_i/f_i is always a rational one-form,
     so exact zero testing of iota_v dH works inside the rational engine
     even though H itself is transcendental.  The terms are taken as given:
-    nonzero Fraction coefficients of distinct arguments, as the parser
-    merges them.
+    nonzero constant coefficients of distinct arguments, as the parser
+    merges them; each coefficient (a constant Poly3 or RationalFunction, an
+    int or a Fraction) is kept as a constant RationalFunction.
     """
 
     __slots__ = ("rational_part", "log_terms")
@@ -330,25 +330,19 @@ class LogIntegral:
     def __init__(
         self,
         rational_part: RationalFunction,
-        log_terms: Iterable[tuple[Fraction, RationalFunction]] = (),
+        log_terms: Iterable[tuple[RationalFunction | Fraction, RationalFunction]] = (),
     ):
-        log_terms = tuple(log_terms)
+        chart = rational_part.chart
+        log_terms = tuple((as_rational(c, chart), argument) for c, argument in log_terms)
         if any(argument.is_zero() for _, argument in log_terms):
             raise ZeroLogArgumentError("log argument is identically zero")
         self.rational_part = rational_part
         self.log_terms = log_terms
 
-    @property
-    def chart(self):
-        return self.rational_part.chart
-
     def differential(self) -> KForm:
         total = KForm(0, (self.rational_part,)).d()
         for coeff, argument in self.log_terms:
-            dlog = KForm(0, (argument,)).d().scale(
-                RationalFunction.const(coeff, self.chart) / argument
-            )
-            total = total + dlog
+            total = total + KForm(0, (argument,)).d().scale(coeff / argument)
         return total
 
     def eval_float(self, point: tuple) -> float:
@@ -360,7 +354,8 @@ class LogIntegral:
             if arg_value == 0.0:
                 raise ZeroLogArgumentError(
                     f"log argument {argument} vanishes at {format_point(point)}")
-            value += float(coeff) * math.log(abs(arg_value))
+            num, den = coeff.constant_value()
+            value += num / den * math.log(abs(arg_value))
         return value
 
     def __eq__(self, other) -> bool:
@@ -380,8 +375,7 @@ class LogIntegral:
             elif coeff == -1:
                 body = f"-log({argument})"
             else:
-                c = str(coeff.numerator) if coeff.denominator == 1 else f"{coeff.numerator}/{coeff.denominator}"
-                body = f"{c}*log({argument})"
+                body = f"{coeff}*log({argument})"
             pieces.append(body)
         if not pieces:
             return "0"

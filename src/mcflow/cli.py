@@ -15,13 +15,13 @@ deterministic JSON document.
 from __future__ import annotations
 
 import atexit
+import codecs
 import gc
 import math
 import os
 import re
 import sys
 import types
-from fractions import Fraction
 
 if __name__ == "__main__":
     # a console request runs without the cyclic collector (see
@@ -88,13 +88,18 @@ def _resolve(target: str) -> System:
     if not os.path.exists(target):
         raise ParseError(f"{target!r} is not a built-in system or an existing file")
     try:
-        with open(target, encoding="utf-8-sig") as handle:
-            source = handle.read()
+        with open(target, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {target!r}: {exc.strerror}") from None
+    # one leading byte order mark is skipped; a bad byte's offset counts it
+    skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        source = data[skip:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{target!r} is not UTF-8 text: {exc.reason} "
-                         f"at byte {exc.start}") from None
+                         f"at byte {skip + exc.start}") from None
+    # parse_system splits lines at \r\n and \r as text mode would
     return System(parse_system(source))
 
 
@@ -424,6 +429,8 @@ class _UsageError(Exception):
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
+    from fractions import Fraction  # only --from reads a number as a Fraction
+
     parts = text.split(",")
     try:
         if len(parts) == 3:
@@ -435,9 +442,10 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
 
 def _parse_box(text: str) -> tuple[float, float]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError("expected LO,HI")
-    lo, hi = (float(part) for part in parts)
+    try:
+        lo, hi = map(float, parts)
+    except ValueError:
+        raise _UsageError(f"expected LO,HI as two finite numbers, got {text!r}") from None
     # the sampler draws grid indices between bound * GRID_DENOMINATOR
     if not all(math.isfinite(bound * GRID_DENOMINATOR) for bound in (lo, hi)):
         raise _UsageError("box bounds must be finite on the sampling grid")

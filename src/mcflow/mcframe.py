@@ -18,7 +18,6 @@ numeric oracle can re-evaluate it independently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import Record
@@ -192,9 +191,8 @@ def conformal_transform(
     satisfy the structure equations again."""
     if rho.is_zero():
         raise DegenerateFrameError("conformal factor rho vanishes identically")
-    inverse = rho.reciprocal()
-    half_dlog = KForm(0, (rho,)).d().scale(inverse * Fraction(1, 2))
-    return frame.alpha - half_dlog, frame.beta.scale(rho), frame.gamma.scale(inverse)
+    half_dlog = KForm(0, (rho,)).d().scale((rho * 2).reciprocal())
+    return frame.alpha - half_dlog, frame.beta.scale(rho), frame.gamma.scale(rho.reciprocal())
 
 
 def sigma_residual(alpha: KForm, gamma: KForm, g: RationalFunction) -> KForm:
@@ -269,8 +267,9 @@ def curl_identities(frame: Frame) -> tuple[Check, ...]:
 
 def _constant_ratio(
     numerators: Sequence[RationalFunction], denominators: Sequence[RationalFunction]
-) -> Optional[Fraction]:
-    """Exact constant c with numerators = c * denominators, if one exists."""
+) -> Optional[RationalFunction]:
+    """The constant c with numerators = c * denominators, as a constant
+    RationalFunction, if one exists."""
     ratio: Optional[RationalFunction] = None
     for num, den in zip(numerators, denominators):
         if den.is_zero():
@@ -284,16 +283,16 @@ def _constant_ratio(
             return None
     if ratio is None or not ratio.is_constant():
         return None
-    return ratio.constant_value()
+    return ratio
 
 
-def potential_from_gamma(frame: Frame) -> Fraction:
-    """The exact constant s in curl(A) = s M v, where the potential A is the
-    covector of gamma."""
+def potential_from_gamma(frame: Frame) -> RationalFunction:
+    """The exact constant s in curl(A) = s M v, as a constant
+    RationalFunction, where the potential A is the covector of gamma."""
     curl_a = frame.gamma.d().covector()
     target = frame.v.scale(frame.M)
     scale = _constant_ratio(curl_a.components, target.components)
-    if scale is None or scale == 0:
+    if scale is None or scale.is_zero():
         raise InconsistencyError("curl of the potential is not a constant multiple of M v")
     return scale
 
@@ -346,11 +345,13 @@ def bihamiltonian_verify(
     # wedge - 2*target is nonzero, as v != 0 makes target nonzero
     constant = _constant_ratio(wedge.coeffs, target.coeffs)
     anchor = "dH2 ^ dH1 = c M iota_v(dx^dy^dz)"
-    if constant:
+    if constant is None or constant.is_zero():
+        constant = RationalFunction.const(2, multiplier.chart)
+    else:
         anchor += f", c = {constant}"
-    scaled = target.scale(RationalFunction.const(constant or 2, multiplier.chart))
     checks.append(
-        Check.from_residual(f"bihamiltonian.decomposition{suffix}", anchor, wedge - scaled)
+        Check.from_residual(f"bihamiltonian.decomposition{suffix}", anchor,
+                            wedge - target.scale(constant))
     )
     return tuple(checks)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import Record
@@ -128,19 +127,21 @@ def _tokenize(text: str, line: int = 1, column: int = 1) -> list[_Token]:
 # A rational value is a Poly3 until it is divided by a nonconstant or raised
 # to a negative power, so that polynomial values take no gcd; then it is a
 # RationalFunction.  With log allowed, a value with log terms is a _Logs.
+# A rational constant is a constant Poly3, which holds its value as a
+# reduced integer pair.
 
 
 class _Logs:
     """A rational part plus (coefficient, argument) log terms, in the order
-    they appear."""
+    they appear; each coefficient is a constant Poly3."""
 
     __slots__ = ("rational", "terms")
 
-    def __init__(self, rational, terms: list[tuple[Fraction, RationalFunction]]):
+    def __init__(self, rational, terms: list[tuple[Poly3, RationalFunction]]):
         self.rational = rational
         self.terms = terms
 
-    def scaled(self, k: Fraction) -> "_Logs":
+    def scaled(self, k: Poly3) -> "_Logs":
         return _Logs(self.rational * k, [(c * k, a) for c, a in self.terms])
 
 
@@ -151,6 +152,12 @@ def _split(value) -> tuple:
 
 def _rational(value) -> RationalFunction:
     return value if isinstance(value, RationalFunction) else RationalFunction(value)
+
+
+def _scalar(value) -> Poly3:
+    """A constant rational value as a constant Poly3: a constant
+    RationalFunction is its numerator over 1."""
+    return value.num if isinstance(value, RationalFunction) else value
 
 
 # A product step multiplies each term of one operand by each term of the
@@ -204,7 +211,7 @@ def _arithmetic(op: str, left, right, token: _Token):
     holds, or an operand past _MAX_OPERAND_DEGREE, is a ParseError at the
     operator token (for a power, its '^')."""
     if op == "/" and isinstance(right, Poly3) and right.is_constant() and not right.is_zero():
-        return left * (1 / right.constant_value())
+        return left * right.reciprocal()
     if op == "/" or isinstance(left, RationalFunction) or isinstance(right, RationalFunction):
         parts = [p for value in (left, right) for p in _parts(value)]
         degree = max(map(highest_exponent, parts))
@@ -277,12 +284,12 @@ class _Parser:
         if op == "*":
             for constant, logs in ((left, right), (right, left)):
                 if not isinstance(constant, _Logs) and constant.is_constant():
-                    return logs.scaled(constant.constant_value())
+                    return logs.scaled(_scalar(constant))
             self.fail("log may only be scaled by rational constants")
         if isinstance(right, _Logs):
             self.fail("log terms must enter linearly, as c*log(f)")
         if right.is_constant() and not right.is_zero():
-            return left.scaled(1 / right.constant_value())
+            return left.scaled(_scalar(right).reciprocal())
         self.fail("log may only be divided by nonzero constants")
 
     # grammar rules ----------------------------------------------------
@@ -301,7 +308,8 @@ class _Parser:
             value = self.product(token.text, value, self.unary(), token)
         # a log of zero is refused once its term is read, before any fault to
         # its right, unless the term scales it by zero
-        if isinstance(value, _Logs) and any(c and a.is_zero() for c, a in value.terms):
+        if isinstance(value, _Logs) and any(a.is_zero() and not c.is_zero()
+                                            for c, a in value.terms):
             self.fail("log argument is identically zero")
         return value
 
@@ -336,8 +344,8 @@ class _Parser:
             # the base is constant: refuse a power whose numerator or
             # denominator would have more digits than the limit, before it
             # is computed; a positive integer n has floor(log10 n) + 1 digits
-            value = base.constant_value()
-            if abs(exponent) * math.log10(max(abs(value.numerator), value.denominator)) >= limit:
+            num, den = base.constant_value()
+            if abs(exponent) * math.log10(max(abs(num), den)) >= limit:
                 start = self.tokens[first]
                 raise ParseError(f"constant power exceeds the limit of {limit} digits",
                                  start.line, start.column)
@@ -414,7 +422,8 @@ class _Parser:
         self.depth -= 1
         if isinstance(argument, _Logs):
             self.fail("log is only allowed in integral expressions")
-        return _Logs(Poly3.const(0, self.variables), [(Fraction(1), _rational(argument))])
+        return _Logs(Poly3.const(0, self.variables),
+                     [(Poly3.const(1, self.variables), _rational(argument))])
 
 
 # Integers print in decimal, and Python converts between int and str only up to
@@ -457,10 +466,11 @@ def _log_integral(value) -> LogIntegral:
     """A value as an integral: log terms merged by argument, in order of
     first appearance, with zero sums dropped."""
     rational, terms = _split(value)
-    merged: dict[RationalFunction, Fraction] = {}
+    merged: dict[RationalFunction, Poly3] = {}
     for coeff, argument in terms:
-        merged[argument] = merged.get(argument, 0) + coeff
-    return LogIntegral(_rational(rational), [(c, a) for a, c in merged.items() if c != 0])
+        merged[argument] = merged[argument] + coeff if argument in merged else coeff
+    return LogIntegral(_rational(rational),
+                       [(c, a) for a, c in merged.items() if not c.is_zero()])
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +506,11 @@ def _parse_value(text: str, variables, line_no: int, column: int, allow_log: boo
         value = _log_integral(value) if allow_log else _rational(value)
     except ZeroDenominatorError as exc:
         raise ParseError(str(exc), line_no, start) from None
-    if not allow_log:
-        rationals, constants = (value,), ()
-    else:
-        rationals = (value.rational_part, *(a for _, a in value.log_terms))
-        constants = (x for c, _ in value.log_terms for x in (c.numerator, c.denominator))
+    # a log coefficient is a constant RationalFunction, which prints its pair
+    rationals = (value,) if not allow_log else (
+        value.rational_part, *(part for term in value.log_terms for part in term))
     limit = sys.get_int_max_str_digits()
-    widest = max(*map(widest_printed_integer, rationals), *map(abs, constants), 0)
+    widest = max(map(widest_printed_integer, rationals))
     # an integer below 2^(3 limit) < 10^limit has at most limit digits
     if limit and widest.bit_length() > 3 * limit and widest >= 10 ** limit:
         raise ParseError(f"a coefficient exceeds the limit of {limit} digits", line_no, start)

@@ -111,7 +111,7 @@ class System:
             self.frame = build_frame(self.v, u, w)
 
     def potential(self):
-        """The Fraction s in curl(A) = s M v, potential_from_gamma(frame); a
+        """The constant s in curl(A) = s M v, potential_from_gamma(frame); a
         failure is raised, not kept."""
         if self._potential is None:
             self._potential = potential_from_gamma(self.frame)

@@ -539,11 +539,16 @@ class TestCommandLine:
         (["--=x"], 2, "",
          usage_error("ambiguous option: --=x could match --help, --version, --json, --eps, "
                      "--rho, --f, --points, --h, --t, --from, --seed, --box, --tol, --check")),
+        (["sample", "guillot", "--box=a,b"], 2, "",
+         usage_error("argument --box: expected LO,HI as two finite numbers, got 'a,b'")),
+        (["sample", "guillot", "--box=,1"], 2, "",
+         usage_error("argument --box: expected LO,HI as two finite numbers, got ',1'")),
     ], ids=["-h", "--help", "--version", "prefix", "prefix-two-tokens", "dash-value",
             "flag-value", "eps-choice", "seed-int", "unknown-command", "missing-system",
             "extra-positional", "separator", "unknown-option", "repeated-option",
             "separator-after-system", "separator-first", "second-separator",
-            "separator-among-extras", "-hh", "-hx", "empty-long-option"])
+            "separator-among-extras", "-hh", "-hx", "empty-long-option", "box-not-numbers",
+            "box-empty-bound"])
     def test_command_line(self, argv, status, out, err, capsys):
         if isinstance(out, list):
             assert main(out) == status
@@ -723,6 +728,24 @@ class TestCheckFile:
         plain.write_text(system_source("guillot"), encoding="utf-8")
         marked.write_text(system_source("guillot"), encoding="utf-8-sig")
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        document, status, diagnostic = run(["check-file", str(marked)])
+        assert (status, diagnostic) == (0, None)
+        assert document == run(["check-file", str(plain)])[0]
+
+    def test_bad_byte_after_a_byte_order_mark_is_reported_at_its_file_offset(self, tmp_path):
+        # the mark takes bytes 0-2, so the 0xff of "name: a\xff" sits at byte 10
+        path = tmp_path / "marked.sys"
+        path.write_bytes(b"\xef\xbb\xbfname: a\xff\n")
+        _, status, diagnostic = run(["check-file", str(path)])
+        assert (status, diagnostic) == (
+            2, f"parse error: {str(path)!r} is not UTF-8 text: invalid start byte at "
+               "byte 10 (line 1, column 1)")
+
+    def test_byte_order_mark_with_crlf_lines_verifies(self, tmp_path):
+        plain, marked = tmp_path / "plain.sys", tmp_path / "marked.sys"
+        plain.write_text(system_source("guillot"), encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + system_source("guillot").replace("\n", "\r\n")
+                           .encode("utf-8"))
         document, status, diagnostic = run(["check-file", str(marked)])
         assert (status, diagnostic) == (0, None)
         assert document == run(["check-file", str(plain)])[0]

@@ -53,6 +53,18 @@ CASES = [
     # neither declares a log integral, so no drift digit depends on libm
     ("integrate_heisenberg_example", ["integrate", "heisenberg_example"], 0),
     ("integrate_dh_classic", ["integrate", "dh_classic"], 0),
+    ("integrate_dh_symmetric", ["integrate", "dh_symmetric"], 0),
+    # the remaining built-in and command pairs of the benchmark's builtins
+    # workload; integrate guillot is left out, its drift digits depend on libm
+    ("derive_dh_classic", ["derive", "dh_classic"], 0),
+    ("derive_dh_symmetric", ["derive", "dh_symmetric"], 0),
+    ("sample_dh_classic", ["sample", "dh_classic"], 0),
+    ("sample_dh_symmetric", ["sample", "dh_symmetric"], 0),
+    ("sample_heisenberg_example", ["sample", "heisenberg_example"], 0),
+    # a failing candidate: its nonzero residuals print, and their oracle rows
+    # are drawn
+    ("verify_json_dh_symmetric_sigma_fails",
+     ["verify", "dh_symmetric", "--rho=x - 2", "--f=y", "--json"], 1),
 ]
 
 

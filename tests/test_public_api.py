@@ -177,11 +177,10 @@ def test_only_the_trusted_rational_constructor_skips_init():
     assert sorted(skips - {"algebra.RationalFunction._raw"}) == []
 
 
-# algebra.py keeps each content as an integer pair: a Fraction is built only
-# where a coefficient or a value goes out; the printing helpers read the
-# Fractions that terms() and leading() give
-FRACTION_BOUNDARY = {"Poly3.terms", "Poly3.leading", "Poly3.constant_value", "Poly3.eval",
-                     "Poly3.compose"}
+# algebra.py keeps each content, and each constant, as an integer pair: a
+# Fraction is built only where a coefficient or a value goes out to a library
+# caller; printing, constant_value() and compose read the pairs
+FRACTION_BOUNDARY = {"Poly3.terms", "Poly3.eval"}
 
 
 def _types_only(tree):
@@ -209,6 +208,23 @@ def test_algebra_builds_fractions_only_at_its_boundary():
                      if isinstance(node, ast.Name) and node.id == "Fraction"
                      and id(node) not in exempt and scope not in FRACTION_BOUNDARY)
     assert outside == []
+
+
+# the only places that import fractions, each inside the function that
+# hands a Fraction out (or, for --from, reads one in); no module imports it
+# when it is loaded
+FRACTION_IMPORTS = {"algebra.Poly3.terms", "algebra.Poly3.eval", "cli._parse_triple"}
+
+
+def test_fractions_is_imported_only_at_the_boundary():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "fractions" in names:
+                found.add(f"{path.stem}.{scope or '<module>'}")
+    assert sorted(found) == sorted(FRACTION_IMPORTS)
 
 
 # The one normalisation policy: a rational function is reduced only by the

@@ -8,7 +8,11 @@ itself) or name a top-level module in ``sys.stdlib_module_names``.
 Every request is a fresh process, so import weight is start-up time:
 ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``) is not imported at all, nor ``argparse`` (with ``gettext`` and
-``locale``), and ``json`` only by ``--json``.
+``locale``), and ``json`` only by ``--json``.  Rational constants are
+reduced integer pairs, so no request imports ``fractions`` (with
+``decimal``, ``_decimal`` and ``numbers``) except ``integrate --from``,
+which reads its point as Fractions; a ``.sys`` file is decoded from bytes,
+so no request loads the ``utf_8_sig`` codec.
 The shipped ``.sys`` files are read with ``open``: ``importlib.resources``
 would bring ``zipfile``, ``tempfile`` and ``pathlib`` with it.
 """
@@ -24,7 +28,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale",
-         "json")
+         "json", "fractions", "decimal", "numbers", "encodings.utf_8_sig")
+GOLDEN = PACKAGE.parent.parent / "tests" / "golden"
 
 
 def _absolute_imports(path: Path):
@@ -71,11 +76,23 @@ def test_cli_import_loads_no_heavy_module():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [["verify", "guillot"], ["derive", "guillot", "--json"]],
-                         ids=["verify", "derive-json"])
+@pytest.mark.parametrize("argv", [
+    *([command, "guillot"] for command in ("verify", "derive", "sample", "integrate")),
+    ["check-file", str(GOLDEN / "partial.sys")],
+    ["verify", str(GOLDEN / "guillot_conj0.sys")],
+    ["verify", "dh_symmetric", "--rho=x - 2", "--f=y"],
+    ["derive", "guillot", "--json"],
+    ["sample", "guillot", "--box=-1,1"],
+    ["integrate", "guillot", "--from=1,1/2,1"],
+], ids=["verify", "derive", "sample", "integrate", "check-file", "sys-file",
+        "failing-candidate", "derive-json", "box", "integrate-from"])
 def test_request_loads_no_heavy_module(argv):
-    # a whole request in a fresh interpreter: json only for --json
-    heavy = tuple(name for name in HEAVY if name != "json" or "--json" not in argv)
+    # a whole request in a fresh interpreter: json only for --json, fractions
+    # (and what it imports) only for --from
+    allowed = {"json"} if "--json" in argv else set()
+    if any(arg.startswith("--from") for arg in argv):
+        allowed |= {"fractions", "decimal", "numbers"}
+    heavy = tuple(name for name in HEAVY if name not in allowed)
     probe = (
         "import contextlib, io, sys; before = set(sys.modules); from mcflow.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
