@@ -7,9 +7,9 @@ and exact quotients of primitive maps are primitive: multiply, exact division
 and gcd run on the integer maps and only multiply or divide the contents.
 A rational constant is a reduced integer pair wherever the package computes
 or prints one: ``fractions`` is imported only where a ``Fraction`` goes out
-to a library caller (``terms()`` and exact evaluation).  ``Poly3.const``,
-``RationalFunction.const``, ``*`` and ``==`` still take a ``Fraction``: they
-read its ``numerator`` and ``denominator``.
+to a library caller (exact evaluation).  ``Poly3.const``, ``RationalFunction.const``,
+``*`` and ``==`` still take a ``Fraction``: they read its ``numerator`` and
+``denominator``.
 
 Rational functions are kept canonical: numerator and denominator coprime,
 denominator monic in graded-lexicographic order.  Syntactic equality of
@@ -112,8 +112,8 @@ class Poly3:
     ``den > 0``, and ``lead`` is the graded-lex leading triple; zero is the
     empty map with content ``(0, 1)`` and no lead.  Values that differ by a
     scalar share one map, which is never mutated.  Term iteration
-    (``terms()``) is in descending graded-lexicographic order of the chart
-    variables.
+    (``_term_pairs()``) is in descending graded-lexicographic order of the
+    chart variables.
     """
 
     __slots__ = ("variables", "_prim", "_num", "_den", "_lead")
@@ -185,14 +185,6 @@ class Poly3:
             num = self._num * self._prim[exps]
             g = math.gcd(num, den)
             yield exps, num // g, den // g
-
-    def terms(self) -> Iterator[tuple[ExponentTriple, Fraction]]:
-        """(exponents, Fraction coefficient) in descending graded-lex order,
-        for a library caller; the first is the leading term."""
-        from fractions import Fraction
-
-        for exps, num, den in self._term_pairs():
-            yield exps, Fraction(num, den)
 
     def _lead_pair(self) -> tuple[int, int]:
         """Reduced (numerator, denominator) of the leading coefficient."""
@@ -380,12 +372,16 @@ class Poly3:
         # A primitive divisor divides over Q iff it divides over Z, and then
         # the quotient of the two primitive maps is primitive with a positive
         # lead (Gauss), so the integer kernel decides divisibility exactly.
+        # The leads multiply (graded lex is a monomial order), so a divisor
+        # whose lead triple or lead coefficient does not divide ours cannot.
+        a, b = self._lead, divisor._lead
+        if a[0] < b[0] or a[1] < b[1] or a[2] < b[2] or self._prim[a] % divisor._prim[b]:
+            return None
         try:
             quotient = _int_div_exact(self._prim, divisor._prim)
         except NotDivisibleError:
             return None
-        (a0, a1, a2), (b0, b1, b2) = self._lead, divisor._lead
-        return Poly3(quotient, self._num, self._den, (a0 - b0, a1 - b1, a2 - b2),
+        return Poly3(quotient, self._num, self._den, (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
                      self.variables)._scale(divisor._den, divisor._num)
 
     def div_exact(self, divisor: "Poly3") -> "Poly3":
@@ -410,11 +406,14 @@ class Poly3:
 # the image point mod p, deg_axis(g) <= deg gcd(images); 0 on every axis: g = 1.
 # ---------------------------------------------------------------------------
 
-_IMAGE_PRIME = 2**61 - 1
+# The largest prime below 2**30, so every reduced image coefficient is one
+# CPython digit.  An unlucky prime, like an unlucky point, only sends a coprime
+# pair on to peel and the PRS.
+_IMAGE_PRIME = 2**30 - 35
 # Fixed pseudo-random evaluation point (x, y, z) for the modular images.  An
 # unlucky point only sends a coprime pair on to the PRS; small points such as
 # (3, 5) are unlucky for many of the conjugated inputs.
-_IMAGE_POINT = (1316287884955314770, 1536285305286904227, 1760585016385251163)
+_IMAGE_POINT = (978360241, 538756179, 790908616)
 
 # The kernel's answers, keyed by the unordered pair of primitive maps (as
 # frozensets of their terms): (primitive positive-led gcd, its leading triple).
@@ -993,12 +992,18 @@ def _normalize(num: Poly3, *factors: Poly3) -> tuple[Poly3, Poly3]:
     nonconstant factor is reduced against num in turn: once g = gcd(num, f)
     is divided out of both, num is coprime to f / g, so it is coprime to the
     product of the reduced factors.  Against factors that share or repeat a
-    factor, these gcds are much smaller than one gcd against the product."""
+    factor, these gcds are much smaller than one gcd against the product.
+    A factor that divides num is settled by that one division (g is f) and
+    leaves 1; only a factor that leaves a remainder takes a gcd."""
     den = None
     for f in factors:
         if f.is_zero():
             raise ZeroDenominatorError("zero denominator")
         if not (num.is_zero() or f.is_constant()):
+            quotient = num.try_div(f)
+            if quotient is not None:
+                num = quotient
+                continue
             g = poly_gcd(num, f)
             if not g.is_constant():
                 num = num.div_exact(g)

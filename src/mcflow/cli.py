@@ -524,6 +524,13 @@ _OPTIONS = {
     "--tol": ("tol", _positive_real, 1e-12),
     "--check": ("check", str, None),
 }
+# the options that only some commands read; on any other command they are a
+# usage error rather than silently ignored
+_READ_BY = {
+    "--rho": ("check-file", "sample", "verify"),
+    "--f": ("check-file", "sample", "verify"),
+    "--check": ("sample",),
+}
 
 _USAGE = """\
 usage: mcflow [-h] [--version] [--json] [--eps {+1,-1}] [--rho RHO] [--f F]
@@ -641,6 +648,9 @@ def _parse_args(argv):
     if extras:
         raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
     args = types.SimpleNamespace(command=positionals[0], system=positionals[1], **values)
+    for name, commands in _READ_BY.items():
+        if args.command not in commands and values[_OPTIONS[name][0]] is not None:
+            raise _UsageError(f"argument {name}: not read by {args.command}")
     if not args.t / args.h <= MAX_STEPS:
         raise _UsageError(f"argument --t/--h: --t={args.t} over --h={args.h} "
                           f"exceeds the limit of {MAX_STEPS} steps")

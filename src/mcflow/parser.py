@@ -135,19 +135,19 @@ class _Logs:
     """A rational part plus (coefficient, argument) log terms, in the order
     they appear; each coefficient is a constant Poly3."""
 
-    __slots__ = ("rational", "terms")
+    __slots__ = ("rational", "logs")
 
-    def __init__(self, rational, terms: list[tuple[Poly3, RationalFunction]]):
+    def __init__(self, rational, logs: list[tuple[Poly3, RationalFunction]]):
         self.rational = rational
-        self.terms = terms
+        self.logs = logs
 
     def scaled(self, k: Poly3) -> "_Logs":
-        return _Logs(self.rational * k, [(c * k, a) for c, a in self.terms])
+        return _Logs(self.rational * k, [(c * k, a) for c, a in self.logs])
 
 
 def _split(value) -> tuple:
     """The rational part and log terms of a value."""
-    return (value.rational, value.terms) if isinstance(value, _Logs) else (value, [])
+    return (value.rational, value.logs) if isinstance(value, _Logs) else (value, [])
 
 
 def _rational(value) -> RationalFunction:
@@ -309,7 +309,7 @@ class _Parser:
         # a log of zero is refused once its term is read, before any fault to
         # its right, unless the term scales it by zero
         if isinstance(value, _Logs) and any(a.is_zero() and not c.is_zero()
-                                            for c, a in value.terms):
+                                            for c, a in value.logs):
             self.fail("log argument is identically zero")
         return value
 

@@ -543,12 +543,23 @@ class TestCommandLine:
          usage_error("argument --box: expected LO,HI as two finite numbers, got 'a,b'")),
         (["sample", "guillot", "--box=,1"], 2, "",
          usage_error("argument --box: expected LO,HI as two finite numbers, got ',1'")),
+        # an option that the command does not read is refused, whatever its value
+        (["integrate", "guillot", "--f=(("], 2, "",
+         usage_error("argument --f: not read by integrate")),
+        (["derive", "guillot", "--rho=x"], 2, "",
+         usage_error("argument --rho: not read by derive")),
+        (["verify", "guillot", "--check=nope"], 2, "",
+         usage_error("argument --check: not read by verify")),
+        (["check-file", "guillot", "--check", "structure.dgamma"], 2, "",
+         usage_error("argument --check: not read by check-file")),
+        (["derive", "guillot", "--f="], 2, "", usage_error("argument --f: not read by derive")),
     ], ids=["-h", "--help", "--version", "prefix", "prefix-two-tokens", "dash-value",
             "flag-value", "eps-choice", "seed-int", "unknown-command", "missing-system",
             "extra-positional", "separator", "unknown-option", "repeated-option",
             "separator-after-system", "separator-first", "second-separator",
             "separator-among-extras", "-hh", "-hx", "empty-long-option", "box-not-numbers",
-            "box-empty-bound"])
+            "box-empty-bound", "f-on-integrate", "rho-on-derive", "check-on-verify",
+            "check-on-check-file", "empty-f-on-derive"])
     def test_command_line(self, argv, status, out, err, capsys):
         if isinstance(out, list):
             assert main(out) == status

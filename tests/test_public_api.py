@@ -2,8 +2,10 @@
 
 The product is the ``mcflow`` command; a public function, class or method
 that no code in ``src/mcflow`` names is surface that only tests keep
-alive.  The rule is syntactic: a definition counts as used when a ``Name``
-or ``Attribute`` node outside its own body carries its name.  Attributes
+alive.  The rule is syntactic: a function or class counts as used when a
+``Name`` or ``Attribute`` node outside its own body carries its name, and a
+method only when an ``Attribute`` node does (a local variable or a parameter
+that shares a method's name is not a call of it).  Attributes
 match by name alone, whatever object they are read from, so a method whose
 name another class also defines could pass on the other class's use: such
 methods must also run while the CLI serves a set of covering requests.
@@ -26,10 +28,10 @@ from mcflow.cli import main
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcflow"
 
 
-def _referenced(tree) -> Counter:
+def _referenced(tree, attributes_only=False) -> Counter:
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
@@ -62,11 +64,13 @@ def _unreferenced(definitions=_public_definitions) -> set:
     names outside its own body."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    everywhere = sum((_referenced(tree) for tree in trees.values()), Counter())
+    everywhere = {method: sum((_referenced(tree, method) for tree in trees.values()), Counter())
+                  for method in (False, True)}
     unused = set()
     for module, tree in trees.items():
         for qualname, node in definitions(tree):
-            if everywhere[node.name] - _referenced(node)[node.name] == 0:
+            method = "." in qualname
+            if everywhere[method][node.name] - _referenced(node, method)[node.name] == 0:
                 unused.add(f"{module}.{qualname}")
     return unused
 
@@ -178,9 +182,9 @@ def test_only_the_trusted_rational_constructor_skips_init():
 
 
 # algebra.py keeps each content, and each constant, as an integer pair: a
-# Fraction is built only where a coefficient or a value goes out to a library
-# caller; printing, constant_value() and compose read the pairs
-FRACTION_BOUNDARY = {"Poly3.terms", "Poly3.eval"}
+# Fraction is built only where an exact value goes out to a library caller;
+# printing, constant_value() and compose read the pairs
+FRACTION_BOUNDARY = {"Poly3.eval"}
 
 
 def _types_only(tree):
@@ -213,7 +217,7 @@ def test_algebra_builds_fractions_only_at_its_boundary():
 # the only places that import fractions, each inside the function that
 # hands a Fraction out (or, for --from, reads one in); no module imports it
 # when it is loaded
-FRACTION_IMPORTS = {"algebra.Poly3.terms", "algebra.Poly3.eval", "cli._parse_triple"}
+FRACTION_IMPORTS = {"algebra.Poly3.eval", "cli._parse_triple"}
 
 
 def test_fractions_is_imported_only_at_the_boundary():
