@@ -436,7 +436,10 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
     if a.is_constant() or b.is_constant():
         return Poly3.const(1, a.variables)
     if a._prim == b._prim:
-        return a.monic()  # a and b are proportional
+        # a and b are proportional.  The certificate fails on every axis of
+        # such a pair, so the kernel would take the PRS and learn the whole
+        # map; one comparison settles it (test_proportional_pair_skips_the_prs)
+        return a.monic()
     key = frozenset((frozenset(a._prim.items()), frozenset(b._prim.items())))
     known = _gcd_memo.get(key)
     if known is None:
@@ -590,7 +593,10 @@ def _coprime_certified(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...],
 
 def _choose_main(deg_a: tuple[int, ...], deg_b: tuple[int, ...]) -> int:
     """Axis, of those where both have positive degree, giving the shortest
-    remainder sequence."""
+    remainder sequence.  _coprime_certified returns False only at such an
+    axis, so there is one.  The first shared axis instead took `verify` of
+    ROADMAP's triangular pushes of guillot_conj0 from 0.8 to 3.8 s (phi1) and
+    from 4.7 to 31.4 s (phi3)."""
     best, best_cost = -1, None
     for axis in range(3):
         da, db = deg_a[axis], deg_b[axis]
@@ -609,9 +615,7 @@ def _int_strip(p: IntTerms) -> IntTerms:
 
 
 def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
-    """gcd up to a scalar; arbitrary integer contents are ignored."""
-    if not a or not b:
-        return a or b
+    """gcd up to a scalar of two nonzero maps; integer contents are ignored."""
     a = _int_strip(a)
     b = _int_strip(b)
     # the common monomial factor: per axis, the least exponent in a and b
@@ -621,6 +625,8 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     if any(low):
         # A shared monomial fails the certificate, and the PRS would find
         # only content, which the factor base never learns: divide it out.
+        # Without this branch the benchmark's seed-1 candidates requests enter
+        # the PRS 36 times, not 21 (test_guillot_candidate_rarely_reaches_the_prs).
         l0, l1, l2 = low
         g = _int_gcd({(e0 - l0, e1 - l1, e2 - l2): c for (e0, e1, e2), c in a.items()},
                      {(e0 - l0, e1 - l1, e2 - l2): c for (e0, e1, e2), c in b.items()})
@@ -632,8 +638,6 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     if peeled is not None:
         return _int_mul(peeled, _int_gcd(a, b))
     main = _choose_main(deg_a, deg_b)
-    if main < 0:
-        return {(0, 0, 0): 1}  # no variable in common, whatever the certificate said
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)
@@ -687,7 +691,10 @@ def _learn(g: IntTerms) -> None:
     """Put a nonconstant gcd g, primitive and positive-led, at the front of
     the base, divided out of each entry as often as it divides it; entries
     left constant, and the oldest beyond _FACTOR_BASE_SIZE, are dropped.  No
-    entry divides g: _peel has divided each one out of both inputs."""
+    entry divides g: _peel has divided each one out of both inputs.  An older
+    entry f*h kept whole would never be peeled once f is, so h would cost a
+    PRS again.  (Neither ROADMAP's phi1-phi3 nor the benchmark's seed-1
+    workloads hold such a pair: entries kept whole change no PRS count.)"""
     new = (g, _degrees(g), max(g, key=_grlex_key))
     if not any(new[1]):
         return

@@ -506,30 +506,25 @@ def _convert(label: str, convert, text: str):
 
 # Every long option, in the order of the usage line: its destination (None
 # for --help and --version, which print and exit), its converter (None for a
-# flag) and its default.  A converter raises _UsageError with its message,
-# or ValueError for "invalid <converter> value".
+# flag), its default and the commands that read it.  A converter raises
+# _UsageError with its message, or ValueError for "invalid <converter> value".
+# An option given to any other command, in any spelling and with any value, is
+# a usage error rather than silently ignored.
 _OPTIONS = {
-    "--help": (None, None, None),
-    "--version": (None, None, None),
-    "--json": ("json", None, False),
-    "--eps": ("eps", _eps, 1),
-    "--rho": ("rho", str, None),
-    "--f": ("f", str, None),
-    "--points": ("points", _point_count, 25),
-    "--h": ("h", _positive_real, 1e-3),
-    "--t": ("t", _positive_real, 0.2),
-    "--from": ("start", _parse_triple, (1.0, 1.0, 1.0)),
-    "--seed": ("seed", int, 0),
-    "--box": ("box", _parse_box, (-3.0, 3.0)),
-    "--tol": ("tol", _positive_real, 1e-12),
-    "--check": ("check", str, None),
-}
-# the options that only some commands read; on any other command they are a
-# usage error rather than silently ignored
-_READ_BY = {
-    "--rho": ("check-file", "sample", "verify"),
-    "--f": ("check-file", "sample", "verify"),
-    "--check": ("sample",),
+    "--help": (None, None, None, _COMMANDS),
+    "--version": (None, None, None, _COMMANDS),
+    "--json": ("json", None, False, _COMMANDS),
+    "--eps": ("eps", _eps, 1, ("check-file", "integrate", "sample", "verify")),
+    "--rho": ("rho", str, None, ("check-file", "sample", "verify")),
+    "--f": ("f", str, None, ("check-file", "sample", "verify")),
+    "--points": ("points", _point_count, 25, ("check-file", "sample", "verify")),
+    "--h": ("h", _positive_real, 1e-3, ("integrate",)),
+    "--t": ("t", _positive_real, 0.2, ("integrate",)),
+    "--from": ("start", _parse_triple, (1.0, 1.0, 1.0), ("integrate",)),
+    "--seed": ("seed", int, 0, ("check-file", "sample", "verify")),
+    "--box": ("box", _parse_box, (-3.0, 3.0), ("check-file", "sample", "verify")),
+    "--tol": ("tol", _positive_real, 1e-12, ("check-file", "sample", "verify")),
+    "--check": ("check", str, None, ("sample",)),
 }
 
 _USAGE = """\
@@ -600,13 +595,13 @@ def _parse_args(argv):
     number or holds a space), a unique prefix of a long option, and '--',
     after which every token is a positional.  Each option is converted, and
     each positional taken, where it stands, so the first fault from the
-    left is reported; a missing positional, then an unrecognised token,
-    only at the end.  Returns the text to print instead if --help or
-    --version comes first; raises _UsageError."""
+    left is reported; a missing positional, an unrecognised token, then an
+    option the command does not read, only at the end.  Returns the text to
+    print instead if --help or --version comes first; raises _UsageError."""
     separator = argv.index("--") if "--" in argv else len(argv)
     kinds = [_option_of(text) for text in argv[:separator]] + [None] * (len(argv) - separator)
-    values = {dest: default for dest, _, default in _OPTIONS.values() if dest}
-    positionals, extras = [], []
+    values = {dest: default for dest, _, default, _ in _OPTIONS.values() if dest}
+    positionals, extras, given = [], [], set()
     taken = None  # the index of the last positional taken
     i = 0
     while i < len(argv):
@@ -627,8 +622,9 @@ def _parse_args(argv):
         if name is None:
             extras.append(text)
             continue
+        given.add(name)
         label = "-h/--help" if name == "--help" else name
-        dest, convert, _ = _OPTIONS[name]
+        dest, convert, _, _ = _OPTIONS[name]
         if convert is None:
             if explicit is not None:
                 raise _UsageError(f"argument {label}: ignored explicit argument {explicit!r}")
@@ -648,8 +644,8 @@ def _parse_args(argv):
     if extras:
         raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
     args = types.SimpleNamespace(command=positionals[0], system=positionals[1], **values)
-    for name, commands in _READ_BY.items():
-        if args.command not in commands and values[_OPTIONS[name][0]] is not None:
+    for name, (_, _, _, readers) in _OPTIONS.items():
+        if name in given and args.command not in readers:
             raise _UsageError(f"argument {name}: not read by {args.command}")
     if not args.t / args.h <= MAX_STEPS:
         raise _UsageError(f"argument --t/--h: --t={args.t} over --h={args.h} "

@@ -2,10 +2,12 @@ import gc
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import jsonschema
@@ -553,19 +555,101 @@ class TestCommandLine:
         (["check-file", "guillot", "--check", "structure.dgamma"], 2, "",
          usage_error("argument --check: not read by check-file")),
         (["derive", "guillot", "--f="], 2, "", usage_error("argument --f: not read by derive")),
+        (["derive", "guillot", "--points=3"], 2, "",
+         usage_error("argument --points: not read by derive")),
+        (["verify", "guillot", "--t=5"], 2, "", usage_error("argument --t: not read by verify")),
+        (["sample", "guillot", "--from=1,2,3"], 2, "",
+         usage_error("argument --from: not read by sample")),
+        (["integrate", "guillot", "--tol=1"], 2, "",
+         usage_error("argument --tol: not read by integrate")),
+        (["derive", "guillot", "--eps=-1"], 2, "",
+         usage_error("argument --eps: not read by derive")),
+        # wherever it stands, with its default value, and by a prefix
+        (["--points=3", "derive", "guillot"], 2, "",
+         usage_error("argument --points: not read by derive")),
+        (["derive", "guillot", "--points=25"], 2, "",
+         usage_error("argument --points: not read by derive")),
+        (["derive", "guillot", "--poi=3"], 2, "",
+         usage_error("argument --points: not read by derive")),
     ], ids=["-h", "--help", "--version", "prefix", "prefix-two-tokens", "dash-value",
             "flag-value", "eps-choice", "seed-int", "unknown-command", "missing-system",
             "extra-positional", "separator", "unknown-option", "repeated-option",
             "separator-after-system", "separator-first", "second-separator",
             "separator-among-extras", "-hh", "-hx", "empty-long-option", "box-not-numbers",
             "box-empty-bound", "f-on-integrate", "rho-on-derive", "check-on-verify",
-            "check-on-check-file", "empty-f-on-derive"])
+            "check-on-check-file", "empty-f-on-derive", "points-on-derive", "t-on-verify",
+            "from-on-sample", "tol-on-integrate", "eps-on-derive", "option-before-command",
+            "default-on-derive", "prefix-on-derive"])
     def test_command_line(self, argv, status, out, err, capsys):
         if isinstance(out, list):
             assert main(out) == status
             out = capsys.readouterr().out
         assert main(argv) == status
         assert capsys.readouterr() == (out, err)
+
+
+# a valid value of each option, so that only its scope can refuse it
+VALID_VALUES = {"--eps": "-1", "--rho": "x", "--f": "y", "--points": "3", "--h": "0.01",
+                "--t": "0.1", "--from": "1,2,3", "--seed": "1", "--box": "-1,1", "--tol": "1e-9",
+                "--check": "structure.dgamma"}
+# the (command, option) pairs outside each option's readers
+UNREAD = [(command, option) for option, (_, _, _, readers) in mcflow.cli._OPTIONS.items()
+          for command in mcflow.cli._COMMANDS if command not in readers]
+GOLDEN = Path(__file__).parent / "golden"
+# per command, requests that between them reach every read of the parsed
+# arguments: a nonzero residual is sampled in each oracle command
+COVERING = {
+    "verify": ([["verify", "guillot"], 0],
+               [["verify", "dh_symmetric", "--rho=x - 2", "--f=y"], 1]),
+    "sample": ([["sample", "dh_symmetric", "--rho=x - 2", "--f=y",
+                 "--check=sigma.integrability"], 0],),
+    "check-file": ([["check-file", str(GOLDEN / "broken.sys")], 1],),
+    "integrate": ([["integrate", "guillot"], 0],),
+    "derive": ([["derive", "guillot", "--json"], 0],),
+}
+
+
+class TestOptionScope:
+    """Each option is accepted only by the commands that read it."""
+
+    def test_unread_pairs(self):
+        assert len(UNREAD) == 29
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("command, option", UNREAD)
+    def test_an_unread_option_is_a_usage_error(self, command, option, before, capsys):
+        given = [f"{option}={VALID_VALUES[option]}"] if option in VALID_VALUES else [option]
+        argv = [*given, command, "guillot"] if before else [command, "guillot", *given]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", usage_error(f"argument {option}: not read by {command}"))
+
+    @pytest.mark.parametrize("command", sorted(COVERING))
+    def test_each_command_reads_exactly_the_options_it_accepts(self, command, monkeypatch,
+                                                               capsys):
+        reads = set()
+
+        class Recording(types.SimpleNamespace):
+            def __getattribute__(self, name):
+                if not name.startswith("__"):
+                    reads.add(name)
+                return object.__getattribute__(self, name)
+
+        parse = mcflow.cli._parse_args
+        monkeypatch.setattr(mcflow.cli, "_parse_args", lambda argv: Recording(**vars(parse(argv))))
+        for argv, status in COVERING[command]:
+            assert main(argv) == status
+        capsys.readouterr()
+        granted = {dest for dest, _, _, readers in mcflow.cli._OPTIONS.values()
+                   if dest is not None and command in readers}
+        assert reads == granted | {"command", "system"}
+
+    def test_usage_and_help_name_the_table_in_order(self):
+        usage = re.findall(r"\[(-[-\w]+)", mcflow.cli._USAGE)
+        options = mcflow.cli._HELP.split("\noptions:\n")[1]
+        helped = re.findall(r"^  (?:-h, )?(--\w+)", options, re.MULTILINE)
+        table = list(mcflow.cli._OPTIONS)
+        assert ["--help" if name == "-h" else name for name in usage] == table
+        assert helped == table
 
 
 class TestCheckFile:

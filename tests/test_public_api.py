@@ -7,8 +7,9 @@ alive.  The rule is syntactic: a function or class counts as used when a
 method only when an ``Attribute`` node does (a local variable or a parameter
 that shares a method's name is not a call of it).  Attributes
 match by name alone, whatever object they are read from, so a method whose
-name another class also defines could pass on the other class's use: such
-methods must also run while the CLI serves a set of covering requests.
+name another class also defines could pass on the other class's use: every
+function and method must also run while the CLI serves a set of covering
+requests.
 A private top-level function or class that no runtime code names outside
 its own body is a leftover of deleted code, and fails the same way, as does
 a parameter that its function or lambda never reads.
@@ -16,10 +17,9 @@ a parameter that its function or lambda never reads.
 
 import ast
 import contextlib
-import functools
 import io
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 
 from mcflow import algebra, systems
@@ -250,28 +250,40 @@ def test_only_algebra_normalises_rational_functions():
     assert named == {}
 
 
-# every built-in under every command, plus a sigma candidate
+# every built-in under every command; sigma candidates, one of which reaches
+# the PRS; each option converter; and the error paths that a request can reach
 REQUESTS = [
     [command, system]
     for system in ("guillot", "dh_classic", "dh_symmetric", "heisenberg_example")
     for command in ("verify", "derive", "sample", "integrate")
-] + [["verify", "guillot", "--rho=x + 1", "--f=y"]]
+] + [
+    ["verify", "guillot", "--rho=x + 1", "--f=y"],
+    ["verify", "guillot", "--rho=x*z - y^2", "--f=y/(x + z)"],
+    ["sample", "dh_symmetric", "--rho=x - 2", "--f=y", "--check=sigma.integrability",
+     "--points=3", "--seed=1", "--box=-2,2", "--tol=1e-9"],
+    ["verify", "guillot", "--rho=x^20000"],  # exit 2: the degree limit
+    ["integrate", "guillot", "--t=5", "--h=0.01"],  # exit 3: aborted at t = 0.51
+    ["integrate", "guillot", "--eps=-1", "--from=1,1,1"],  # exit 3: a log argument vanishes
+]
+# what no in-process request can enter: the comparison and printing that
+# pytest's assertions read, and the console entry, which ends the process
+UNREACHED_NAMES = {"__eq__", "__str__", "__repr__"}
+UNREACHED = {"cli.console_main"}
 
 
-def _shared_methods() -> set:
-    """module.Class.method for each public method of a top-level class whose
-    name a public method of another class also carries."""
-    owners = defaultdict(set)
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualname, node in _public_definitions(tree):
-            if "." in qualname:
-                owners[node.name].add(f"{path.stem}.{qualname}")
-    return {name for names in owners.values() if len(names) > 1 for name in names}
+def _functions(node, prefix=""):
+    """The code object qualname of each function and method below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.FunctionDef):
+            yield f"{prefix}{child.name}"
+            yield from _functions(child, f"{prefix}{child.name}.<locals>.")
+        else:
+            yield from _functions(child, prefix)
 
 
-@functools.cache
-def _methods_run() -> frozenset:
+def _functions_run() -> set:
     """module.qualname of every function of src/mcflow that runs while the
     CLI serves REQUESTS."""
     seen = set()
@@ -280,11 +292,12 @@ def _methods_run() -> frozenset:
         if event == "call":
             seen.add((frame.f_code.co_filename, frame.f_code.co_qualname))
 
-    # a cached frame, spec or gcd, left by another test, would skip the code
-    # that computes it
+    # a cached frame, spec or gcd, or a learned factor, left by another test,
+    # would skip the code that computes it
     systems.builtin.cache_clear()
     systems._shipped_spec.cache_clear()
     algebra._gcd_memo.clear()
+    algebra._factor_base.clear()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -293,28 +306,16 @@ def _methods_run() -> frozenset:
                 main(argv)
     finally:
         sys.setprofile(previous)
-    return frozenset(f"{Path(filename).stem}.{qualname}" for filename, qualname in seen
-                     if Path(filename).resolve().parent == PACKAGE)
+    return {f"{Path(filename).stem}.{qualname}" for filename, qualname in seen
+            if Path(filename).resolve().parent == PACKAGE}
 
 
-def test_every_shared_method_name_runs():
-    assert sorted(_shared_methods() - _methods_run()) == []
-
-
-# the protocol methods that the tests may reach alone: construction, and the
-# comparison and printing that pytest's assertions read
-UNCOVERED_DUNDERS = {"__init__", "__eq__", "__str__", "__repr__"}
-
-
-def test_every_operator_method_runs():
-    defined = {f"{path.stem}.{cls.name}.{item.name}"
-               for path in sorted(PACKAGE.glob("*.py"))
-               for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(cls, ast.ClassDef)
-               for item in cls.body
-               if isinstance(item, ast.FunctionDef) and item.name.startswith("__")
-               and item.name.endswith("__") and item.name not in UNCOVERED_DUNDERS}
-    assert sorted(defined - _methods_run()) == []
+def test_every_function_runs_while_the_cli_serves_requests():
+    defined = {f"{path.stem}.{qualname}" for path in sorted(PACKAGE.glob("*.py"))
+               for qualname in _functions(ast.parse(path.read_text(encoding="utf-8")))}
+    unreached = {name for name in defined - _functions_run()
+                 if name.rsplit(".", 1)[1] not in UNREACHED_NAMES}
+    assert sorted(unreached) == sorted(UNREACHED)
 
 
 def _attribute_writes(function):
