@@ -593,10 +593,9 @@ def _coprime_certified(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...],
 
 def _choose_main(deg_a: tuple[int, ...], deg_b: tuple[int, ...]) -> int:
     """Axis, of those where both have positive degree, giving the shortest
-    remainder sequence.  _coprime_certified returns False only at such an
-    axis, so there is one.  The first shared axis instead took `verify` of
-    ROADMAP's triangular pushes of guillot_conj0 from 0.8 to 3.8 s (phi1) and
-    from 4.7 to 31.4 s (phi3)."""
+    remainder sequence, or -1 if there is none.  The first shared axis
+    instead took `verify` of ROADMAP's triangular pushes of guillot_conj0
+    from 0.8 to 3.8 s (phi1) and from 4.7 to 31.4 s (phi3)."""
     best, best_cost = -1, None
     for axis in range(3):
         da, db = deg_a[axis], deg_b[axis]
@@ -638,6 +637,10 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     if peeled is not None:
         return _int_mul(peeled, _int_gcd(a, b))
     main = _choose_main(deg_a, deg_b)
+    if main < 0:
+        # no variable in common.  The certificate says so too, but its False
+        # only means undecided, and a content split on no axis never ends.
+        return {(0, 0, 0): 1}
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)

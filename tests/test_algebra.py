@@ -611,6 +611,13 @@ class TestCoprimeCertificate:
     def test_common_factor_is_never_certified(self, common, h1, h2):
         assert not _certified(common * h1, common * h2)
 
+    def test_the_prs_alone_settles_a_pair_with_no_shared_variable(self):
+        # the certificate's False means undecided, so the kernel must still
+        # end when it is switched off for a pair that shares no axis (here
+        # neither has z, so each is its own content along every axis)
+        assert _prs_gcd(X**2 + 1, Y - 3) == ONE
+        assert _prs_gcd(Y**3 - Y + 2, X * 5 + 7) == ONE
+
     def test_images_reduce_below_a_one_digit_prime(self):
         prime = algebra._IMAGE_PRIME
         assert prime < 2**30

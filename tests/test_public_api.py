@@ -17,9 +17,10 @@ a parameter that its function or lambda never reads.
 
 import ast
 import contextlib
+import functools
 import io
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from mcflow import algebra, systems
@@ -283,7 +284,8 @@ def _functions(node, prefix=""):
             yield from _functions(child, prefix)
 
 
-def _functions_run() -> set:
+@functools.cache
+def _functions_run() -> frozenset:
     """module.qualname of every function of src/mcflow that runs while the
     CLI serves REQUESTS."""
     seen = set()
@@ -306,8 +308,8 @@ def _functions_run() -> set:
                 main(argv)
     finally:
         sys.setprofile(previous)
-    return {f"{Path(filename).stem}.{qualname}" for filename, qualname in seen
-            if Path(filename).resolve().parent == PACKAGE}
+    return frozenset(f"{Path(filename).stem}.{qualname}" for filename, qualname in seen
+                     if Path(filename).resolve().parent == PACKAGE)
 
 
 def test_every_function_runs_while_the_cli_serves_requests():
@@ -316,6 +318,35 @@ def test_every_function_runs_while_the_cli_serves_requests():
     unreached = {name for name in defined - _functions_run()
                  if name.rsplit(".", 1)[1] not in UNREACHED_NAMES}
     assert sorted(unreached) == sorted(UNREACHED)
+
+
+def _shared_methods() -> set:
+    """module.Class.method for each public method of a top-level class whose
+    name a public method of another class also carries."""
+    owners = defaultdict(set)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, node in _public_definitions(tree):
+            if "." in qualname:
+                owners[node.name].add(f"{path.stem}.{qualname}")
+    return {name for names in owners.values() if len(names) > 1 for name in names}
+
+
+def test_every_shared_method_name_runs():
+    # the public-name guard matches attributes by name alone, so it cannot
+    # tell these methods apart
+    assert sorted(_shared_methods() - _functions_run()) == []
+
+
+def test_every_operator_method_runs():
+    defined = {f"{path.stem}.{cls.name}.{item.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(cls, ast.ClassDef)
+               for item in cls.body
+               if isinstance(item, ast.FunctionDef) and item.name.startswith("__")
+               and item.name.endswith("__") and item.name not in UNREACHED_NAMES}
+    assert sorted(defined - _functions_run()) == []
 
 
 def _attribute_writes(function):
