@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from heapq import heapify, heappop, heappush
-from operator import le, sub
+from operator import sub
 from typing import Iterator, Sequence
 
 DEFAULT_CHART = ("x", "y", "z")
@@ -372,14 +372,9 @@ class Poly3:
         # A primitive divisor divides over Q iff it divides over Z, and then
         # the quotient of the two primitive maps is primitive with a positive
         # lead (Gauss), so the integer kernel decides divisibility exactly.
-        # The leads multiply (graded lex is a monomial order), so a divisor
-        # whose lead triple or lead coefficient does not divide ours cannot.
         a, b = self._lead, divisor._lead
-        if a[0] < b[0] or a[1] < b[1] or a[2] < b[2] or self._prim[a] % divisor._prim[b]:
-            return None
-        try:
-            quotient = _int_div_exact(self._prim, divisor._prim)
-        except NotDivisibleError:
+        quotient = _int_try_div(self._prim, a, divisor._prim, b)
+        if quotient is None:
             return None
         return Poly3(quotient, self._num, self._den, (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
                      self.variables)._scale(divisor._den, divisor._num)
@@ -435,11 +430,6 @@ def poly_gcd(a: Poly3, b: Poly3) -> Poly3:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return Poly3.const(1, a.variables)
-    if a._prim == b._prim:
-        # a and b are proportional.  The certificate fails on every axis of
-        # such a pair, so the kernel would take the PRS and learn the whole
-        # map; one comparison settles it (test_proportional_pair_skips_the_prs)
-        return a.monic()
     key = frozenset((frozenset(a._prim.items()), frozenset(b._prim.items())))
     known = _gcd_memo.get(key)
     if known is None:
@@ -528,6 +518,21 @@ def _int_div_exact(a: IntTerms, b: IntTerms) -> IntTerms:
             else:
                 rest[t] = acc - b_coeff * q
     return quotient
+
+
+def _int_try_div(a: IntTerms, lead_a: ExponentTriple, b: IntTerms,
+                 lead_b: ExponentTriple) -> IntTerms | None:
+    """a / b for nonzero maps with graded-lex leading triples lead_a and
+    lead_b, or None if b does not divide a.  The leads multiply (graded lex
+    is a monomial order), so if b's lead triple or lead coefficient does not
+    divide a's, b cannot divide a and the heap division is not run."""
+    if (lead_a[0] < lead_b[0] or lead_a[1] < lead_b[1] or lead_a[2] < lead_b[2]
+            or a[lead_a] % b[lead_b]):
+        return None
+    try:
+        return _int_div_exact(a, b)
+    except NotDivisibleError:
+        return None
 
 
 def _int_pow(p: IntTerms, n: int) -> IntTerms:
@@ -633,7 +638,7 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     deg_a, deg_b = _degrees(a), _degrees(b)
     if _coprime_certified(a, b, deg_a, deg_b):
         return {(0, 0, 0): 1}
-    peeled, a, b = _peel(a, b, deg_a, deg_b)
+    peeled, a, b = _peel(a, b)
     if peeled is not None:
         return _int_mul(peeled, _int_gcd(a, b))
     main = _choose_main(deg_a, deg_b)
@@ -660,54 +665,32 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
 # ---------------------------------------------------------------------------
 
 _FACTOR_BASE_SIZE = 32
-# entries (map, per-axis degrees, graded-lex leading triple), the newest first
-_factor_base: list[tuple[IntTerms, tuple[int, ...], ExponentTriple]] = []
+# entries (map, graded-lex leading triple), the newest first
+_factor_base: list[tuple[IntTerms, ExponentTriple]] = []
 
 
-def _quotient(entry, factor):
-    """entry / factor for two base entries, or None if factor does not divide
-    entry.  Degrees and graded-lex leading monomials of a product are the
-    sums of its factors', which rules most misses out before any division."""
-    (p, deg, lead), (f, deg_f, lead_f) = entry, factor
-    if not (all(map(le, deg_f, deg)) and all(map(le, lead_f, lead))):
-        return None
-    try:
-        return _int_div_exact(p, f), tuple(map(sub, deg, deg_f)), tuple(map(sub, lead, lead_f))
-    except NotDivisibleError:
-        return None
-
-
-def _peel(a: IntTerms, b: IntTerms, deg_a: tuple[int, ...], deg_b: tuple[int, ...]):
+def _peel(a: IntTerms, b: IntTerms):
     """(product of the base factors divided out or None, a', b'): each base
     factor, newest first, is divided out of both a and b as often as it
-    divides both."""
-    left, right = (a, deg_a, max(a, key=_grlex_key)), (b, deg_b, max(b, key=_grlex_key))
+    divides both.  The lead of a quotient is the difference of the leads."""
+    lead_a, lead_b = max(a, key=_grlex_key), max(b, key=_grlex_key)
     peeled = None
-    for factor in _factor_base:
-        while (q_left := _quotient(left, factor)) and (q_right := _quotient(right, factor)):
-            left, right = q_left, q_right
-            peeled = factor[0] if peeled is None else _int_mul(peeled, factor[0])
-    return peeled, left[0], right[0]
+    for f, lead_f in _factor_base:
+        while ((q_a := _int_try_div(a, lead_a, f, lead_f))
+               and (q_b := _int_try_div(b, lead_b, f, lead_f))):
+            a, b = q_a, q_b
+            lead_a, lead_b = tuple(map(sub, lead_a, lead_f)), tuple(map(sub, lead_b, lead_f))
+            peeled = f if peeled is None else _int_mul(peeled, f)
+    return peeled, a, b
 
 
 def _learn(g: IntTerms) -> None:
     """Put a nonconstant gcd g, primitive and positive-led, at the front of
-    the base, divided out of each entry as often as it divides it; entries
-    left constant, and the oldest beyond _FACTOR_BASE_SIZE, are dropped.  No
-    entry divides g: _peel has divided each one out of both inputs.  An older
-    entry f*h kept whole would never be peeled once f is, so h would cost a
-    PRS again.  (Neither ROADMAP's phi1-phi3 nor the benchmark's seed-1
-    workloads hold such a pair: entries kept whole change no PRS count.)"""
-    new = (g, _degrees(g), max(g, key=_grlex_key))
-    if not any(new[1]):
-        return
-    kept = []
-    for entry in _factor_base:
-        while quotient := _quotient(entry, new):
-            entry = quotient
-        if any(entry[1]):
-            kept.append(entry)
-    _factor_base[:] = [new] + kept[:_FACTOR_BASE_SIZE - 1]
+    the base, and keep the newest _FACTOR_BASE_SIZE entries.  No entry
+    divides g: _peel has divided each one out of both inputs."""
+    lead = max(g, key=_grlex_key)
+    if any(lead):
+        _factor_base[:] = [(g, lead)] + _factor_base[:_FACTOR_BASE_SIZE - 1]
 
 
 def _int_coeffs_in(p: IntTerms, main: int) -> dict[int, IntTerms]:
@@ -721,7 +704,11 @@ def _int_coeffs_in(p: IntTerms, main: int) -> dict[int, IntTerms]:
 
 
 def _int_split_content(p: IntTerms, main: int) -> tuple[IntTerms, IntTerms]:
-    coeffs = list(_int_coeffs_in(p, main).values())
+    """(content, primitive part) of p in the main variable.  The content gcd
+    takes the coefficients fewest terms first, ties highest degree first, so
+    its calls depend on neither the term map's order nor its insertion order."""
+    view = _int_coeffs_in(p, main)
+    coeffs = [view[d] for d in sorted(view, key=lambda d: (len(view[d]), -d))]
     content = _int_strip(coeffs[0])
     for coeff in coeffs[1:]:
         if content == {(0, 0, 0): 1}:

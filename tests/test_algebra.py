@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mcflow import algebra
 from mcflow.algebra import (
@@ -14,6 +14,7 @@ from mcflow.algebra import (
     ChartMismatchError,
     ExponentOverflowError,
     NegativeExponentError,
+    NotDivisibleError,
     Poly3,
     RationalFunction,
     SingularPointError,
@@ -218,6 +219,9 @@ divisors = st.one_of(
 )
 
 
+int_maps = st.dictionaries(exponents, st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
+
+
 class TestIntegerKernels:
     @settings(max_examples=150, deadline=None)
     @given(mixed_polys(), divisors)
@@ -248,6 +252,25 @@ class TestIntegerKernels:
         with mock.patch.object(algebra, "_int_div_exact",
                                side_effect=AssertionError("heap division")):
             assert a.try_div(b) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_maps, int_maps, st.one_of(st.just({}), int_maps), st.sampled_from((1, -1, 2, -3)),
+           st.booleans())
+    def test_the_filtered_division_agrees_with_the_heap_division(self, q, b, r, scale, swap):
+        # a = q b - r, then b scaled by a unit or a non-unit, and the pair
+        # perhaps swapped: leads of either sign, lead triple misses, lead
+        # coefficient misses and remainders past the filter all occur
+        a = algebra._int_sub(algebra._int_mul(q, b), r)
+        assume(a)
+        b = {e: scale * c for e, c in b.items()}
+        if swap:
+            a, b = b, a
+        try:
+            expected = algebra._int_div_exact(a, b)
+        except NotDivisibleError:
+            expected = None
+        lead_a, lead_b = max(a, key=algebra._grlex_key), max(b, key=algebra._grlex_key)
+        assert algebra._int_try_div(a, lead_a, b, lead_b) == expected
 
     def test_zero_dividend(self):
         assert Poly3.const(0).try_div(Fraction(-3, 2) * X + 1).is_zero()
@@ -454,12 +477,6 @@ class TestGcd:
         assert next(_terms(g))[1] == 1
         assert g == X - Y
 
-    def test_proportional_pair_skips_the_prs(self):
-        p = 2 * X**2 * Y - 3 * Z + 4
-        with mock.patch.object(algebra, "_int_gcd", side_effect=AssertionError("PRS entered")):
-            assert poly_gcd(p, Fraction(-3, 2) * p) == p.monic()
-            assert poly_gcd(Fraction(-3, 2) * p, p) == p.monic()
-
     @settings(max_examples=50, deadline=None)
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
     def test_gcd_divides_both(self, a, b, common):
@@ -493,9 +510,7 @@ def factor_base(*factors: Poly3):
     gcd memo, so that every gcd reaches the kernel."""
     saved = list(algebra._factor_base)
     saved_memo = dict(algebra._gcd_memo)
-    algebra._factor_base[:] = [
-        (f._prim, algebra._degrees(f._prim), f._lead) for f in factors if not f.is_constant()
-    ]
+    algebra._factor_base[:] = [(f._prim, f._lead) for f in factors if not f.is_constant()]
     algebra._gcd_memo.clear()
     try:
         yield algebra._factor_base
@@ -539,12 +554,13 @@ class TestFactorBase:
                 algebra, "_int_prs_gcd", side_effect=AssertionError("PRS entered")):
             assert poly_gcd(left, right) == common**2
 
-    def test_learned_entries_do_not_nest(self):
-        f = X**2 + Y * Z + 1
-        with factor_base() as base:
-            algebra._learn((f**2)._prim)
-            algebra._learn(f._prim)
-            assert [entry[0] for entry in base] == [f._prim]
+    def test_a_lead_coefficient_miss_is_rejected_before_the_heap_division(self):
+        # the lead x of 2x + 1 divides the lead x^2 of a, but 2 does not divide 3
+        f = 2 * X + 1
+        a, b = 3 * X**2 + Y, f * (Y - 3)
+        with factor_base(f), mock.patch.object(algebra, "_int_div_exact",
+                                               side_effect=AssertionError("heap division")):
+            assert algebra._peel(a._prim, b._prim) == (None, a._prim, b._prim)
 
     def test_capacity_evicts_the_oldest(self):
         size = algebra._FACTOR_BASE_SIZE

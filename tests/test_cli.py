@@ -1167,26 +1167,18 @@ class TestCheckTable:
     def test_candidate_request_rarely_reaches_the_prs(self, monkeypatch, capsys):
         # the gcds of a sigma candidate are mostly factors of one denominator,
         # which the factor base peels off by trial division
-        from mcflow import algebra
-
-        original = algebra._int_prs_gcd
-        calls = []
-
-        def counting(*args):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(algebra, "_int_prs_gcd", counting)
-        monkeypatch.setattr(algebra, "_factor_base", [], raising=False)
-        monkeypatch.setattr(algebra, "_gcd_memo", {}, raising=False)
-        mcflow.systems.builtin.cache_clear()
-        try:
-            status = main(["verify", "dh_symmetric", "--rho=x - 2", "--f=y"])
-        finally:
-            mcflow.systems.builtin.cache_clear()
-        capsys.readouterr()
+        status, entries = kernel_entries(
+            monkeypatch, capsys, "_int_prs_gcd", ["verify", "dh_symmetric", "--rho=x - 2", "--f=y"])
         assert status == 1
-        assert len(calls) <= 10
+        assert entries <= 10
+
+    def test_content_order_keeps_a_pushed_frame_off_the_prs(self, monkeypatch, capsys):
+        # the content gcd takes the main-variable coefficients fewest terms
+        # first; in term-map order this request entered the PRS 4 times
+        path = Path(__file__).parent / "golden" / "guillot_conj0_tri2.sys"
+        status, entries = kernel_entries(monkeypatch, capsys, "_int_prs_gcd", ["verify", str(path)])
+        assert status == 0
+        assert entries <= 3
 
     def test_guillot_candidate_rarely_reaches_the_prs(self, monkeypatch, capsys):
         # a shared monomial used to defeat the image test, and the PRS then
