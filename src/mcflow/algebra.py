@@ -344,16 +344,14 @@ class Poly3:
             total += coeff * num / den * x ** a * y ** b * z ** c
         return total
 
-    def compose(self, images: Sequence["RationalFunction"]) -> "RationalFunction":
-        """Substitute a rational function for each chart variable."""
+    def compose(self, images: Sequence["Poly3"]) -> "Poly3":
+        """Substitute a polynomial for each chart variable."""
         if len(images) != 3:
             raise ChartMismatchError("compose needs one image per chart variable")
-        chart = images[0].chart
-        one = Poly3.const(1, chart)
-        content = Poly3(one._prim, self._num, self._den, one._lead, chart)
-        total = RationalFunction.const(0, chart)
+        chart = images[0].variables
+        total = Poly3.const(0, chart)
         for exps, coeff in self._prim.items():
-            term = RationalFunction._raw(content._scale(coeff, 1), one)
+            term = Poly3.const(coeff, chart)._scale(self._num, self._den)
             for image, e in zip(images, exps):
                 if e:
                     term = term * image**e
@@ -649,7 +647,7 @@ def _int_gcd(a: IntTerms, b: IntTerms) -> IntTerms:
     cont_a, prim_a = _int_split_content(a, main)
     cont_b, prim_b = _int_split_content(b, main)
     cont = _int_gcd(cont_a, cont_b)
-    prim = _int_strip(_int_prs_gcd(prim_a, prim_b, main, deg_a[main], deg_b[main]))
+    prim = _int_prs_gcd(prim_a, prim_b, main, deg_a[main], deg_b[main])
     _learn(prim)
     return _int_mul(cont, prim)
 
@@ -714,16 +712,10 @@ def _int_split_content(p: IntTerms, main: int) -> tuple[IntTerms, IntTerms]:
         if content == {(0, 0, 0): 1}:
             break
         content = _int_gcd(content, coeff)
-    content = _int_normalize_sign(content)
+    content = _canonical(content, 1, 1)[0]
     if content == {(0, 0, 0): 1}:
         return content, p
     return content, _int_div_exact(p, content)
-
-
-def _int_normalize_sign(p: IntTerms) -> IntTerms:
-    if p and p[max(p, key=_grlex_key)] < 0:
-        return {e: -c for e, c in p.items()}
-    return p
 
 
 def _int_lead_in(p: IntTerms, main: int) -> tuple[int, IntTerms]:
@@ -768,7 +760,7 @@ def _int_prs_gcd(f: IntTerms, g: IntTerms, main: int, deg_f: int, deg_g: int) ->
         delta = deg_f - deg_g
         remainder, deg_r = _int_prem(f, g, main, delta + 1)
         if not remainder:
-            return _int_normalize_sign(_int_split_content(g, main)[1])
+            return _canonical(_int_split_content(g, main)[1], 1, 1)[0]
         if deg_r == 0:
             return one
         # the divisor is free of the main variable, so deg_r still holds
@@ -837,24 +829,17 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = as_rational(other, self.chart)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         (n1, d1), (n2, d2) = (self.num, self.den), (other.num, other.den)
         if d1 == d2:
             return RationalFunction(n1 + n2, d1)
         # Over the lcm, with g = gcd(d1, d2), the sum is n1 d2/g + n2 d1/g,
         # and only a factor of g can cancel from it (Henrici; Knuth, TAOCP
-        # vol. 2, 4.5.1): a constant denominator is 1, and coprime ones leave
-        # the sum reduced
+        # vol. 2, 4.5.1): a constant denominator is 1
         if d1.is_constant():
             return RationalFunction._raw(n1 * d2 + n2, d2)
         if d2.is_constant():
             return RationalFunction._raw(n1 + n2 * d1, d1)
         g = poly_gcd(d1, d2)
-        if g.is_constant():
-            return RationalFunction._raw(n1 * d2 + n2 * d1, d1 * d2)
         a, b = d1.div_exact(g), d2.div_exact(g)
         num, rest = _normalize(n1 * b + n2 * a, g)
         return RationalFunction._raw(num, rest * a * b)
@@ -868,14 +853,7 @@ class RationalFunction:
         return self + (-as_rational(other, self.chart))
 
     def __mul__(self, other) -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            if not isinstance(other, Poly3):
-                other = Poly3.const(other, self.chart)  # an int or a Fraction
-            if other.is_constant():  # a constant factor only rescales the numerator
-                if other.is_zero():
-                    return RationalFunction.const(0, self.chart)
-                return RationalFunction._raw(self.num * other, self.den)
-            other = as_rational(other, self.chart)
+        other = as_rational(other, self.chart)
         if self.is_zero() or other.is_zero():
             return RationalFunction.const(0, self.chart)
         # each numerator is already coprime to its own denominator
@@ -926,12 +904,6 @@ class RationalFunction:
                 f"denominator {format_poly(self.den)} vanishes at {format_point(point)}")
         return self.num.eval(point) / den_value
 
-    def compose(self, images: Sequence["RationalFunction"]) -> "RationalFunction":
-        den = self.den.compose(images)
-        if den.is_zero():
-            raise ZeroDenominatorError("composition produced a zero denominator")
-        return self.num.compose(images) / den
-
     def uniform_weight(self, weights: tuple[int, int, int]) -> int | None:
         """Weighted degree when both num and den are weight-homogeneous."""
         if self.is_zero():
@@ -969,12 +941,7 @@ def over_lcm(fs: Sequence[RationalFunction]) -> tuple[Poly3, list[Poly3]]:
     nums = [fs[0].num]
     for f in fs[1:]:
         d = f.den
-        if d.is_constant():
-            nums.append(f.num * den)
-        elif den.is_constant():
-            nums = [n * d for n in nums] + [f.num]
-            den = d
-        elif d == den:
+        if d == den:
             nums.append(f.num)
         else:
             g = poly_gcd(den, d)

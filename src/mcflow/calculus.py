@@ -71,8 +71,6 @@ def _curl(p, names) -> tuple:
     den, p = over_lcm(p)
     (_, py, pz), (qx, _, qz), (rx, ry, _) = (_grad(c, names) for c in p)
     curl = (ry - qz, pz - rx, qx - py)
-    if den.is_constant():
-        return tuple(RationalFunction(top, den) for top in curl)
     return tuple(RationalFunction(den * c - t, den, den)
                  for c, t in zip(curl, _cross3(_grad(den, names), p)))
 
@@ -115,10 +113,7 @@ class VectorField3:
         f = N/E, (E (P . grad N) - N (P . grad E))/(L E^2)."""
         den, p = over_lcm(self.components)
         names = self.chart
-        top = _dot3(p, _grad(f.num, names))
-        if f.den.is_constant():
-            return RationalFunction(top, den)
-        top = f.den * top - f.num * _dot3(p, _grad(f.den, names))
+        top = f.den * _dot3(p, _grad(f.num, names)) - f.num * _dot3(p, _grad(f.den, names))
         return RationalFunction(top, den, f.den, f.den)
 
     def __add__(self, other: "VectorField3") -> "VectorField3":

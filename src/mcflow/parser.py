@@ -528,13 +528,23 @@ def _parse_components(value: str, variables, line_no: int, column: int) -> tuple
     return tuple(components)
 
 
+def _is_identifier(name: str) -> bool:
+    """True if the lexer reads name as one identifier, as a value would."""
+    try:
+        return [token.kind for token in _tokenize(name)] == ["ident", "end"]
+    except ParseError:
+        return False
+
+
 def parse_system(source: str) -> SystemSpec:
     """Parse a system document; the first error aborts with its line."""
     seen: dict[str, int] = {}
     # (line, value, column of the value's first character)
     raw: dict[str, tuple[int, str, int]] = {}
     integrals: list[tuple[str, int, str, int]] = []
-    for line_no, line in enumerate(source.splitlines(), start=1):
+    # lines end at \r\n, \r and \n as in text mode, not at \f or \u2028
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         body = _strip_comment(line).strip()
         if not body:
             continue
@@ -573,9 +583,7 @@ def parse_system(source: str) -> SystemSpec:
 
     vars_line, vars_value, _ = raw["variables"]
     names = tuple(part.strip() for part in vars_value.split(","))
-    if len(names) != 3 or len(set(names)) != 3 or not all(
-        n and (n[0].isalpha() or n[0] == "_") and n.isidentifier() for n in names
-    ):
+    if len(names) != 3 or len(set(names)) != 3 or not all(map(_is_identifier, names)):
         raise ParseError("variables must be 3 distinct identifiers", vars_line)
     # log names the logarithm in every expression, so no value could use it
     if "log" in names:

@@ -189,28 +189,16 @@ def dh_reduction_check() -> tuple[Check, ...]:
     t_chart = classic.variables
     flow = VectorField3(*classic.v)
 
-    t1 = Poly3.variable("t1", t_chart)
-    t2 = Poly3.variable("t2", t_chart)
-    t3 = Poly3.variable("t3", t_chart)
-    substitution = (
-        RationalFunction(-2 * (t1 + t2 + t3)),
-        RationalFunction(4 * (t1 * t2 + t2 * t3 + t1 * t3)),
-        RationalFunction(-8 * t1 * t2 * t3),
-    )
-
-    checks = []
-    names = ("x", "y", "z")
-    for index, (image, name) in enumerate(zip(substitution, names)):
-        derived = flow.apply(image)
-        target = symmetric_v[index].compose(substitution)
-        checks.append(
-            Check.from_residual(
-                f"reduction.{name}dot",
-                f"d/dt of substituted {name} = {name}dot after substitution",
-                derived - target,
-            )
+    t1, t2, t3 = (Poly3.variable(name, t_chart) for name in t_chart)
+    substitution = (-2 * (t1 + t2 + t3), 4 * (t1 * t2 + t2 * t3 + t1 * t3), -8 * t1 * t2 * t3)
+    return tuple(
+        Check.from_residual(
+            f"reduction.{name}dot",
+            f"d/dt of substituted {name} = {name}dot after substitution",
+            flow.apply(RationalFunction(image)) - target.num.compose(substitution),
         )
-    return tuple(checks)
+        for image, target, name in zip(substitution, symmetric_v, ("x", "y", "z"))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,12 @@ class TestPolyArithmetic:
             expected = expected * a
         assert a**n == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(polys(), st.tuples(*[polys(max_terms=3)] * 3), st.tuples(*[st.integers(-3, 3)] * 3))
+    def test_compose_evaluates_at_the_images(self, p, images, point):
+        values = tuple(image.eval(point) for image in images)
+        assert p.compose(images).eval(point) == p.eval(values)
+
 
 # ---------------------------------------------------------------------------
 # integer kernels of multiply and exact division, against a schoolbook
@@ -1058,5 +1064,5 @@ class TestFormatting:
         t2 = RationalFunction(Poly3.variable("t2", t_chart))
         t3 = RationalFunction(Poly3.variable("t3", t_chart))
         f = rf(X * Y + Z)
-        composed = f.compose((t1, t2, t3))
+        composed = f.num.compose((t1.num, t2.num, t3.num))
         assert composed == t1 * t2 + t3

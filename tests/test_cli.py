@@ -719,6 +719,23 @@ class TestCheckFile:
             None, 2, "parse error: variables must be 3 distinct identifiers other than log "
                      "(line 2, column 1)")
 
+    # lines end at \r\n, \r and \n only, as in text mode; the lexer reads
+    # the other breaks of str.splitlines inside a value as spaces
+    @pytest.mark.parametrize("space", ["\f", "\x85"], ids=["form_feed", "next_line"])
+    def test_a_break_that_text_mode_keeps_is_a_space_in_a_value(self, tmp_path, space):
+        plain, spaced = tmp_path / "plain.sys", tmp_path / "spaced.sys"
+        source = system_source("guillot")
+        plain.write_bytes(source.encode("utf-8"))
+        spaced.write_bytes(source.replace("x*y; ", f"x*y;{space} ", 1).encode("utf-8"))
+        assert spaced.read_bytes() != plain.read_bytes()
+        assert run(["verify", str(spaced)]) == run(["verify", str(plain)])
+
+    def test_a_fault_after_a_line_separator_reports_the_text_mode_line(self, tmp_path):
+        path = tmp_path / "separator.sys"
+        path.write_bytes("name: t\nvariables: x, y, z\nv: x;\u2028 y; z$\n".encode("utf-8"))
+        assert run(["verify", str(path)]) == (
+            None, 2, "parse error: unexpected character '$' (line 3, column 12)")
+
     @pytest.mark.parametrize("command", [["derive"], ["verify"], ["derive", "--json"]],
                              ids=["derive", "verify", "derive_json"])
     def test_oversized_product_is_a_parse_error(self, tmp_path, command, capsys):

@@ -566,7 +566,9 @@ def _conjugate(field: VectorField3, matrix, inverse) -> VectorField3:
         for entry, name in zip(row, chart):
             image = image + RationalFunction(Poly3.variable(name, chart)) * entry
         images.append(image)
-    pushed = [c.compose(images) for c in field.components]
+    polys = [image.num for image in images]  # each image is a polynomial over 1
+    pushed = [RationalFunction(c.num.compose(polys), c.den.compose(polys))
+              for c in field.components]
     new_components = []
     for row in matrix:
         total = RationalFunction.const(0, chart)

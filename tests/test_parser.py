@@ -397,6 +397,19 @@ class TestParseSystem:
         t3 = RationalFunction(Poly3.variable("t3", spec.variables))
         assert spec.v[0] == t2 * t3 - t1 * t2 - t1 * t3
 
+    # a variable is a name the lexer reads back as one identifier
+    @pytest.mark.parametrize("name", ["x\u203f", "e\u0301"], ids=["undertie", "decomposed_e"])
+    def test_a_variable_the_lexer_splits_is_refused(self, name):
+        with pytest.raises(ParseError) as info:
+            parse_system(f"name: a\nvariables: {name}, y, z\nv: {name}; y; z\n")
+        assert (info.value.message, info.value.line, info.value.column) == (
+            "variables must be 3 distinct identifiers", 2, 1)
+
+    def test_a_variable_the_lexer_reads_as_one_identifier_is_accepted(self):
+        spec = parse_system("name: a\nvariables: x\u00b2, y, z\nv: x\u00b2^2; y; z\n")
+        assert spec.variables == ("x\u00b2", "y", "z")
+        assert spec.v[0] == rf(Poly3.variable("x\u00b2", spec.variables) ** 2)
+
     def test_round_trip_through_serialization(self):
         spec = parse_system(GUILLOT_SYS)
         chart = spec.variables

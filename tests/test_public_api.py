@@ -262,6 +262,7 @@ REQUESTS = [
     ["verify", "guillot", "--rho=x*z - y^2", "--f=y/(x + z)"],
     ["sample", "dh_symmetric", "--rho=x - 2", "--f=y", "--check=sigma.integrability",
      "--points=3", "--seed=1", "--box=-2,2", "--tol=1e-9"],
+    ["verify", "guillot", "--rho=(x/y)^2"],  # the parser raises a quotient to a power
     ["verify", "guillot", "--rho=x^20000"],  # exit 2: the degree limit
     ["integrate", "guillot", "--t=5", "--h=0.01"],  # exit 3: aborted at t = 0.51
     ["integrate", "guillot", "--eps=-1", "--from=1,1,1"],  # exit 3: a log argument vanishes
