@@ -26,7 +26,10 @@ import math
 import sys
 from heapq import heapify, heappop, heappush
 from operator import sub
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_CHART = ("x", "y", "z")
 

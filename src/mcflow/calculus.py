@@ -16,7 +16,7 @@ coefficient equality, with no stray signs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import (
     DEFAULT_CHART,
@@ -26,6 +26,9 @@ from .algebra import (
     format_point,
     over_lcm,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GradeError(Exception):

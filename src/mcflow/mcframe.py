@@ -10,7 +10,11 @@ and checks every structural identity exactly: duality pairings, the
 structure equations d(beta) = -2 alpha^beta, d(alpha) = gamma^beta,
 d(gamma) = 2 alpha^gamma, curl and divergence identities, Frobenius
 integrability, conformal invariance, the vector potential, and the
-bi-Hamiltonian decomposition against supplied first integrals.
+bi-Hamiltonian decomposition against supplied first integrals.  As
+M (v x u).w = 1 gives alpha^beta = -M w, alpha^gamma = M v and
+gamma^beta = M u, the structure, Frobenius, conformal and sigma rows are
+read off the three curl residuals (see curl_identities) and assume no
+other identity: a frame that fails one still gets every exact residual.
 
 Every check is reported with its residual kept as an exact object, so a
 numeric oracle can re-evaluate it independently.
@@ -131,50 +135,33 @@ def build_frame(v: VectorField3, u: VectorField3, w: VectorField3) -> Frame:
 
 def verify_duality(frame: Frame) -> tuple[Check, ...]:
     """All nine couplings: three unit pairings, six vanishing ones."""
-    pairs = {
-        "v": frame.v,
-        "u": frame.u,
-        "w": frame.w,
-    }
-    forms = {
-        "alpha": frame.alpha,
-        "beta": frame.beta,
-        "gamma": frame.gamma,
-    }
-    unit = {("v", "beta"), ("u", "alpha"), ("w", "gamma")}
+    fields = {"v": frame.v, "u": frame.u, "w": frame.w}
+    forms = {"alpha": frame.alpha, "beta": frame.beta, "gamma": frame.gamma}
+    units = {("v", "beta"), ("u", "alpha"), ("w", "gamma")}
     checks = []
-    for field_name in ("v", "u", "w"):
-        for form_name in ("alpha", "beta", "gamma"):
-            value = forms[form_name].interior(pairs[field_name]).coeffs[0]
-            if (field_name, form_name) in unit:
-                residual = value - RationalFunction.const(1, value.chart)
-                anchor = f"iota_{field_name} {form_name} = 1"
-            else:
-                residual = value
-                anchor = f"iota_{field_name} {form_name} = 0"
-            checks.append(
-                Check.from_residual(f"duality.{field_name}_{form_name}", anchor, residual)
-            )
+    for field_name, field in fields.items():
+        for form_name, form in forms.items():
+            value = form.interior(field).coeffs[0]
+            unit = (field_name, form_name) in units
+            residual = value - RationalFunction.const(1, value.chart) if unit else value
+            anchor = f"iota_{field_name} {form_name} = {1 if unit else 0}"
+            name = f"duality.{field_name}_{form_name}"
+            checks.append(Check.from_residual(name, anchor, residual))
     return tuple(checks)
 
 
-def maurer_cartan_residuals(
-    alpha: KForm, beta: KForm, gamma: KForm
-) -> tuple[KForm, KForm, KForm]:
-    return (
-        beta.d() + alpha.wedge(beta).scale(2),
-        alpha.d() - gamma.wedge(beta),
-        gamma.d() - alpha.wedge(gamma).scale(2),
-    )
-
-
-def verify_maurer_cartan(alpha: KForm, beta: KForm, gamma: KForm) -> tuple[Check, ...]:
-    r_beta, r_alpha, r_gamma = maurer_cartan_residuals(alpha, beta, gamma)
+def verify_maurer_cartan(frame: Frame, curl: Sequence[Check],
+                         rho: Optional[RationalFunction] = None) -> tuple[Check, ...]:
+    """The structure rows of the frame, or of its transform by rho (see
+    conformal_transform), read off the curl rows (see curl_identities)."""
+    r_gamma, r_beta, r_alpha = (KForm(2, c.residual_obj.components) for c in curl[:3])
+    if rho is not None:
+        r_beta, r_gamma = r_beta.scale(rho), r_gamma.scale(rho.reciprocal())
     return (
         Check.from_residual("structure.dbeta", "d(beta) + 2 alpha^beta = 0", r_beta),
-        Check.from_residual("structure.dalpha", "d(alpha) - gamma^beta = 0", r_alpha),
+        Check.from_residual("structure.dalpha", "d(alpha) - gamma^beta = 0", r_alpha.scale(-1)),
         Check.from_residual("structure.dgamma", "d(gamma) - 2 alpha^gamma = 0", r_gamma),
-        Check.from_residual("structure.dalpha_nonzero", "d(alpha) != 0", alpha.d(), NONZERO),
+        Check.from_residual("structure.dalpha_nonzero", "d(alpha) != 0", frame.alpha.d(), NONZERO),
     )
 
 
@@ -183,9 +170,7 @@ def verify_maurer_cartan(alpha: KForm, beta: KForm, gamma: KForm) -> tuple[Check
 # ---------------------------------------------------------------------------
 
 
-def conformal_transform(
-    frame: Frame, rho: RationalFunction
-) -> tuple[KForm, KForm, KForm]:
+def conformal_transform(frame: Frame, rho: RationalFunction) -> tuple[KForm, KForm, KForm]:
     """beta -> rho beta, alpha -> alpha - (1/2) dlog(rho), gamma -> gamma/rho,
     with dlog(rho) the rational one-form d(rho)/rho.  The transformed forms
     satisfy the structure equations again."""
@@ -195,23 +180,29 @@ def conformal_transform(
     return frame.alpha - half_dlog, frame.beta.scale(rho), frame.gamma.scale(rho.reciprocal())
 
 
-def sigma_residual(alpha: KForm, gamma: KForm, g: RationalFunction) -> KForm:
-    """sigma^d(sigma) for sigma = alpha + g gamma.
+def sigma_residual(alpha: KForm, beta: KForm, gamma: KForm, g: RationalFunction,
+                   structure: Sequence[Check]) -> tuple[KForm, KForm]:
+    """sigma^d(sigma) for sigma = alpha + g gamma, and its part beyond the
+    factored shape: with E_alpha and E_gamma the residuals of the structure
+    rows of (alpha, beta, gamma), any one-forms satisfy
+
+        sigma^d(sigma) = alpha ^ (dg - beta) ^ gamma + sigma ^ (E_alpha + g E_gamma).
 
     On the conformally transformed frame with g = f rho, sigma is
     alpha - (1/2) dlog(rho) + f gamma of the original frame, and vanishing
     of the 3-form is the exact integrability condition on the perturbed
     potential for the candidate pair (rho, f).
     """
+    e_alpha, e_gamma = (c.residual_obj for c in structure[1:3])
     sigma = alpha + gamma.scale(g)
-    return sigma.wedge(sigma.d())
+    rest = KForm(3, (dot(sigma.covector(), (e_alpha + e_gamma.scale(g)).covector()),))
+    return sigma_residual_factored(alpha, beta, gamma, g) + rest, rest
 
 
-def sigma_residual_factored(
-    alpha: KForm, beta: KForm, gamma: KForm, g: RationalFunction
-) -> KForm:
-    """Factored shape of the integrability condition: expanding
-    sigma^d(sigma) with the structure equations gives exactly
+def sigma_residual_factored(alpha: KForm, beta: KForm, gamma: KForm,
+                            g: RationalFunction) -> KForm:
+    """Factored shape of the integrability condition: where the structure
+    equations hold, sigma^d(sigma) is exactly
 
         alpha ^ (dg - beta) ^ gamma.
 
@@ -221,9 +212,18 @@ def sigma_residual_factored(
     return alpha.wedge(KForm(0, (g,)).d() - beta).wedge(gamma)
 
 
-def frobenius_residual(omega: KForm) -> KForm:
-    """omega ^ d(omega); zero iff the one-form is integrable."""
-    return omega.wedge(omega.d())
+def frobenius_residual(frame: Frame, curl: Sequence[Check]) -> tuple[Check, ...]:
+    """The rows omega ^ d(omega), zero iff omega is integrable, of gamma,
+    beta and alpha, read off the curl rows (see curl_identities)."""
+    r_gamma, r_beta, r_alpha = (c.residual_obj for c in curl[:3])
+    return (
+        Check.from_residual("frobenius.gamma", "gamma ^ d(gamma) = 0",
+                            KForm(3, (dot(frame.gamma.covector(), r_gamma),))),
+        Check.from_residual("frobenius.beta", "beta ^ d(beta) = 0",
+                            KForm(3, (dot(frame.beta.covector(), r_beta),))),
+        Check.from_residual("frobenius.alpha", "alpha ^ d(alpha) != 0",
+                            KForm(3, (frame.M - dot(frame.alpha.covector(), r_alpha),)), NONZERO),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +237,25 @@ def curl_identities(frame: Frame) -> tuple[Check, ...]:
 
     The curls are read off d(gamma), d(beta) and -d(alpha), so the frame's
     forms must be M (v x u).dx, M (u x w).dx and M (w x v).dx, as
-    build_frame makes them.
+    build_frame makes them.  With S(R) the two-form with coefficients R,
+    the first three residuals R_gamma, R_beta, R_alpha give the other rows:
+
+        structure.dbeta, dalpha, dgamma = S(R_beta), -S(R_alpha), S(R_gamma)
+        frobenius.gamma, beta, alpha = gamma.R_gamma, beta.R_beta, M - alpha.R_alpha
+        conformal.structure.* = rho S(R_beta), -S(R_alpha), S(R_gamma)/rho
+        sigma.factored_agreement = sigma ^ (-S(R_alpha) + (g/rho) S(R_gamma))
     """
     m = frame.M
     mv = frame.v.scale(m)
     mu = frame.u.scale(m)
     mw = frame.w.scale(m)
     return (
-        Check.from_residual(
-            "curl.v_cross_u",
-            "curl(M v x u) - 2 M v = 0",
-            frame.gamma.d().covector() - mv.scale(2),
-        ),
-        Check.from_residual(
-            "curl.u_cross_w",
-            "curl(M u x w) - 2 M w = 0",
-            frame.beta.d().covector() - mw.scale(2),
-        ),
-        Check.from_residual(
-            "curl.v_cross_w",
-            "curl(M v x w) + M u = 0",
-            mu - frame.alpha.d().covector(),
-        ),
+        Check.from_residual("curl.v_cross_u", "curl(M v x u) - 2 M v = 0",
+                            frame.gamma.d().covector() - mv.scale(2)),
+        Check.from_residual("curl.u_cross_w", "curl(M u x w) - 2 M w = 0",
+                            frame.beta.d().covector() - mw.scale(2)),
+        Check.from_residual("curl.v_cross_w", "curl(M v x w) + M u = 0",
+                            mu - frame.alpha.d().covector()),
         Check.from_residual("divergence.mv", "div(M v) = 0", div(mv)),
         Check.from_residual("divergence.mu", "div(M u) = 0", div(mu)),
         Check.from_residual("divergence.mw", "div(M w) = 0", div(mw)),

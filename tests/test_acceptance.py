@@ -19,7 +19,6 @@ from mcflow.mcframe import (
     curl_identities,
     frobenius_residual,
     heisenberg_verify,
-    maurer_cartan_residuals,
     sigma_residual,
     verify_duality,
     verify_maurer_cartan,
@@ -80,11 +79,12 @@ def frame_structural_reports(system):
     """(label, checks) of each structural family; criterion 11 seeds its
     samples with the label."""
     frame = system.frame
+    curl = curl_identities(frame)
     return (
         ("acceptance", verify_sl2(frame.v, frame.u, frame.w)),
         (system.name, verify_duality(frame)),
-        ("acceptance", verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma)),
-        (system.name, curl_identities(frame)),
+        ("acceptance", verify_maurer_cartan(frame, curl)),
+        (system.name, curl),
     )
 
 
@@ -187,11 +187,15 @@ def test_criterion_8_heisenberg():
 def test_criterion_9_frobenius_dichotomy(guillot, dh):
     for system in (guillot, dh):
         frame = system.frame
-        assert frobenius_residual(frame.gamma).is_zero()
-        assert frobenius_residual(frame.beta).is_zero()
-        assert not frobenius_residual(frame.alpha).is_zero()
+        gamma, beta, alpha = frobenius_residual(frame, curl_identities(frame))
+        assert gamma.residual_obj.is_zero()
+        assert beta.residual_obj.is_zero()
+        assert not alpha.residual_obj.is_zero()
+        assert all_hold((gamma, beta, alpha))
     frame = guillot.frame
-    unperturbed = sigma_residual(frame.alpha, frame.gamma, RationalFunction.const(0))
+    structure = verify_maurer_cartan(frame, curl_identities(frame))
+    unperturbed, _ = sigma_residual(frame.alpha, frame.beta, frame.gamma,
+                                    RationalFunction.const(0), structure)
     assert unperturbed == frame.alpha.wedge(frame.alpha.d())
     report_line(9, "beta and gamma integrable, alpha not; sigma residual at (rho=1, f=0) equals alpha ^ d(alpha)")
 
@@ -212,8 +216,9 @@ def test_criterion_10_conformal_invariance(guillot):
             continue
         produced += 1
         alpha, beta, gamma = conformal_transform(frame, rho)
-        for residual in maurer_cartan_residuals(alpha, beta, gamma):
-            assert residual.is_zero()
+        assert (beta.d() + alpha.wedge(beta).scale(2)).is_zero()
+        assert (alpha.d() - gamma.wedge(beta)).is_zero()
+        assert (gamma.d() - alpha.wedge(gamma).scale(2)).is_zero()
     report_line(10, "20 random conformal factors of degree <= 2 preserve all three structure equations exactly")
 
 
@@ -249,7 +254,7 @@ def test_criterion_11_numeric_oracle(guillot, dh):
     for system in (guillot, dh):
         for omega in (system.frame.beta, system.frame.gamma):
             points, worst = sample_identity(
-                frobenius_residual(omega), n=25, box=BOX, seed=0, name=f"{system.name}.frobenius")
+                omega.wedge(omega.d()), n=25, box=BOX, seed=0, name=f"{system.name}.frobenius")
             assert points > 0 and worst < 1e-12
             sampled += 1
     assert sampled >= 60

@@ -114,6 +114,25 @@ class TestVerify:
                              "anchor": "no sl(2) frame carries the candidate (rho, f)",
                              "status": "not_applicable", "residual": None}]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "guillot", "--rho=0"],
+        ["verify", "guillot", "--rho=x-x"],
+        ["sample", "guillot", "--rho=0", "--check=sl2.uv"],
+    ])
+    def test_vanishing_rho_is_singular(self, argv):
+        # the conformal transform rejects rho = 0 before any row divides by it
+        assert run(argv) == (None, 3, "degenerate or singular input: "
+                                      "conformal factor rho vanishes identically")
+
+    def test_vanishing_rho_without_an_sl2_frame_is_not_applicable(self):
+        document, status = run_json(["verify", "heisenberg_example", "--rho=0"])
+        assert status == 0
+        rows = [row for row in document["sections"]["checks"]
+                if row["check"].startswith(("sigma.", "conformal."))]
+        assert rows == [{"system": "heisenberg_example", "check": "sigma.integrability",
+                         "anchor": "no sl(2) frame carries the candidate (rho, f)",
+                         "status": "not_applicable", "residual": None}]
+
     def test_overflowing_sample_box_is_inconclusive(self):
         document, status, diagnostic = run(
             ["verify", "guillot", "--rho=x + 1", "--f=y", "--box", "1e300,1e301"]

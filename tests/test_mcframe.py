@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mcflow.algebra import Poly3, RationalFunction
-from mcflow.calculus import KForm, LogIntegral, VectorField3, div
+from mcflow.calculus import KForm, LogIntegral, VectorField3, cross, div, dot
 from mcflow.mcframe import (
     DegenerateFrameError,
     Frame,
@@ -45,6 +46,27 @@ def poly(terms, chart=("x", "y", "z")):
 def find(checks, name):
     """The check of that name."""
     return next(c for c in checks if c.name == name)
+
+
+def structure_residuals(alpha, beta, gamma):
+    """d(beta) + 2 alpha^beta, d(alpha) - gamma^beta and d(gamma) - 2 alpha^gamma,
+    computed from d and wedge."""
+    return (
+        beta.d() + alpha.wedge(beta).scale(2),
+        alpha.d() - gamma.wedge(beta),
+        gamma.d() - alpha.wedge(gamma).scale(2),
+    )
+
+
+def frobenius(omega):
+    """omega ^ d(omega), computed from d and wedge."""
+    return omega.wedge(omega.d())
+
+
+def coordinate_frame():
+    """The frame (v, u, w) = (e_y, e_x, e_z), whose coframe is
+    (alpha, beta, gamma) = (dx, dy, dz)."""
+    return build_frame(VectorField3(0, 1, 0), VectorField3(1, 0, 0), VectorField3(0, 0, 1))
 
 
 def guillot_fields():
@@ -205,27 +227,31 @@ class TestDuality:
 
 class TestMaurerCartan:
     def test_guillot(self, guillot):
-        report = verify_maurer_cartan(guillot.alpha, guillot.beta, guillot.gamma)
+        report = verify_maurer_cartan(guillot, curl_identities(guillot))
         assert all_hold(report)
         assert find(report, "structure.dalpha_nonzero").status == "holds"
+        assert all(r.is_zero() for r in structure_residuals(
+            guillot.alpha, guillot.beta, guillot.gamma))
 
     def test_dh(self, dh):
-        assert all_hold(verify_maurer_cartan(dh.alpha, dh.beta, dh.gamma))
+        assert all_hold(verify_maurer_cartan(dh, curl_identities(dh)))
+        assert all(r.is_zero() for r in structure_residuals(dh.alpha, dh.beta, dh.gamma))
 
     def test_coordinate_frame_fails(self):
         dx = KForm(1, (1, 0, 0))
         dy = KForm(1, (0, 1, 0))
         dz = KForm(1, (0, 0, 1))
-        report = verify_maurer_cartan(dx, dy, dz)
-        bad = find(report, "structure.dbeta")
+        assert structure_residuals(dx, dy, dz)[0] == KForm(2, (0, 0, 2))
+        frame = coordinate_frame()
+        assert (frame.alpha, frame.beta, frame.gamma) == (dx, dy, dz)
+        bad = find(verify_maurer_cartan(frame, curl_identities(frame)), "structure.dbeta")
         assert bad.status == "fails"
         assert bad.residual_obj == KForm(2, (0, 0, 2))
 
     def test_closed_alpha_fails_the_nonzero_check(self):
-        dx = KForm(1, (1, 0, 0))
-        dy = KForm(1, (0, 1, 0))
-        dz = KForm(1, (0, 0, 1))
-        check = find(verify_maurer_cartan(dx, dy, dz), "structure.dalpha_nonzero")
+        frame = coordinate_frame()
+        check = find(verify_maurer_cartan(frame, curl_identities(frame)),
+                     "structure.dalpha_nonzero")
         assert check.status == "fails"
         assert check.residual == "d(alpha) == 0"
         assert check.residual_obj.is_zero()
@@ -246,7 +272,7 @@ class TestConformal:
 
     def test_simple_factor_preserves_structure(self, guillot):
         alpha, beta, gamma = conformal_transform(guillot, rf(Y))
-        assert all_hold(verify_maurer_cartan(alpha, beta, gamma))
+        assert all(r.is_zero() for r in structure_residuals(alpha, beta, gamma))
 
     def test_pairing_scales_with_rho(self, guillot):
         rho = rf(Y**2)
@@ -266,7 +292,7 @@ class TestConformal:
             if rho.is_zero():
                 rho = rf(Poly3.const(2))
             alpha, beta, gamma = conformal_transform(guillot, rho)
-            assert all_hold(verify_maurer_cartan(alpha, beta, gamma))
+            assert all(r.is_zero() for r in structure_residuals(alpha, beta, gamma))
 
     def test_zero_factor_rejected(self, guillot):
         with pytest.raises(DegenerateFrameError):
@@ -289,8 +315,11 @@ class TestSigmaResidual:
         assert sigma_residual_factored(alpha, beta, gamma, f * rho).is_zero()
 
     def test_unperturbed_reduces_to_frobenius(self, guillot):
-        residual = sigma_residual(guillot.alpha, guillot.gamma, rf(Poly3.const(0)))
-        assert residual == frobenius_residual(guillot.alpha)
+        curl = curl_identities(guillot)
+        residual, _ = sigma_residual(guillot.alpha, guillot.beta, guillot.gamma,
+                                     rf(Poly3.const(0)), verify_maurer_cartan(guillot, curl))
+        assert residual == frobenius(guillot.alpha)
+        assert residual == frobenius_residual(guillot, curl)[2].residual_obj
         assert not residual.is_zero()
 
     def test_both_shapes_agree(self, guillot):
@@ -300,7 +329,8 @@ class TestSigmaResidual:
                             (0, 0, 0): Fraction(rng.randint(1, 4))}))
             f = rf(poly({(rng.randint(0, 1), 0, rng.randint(0, 1)): Fraction(rng.randint(-3, 3))}))
             alpha, beta, gamma = conformal_transform(guillot, rho)
-            direct = sigma_residual(alpha, gamma, f * rho)
+            sigma = alpha + gamma.scale(f * rho)
+            direct = frobenius(sigma)
             factored = sigma_residual_factored(alpha, beta, gamma, f * rho)
             assert direct == factored
 
@@ -346,27 +376,81 @@ def _candidates(seed):
 @pytest.mark.parametrize("system", ["guillot", "dh"])
 def test_sigma_on_the_transformed_frame_matches_the_original_definitions(system, request):
     frame = request.getfixturevalue(system)
+    curl = curl_identities(frame)
     for rho, f in _candidates(17):
         direct, factored = _reference_sigma(frame, rho, f)
         alpha, beta, gamma = conformal_transform(frame, rho)
-        assert sigma_residual(alpha, gamma, f * rho) == direct, (rho, f)
+        structure = verify_maurer_cartan(frame, curl, rho)
+        assert sigma_residual(alpha, beta, gamma, f * rho, structure)[0] == direct, (rho, f)
         assert sigma_residual_factored(alpha, beta, gamma, f * rho) == factored, (rho, f)
 
 
+# random frames of degree-one fields: almost none closes sl(2), so the curl
+# residuals R_gamma, R_beta, R_alpha are nonzero and each sign is tested
+_small_coefficients = st.integers(-3, 3).filter(bool)
+_linear_exponents = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+@st.composite
+def _linear_polys(draw):
+    return poly(draw(st.dictionaries(_linear_exponents, _small_coefficients, max_size=3)))
+
+
+@st.composite
+def _frames(draw):
+    v, u, w = (VectorField3(*(draw(_linear_polys()) for _ in range(3))) for _ in range(3))
+    assume(not dot(cross(v, u), w).is_zero())
+    return build_frame(v, u, w)
+
+
+@st.composite
+def _rationals(draw, nonzero=False):
+    num, den = draw(_linear_polys()), draw(_linear_polys())
+    assume(not den.is_zero() and not (nonzero and num.is_zero()))
+    return rf(num, den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_frames(), _rationals(nonzero=True), _rationals())
+def test_rows_read_off_the_curl_residuals_match_the_general_computation(frame, rho, f):
+    curl = curl_identities(frame)
+    structure = verify_maurer_cartan(frame, curl)
+    assert [c.residual_obj for c in structure] == [
+        *structure_residuals(frame.alpha, frame.beta, frame.gamma), frame.alpha.d()]
+    assert [c.residual_obj for c in frobenius_residual(frame, curl)] == [
+        frobenius(omega) for omega in (frame.gamma, frame.beta, frame.alpha)]
+    alpha, beta, gamma = conformal_transform(frame, rho)
+    conformal = verify_maurer_cartan(frame, curl, rho)
+    assert [c.residual_obj for c in conformal] == [
+        *structure_residuals(alpha, beta, gamma), alpha.d()]
+    g = f * rho
+    sigma, agreement = sigma_residual(alpha, beta, gamma, g, conformal)
+    direct = frobenius(alpha + gamma.scale(g))
+    assert sigma == direct
+    assert agreement == direct - sigma_residual_factored(alpha, beta, gamma, g)
+
+
 class TestFrobenius:
+    @staticmethod
+    def assert_dichotomy(frame):
+        report = frobenius_residual(frame, curl_identities(frame))
+        assert all_hold(report)
+        gamma, beta, alpha = (c.residual_obj for c in report)
+        assert gamma.is_zero()
+        assert beta.is_zero()
+        assert not alpha.is_zero()
+        assert (gamma, beta, alpha) == tuple(
+            frobenius(omega) for omega in (frame.gamma, frame.beta, frame.alpha))
+
     def test_guillot_dichotomy(self, guillot):
-        assert frobenius_residual(guillot.gamma).is_zero()
-        assert frobenius_residual(guillot.beta).is_zero()
-        assert not frobenius_residual(guillot.alpha).is_zero()
+        self.assert_dichotomy(guillot)
 
     def test_dh_dichotomy(self, dh):
-        assert frobenius_residual(dh.gamma).is_zero()
-        assert frobenius_residual(dh.beta).is_zero()
-        assert not frobenius_residual(dh.alpha).is_zero()
+        self.assert_dichotomy(dh)
 
     def test_exact_form_is_integrable(self):
         omega = KForm(0, (rf(X**2 * Y + Z),)).d()
-        assert frobenius_residual(omega).is_zero()
+        assert frobenius(omega).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +521,13 @@ class TestJacobiResidual:
         f = rf(X**2 + Y**2)
         m = rf(Z)
         j = KForm(0, (f,)).d().scale(m.reciprocal())
-        assert frobenius_residual(j).is_zero()
+        assert frobenius(j).is_zero()
 
     def test_rotation_field(self):
-        assert frobenius_residual(KForm(1, (Y, -X, 0))).is_zero()
+        assert frobenius(KForm(1, (Y, -X, 0))).is_zero()
 
     def test_cyclic_shift_residual(self):
-        assert frobenius_residual(KForm(1, (Z, X, Y))) == KForm(3, (rf(X + Y + Z),))
+        assert frobenius(KForm(1, (Z, X, Y))) == KForm(3, (rf(X + Y + Z),))
 
     def test_random_gradient_family(self):
         rng = random.Random(5)
@@ -461,7 +545,7 @@ class TestJacobiResidual:
             m = rf(poly(m_terms))
             if m.is_zero():
                 continue
-            assert frobenius_residual(KForm(0, (f,)).d().scale(m.reciprocal())).is_zero()
+            assert frobenius(KForm(0, (f,)).d().scale(m.reciprocal())).is_zero()
 
 
 class TestBihamiltonian:
@@ -592,4 +676,5 @@ class TestConjugatedFrames:
             cv, cu, cw = (_conjugate(f, matrix, inverse) for f in (v, u, w))
             frame = build_frame(cv, cu, cw)
             assert all_hold(verify_duality(frame))
-            assert all_hold(verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma))
+            assert all(r.is_zero() for r in structure_residuals(
+                frame.alpha, frame.beta, frame.gamma))

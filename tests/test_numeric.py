@@ -279,24 +279,18 @@ class TestFiniteDifference:
 
 class TestOracleAgreementAcrossModules:
     def test_every_guillot_identity_passes_the_oracle(self):
-        from mcflow.mcframe import (
-            curl_identities,
-            verify_duality,
-            verify_maurer_cartan,
-        )
+        from mcflow.mcframe import curl_identities, verify_duality
 
         frame = guillot_frame()
-        checks = (
-            verify_sl2(frame.v, frame.u, frame.w)
-            + verify_duality(frame)
-            + verify_maurer_cartan(frame.alpha, frame.beta, frame.gamma)
-            + curl_identities(frame)
-        )
-        for check in checks:
-            if check.status != "holds" or check.residual_obj is None:
-                continue
-            if check.name == "structure.dalpha_nonzero":
-                continue  # witness object is intentionally nonzero
-            points, worst = sample_identity(
-                check.residual_obj, n=25, box=BOX, seed=0, name=check.name)
-            assert points > 0 and worst < TOLERANCE, check.name
+        alpha, beta, gamma = frame.alpha, frame.beta, frame.gamma
+        residuals = [
+            (check.name, check.residual_obj)
+            for check in verify_sl2(frame.v, frame.u, frame.w) + verify_duality(frame)
+        ] + [
+            ("structure.dbeta", beta.d() + alpha.wedge(beta).scale(2)),
+            ("structure.dalpha", alpha.d() - gamma.wedge(beta)),
+            ("structure.dgamma", gamma.d() - alpha.wedge(gamma).scale(2)),
+        ] + [(check.name, check.residual_obj) for check in curl_identities(frame)]
+        for name, residual in residuals:
+            points, worst = sample_identity(residual, n=25, box=BOX, seed=0, name=name)
+            assert points > 0 and worst < TOLERANCE, name

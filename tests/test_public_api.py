@@ -16,6 +16,7 @@ a parameter that its function or lambda never reads.
 """
 
 import ast
+import builtins
 import contextlib
 import functools
 import io
@@ -188,21 +189,37 @@ def test_only_the_trusted_rational_constructor_skips_init():
 FRACTION_BOUNDARY = {"Poly3.eval"}
 
 
+def _annotations(node) -> list:
+    """The annotations of a function's parameters and return, or of an
+    annotated assignment."""
+    if isinstance(node, ast.FunctionDef):
+        a = node.args
+        parts = [node.returns] + [p.annotation for p in (*a.posonlyargs, *a.args, a.vararg,
+                                                          *a.kwonlyargs, a.kwarg) if p]
+    elif isinstance(node, ast.AnnAssign):
+        parts = [node.annotation]
+    else:
+        parts = []
+    return [part for part in parts if part is not None]
+
+
 def _types_only(tree):
     """id of each node in an annotation or in the type argument of an
     isinstance call: a name there builds and computes nothing."""
     for node in ast.walk(tree):
-        parts = []
-        if isinstance(node, ast.FunctionDef):
-            a = node.args
-            parts = [node.returns] + [p.annotation for p in (*a.posonlyargs, *a.args, a.vararg,
-                                                              *a.kwonlyargs, a.kwarg) if p]
-        elif isinstance(node, ast.AnnAssign):
-            parts = [node.annotation]
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        parts = _annotations(node)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "isinstance" and len(node.args) == 2:
             parts = [node.args[1]]
-        yield from (id(n) for part in parts if part is not None for n in ast.walk(part))
+        yield from (id(n) for part in parts for n in ast.walk(part))
+
+
+def _type_checking_only(tree) -> set:
+    """id of each node under an ``if TYPE_CHECKING:``, which never runs."""
+    return {id(n) for node in ast.walk(tree)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING"
+            for statement in node.body for n in ast.walk(statement)}
 
 
 def test_algebra_builds_fractions_only_at_its_boundary():
@@ -224,12 +241,55 @@ FRACTION_IMPORTS = {"algebra.Poly3.eval", "cli._parse_triple"}
 def test_fractions_is_imported_only_at_the_boundary():
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        static = _type_checking_only(tree)
+        for scope, node in _scoped_nodes(tree):
+            if id(node) in static:
+                continue
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if "fractions" in names:
                 found.add(f"{path.stem}.{scope or '<module>'}")
     assert sorted(found) == sorted(FRACTION_IMPORTS)
+
+
+def _module_bindings(body):
+    """Each name that the statements bind at module level, in any branch
+    of an if or a try: imports, functions, classes and assignment targets."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for target in targets for n in ast.walk(target)
+                        if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", []),
+                          *(handler.body for handler in getattr(node, "handlers", []))):
+                yield from _module_bindings(block)
+
+
+def test_every_annotation_name_is_bound():
+    # a static checker resolves each name of an annotation, quoted or not,
+    # in the module's top-level bindings (type-checking imports included) or
+    # in the builtins
+    unbound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set(_module_bindings(tree.body)) | set(dir(builtins))
+        for node in ast.walk(tree):
+            for annotation in _annotations(node):
+                for part in ast.walk(annotation):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        names = [n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                                 if isinstance(n, ast.Name)]
+                    else:
+                        names = [part.id] if isinstance(part, ast.Name) else []
+                    unbound += [f"{path.stem} (line {annotation.lineno}): {name}"
+                                for name in names if name not in bound]
+    assert unbound == []
 
 
 # The one normalisation policy: a rational function is reduced only by the

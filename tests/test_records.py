@@ -15,6 +15,7 @@ from mcflow.mcframe import (
     ZERO,
     Frame,
     conformal_transform,
+    curl_identities,
     verify_maurer_cartan,
 )
 from mcflow.parser import SystemSpec, _Token, parse_rational
@@ -62,10 +63,18 @@ def test_bad_construction_raises_type_error(args, kwargs):
 def test_conformal_rows_keep_the_row_they_rename(rho, f):
     resolved = cli._resolve("guillot")
     frame = resolved.frame
-    rows = [c for c in cli._sigma_checks(resolved, SimpleNamespace(rho=rho, f=f))
+    curl = curl_identities(frame)
+    rows = [c for c in cli._sigma_checks(resolved, SimpleNamespace(rho=rho, f=f), curl)
             if c.name.startswith("conformal.")]
     t_rho = cli.parse_rational(rho, frame.M.chart)
-    source = verify_maurer_cartan(*conformal_transform(frame, t_rho))
+    source = verify_maurer_cartan(frame, curl, t_rho)
+    alpha, beta, gamma = conformal_transform(frame, t_rho)
+    assert [c.residual_obj for c in source] == [
+        beta.d() + alpha.wedge(beta).scale(2),
+        alpha.d() - gamma.wedge(beta),
+        gamma.d() - alpha.wedge(gamma).scale(2),
+        alpha.d(),
+    ]
     assert [c.name for c in rows] == [f"conformal.{c.name}" for c in source]
     for renamed, original in zip(rows, source):
         assert type(renamed) is Check

@@ -38,17 +38,19 @@ def test_every_traced_check_family_returns_a_tuple():
     # a span times a family by wrapping its call, so the family must do its
     # work before it returns: a generator would be timed empty
     from mcflow.calculus import div
-    from mcflow.mcframe import Check
+    from mcflow.mcframe import Check, curl_identities
     from mcflow.systems import builtin
 
     guillot, dh = builtin("guillot"), builtin("dh_symmetric")
     frame = guillot.frame
+    curl = curl_identities(frame)
     h1, h2 = (dict(guillot.spec.integrals)[name] for name in ("H1", "H2_plus"))
     calls = {
         ("mcframe", "verify_sl2"): (frame.v, frame.u, frame.w),
         ("mcframe", "verify_duality"): (frame,),
-        ("mcframe", "verify_maurer_cartan"): (frame.alpha, frame.beta, frame.gamma),
+        ("mcframe", "verify_maurer_cartan"): (frame, curl),
         ("mcframe", "curl_identities"): (frame,),
+        ("mcframe", "frobenius_residual"): (frame, curl),
         ("mcframe", "bihamiltonian_verify"): (
             frame.v, frame.M, h1, h2, "H2_plus", div(frame.v.scale(frame.M))),
         ("systems", "dh_reduction_check"): (),
