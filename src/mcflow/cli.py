@@ -142,7 +142,9 @@ def _sigma_checks(r: System, args, curl):
     # conformal_transform rejects a vanishing rho before anything divides by it
     alpha, beta, gamma = conformal_transform(r.frame, rho)
     structure = verify_maurer_cartan(r.frame, curl, rho)
-    sigma, agreement = sigma_residual(alpha, beta, gamma, f * rho, structure)
+    e = {c.name: c.residual_obj for c in structure}
+    sigma, agreement = sigma_residual(
+        alpha, beta, gamma, f * rho, e["structure.dalpha"], e["structure.dgamma"])
     yield Check.from_residual(
         "sigma.integrability", "sigma ^ d(sigma) = 0 for candidate (rho, f)", sigma)
     yield Check.from_residual(

@@ -135,26 +135,46 @@ def build_frame(v: VectorField3, u: VectorField3, w: VectorField3) -> Frame:
 
 def verify_duality(frame: Frame) -> tuple[Check, ...]:
     """All nine couplings: three unit pairings, six vanishing ones."""
-    fields = {"v": frame.v, "u": frame.u, "w": frame.w}
-    forms = {"alpha": frame.alpha, "beta": frame.beta, "gamma": frame.gamma}
-    units = {("v", "beta"), ("u", "alpha"), ("w", "gamma")}
+    pairs = {
+        "v": frame.v,
+        "u": frame.u,
+        "w": frame.w,
+    }
+    forms = {
+        "alpha": frame.alpha,
+        "beta": frame.beta,
+        "gamma": frame.gamma,
+    }
+    unit = {("v", "beta"), ("u", "alpha"), ("w", "gamma")}
     checks = []
-    for field_name, field in fields.items():
-        for form_name, form in forms.items():
-            value = form.interior(field).coeffs[0]
-            unit = (field_name, form_name) in units
-            residual = value - RationalFunction.const(1, value.chart) if unit else value
-            anchor = f"iota_{field_name} {form_name} = {1 if unit else 0}"
-            name = f"duality.{field_name}_{form_name}"
-            checks.append(Check.from_residual(name, anchor, residual))
+    for field_name in ("v", "u", "w"):
+        for form_name in ("alpha", "beta", "gamma"):
+            value = forms[form_name].interior(pairs[field_name]).coeffs[0]
+            if (field_name, form_name) in unit:
+                residual = value - RationalFunction.const(1, value.chart)
+                anchor = f"iota_{field_name} {form_name} = 1"
+            else:
+                residual = value
+                anchor = f"iota_{field_name} {form_name} = 0"
+            checks.append(
+                Check.from_residual(f"duality.{field_name}_{form_name}", anchor, residual)
+            )
     return tuple(checks)
+
+
+def _curl_residuals(curl: Sequence[Check]) -> tuple[KForm, KForm, KForm]:
+    """S(R_gamma), S(R_beta), S(R_alpha): the residuals of the rows
+    curl.v_cross_u, curl.u_cross_w and curl.v_cross_w as two-forms."""
+    rows = {c.name: c.residual_obj for c in curl}
+    return tuple(KForm(2, rows[name].components)
+                 for name in ("curl.v_cross_u", "curl.u_cross_w", "curl.v_cross_w"))
 
 
 def verify_maurer_cartan(frame: Frame, curl: Sequence[Check],
                          rho: Optional[RationalFunction] = None) -> tuple[Check, ...]:
     """The structure rows of the frame, or of its transform by rho (see
     conformal_transform), read off the curl rows (see curl_identities)."""
-    r_gamma, r_beta, r_alpha = (KForm(2, c.residual_obj.components) for c in curl[:3])
+    r_gamma, r_beta, r_alpha = _curl_residuals(curl)
     if rho is not None:
         r_beta, r_gamma = r_beta.scale(rho), r_gamma.scale(rho.reciprocal())
     return (
@@ -170,7 +190,9 @@ def verify_maurer_cartan(frame: Frame, curl: Sequence[Check],
 # ---------------------------------------------------------------------------
 
 
-def conformal_transform(frame: Frame, rho: RationalFunction) -> tuple[KForm, KForm, KForm]:
+def conformal_transform(
+    frame: Frame, rho: RationalFunction
+) -> tuple[KForm, KForm, KForm]:
     """beta -> rho beta, alpha -> alpha - (1/2) dlog(rho), gamma -> gamma/rho,
     with dlog(rho) the rational one-form d(rho)/rho.  The transformed forms
     satisfy the structure equations again."""
@@ -181,10 +203,11 @@ def conformal_transform(frame: Frame, rho: RationalFunction) -> tuple[KForm, KFo
 
 
 def sigma_residual(alpha: KForm, beta: KForm, gamma: KForm, g: RationalFunction,
-                   structure: Sequence[Check]) -> tuple[KForm, KForm]:
+                   e_alpha: KForm, e_gamma: KForm) -> tuple[KForm, KForm]:
     """sigma^d(sigma) for sigma = alpha + g gamma, and its part beyond the
     factored shape: with E_alpha and E_gamma the residuals of the structure
-    rows of (alpha, beta, gamma), any one-forms satisfy
+    rows structure.dalpha and structure.dgamma of (alpha, beta, gamma), any
+    one-forms satisfy
 
         sigma^d(sigma) = alpha ^ (dg - beta) ^ gamma + sigma ^ (E_alpha + g E_gamma).
 
@@ -193,14 +216,13 @@ def sigma_residual(alpha: KForm, beta: KForm, gamma: KForm, g: RationalFunction,
     of the 3-form is the exact integrability condition on the perturbed
     potential for the candidate pair (rho, f).
     """
-    e_alpha, e_gamma = (c.residual_obj for c in structure[1:3])
-    sigma = alpha + gamma.scale(g)
-    rest = KForm(3, (dot(sigma.covector(), (e_alpha + e_gamma.scale(g)).covector()),))
+    rest = (alpha + gamma.scale(g)).wedge(e_alpha + e_gamma.scale(g))
     return sigma_residual_factored(alpha, beta, gamma, g) + rest, rest
 
 
-def sigma_residual_factored(alpha: KForm, beta: KForm, gamma: KForm,
-                            g: RationalFunction) -> KForm:
+def sigma_residual_factored(
+    alpha: KForm, beta: KForm, gamma: KForm, g: RationalFunction
+) -> KForm:
     """Factored shape of the integrability condition: where the structure
     equations hold, sigma^d(sigma) is exactly
 
@@ -215,14 +237,14 @@ def sigma_residual_factored(alpha: KForm, beta: KForm, gamma: KForm,
 def frobenius_residual(frame: Frame, curl: Sequence[Check]) -> tuple[Check, ...]:
     """The rows omega ^ d(omega), zero iff omega is integrable, of gamma,
     beta and alpha, read off the curl rows (see curl_identities)."""
-    r_gamma, r_beta, r_alpha = (c.residual_obj for c in curl[:3])
+    r_gamma, r_beta, r_alpha = _curl_residuals(curl)
     return (
         Check.from_residual("frobenius.gamma", "gamma ^ d(gamma) = 0",
-                            KForm(3, (dot(frame.gamma.covector(), r_gamma),))),
+                            frame.gamma.wedge(r_gamma)),
         Check.from_residual("frobenius.beta", "beta ^ d(beta) = 0",
-                            KForm(3, (dot(frame.beta.covector(), r_beta),))),
+                            frame.beta.wedge(r_beta)),
         Check.from_residual("frobenius.alpha", "alpha ^ d(alpha) != 0",
-                            KForm(3, (frame.M - dot(frame.alpha.covector(), r_alpha),)), NONZERO),
+                            KForm(3, (frame.M,)) - frame.alpha.wedge(r_alpha), NONZERO),
     )
 
 
@@ -250,12 +272,21 @@ def curl_identities(frame: Frame) -> tuple[Check, ...]:
     mu = frame.u.scale(m)
     mw = frame.w.scale(m)
     return (
-        Check.from_residual("curl.v_cross_u", "curl(M v x u) - 2 M v = 0",
-                            frame.gamma.d().covector() - mv.scale(2)),
-        Check.from_residual("curl.u_cross_w", "curl(M u x w) - 2 M w = 0",
-                            frame.beta.d().covector() - mw.scale(2)),
-        Check.from_residual("curl.v_cross_w", "curl(M v x w) + M u = 0",
-                            mu - frame.alpha.d().covector()),
+        Check.from_residual(
+            "curl.v_cross_u",
+            "curl(M v x u) - 2 M v = 0",
+            frame.gamma.d().covector() - mv.scale(2),
+        ),
+        Check.from_residual(
+            "curl.u_cross_w",
+            "curl(M u x w) - 2 M w = 0",
+            frame.beta.d().covector() - mw.scale(2),
+        ),
+        Check.from_residual(
+            "curl.v_cross_w",
+            "curl(M v x w) + M u = 0",
+            mu - frame.alpha.d().covector(),
+        ),
         Check.from_residual("divergence.mv", "div(M v) = 0", div(mv)),
         Check.from_residual("divergence.mu", "div(M u) = 0", div(mu)),
         Check.from_residual("divergence.mw", "div(M w) = 0", div(mw)),

@@ -193,9 +193,11 @@ def test_criterion_9_frobenius_dichotomy(guillot, dh):
         assert not alpha.residual_obj.is_zero()
         assert all_hold((gamma, beta, alpha))
     frame = guillot.frame
-    structure = verify_maurer_cartan(frame, curl_identities(frame))
+    structure = {c.name: c.residual_obj
+                 for c in verify_maurer_cartan(frame, curl_identities(frame))}
     unperturbed, _ = sigma_residual(frame.alpha, frame.beta, frame.gamma,
-                                    RationalFunction.const(0), structure)
+                                    RationalFunction.const(0), structure["structure.dalpha"],
+                                    structure["structure.dgamma"])
     assert unperturbed == frame.alpha.wedge(frame.alpha.d())
     report_line(9, "beta and gamma integrable, alpha not; sigma residual at (rho=1, f=0) equals alpha ^ d(alpha)")
 

@@ -58,6 +58,12 @@ def structure_residuals(alpha, beta, gamma):
     )
 
 
+def e_alpha_gamma(structure):
+    """The residuals of the rows structure.dalpha and structure.dgamma."""
+    return (find(structure, "structure.dalpha").residual_obj,
+            find(structure, "structure.dgamma").residual_obj)
+
+
 def frobenius(omega):
     """omega ^ d(omega), computed from d and wedge."""
     return omega.wedge(omega.d())
@@ -273,6 +279,7 @@ class TestConformal:
     def test_simple_factor_preserves_structure(self, guillot):
         alpha, beta, gamma = conformal_transform(guillot, rf(Y))
         assert all(r.is_zero() for r in structure_residuals(alpha, beta, gamma))
+        assert not alpha.d().is_zero()
 
     def test_pairing_scales_with_rho(self, guillot):
         rho = rf(Y**2)
@@ -293,6 +300,7 @@ class TestConformal:
                 rho = rf(Poly3.const(2))
             alpha, beta, gamma = conformal_transform(guillot, rho)
             assert all(r.is_zero() for r in structure_residuals(alpha, beta, gamma))
+            assert not alpha.d().is_zero()
 
     def test_zero_factor_rejected(self, guillot):
         with pytest.raises(DegenerateFrameError):
@@ -316,8 +324,9 @@ class TestSigmaResidual:
 
     def test_unperturbed_reduces_to_frobenius(self, guillot):
         curl = curl_identities(guillot)
+        structure = verify_maurer_cartan(guillot, curl)
         residual, _ = sigma_residual(guillot.alpha, guillot.beta, guillot.gamma,
-                                     rf(Poly3.const(0)), verify_maurer_cartan(guillot, curl))
+                                     rf(Poly3.const(0)), *e_alpha_gamma(structure))
         assert residual == frobenius(guillot.alpha)
         assert residual == frobenius_residual(guillot, curl)[2].residual_obj
         assert not residual.is_zero()
@@ -381,7 +390,8 @@ def test_sigma_on_the_transformed_frame_matches_the_original_definitions(system,
         direct, factored = _reference_sigma(frame, rho, f)
         alpha, beta, gamma = conformal_transform(frame, rho)
         structure = verify_maurer_cartan(frame, curl, rho)
-        assert sigma_residual(alpha, beta, gamma, f * rho, structure)[0] == direct, (rho, f)
+        assert sigma_residual(alpha, beta, gamma, f * rho,
+                              *e_alpha_gamma(structure))[0] == direct, (rho, f)
         assert sigma_residual_factored(alpha, beta, gamma, f * rho) == factored, (rho, f)
 
 
@@ -424,7 +434,7 @@ def test_rows_read_off_the_curl_residuals_match_the_general_computation(frame, r
     assert [c.residual_obj for c in conformal] == [
         *structure_residuals(alpha, beta, gamma), alpha.d()]
     g = f * rho
-    sigma, agreement = sigma_residual(alpha, beta, gamma, g, conformal)
+    sigma, agreement = sigma_residual(alpha, beta, gamma, g, *e_alpha_gamma(conformal))
     direct = frobenius(alpha + gamma.scale(g))
     assert sigma == direct
     assert agreement == direct - sigma_residual_factored(alpha, beta, gamma, g)
@@ -678,3 +688,4 @@ class TestConjugatedFrames:
             assert all_hold(verify_duality(frame))
             assert all(r.is_zero() for r in structure_residuals(
                 frame.alpha, frame.beta, frame.gamma))
+            assert not frame.alpha.d().is_zero()

@@ -110,6 +110,7 @@ class TestFullPipelines:
         assert all_hold(verify_sl2(frame.v, frame.u, frame.w))
         assert all_hold(verify_duality(frame))
         assert all(r.is_zero() for r in structure_residuals(frame))
+        assert not frame.alpha.d().is_zero()
         assert all_hold(curl_identities(frame))
         assert potential_from_gamma(frame) == Fraction(2)
         integrals = dict(system.spec.integrals)
@@ -125,6 +126,7 @@ class TestFullPipelines:
         assert all_hold(verify_sl2(frame.v, frame.u, frame.w))
         assert all_hold(verify_duality(frame))
         assert all(r.is_zero() for r in structure_residuals(frame))
+        assert not frame.alpha.d().is_zero()
         assert all_hold(curl_identities(frame))
         assert potential_from_gamma(frame) == Fraction(2)
 
