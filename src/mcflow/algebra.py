@@ -26,10 +26,14 @@ import math
 import sys
 from heapq import heapify, heappop, heappush
 from operator import sub
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Protocol, Sequence
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+
+class ExactNumber(Protocol):
+    """An int or a Fraction, as Poly3.const reads it."""
+
+    numerator: int
+    denominator: int
 
 DEFAULT_CHART = ("x", "y", "z")
 
@@ -134,7 +138,7 @@ class Poly3:
         self._lead = lead
 
     @classmethod
-    def const(cls, value: int | Fraction, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
+    def const(cls, value: ExactNumber, variables: Sequence[str] = DEFAULT_CHART) -> "Poly3":
         """The constant value, an int or a Fraction: its numerator and
         denominator are read, which a float does not have."""
         try:
@@ -811,7 +815,7 @@ class RationalFunction:
         return out
 
     @classmethod
-    def const(cls, value: int | Fraction, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
+    def const(cls, value: ExactNumber, variables: Sequence[str] = DEFAULT_CHART) -> "RationalFunction":
         return cls._raw(Poly3.const(value, variables), Poly3.const(1, variables))
 
     @property

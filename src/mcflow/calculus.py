@@ -16,19 +16,17 @@ coefficient equality, with no stray signs.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (
     DEFAULT_CHART,
+    ExactNumber,
     Poly3,
     RationalFunction,
     as_rational,
     format_point,
     over_lcm,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class GradeError(Exception):
@@ -328,7 +326,7 @@ class LogIntegral:
     def __init__(
         self,
         rational_part: RationalFunction,
-        log_terms: Iterable[tuple[RationalFunction | Fraction, RationalFunction]] = (),
+        log_terms: Iterable[tuple[RationalFunction | ExactNumber, RationalFunction]] = (),
     ):
         chart = rational_part.chart
         log_terms = tuple((as_rational(c, chart), argument) for c, argument in log_terms)

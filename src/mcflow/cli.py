@@ -164,8 +164,8 @@ def _checks(r: System, args):
     curl = None
     integrals = _eps_integrals(r.spec, args.eps)
     if r.heisenberg is not None:
-        yield from heisenberg_verify(r.heisenberg)
-    if r.brackets is not None:
+        yield from heisenberg_verify(r.heisenberg, r.brackets)
+    elif r.brackets is not None:
         yield from r.brackets
     if frame is not None:
         if hint is not None:

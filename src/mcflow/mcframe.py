@@ -389,43 +389,36 @@ def bihamiltonian_verify(
 # ---------------------------------------------------------------------------
 
 
-def heisenberg_verify(frame: Frame) -> tuple[Check, ...]:
+def heisenberg_brackets(v: VectorField3, u: VectorField3, w: VectorField3,
+                        brackets: Sequence[Check]) -> tuple[Check, ...]:
+    """The Heisenberg relations [v,w] = 0, [v,u] = 0, [w,u] = v, read off
+    the residuals R_uv, R_uw, R_vw of the sl(2) rows (see verify_sl2):
+    [v,w] = R_vw + u, [v,u] = -(R_uv + 2v), [w,u] - v = 2w - R_uw - v."""
+    r_uv, r_uw, r_vw = (c.residual_obj for c in brackets)
+    return (
+        Check.from_residual("heisenberg.vw", "[v,w] = 0", r_vw + u),
+        Check.from_residual("heisenberg.vu", "[v,u] = 0", (r_uv + v.scale(2)).scale(-1)),
+        Check.from_residual("heisenberg.wu", "[w,u] - v = 0", w.scale(2) - r_uw - v),
+    )
+
+
+def heisenberg_verify(frame: Frame, brackets: Sequence[Check]) -> tuple[Check, ...]:
     """The Heisenberg relations of the coframe (omega1, omega2, omega3) =
-    (gamma, beta, alpha) of the flow v and its symmetries u, w."""
+    (gamma, beta, alpha) of the flow v and its symmetries u, w, around the
+    rows of heisenberg_brackets.  As M (v x u).w = 1, omega3^omega1 is M v
+    and (omega1 x omega2).omega3 is M."""
     omega1, omega2, omega3 = frame.gamma, frame.beta, frame.alpha
     one = RationalFunction.const(1, omega1.chart)
-    omega_triple = dot(cross(omega1.covector(), omega2.covector()), omega3.covector())
+    pairings = (("w", frame.w, "omega1", omega1), ("v", frame.v, "omega2", omega2),
+                ("u", frame.u, "omega3", omega3))
     return (
         Check.from_residual("heisenberg.domega1", "d(omega1) = 0", omega1.d()),
         Check.from_residual("heisenberg.domega3", "d(omega3) = 0", omega3.d()),
-        Check.from_residual(
-            "heisenberg.domega2",
-            "d(omega2) - omega3^omega1 = 0",
-            omega2.d() - omega3.wedge(omega1),
-        ),
-        Check.from_residual("heisenberg.vw", "[v,w] = 0", lie_bracket(frame.v, frame.w)),
-        Check.from_residual("heisenberg.vu", "[v,u] = 0", lie_bracket(frame.v, frame.u)),
-        Check.from_residual(
-            "heisenberg.wu", "[w,u] - v = 0", lie_bracket(frame.w, frame.u) - frame.v
-        ),
-        Check.from_residual(
-            "heisenberg.w_omega1",
-            "iota_w omega1 = 1",
-            omega1.interior(frame.w).coeffs[0] - one,
-        ),
-        Check.from_residual(
-            "heisenberg.v_omega2",
-            "iota_v omega2 = 1",
-            omega2.interior(frame.v).coeffs[0] - one,
-        ),
-        Check.from_residual(
-            "heisenberg.u_omega3",
-            "iota_u omega3 = 1",
-            omega3.interior(frame.u).coeffs[0] - one,
-        ),
-        Check.from_residual(
-            "heisenberg.volume",
-            "(omega1 x omega2).omega3 = 1",
-            omega_triple - one,
-        ),
+        Check.from_residual("heisenberg.domega2", "d(omega2) - omega3^omega1 = 0",
+                            omega2.d() - KForm(2, frame.v.scale(frame.M).components)),
+        *brackets,
+        *(Check.from_residual(f"heisenberg.{field}_{name}", f"iota_{field} {name} = 1",
+                              omega.interior(vector).coeffs[0] - one)
+          for field, vector, name, omega in pairings),
+        Check.from_residual("heisenberg.volume", "(omega1 x omega2).omega3 = 1", frame.M - one),
     )

@@ -27,6 +27,7 @@ from .mcframe import (
     ZERO,
     all_hold,
     build_frame,
+    heisenberg_brackets,
     potential_from_gamma,
     verify_sl2,
 )
@@ -85,10 +86,11 @@ def system_source(name: str) -> str:
 class System:
     """A parsed system and the structure derived from it.
 
-    With the companion fields, the constructor verifies the bracket
-    relations once and builds the sl(2) frame only when they hold; the shipped
-    Heisenberg example gets the coframe of its Heisenberg frame instead.  The
-    potential's scale is computed on first use and kept.
+    With the companion fields, the constructor verifies the sl(2) bracket
+    relations once and builds the sl(2) frame when they hold; otherwise, when
+    the Heisenberg relations read off the same rows hold, it builds the
+    Heisenberg coframe and keeps those rows.  The potential's scale is
+    computed on first use and kept.
     """
 
     __slots__ = ("spec", "name", "is_builtin", "v", "frame", "heisenberg", "brackets",
@@ -103,12 +105,14 @@ class System:
         if spec.u is None:
             return
         u, w = VectorField3(*spec.u), VectorField3(*spec.w)
-        if is_builtin and spec.name == "heisenberg_example":
-            self.heisenberg = build_frame(self.v, u, w)
-            return
         self.brackets = verify_sl2(self.v, u, w)
         if all_hold(self.brackets):
             self.frame = build_frame(self.v, u, w)
+            return
+        # both algebras close only for v = u = w = 0, which build_frame rejects
+        heisenberg = heisenberg_brackets(self.v, u, w, self.brackets)
+        if all_hold(heisenberg):
+            self.brackets, self.heisenberg = heisenberg, build_frame(self.v, u, w)
 
     def potential(self):
         """The constant s in curl(A) = s M v, potential_from_gamma(frame); a

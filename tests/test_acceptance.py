@@ -179,7 +179,7 @@ def test_criterion_8_heisenberg():
     assert coframe.gamma == KForm(1, (1, 0, 0))
     assert coframe.beta == KForm(1, (0, 1, -x))
     assert coframe.alpha == KForm(1, (0, 0, 1))
-    for check in heisenberg_verify(coframe):
+    for check in heisenberg_verify(coframe, system.brackets):
         assert check.status == "holds", check.name
     report_line(8, "structure equations, local forms, commutators and pairings verify exactly")
 
@@ -239,8 +239,9 @@ def test_criterion_11_numeric_oracle(guillot, dh):
             ),
         ))
     reports.append(("dh_classic -> dh_symmetric", dh_reduction_check()))
+    heisenberg = builtin("heisenberg_example")
     reports.append(
-        ("heisenberg_example", heisenberg_verify(builtin("heisenberg_example").heisenberg)))
+        ("heisenberg_example", heisenberg_verify(heisenberg.heisenberg, heisenberg.brackets)))
 
     sampled = 0
     for system_label, checks in reports:

@@ -689,6 +689,15 @@ class TestCheckFile:
         failing = [c for c in document["sections"]["checks"] if c["status"] == "fails"]
         assert all(c["residual"] for c in failing)
 
+    def test_degenerate_heisenberg_triple_is_singular(self, tmp_path):
+        # v = 0, u = e_x, w = e_y closes the Heisenberg relations, and its
+        # triple product (v x u).w vanishes, so no command gets a report
+        path = tmp_path / "flat.sys"
+        path.write_text("name: flat\nvariables: x, y, z\nv: 0; 0; 0\nu: 1; 0; 0\nw: 0; 1; 0\n")
+        for command in ("verify", "derive", "integrate", "sample", "check-file"):
+            assert run([command, str(path)]) == (
+                None, 3, "degenerate or singular input: (v x u).w vanishes identically")
+
     def test_malformed_file_exit_2(self, tmp_path):
         path = tmp_path / "bad.sys"
         path.write_text("name: bad\nvariables: x, y, z\nv: x +; 0; 0\n")

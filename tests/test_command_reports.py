@@ -62,5 +62,16 @@ def test_command_report_matches_its_digest(argv):
     assert _report(argv) == expected[tuple(argv)]
 
 
+# tests/golden/heisenberg_copy.sys is a byte copy of the shipped
+# heisenberg_example.sys: the algebra is read off the brackets, not the name
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_copy_of_a_builtin_reports_as_the_builtin(command, flag):
+    builtin_command = "verify" if command == "check-file" else command
+    copy = _report([command, "heisenberg_copy.sys", *flag])
+    shipped = _report([builtin_command, "heisenberg_example", *flag])
+    assert {**copy, "argv": None} == {**shipped, "argv": None}
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps([_report(a) for a in ARGVS], indent=1) + "\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mcflow.algebra import Poly3, RationalFunction
-from mcflow.calculus import KForm, LogIntegral, VectorField3, cross, div, dot
+from mcflow.calculus import KForm, LogIntegral, VectorField3, cross, div, dot, lie_bracket
+from mcflow.cli import main
 from mcflow.mcframe import (
     DegenerateFrameError,
     Frame,
@@ -16,6 +18,7 @@ from mcflow.mcframe import (
     conformal_transform,
     curl_identities,
     frobenius_residual,
+    heisenberg_brackets,
     heisenberg_verify,
     potential_from_gamma,
     sigma_residual,
@@ -440,6 +443,22 @@ def test_rows_read_off_the_curl_residuals_match_the_general_computation(frame, r
     assert agreement == direct - sigma_residual_factored(alpha, beta, gamma, g)
 
 
+@settings(max_examples=30, deadline=None)
+@given(_frames())
+def test_heisenberg_rows_read_off_the_sl2_rows_match_the_general_computation(frame):
+    v, u, w = frame.v, frame.u, frame.w
+    sl2 = verify_sl2(v, u, w)
+    brackets = heisenberg_brackets(v, u, w, sl2)
+    assume(not all_hold(sl2) and not all_hold(brackets))
+    assert [c.residual_obj for c in brackets] == [
+        lie_bracket(v, w), lie_bracket(v, u), lie_bracket(w, u) - v]
+    rows = {c.name: c.residual_obj for c in heisenberg_verify(frame, brackets)}
+    omega1, omega2, omega3 = frame.gamma, frame.beta, frame.alpha
+    assert rows["heisenberg.domega2"] == omega2.d() - omega3.wedge(omega1)
+    triple = dot(cross(omega1.covector(), omega2.covector()), omega3.covector())
+    assert rows["heisenberg.volume"] == triple - RationalFunction.const(1)
+
+
 class TestFrobenius:
     @staticmethod
     def assert_dichotomy(frame):
@@ -607,24 +626,31 @@ def canonical_heisenberg():
     )
 
 
+def heisenberg_rows(frame):
+    """The Heisenberg bracket rows of the frame's fields, read off their
+    sl(2) rows."""
+    return heisenberg_brackets(frame.v, frame.u, frame.w, verify_sl2(frame.v, frame.u, frame.w))
+
+
 class TestHeisenberg:
     def test_canonical_realisation(self):
         canonical = canonical_heisenberg()
         built = build_frame(canonical.v, canonical.u, canonical.w)
         assert [getattr(built, n) for n in Frame.__slots__] == \
             [getattr(canonical, n) for n in Frame.__slots__]
-        assert all_hold(heisenberg_verify(canonical))
+        assert all_hold(heisenberg_verify(canonical, heisenberg_rows(canonical)))
 
     def test_flat_omega2_breaks_structure(self):
         hf = canonical_heisenberg()
         broken = Frame(hf.v, hf.u, hf.w, hf.M, hf.alpha, KForm(1, (0, 1, 0)), hf.gamma)
-        report = heisenberg_verify(broken)
+        report = heisenberg_verify(broken, heisenberg_rows(broken))
         bad = find(report, "heisenberg.domega2")
         assert bad.status == "fails"
         assert bad.residual_obj == KForm(2, (0, -1, 0))
 
     def test_volume_is_unity(self):
-        report = heisenberg_verify(canonical_heisenberg())
+        canonical = canonical_heisenberg()
+        report = heisenberg_verify(canonical, heisenberg_rows(canonical))
         assert find(report, "heisenberg.volume").status == "holds"
 
 
@@ -689,3 +715,33 @@ class TestConjugatedFrames:
             assert all(r.is_zero() for r in structure_residuals(
                 frame.alpha, frame.beta, frame.gamma))
             assert not frame.alpha.d().is_zero()
+
+    @staticmethod
+    def heisenberg_conjugate_report(tmp_path, capsys, matrix):
+        """Exit status and {check: status} of verify --json on the canonical
+        Heisenberg triple pushed forward by the matrix, as a user file."""
+        canonical, inverse = canonical_heisenberg(), _adjugate_inverse(matrix)
+        lines = [f"{key}: " + "; ".join(map(str, _conjugate(f, matrix, inverse).components))
+                 for key, f in (("v", canonical.v), ("u", canonical.u), ("w", canonical.w))]
+        path = tmp_path / "heisenberg_conjugate.sys"
+        path.write_text("name: heisenberg_conjugate\nvariables: x, y, z\n" + "\n".join(lines))
+        status = main(["verify", str(path), "--json"])
+        rows = json.loads(capsys.readouterr().out)["sections"]["checks"]
+        return status, {row["check"]: row["status"] for row in rows}
+
+    def test_unimodular_heisenberg_conjugate_verifies(self, tmp_path, capsys):
+        matrix = [[Fraction(e) for e in row] for row in ((2, 1, 0), (1, 1, 0), (0, 3, 1))]
+        status, rows = self.heisenberg_conjugate_report(tmp_path, capsys, matrix)
+        assert status == 0
+        assert list(rows) == [c.name for c in heisenberg_verify(
+            canonical_heisenberg(), heisenberg_rows(canonical_heisenberg()))]
+        assert set(rows.values()) == {"holds"}
+
+    def test_heisenberg_conjugate_off_unit_determinant_fails_only_the_volume(
+            self, tmp_path, capsys):
+        # M = 1/det: every other Heisenberg relation survives the change
+        matrix = [[Fraction(e) for e in row] for row in ((2, 1, 0), (1, 1, 0), (0, 3, 2))]
+        status, rows = self.heisenberg_conjugate_report(tmp_path, capsys, matrix)
+        assert status == 1
+        assert all(name.startswith("heisenberg.") for name in rows)
+        assert [name for name, s in rows.items() if s != "holds"] == ["heisenberg.volume"]

@@ -19,8 +19,11 @@ import ast
 import builtins
 import contextlib
 import functools
+import importlib
+import inspect
 import io
 import sys
+import typing
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -290,6 +293,34 @@ def test_every_annotation_name_is_bound():
                     unbound += [f"{path.stem} (line {annotation.lineno}): {name}"
                                 for name in names if name not in bound]
     assert unbound == []
+
+
+def _package_functions():
+    """(module.qualname, function) of each function, method, class method
+    and property getter that a module of the package defines."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "mcflow" if path.stem == "__init__" else f"mcflow.{path.stem}")
+        scopes = [(path.stem, vars(module))] + [
+            (f"{path.stem}.{name}", vars(value)) for name, value in vars(module).items()
+            if inspect.isclass(value) and value.__module__ == module.__name__]
+        for prefix, namespace in scopes:
+            for name, value in namespace.items():
+                value = getattr(value, "__func__", getattr(value, "fget", value))
+                if inspect.isfunction(value) and value.__module__ == module.__name__:
+                    yield f"{prefix}.{name}", value
+
+
+def test_every_annotation_resolves_at_run_time():
+    # typing.get_type_hints evaluates each annotation in its module's
+    # namespace, so a name bound only for static checkers raises NameError
+    unresolved = []
+    for qualname, function in _package_functions():
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append(f"{qualname}: {exc}")
+    assert unresolved == []
 
 
 # The one normalisation policy: a rational function is reduced only by the

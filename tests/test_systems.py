@@ -5,6 +5,8 @@ import pytest
 from mcflow.algebra import Poly3, RationalFunction
 from mcflow.calculus import div
 from mcflow.mcframe import (
+    Check,
+    Frame,
     FrameError,
     all_hold,
     bihamiltonian_verify,
@@ -17,6 +19,7 @@ from mcflow.mcframe import (
 from mcflow.parser import SystemSpec, _parse_value, parse_rational, parse_system
 from mcflow.systems import (
     BUILTIN_NAMES,
+    System,
     UnknownSystemError,
     builtin,
     concordance,
@@ -73,7 +76,7 @@ class TestBuiltins:
         system = builtin("heisenberg_example")
         assert system.frame is None
         assert system.heisenberg is not None
-        assert all_hold(heisenberg_verify(system.heisenberg))
+        assert all_hold(heisenberg_verify(system.heisenberg, system.brackets))
 
     def test_every_builtin_round_trips_through_the_file_format(self):
         # every component and integral re-parses from its printed form
@@ -91,6 +94,22 @@ class TestBuiltins:
             parsed, spec = parse_system(system_source(name)), builtin(name).spec
             assert [getattr(parsed, n) for n in SystemSpec.__slots__] == \
                 [getattr(spec, n) for n in SystemSpec.__slots__]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_the_algebra_is_read_off_the_brackets_not_the_name(self, name):
+        # a user file with a built-in's text gets the built-in's structure
+        spec = parse_system(system_source(name))
+        shipped, user = System(spec, True), System(spec, False)
+
+        def fields(record, slots):
+            return None if record is None else [getattr(record, n) for n in slots]
+
+        for slot in ("frame", "heisenberg"):
+            assert fields(getattr(shipped, slot), Frame.__slots__) == \
+                fields(getattr(user, slot), Frame.__slots__)
+        assert [fields(c, Check.__slots__) for c in shipped.brackets or ()] == \
+            [fields(c, Check.__slots__) for c in user.brackets or ()]
+        assert (shipped.heisenberg is not None) == (name == "heisenberg_example")
 
 
 def structure_residuals(frame):
