@@ -134,7 +134,7 @@ def _sigma_checks(r: System, args, curl):
     chart = r.v.chart
     rho = _candidate(args.rho, "--rho", 1, chart)
     f = _candidate(args.f, "--f", 0, chart)
-    if r.frame is None:
+    if r.frame is None or r.heisenberg:
         yield Check("sigma.integrability",
                     "no sl(2) frame carries the candidate (rho, f)", NOT_APPLICABLE,
                     None, None, ZERO)
@@ -160,17 +160,17 @@ def _checks(r: System, args):
     potential through those of systems), so a wrapper installed in every
     namespace that holds a function (a tracing span) sees each call."""
     frame, hint = r.frame, r.spec.multiplier_hint
-    frameless = frame is None and r.heisenberg is None
+    sl2 = frame is not None and not r.heisenberg
     curl = None
     integrals = _eps_integrals(r.spec, args.eps)
-    if r.heisenberg is not None:
-        yield from heisenberg_verify(r.heisenberg, r.brackets)
+    if r.heisenberg:
+        yield from heisenberg_verify(frame, r.brackets)
     elif r.brackets is not None:
         yield from r.brackets
-    if frame is not None:
-        if hint is not None:
-            yield Check.from_residual(
-                "multiplier.matches_hint", "M = declared multiplier", frame.M - hint)
+    if frame is not None and hint is not None:
+        yield Check.from_residual(
+            "multiplier.matches_hint", "M = declared multiplier", frame.M - hint)
+    if sl2:
         yield from verify_duality(frame)
         # the structure and Frobenius rows are read off the curl rows
         curl = curl_identities(frame)
@@ -180,18 +180,18 @@ def _checks(r: System, args):
         yield Check.from_residual(
             "potential.curl_scale", f"curl(A) = s M v, s = {r.potential()}",
             RationalFunction.const(0, frame.M.chart))
-        if len(integrals) >= 2:
-            (_, h1), *pairs = integrals
-            div_mv = next(c.residual_obj for c in curl if c.name == "divergence.mv")
-            for label, h2 in pairs:
-                yield from bihamiltonian_verify(frame.v, frame.M, h1, h2, label, div_mv)
-    # with a frame, a single integral has no partner for the decomposition
-    if frameless or (frame is not None and len(integrals) == 1):
+    # an sl(2) frame pairs two or more integrals in the decomposition
+    if sl2 and len(integrals) >= 2:
+        (_, h1), *pairs = integrals
+        div_mv = next(c.residual_obj for c in curl if c.name == "divergence.mv")
+        for label, h2 in pairs:
+            yield from bihamiltonian_verify(frame.v, frame.M, h1, h2, label, div_mv)
+    else:
         for label, h in integrals:
             yield Check.from_residual(
                 f"integral.{label}", f"iota_v d{label} = 0",
                 h.differential().interior(r.v).coeffs[0])
-    if frameless and hint is not None:
+    if frame is None and hint is not None:
         yield Check.from_residual(
             "multiplier.invariance", "div(M v) = 0 for declared M", div(r.v.scale(hint)))
     if args.rho is not None or args.f is not None:
@@ -222,15 +222,15 @@ def _frame_section(resolved: System):
 
 
 def _forms_section(resolved: System):
-    frame, coframe = resolved.frame, resolved.heisenberg
-    if frame is None and coframe is None:
-        return None
+    frame = resolved.frame
     if frame is None:
-        forms = {"omega1": coframe.gamma, "omega2": coframe.beta, "omega3": coframe.alpha}
+        return None
+    if resolved.heisenberg:
+        forms = {"omega1": frame.gamma, "omega2": frame.beta, "omega3": frame.alpha}
     else:
         forms = {"alpha": frame.alpha, "beta": frame.beta, "gamma": frame.gamma}
     section = {name: [str(c) for c in form.coeffs] for name, form in forms.items()}
-    if frame is not None:
+    if not resolved.heisenberg:
         # A is the covector of gamma
         try:
             section["potential"] = {"A": section["gamma"], "scale": str(resolved.potential())}

@@ -234,9 +234,6 @@ class _Parser:
         self.pos = 0
         self.variables = tuple(variables)
         self.allow_log = allow_log
-        # the index of the last identifier consumed: a power whose base
-        # starts after it has a constant base
-        self.last_ident = -1
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -340,10 +337,10 @@ class _Parser:
         if isinstance(base, _Logs):
             self.fail("log terms must enter linearly, as c*log(f)")
         limit = sys.get_int_max_str_digits()
-        if limit and self.last_ident < first:
-            # the base is constant: refuse a power whose numerator or
-            # denominator would have more digits than the limit, before it
-            # is computed; a positive integer n has floor(log10 n) + 1 digits
+        if limit and base.is_constant():
+            # refuse a power whose numerator or denominator would have more
+            # digits than the limit, before it is computed, however its
+            # constant base is spelled; n > 0 has floor(log10 n) + 1 digits
             num, den = base.constant_value()
             if abs(exponent) * math.log10(max(abs(num), den)) >= limit:
                 start = self.tokens[first]
@@ -387,7 +384,6 @@ class _Parser:
             self.advance()
             return Poly3.const(_int_literal(token), self.variables)
         if token.kind == "ident":
-            self.last_ident = self.pos
             self.advance()
             if token.text == "log":
                 return self.log(token)

@@ -87,9 +87,9 @@ class System:
     """A parsed system and the structure derived from it.
 
     With the companion fields, the constructor verifies the sl(2) bracket
-    relations once and builds the sl(2) frame when they hold; otherwise, when
-    the Heisenberg relations read off the same rows hold, it builds the
-    Heisenberg coframe and keeps those rows.  The potential's scale is
+    relations once and builds the frame when they hold; otherwise, when the
+    Heisenberg relations read off the same rows hold, it builds the frame,
+    keeps those rows and sets the flag heisenberg.  The potential's scale is
     computed on first use and kept.
     """
 
@@ -101,18 +101,19 @@ class System:
         self.name = spec.name
         self.is_builtin = is_builtin
         self.v = VectorField3(*spec.v)
-        self.frame = self.heisenberg = self.brackets = self._potential = None
+        self.frame = self.brackets = self._potential = None
+        self.heisenberg = False
         if spec.u is None:
             return
         u, w = VectorField3(*spec.u), VectorField3(*spec.w)
         self.brackets = verify_sl2(self.v, u, w)
-        if all_hold(self.brackets):
-            self.frame = build_frame(self.v, u, w)
-            return
-        # both algebras close only for v = u = w = 0, which build_frame rejects
-        heisenberg = heisenberg_brackets(self.v, u, w, self.brackets)
-        if all_hold(heisenberg):
-            self.brackets, self.heisenberg = heisenberg, build_frame(self.v, u, w)
+        if not all_hold(self.brackets):
+            # both algebras close only for v = u = w = 0, which build_frame rejects
+            rows = heisenberg_brackets(self.v, u, w, self.brackets)
+            if not all_hold(rows):
+                return
+            self.brackets, self.heisenberg = rows, True
+        self.frame = build_frame(self.v, u, w)
 
     def potential(self):
         """The constant s in curl(A) = s M v, potential_from_gamma(frame); a

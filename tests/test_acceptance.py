@@ -173,7 +173,7 @@ def test_criterion_7_dh_reduction():
 
 def test_criterion_8_heisenberg():
     system = builtin("heisenberg_example")
-    coframe = system.heisenberg
+    coframe = system.frame
     # omega1, omega2, omega3 are gamma, beta, alpha of the coframe
     x = RationalFunction(Poly3.variable("x"))
     assert coframe.gamma == KForm(1, (1, 0, 0))
@@ -241,7 +241,7 @@ def test_criterion_11_numeric_oracle(guillot, dh):
     reports.append(("dh_classic -> dh_symmetric", dh_reduction_check()))
     heisenberg = builtin("heisenberg_example")
     reports.append(
-        ("heisenberg_example", heisenberg_verify(heisenberg.heisenberg, heisenberg.brackets)))
+        ("heisenberg_example", heisenberg_verify(heisenberg.frame, heisenberg.brackets)))
 
     sampled = 0
     for system_label, checks in reports:

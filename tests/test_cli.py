@@ -398,6 +398,15 @@ class TestArgumentValidation:
         assert diagnostic == ("parse error: --rho: a product of 4601025 term pairs exceeds the "
                               "limit of 1000000 (line 1, column 12)")
 
+    def test_a_constant_power_with_a_cancelling_variable_exits_2_quickly(self):
+        # the base is the constant 10 however it is spelled
+        start = time.process_time()
+        document, status, diagnostic = run(["verify", "guillot", "--rho=(x - x + 10)^10000000"])
+        assert time.process_time() - start < 1
+        assert (document, status) == (None, 2)
+        assert diagnostic == ("parse error: --rho: constant power exceeds the limit of "
+                              f"{sys.get_int_max_str_digits()} digits (line 1, column 1)")
+
     @pytest.mark.parametrize(
         "option, diagnostic",
         [
@@ -931,6 +940,64 @@ PARTIAL_SYS = (
     "integral H1: x^2/y^2 - y^2\n"
     "multiplier: 1/(2*y^3*z)\n"
 )
+
+
+def declared_fields(source):
+    """The name, variables and vector field lines of a system's source: no
+    declared multiplier or integral."""
+    keep = ("name:", "variables:", "v:", "u:", "w:")
+    return "".join(line + "\n" for line in source.splitlines() if line.startswith(keep))
+
+
+class TestDeclaredDataOnEveryKindOfSystem:
+    """A declared multiplier and a declared integral are checked whatever the
+    triple builds: no frame, a triple that closes neither algebra, an sl(2)
+    frame or a Heisenberg frame."""
+
+    KINDS = {
+        "no_companion_fields": (declared_fields(PARTIAL_SYS), "multiplier.invariance"),
+        "closes_neither_algebra": (BROKEN_SYS, "multiplier.invariance"),
+        "sl2_frame": (declared_fields(system_source("guillot")), "multiplier.matches_hint"),
+        "heisenberg_frame": (declared_fields(system_source("heisenberg_example")),
+                             "multiplier.matches_hint"),
+    }
+
+    def statuses(self, tmp_path, source, *options):
+        path = tmp_path / "declared.sys"
+        path.write_text(source)
+        document, status = run_json(["verify", str(path), "--points", "1", *options])
+        return status, {c["check"]: c["status"] for c in document["sections"]["checks"]}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_wrong_multiplier_fails(self, tmp_path, kind):
+        fields, row = self.KINDS[kind]
+        status, rows = self.statuses(tmp_path, fields + "multiplier: 7*x\n")
+        assert (status, rows[row]) == (1, "fails")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_single_integral_that_is_not_conserved_fails(self, tmp_path, kind):
+        # iota_v dy = v_y, which no kind's field makes vanish
+        fields, _ = self.KINDS[kind]
+        status, rows = self.statuses(tmp_path, fields + "integral H: y\n")
+        assert (status, rows["integral.H"]) == (1, "fails")
+
+    @pytest.mark.parametrize("eps, selected, status", [("+1", "H_plus", 1), ("-1", "H_minus", 0)])
+    def test_eps_selects_one_of_a_pair_on_a_heisenberg_frame(self, tmp_path, eps, selected,
+                                                             status):
+        fields, _ = self.KINDS["heisenberg_frame"]
+        got, rows = self.statuses(tmp_path, fields + "integral H_plus: y\nintegral H_minus: x\n",
+                                  f"--eps={eps}")
+        assert got == status
+        assert [name for name in rows if name.startswith("integral.")] == [f"integral.{selected}"]
+        assert rows[f"integral.{selected}"] == ("fails" if status else "holds")
+
+    def test_the_golden_heisenberg_file_passes_its_declared_rows(self):
+        path = Path(__file__).parent / "golden" / "heisenberg_declared.sys"
+        document, status = run_json(["verify", str(path), "--points", "1"])
+        rows = {c["check"]: c["status"] for c in document["sections"]["checks"]}
+        assert status == 0
+        assert [rows.get(name) for name in ("multiplier.matches_hint", "integral.H1",
+                                            "integral.H2")] == ["holds"] * 3
 
 
 def check_names(argv):

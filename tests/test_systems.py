@@ -74,9 +74,9 @@ class TestBuiltins:
 
     def test_heisenberg_frame(self):
         system = builtin("heisenberg_example")
-        assert system.frame is None
-        assert system.heisenberg is not None
-        assert all_hold(heisenberg_verify(system.heisenberg, system.brackets))
+        assert system.frame is not None
+        assert system.heisenberg
+        assert all_hold(heisenberg_verify(system.frame, system.brackets))
 
     def test_every_builtin_round_trips_through_the_file_format(self):
         # every component and integral re-parses from its printed form
@@ -104,12 +104,10 @@ class TestBuiltins:
         def fields(record, slots):
             return None if record is None else [getattr(record, n) for n in slots]
 
-        for slot in ("frame", "heisenberg"):
-            assert fields(getattr(shipped, slot), Frame.__slots__) == \
-                fields(getattr(user, slot), Frame.__slots__)
+        assert fields(shipped.frame, Frame.__slots__) == fields(user.frame, Frame.__slots__)
         assert [fields(c, Check.__slots__) for c in shipped.brackets or ()] == \
             [fields(c, Check.__slots__) for c in user.brackets or ()]
-        assert (shipped.heisenberg is not None) == (name == "heisenberg_example")
+        assert shipped.heisenberg == user.heisenberg == (name == "heisenberg_example")
 
 
 def structure_residuals(frame):
