@@ -5,7 +5,9 @@ and the vector potential of a 3D dynamical system with given companion
 fields, and checks every structural identity (brackets, structure
 equations, duality, curl and divergence identities, integrability,
 conformal invariance, bi-Hamiltonian decomposition) as an exact zero
-residual, cross-validated by a floating-point oracle.
+residual.  A floating-point oracle samples each nonzero residual at grid
+points and must agree with the exact verdict; the oracle row of a holding
+check is derived from its canonical zero, not drawn.
 """
 
 from __future__ import annotations

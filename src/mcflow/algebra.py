@@ -174,13 +174,6 @@ class Poly3:
             raise AlgebraError(f"{self} is not constant")
         return self._num, self._den  # a nonzero constant's map is {(0, 0, 0): 1}
 
-    def reciprocal(self) -> "Poly3":
-        """1/self; only a nonzero constant has a polynomial reciprocal."""
-        if self._lead != (0, 0, 0):
-            raise NotDivisibleError(f"1 is not divisible by ({self})")
-        sign = -1 if self._num < 0 else 1
-        return Poly3(self._prim, sign * self._den, sign * self._num, self._lead, self.variables)
-
     def term_count(self) -> int:
         return len(self._prim)
 
@@ -1063,11 +1056,9 @@ def _integer_scaled(f: RationalFunction) -> tuple[Poly3, Poly3]:
             Poly3(f.den._prim, q // g, 1, f.den._lead, f.chart))
 
 
-def highest_exponent(f: Poly3 | RationalFunction) -> int:
-    """The largest exponent of one variable in f, or in f's numerator or
-    denominator."""
-    polys = (f.num, f.den) if isinstance(f, RationalFunction) else (f,)
-    return max((max(exps) for p in polys for exps in p._prim), default=0)
+def highest_exponent(f: RationalFunction) -> int:
+    """The largest exponent of one variable in f's numerator or denominator."""
+    return max((max(exps) for p in (f.num, f.den) for exps in p._prim), default=0)
 
 
 def widest_printed_integer(f: RationalFunction) -> int:

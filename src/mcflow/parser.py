@@ -124,40 +124,29 @@ def _tokenize(text: str, line: int = 1, column: int = 1) -> list[_Token]:
 # parser: tokens -> values
 # ---------------------------------------------------------------------------
 
-# A rational value is a Poly3 until it is divided by a nonconstant or raised
-# to a negative power, so that polynomial values take no gcd; then it is a
-# RationalFunction.  With log allowed, a value with log terms is a _Logs.
-# A rational constant is a constant Poly3, which holds its value as a
-# reduced integer pair.
+# A rational value is a RationalFunction; a polynomial is one over 1, whose
+# arithmetic takes no gcd.  With log allowed, a value with log terms is a
+# _Logs.
 
 
 class _Logs:
     """A rational part plus (coefficient, argument) log terms, in the order
-    they appear; each coefficient is a constant Poly3."""
+    they appear; each coefficient is a constant RationalFunction."""
 
     __slots__ = ("rational", "logs")
 
-    def __init__(self, rational, logs: list[tuple[Poly3, RationalFunction]]):
+    def __init__(self, rational: RationalFunction,
+                 logs: list[tuple[RationalFunction, RationalFunction]]):
         self.rational = rational
         self.logs = logs
 
-    def scaled(self, k: Poly3) -> "_Logs":
+    def scaled(self, k: RationalFunction) -> "_Logs":
         return _Logs(self.rational * k, [(c * k, a) for c, a in self.logs])
 
 
 def _split(value) -> tuple:
     """The rational part and log terms of a value."""
     return (value.rational, value.logs) if isinstance(value, _Logs) else (value, [])
-
-
-def _rational(value) -> RationalFunction:
-    return value if isinstance(value, RationalFunction) else RationalFunction(value)
-
-
-def _scalar(value) -> Poly3:
-    """A constant rational value as a constant Poly3: a constant
-    RationalFunction is its numerator over 1."""
-    return value.num if isinstance(value, RationalFunction) else value
 
 
 # A product step multiplies each term of one operand by each term of the
@@ -189,39 +178,30 @@ def _degree_message(degree: int, limit: int) -> str:
     return f"degree {degree} in one variable exceeds the limit of {limit}"
 
 
-def _parts(value) -> tuple:
-    """A rational value's numerator and denominator, or the polynomial."""
-    return (value.num, value.den) if isinstance(value, RationalFunction) else (value,)
-
-
 def _term_count(value) -> int:
-    """Terms of a value's rational part, numerator and denominator."""
-    if isinstance(value, Poly3):
-        return value.term_count()
-    if isinstance(value, RationalFunction):
-        return value.num.term_count() + value.den.term_count()
-    return _term_count(value.rational)
+    """Terms of a value's rational part: the numerator's, and the
+    denominator's unless it is 1."""
+    rational = _split(value)[0]
+    den = rational.den
+    return rational.num.term_count() + (0 if den.is_constant() else den.term_count())
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _arithmetic(op: str, left, right, token: _Token):
-    """left op right for rational values; an exponent past what a monomial
-    holds, or an operand past _MAX_OPERAND_DEGREE, is a ParseError at the
-    operator token (for a power, its '^')."""
-    if op == "/" and isinstance(right, Poly3) and right.is_constant() and not right.is_zero():
+    """left op right for rational values; a zero divisor raises
+    ZeroDenominatorError, and an exponent past what a monomial holds, or an
+    operand past _MAX_OPERAND_DEGREE, is a ParseError at the operator token
+    (for a power, its '^')."""
+    if op == "/" and right.is_constant() and not right.is_zero():
         return left * right.reciprocal()
-    if op == "/" or isinstance(left, RationalFunction) or isinstance(right, RationalFunction):
-        parts = [p for value in (left, right) for p in _parts(value)]
-        degree = max(map(highest_exponent, parts))
+    if op == "/" or not (left.den.is_constant() and right.den.is_constant()):
+        degree = max(highest_exponent(left), highest_exponent(right))
+        parts = (left.num, left.den, right.num, right.den)
         if degree > _MAX_OPERAND_DEGREE and any(p.term_count() > 1 for p in parts):
             raise ParseError(_degree_message(degree, _MAX_OPERAND_DEGREE),
                              token.line, token.column)
-    # a RationalFunction takes a Poly3 operand, and divides by zero with
-    # the error "reciprocal of zero"
-    if isinstance(left, Poly3) and (op == "/" or isinstance(right, RationalFunction)):
-        left = RationalFunction(left)
     try:
         return _ARITHMETIC[op](left, right)
     except ExponentOverflowError as exc:
@@ -281,12 +261,12 @@ class _Parser:
         if op == "*":
             for constant, logs in ((left, right), (right, left)):
                 if not isinstance(constant, _Logs) and constant.is_constant():
-                    return logs.scaled(_scalar(constant))
+                    return logs.scaled(constant)
             self.fail("log may only be scaled by rational constants")
         if isinstance(right, _Logs):
             self.fail("log terms must enter linearly, as c*log(f)")
         if right.is_constant() and not right.is_zero():
-            return left.scaled(_scalar(right).reciprocal())
+            return left.scaled(right.reciprocal())
         self.fail("log may only be divided by nonzero constants")
 
     # grammar rules ----------------------------------------------------
@@ -347,7 +327,7 @@ class _Parser:
                 raise ParseError(f"constant power exceeds the limit of {limit} digits",
                                  start.line, start.column)
         if exponent < 0:
-            base, exponent = _rational(base).reciprocal(), -exponent
+            base, exponent = base.reciprocal(), -exponent
         # square and multiply, as Poly3.__pow__, each step through product
         result = base ** 0
         while exponent:
@@ -382,7 +362,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Poly3.const(_int_literal(token), self.variables)
+            return RationalFunction.const(_int_literal(token), self.variables)
         if token.kind == "ident":
             self.advance()
             if token.text == "log":
@@ -392,7 +372,7 @@ class _Parser:
                     f"unknown identifier {token.text!r}; variables are "
                     f"{', '.join(self.variables)}",
                     token.line, token.column)
-            return Poly3.variable(token.text, self.variables)
+            return RationalFunction(Poly3.variable(token.text, self.variables))
         if self.at_op("("):
             self.enter()
             value = self.expr()
@@ -418,8 +398,8 @@ class _Parser:
         self.depth -= 1
         if isinstance(argument, _Logs):
             self.fail("log is only allowed in integral expressions")
-        return _Logs(Poly3.const(0, self.variables),
-                     [(Poly3.const(1, self.variables), _rational(argument))])
+        return _Logs(RationalFunction.const(0, self.variables),
+                     [(RationalFunction.const(1, self.variables), argument)])
 
 
 # Integers print in decimal, and Python converts between int and str only up to
@@ -455,17 +435,17 @@ def _parse(text: str, variables: Sequence[str], allow_log: bool, line: int, colu
 
 
 def parse_rational(text: str, variables: Sequence[str] = DEFAULT_CHART) -> RationalFunction:
-    return _rational(_parse(text, variables, False, 1, 1))
+    return _parse(text, variables, False, 1, 1)
 
 
 def _log_integral(value) -> LogIntegral:
     """A value as an integral: log terms merged by argument, in order of
     first appearance, with zero sums dropped."""
     rational, terms = _split(value)
-    merged: dict[RationalFunction, Poly3] = {}
+    merged: dict[RationalFunction, RationalFunction] = {}
     for coeff, argument in terms:
         merged[argument] = merged[argument] + coeff if argument in merged else coeff
-    return LogIntegral(_rational(rational),
+    return LogIntegral(rational,
                        [(c, a) for a, c in merged.items() if not c.is_zero()])
 
 
@@ -499,7 +479,7 @@ def _parse_value(text: str, variables, line_no: int, column: int, allow_log: boo
     start = column + len(text) - len(text.lstrip())
     try:
         value = _parse(text, variables, allow_log, line_no, column)
-        value = _log_integral(value) if allow_log else _rational(value)
+        value = _log_integral(value) if allow_log else value
     except ZeroDenominatorError as exc:
         raise ParseError(str(exc), line_no, start) from None
     # a log coefficient is a constant RationalFunction, which prints its pair
@@ -534,7 +514,6 @@ def _is_identifier(name: str) -> bool:
 
 def parse_system(source: str) -> SystemSpec:
     """Parse a system document; the first error aborts with its line."""
-    seen: dict[str, int] = {}
     # (line, value, column of the value's first character)
     raw: dict[str, tuple[int, str, int]] = {}
     integrals: list[tuple[str, int, str, int]] = []
@@ -560,9 +539,8 @@ def parse_system(source: str) -> SystemSpec:
             continue
         if key not in ("name", "variables", "v", "u", "w", "multiplier"):
             raise ParseError(f"unknown key {key!r}", line_no)
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r} (first on line {seen[key]})", line_no)
-        seen[key] = line_no
+        if key in raw:
+            raise ParseError(f"duplicate key {key!r} (first on line {raw[key][0]})", line_no)
         raw[key] = (line_no, value, column)
 
     for required in ("name", "variables", "v"):

@@ -342,7 +342,7 @@ class TestParseSystem:
         source = "name: a\nvariables: x, y, z\nv: 1; 0; 0\nv: 0; 1; 0\n"
         with pytest.raises(ParseError) as info:
             parse_system(source)
-        assert "duplicate" in str(info.value)
+        assert info.value.message == "duplicate key 'v' (first on line 3)"
         assert info.value.line == 4
 
     def test_missing_required_key(self):
